@@ -97,18 +97,24 @@ class MultiHeadAttention:
         h, hd = self.cfg.heads, self.cfg.head_dim
         return T.transpose(T.reshape(x, (b, k, L, h, hd)), (0, 1, 3, 2, 4))
 
-    def __call__(self, q_in, k_in, v_in, mask, q_positions, k_positions):
-        """q_in (B,k,Lq,d); k_in/v_in (B,k|1,Lk,d); mask AttentionMask or None.
+    def project_kv(self, k_in, v_in, k_positions):
+        """Keys and values split into heads, keys rotated by k_positions.
+
+        k_in/v_in (B,k|1,Lk,d) give (B,k|1,h,Lk,hd) each: the form attend()
+        reads and a decode cache stores.
+        """
+        k = self._heads(T.matmul(k_in, self.wk.tensor))
+        v = self._heads(T.matmul(v_in, self.wv.tensor))
+        k = T.rope_rotate(k, np.asarray(k_positions, float), self.cfg.rope_base)
+        return k, v
+
+    def attend(self, q_in, k, v, mask, q_positions):
+        """Attention of q_in (B,k,Lq,d) over heads k, v from project_kv.
 
         Returns (output (B,k,Lq,d), attention weights ndarray (B,k,h,Lq,Lk)).
         """
-        if q_in.ndim != 4 or k_in.ndim != 4:
-            raise DimensionError("attention inputs must be (B, k, L, d)")
         q = self._heads(T.matmul(q_in, self.wq.tensor))
-        k = self._heads(T.matmul(k_in, self.wk.tensor))
-        v = self._heads(T.matmul(v_in, self.wv.tensor))
         q = T.rope_rotate(q, np.asarray(q_positions, float), self.cfg.rope_base)
-        k = T.rope_rotate(k, np.asarray(k_positions, float), self.cfg.rope_base)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))),
                        1.0 / np.sqrt(self.cfg.head_dim))
         keep = None
@@ -120,6 +126,46 @@ class MultiHeadAttention:
         merged = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
         return T.matmul(merged, self.wo.tensor), weights.data
 
+    def __call__(self, q_in, k_in, v_in, mask, q_positions, k_positions):
+        """q_in (B,k,Lq,d); k_in/v_in (B,k|1,Lk,d); mask AttentionMask or None.
+
+        Returns (output (B,k,Lq,d), attention weights ndarray (B,k,h,Lq,Lk)).
+        """
+        if q_in.ndim != 4 or k_in.ndim != 4:
+            raise DimensionError("attention inputs must be (B, k, L, d)")
+        k, v = self.project_kv(k_in, v_in, k_positions)
+        return self.attend(q_in, k, v, mask, q_positions)
+
+
+class KVCache:
+    """Rotated keys and values of one self-attention sublayer, kept across
+    decode steps.
+
+    k and v are (B, k|1, h, L, hd) arrays over the L positions fed so far.
+    A step appends its positions with extend(); select() re-indexes the
+    batch rows, as beam search does when it keeps some hypotheses and
+    drops others.
+    """
+
+    def __init__(self):
+        self.k = self.v = None
+
+    @property
+    def length(self):
+        return 0 if self.k is None else self.k.shape[3]
+
+    def extend(self, k, v):
+        """Append the new positions' heads; returns the whole k and v."""
+        k, v = k.data, v.data
+        if self.k is not None:
+            k = np.concatenate([self.k, k], axis=3)
+            v = np.concatenate([self.v, v], axis=3)
+        self.k, self.v = k, v
+        return k, v
+
+    def select(self, rows):
+        self.k, self.v = self.k[rows], self.v[rows]
+
 
 def _passthrough_inactive(H, new_hidden):
     act = H.active[:, :, None, None]
@@ -127,47 +173,75 @@ def _passthrough_inactive(H, new_hidden):
                                T.mul(H.hidden, 1.0 - act)))
 
 
-def per_stream_attention(mha, H, mask):
+def _self_kv(mha, kv_in, positions, cache):
+    """Keys and values of a self-attention call; a cache appends them to
+    those of the earlier decode steps and returns all of them."""
+    k, v = mha.project_kv(kv_in, kv_in, positions)
+    return (k, v) if cache is None else cache.extend(k, v)
+
+
+def _positions(H, cache):
+    """Absolute positions of H's sequence axis: a cached decode step
+    continues after the positions its cache already holds."""
+    pos = np.arange(H.length)
+    return pos if cache is None else pos + cache.length
+
+
+def per_stream_attention(mha, H, mask, cache=None):
     """Self-attention run independently inside each active stream.
 
     Inactive stream slots pass through untouched.  With k=1 this is plain
-    self-attention.  Returns (StreamBatch of raw attention outputs, weights).
+    self-attention.  With a KVCache, H holds only the new positions and
+    attends over every cached one as well.  Returns (StreamBatch of raw
+    attention outputs, weights).
     """
-    pos = np.arange(H.length)
-    out, w = mha(H.hidden, H.hidden, H.hidden, mask, pos, pos)
+    pos = _positions(H, cache)
+    k, v = _self_kv(mha, H.hidden, pos, cache)
+    out, w = mha.attend(H.hidden, k, v, mask, pos)
     return _passthrough_inactive(H, out), w
 
 
-def aggregated_attention(mha, H, mask):
+def aggregated_attention(mha, H, mask, cache=None):
     """Queries stay per-stream; keys and values are the fused aggregate.
 
     The aggregate is computed once and broadcast, so every stream attends
-    over the identical key buffer.
+    over the identical key buffer.  It is position-wise, so a cached
+    decode step fuses only its new positions.
     """
-    pos = np.arange(H.length)
+    pos = _positions(H, cache)
     fused = aggregate(H)
     kv = T.reshape(fused, (H.batch, 1, H.length, fused.shape[-1]))
-    out, w = mha(H.hidden, kv, kv, mask, pos, pos)
+    k, v = _self_kv(mha, kv, pos, cache)
+    out, w = mha.attend(H.hidden, k, v, mask, pos)
     return _passthrough_inactive(H, out), w
 
 
-def cross_attention(mha, H_dec, H_enc, mode, mask):
-    """Decoder-to-encoder attention in one of two modes.
+def cross_kv(mha, H_enc, mode):
+    """Encoder keys and values for one cross-attention mode.
 
-    "per": decoder stream i attends encoder stream i (streams must be
-    aligned, which holds because the decoder reuses the encoder's stream
-    ids).  "agg": every decoder stream attends the fused encoder sequence.
+    "per" keeps encoder stream i for decoder stream i; "agg" fuses the
+    encoder streams into one sequence that every decoder stream reads.
     """
-    q_pos = np.arange(H_dec.length)
-    k_pos = np.arange(H_enc.length)
     if mode == "per":
-        if H_dec.k != H_enc.k or not np.array_equal(H_dec.stream_ids, H_enc.stream_ids):
-            raise ContractError("per-stream cross attention needs aligned streams")
         kv = H_enc.hidden
     elif mode == "agg":
         fused = aggregate(H_enc)
         kv = T.reshape(fused, (H_enc.batch, 1, H_enc.length, fused.shape[-1]))
     else:
         raise ContractError(f"unknown cross attention mode {mode!r}")
-    out, w = mha(H_dec.hidden, kv, kv, mask, q_pos, k_pos)
+    return mha.project_kv(kv, kv, np.arange(H_enc.length))
+
+
+def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, start=0):
+    """Decoder-to-encoder attention in one of two modes (see cross_kv).
+
+    "per" needs aligned streams, which holds because the decoder reuses
+    the encoder's stream ids.  Decoding passes the cross_kv result it
+    computed once as kv, and the position of H_dec's first query as start.
+    """
+    if mode == "per" and (H_dec.k != H_enc.k
+                          or (H_dec.stream_ids != H_enc.stream_ids).any()):
+        raise ContractError("per-stream cross attention needs aligned streams")
+    k, v = cross_kv(mha, H_enc, mode) if kv is None else kv
+    out, w = mha.attend(H_dec.hidden, k, v, mask, start + np.arange(H_dec.length))
     return _passthrough_inactive(H_dec, out), w

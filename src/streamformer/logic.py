@@ -457,7 +457,10 @@ class Dataset:
 
     @staticmethod
     def load(path):
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError("dataset is not UTF-8 text", e.start) from None
         lines = text.split("\n")
         head = re.fullmatch(r"#task=(\w+) aps=(\d+)", lines[0])
         if not head:

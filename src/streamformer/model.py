@@ -17,22 +17,33 @@ Layer composition follows two toggled stacks:
 Each enabled sublayer is wrapped as norm(x + dropout(sub(x))); disabling a
 toggle removes the sublayer and its norm parameters entirely.
 
+Decoding runs on a DecodeState.  begin_decode encodes the source once and
+projects each layer's cross-attention keys and values once; every
+step_logits call then feeds one position per row through the decoder and
+appends its rotated DP and DA keys and values to the layer caches.  This
+matches the teacher-forced pass up to rounding because every decoder
+sublayer is position-wise or causal: the DA aggregate at position t reads
+only position t, and rotary encoding rotates each key by its own absolute
+position.  Beam search advances its live hypotheses as rows of one state
+and re-indexes the caches by parent.
+
 A conventional transformer with one stream and a full vocabulary table
-(FlatVocabTransformer) is included as the non-invariant baseline.
+(FlatVocabTransformer) is included as the non-invariant baseline; it
+swaps the stream embedding and projection for flat ones and shares the
+rest, the decode state included.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionConfig, MultiHeadAttention, cross_attention,
-                        aggregated_attention, look_ahead_mask, padding_mask,
-                        per_stream_attention)
+from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
+                        aggregated_attention, cross_attention, cross_kv,
+                        look_ahead_mask, padding_mask, per_stream_attention)
 from .errors import ContractError, VocabularyError
-from .streams import (EOS_ID, SOS_ID, StreamBatch, Vocabulary, aggregate,
+from .streams import (EOS_ID, SOS_ID, StreamBatch, Vocabulary,
                       pack_sequences, project, sequence_stream_ids)
 
 CROSS_MODES = ("per", "agg")
@@ -236,17 +247,23 @@ class DecoderLayer:
         self.ffn = FeedForward(f"{prefix}.ffn", cfg.d_model, cfg.ffn_dim, rng)
         self.ffn_norm = Norm(f"{prefix}.ffn.norm", cfg.d_model)
 
-    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL):
+    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL, cache=None):
+        """One decoder layer; with a LayerCache, H holds one new position."""
+        dp = da = cross = None
+        start = 0
+        if cache is not None:
+            dp, da, cross, start = cache.dp, cache.da, cache.cross, cache.length
         weights = None
         if self.self_attn is not None:
-            sub, weights = per_stream_attention(self.self_attn, H, m_la)
+            sub, weights = per_stream_attention(self.self_attn, H, m_la, dp)
             H = _residual_norm(H, sub.hidden, self.self_norm, ctx)
         if self.agg_attn is not None:
             # the look-ahead mask keeps the fused keys causal too
-            sub, _ = aggregated_attention(self.agg_attn, H, m_la)
+            sub, _ = aggregated_attention(self.agg_attn, H, m_la, da)
             H = _residual_norm(H, sub.hidden, self.agg_norm, ctx)
         for mode, mha, norm in self.cross:
-            sub, _ = cross_attention(mha, H, enc, mode, m_pad)
+            kv = None if cross is None else cross[mode]
+            sub, _ = cross_attention(mha, H, enc, mode, m_pad, kv, start)
             H = _residual_norm(H, sub.hidden, norm, ctx)
         H = _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
         return H, weights
@@ -260,6 +277,63 @@ class DecoderLayer:
         for _, mha, norm in self.cross:
             out += mha.parameters() + norm.parameters()
         return out + self.ffn.parameters() + self.ffn_norm.parameters()
+
+
+class LayerCache:
+    """Decode-time state of one decoder layer.
+
+    dp, da  KVCache of the masked self-attention sublayers (None if off)
+    cross   cross-attention mode -> encoder keys and values, computed once
+    """
+
+    def __init__(self, layer, enc):
+        self.dp = KVCache() if layer.self_attn is not None else None
+        self.da = KVCache() if layer.agg_attn is not None else None
+        self.cross = {mode: cross_kv(mha, enc, mode)
+                      for mode, mha, _ in layer.cross}
+
+    @property
+    def length(self):
+        """Positions fed so far."""
+        return (self.dp or self.da).length
+
+    def select(self, rows):
+        for kv in (self.dp, self.da):
+            if kv is not None:
+                kv.select(rows)
+
+
+class DecodeState:
+    """One encoded source and the decoder caches of the rows decoding it.
+
+    begin_decode builds it: the encoder runs once, each decoder layer's
+    cross-attention keys and values are projected once, and so is the
+    output table (normalised for the cosine head).  Each step_logits call
+    then feeds one token per row and appends that position's rotated keys
+    and values to every layer's cache.  The rows share the source and the
+    length, so none is padded; beam search keeps its live hypotheses as
+    rows and calls select() to re-index the caches by parent.
+
+    col_ids  token id behind each logit column
+    allowed  columns this source can emit
+    """
+
+    def __init__(self, enc, col_ids, allowed, table, layers):
+        self.enc = enc
+        self.col_ids = col_ids
+        self.allowed = allowed
+        self.table = table
+        self.layers = layers
+
+    @property
+    def length(self):
+        """Positions fed so far, the start marker included."""
+        return self.layers[0].length
+
+    def select(self, rows):
+        """Keep the given rows, in order; a row may be repeated."""
+        for layer in self.layers:
+            layer.select(rows)
 
 
 @dataclass
@@ -293,7 +367,8 @@ class Seq2SeqModel:
         bound = 1.0 / np.sqrt(cfg.d_model)
         # one buffer serves encoder input, decoder input and projection
         self.embedding = T.Parameter(
-            "embed.w", rng.uniform(-bound, bound, (vocab.table_rows, cfg.d_model)))
+            "embed.w", rng.uniform(-bound, bound,
+                                   (self._table_rows(vocab), cfg.d_model)))
         self.enc_layers = [EncoderLayer(cfg, f"enc.{i}", rng)
                            for i in range(cfg.enc_layers)]
         self.dec_layers = [DecoderLayer(cfg, f"dec.{i}", rng)
@@ -334,43 +409,87 @@ class Seq2SeqModel:
                 cols.append(t)
         return cols
 
+    # ------------------------------------------------- embedding and columns
+
+    @staticmethod
+    def _table_rows(vocab):
+        return vocab.table_rows
+
+    def _embed(self, seqs, enc=None):
+        """Stream batch of seqs; decoder inputs pass the encoder output, so
+        their streams are pinned to the encoder's."""
+        sids = None
+        if enc is not None:
+            sids = [[int(s) for s in row if s >= 0] for row in enc.stream_ids]
+            if enc.batch == 1:
+                sids = sids * len(seqs)   # rows decoding one source
+        return pack_sequences(seqs, self.embedding.tensor, self.vocab,
+                              stream_id_lists=sids)
+
+    def _project(self, H, W):
+        return project(H, W)
+
+    def _columns(self, enc):
+        """Token id behind each logit column, and which columns can win."""
+        sids = enc.stream_ids[0]
+        col_ids = np.concatenate([np.arange(self.vocab.base_size), sids])
+        allowed = np.concatenate([np.ones(self.vocab.base_size, dtype=bool),
+                                  sids >= 0])
+        return col_ids, allowed
+
     # ----------------------------------------------------------------- forward
 
     def encode(self, srcs, ctx=_EVAL):
         """Run the encoder stack over a batch of source id sequences."""
-        H = pack_sequences(srcs, self.embedding.tensor, self.vocab)
+        H = self._embed(srcs)
         mask = padding_mask(H.lengths, H.length, H.length)
         for layer in self.enc_layers:
             H, _ = layer(H, mask, ctx)
         return H
 
-    def decode_hidden(self, tgt_inputs, enc, ctx=_EVAL):
-        """Run the decoder stack; streams are pinned to the encoder's."""
-        sid_lists = [[int(s) for s in row if s >= 0] for row in enc.stream_ids]
-        H = pack_sequences(tgt_inputs, self.embedding.tensor, self.vocab,
-                           stream_id_lists=sid_lists)
-        m_la = look_ahead_mask(H.lengths, H.length)
-        m_pad = padding_mask(enc.lengths, H.length, enc.length)
-        for layer in self.dec_layers:
-            H, _ = layer(H, enc, m_la, m_pad, ctx)
+    def decode_hidden(self, tgt_inputs, enc, ctx=_EVAL, state=None):
+        """Run the decoder stack; streams are pinned to the encoder's.
+
+        With a DecodeState, each row of tgt_inputs is the one next token of
+        a decoded row: the layers read the earlier positions from the
+        state's caches and append this one.  The new position may see every
+        cached one and the source is unpadded, so nothing is masked.
+        """
+        H = self._embed(tgt_inputs, enc)
+        if state is None:
+            m_la = look_ahead_mask(H.lengths, H.length)
+            m_pad = padding_mask(enc.lengths, H.length, enc.length)
+            caches = [None] * len(self.dec_layers)
+        else:
+            if H.length != 1:
+                raise ContractError("a cached decode step feeds one position")
+            m_la = m_pad = None
+            caches = state.layers
+        for layer, cache in zip(self.dec_layers, caches):
+            H, _ = layer(H, enc, m_la, m_pad, ctx, cache)
         return H
 
-    def project_logits(self, H):
-        """Stream projection; the cosine head normalizes both sides first."""
+    def _output_table(self):
         W = self.embedding.tensor
+        return l2_normalize(W) if self.cfg.cosine_head else W
+
+    def project_logits(self, H, table=None):
+        """Logits over the output columns; the cosine head normalizes both
+        sides first.  table is the _output_table() a decode already holds."""
+        if table is None:
+            table = self._output_table()
         if self.cfg.cosine_head:
             H = H.with_hidden(l2_normalize(H.hidden))
-            W = l2_normalize(W)
-        return project(H, W)
+        return self._project(H, table)
 
     def forward_batch(self, srcs, tgt_inputs, ctx=_EVAL):
-        """Teacher-forced logits (B, Lt, V_n + kmax) plus the stream ids."""
+        """Teacher-forced logits (B, Lt, columns) plus the stream ids."""
         enc = self.encode(srcs, ctx)
         dec = self.decode_hidden(tgt_inputs, enc, ctx)
         return self.project_logits(dec), enc.stream_ids
 
     def forward(self, src, tgt_input):
-        """Single-sequence logits (Lt, V_n + k)."""
+        """Single-sequence logits (Lt, columns)."""
         logits, _ = self.forward_batch([list(src)], [list(tgt_input)])
         return T.index(logits, 0)
 
@@ -392,71 +511,64 @@ class Seq2SeqModel:
     # ----------------------------------------------------------------- decode
 
     def begin_decode(self, src):
+        """Encode src and open a DecodeState for it, with no rows fed yet."""
         with T.no_grad():
             enc = self.encode([list(src)])
-        sids = enc.stream_ids[0]
-        col_ids = np.concatenate([np.arange(self.vocab.base_size), sids])
-        allowed = np.concatenate([np.ones(self.vocab.base_size, dtype=bool),
-                                  sids >= 0])
-        return _DecodeCtx(self, enc, col_ids, allowed)
+            table = self._output_table()
+            layers = [LayerCache(layer, enc) for layer in self.dec_layers]
+        col_ids, allowed = self._columns(enc)
+        return DecodeState(enc, col_ids, allowed, table, layers)
 
-    def step_logits(self, ctx, prefix):
+    def step_logits(self, state, tokens):
+        """Feed one token per row; returns the next logits, (rows, columns).
+
+        The first step feeds the start marker.  Later steps must feed as
+        many rows as the state holds, after any select().
+        """
         with T.no_grad():
-            dec = self.decode_hidden([prefix], ctx.enc)
-            row = self.project_logits(dec).data[0, -1]
-        return row
+            dec = self.decode_hidden([[int(t)] for t in tokens], state.enc,
+                                     state=state)
+            return self.project_logits(dec, state.table).data[:, 0]
 
 
-class _DecodeCtx:
-    def __init__(self, model, enc, col_ids, allowed):
-        self.model = model
-        self.enc = enc
-        self.col_ids = col_ids
-        self.allowed = allowed
-
-    def logits(self, prefix):
-        return self.model.step_logits(self, prefix)
-
-
-def _log_softmax_allowed(row, allowed):
-    vals = np.where(allowed, row, -np.inf)
-    m = vals.max()
-    lse = m + np.log(np.exp(vals - m).sum())
+def _log_softmax_allowed(rows, allowed):
+    vals = np.where(allowed, rows, -np.inf)
+    m = vals.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(vals - m).sum(axis=-1, keepdims=True))
     return vals - lse
 
 
-def _tied_inter_argmax(row, allowed, n_base):
-    """Index of the winning column plus a renaming-sensitivity flag.
+def _tied_inter_argmax(rows, allowed, n_base):
+    """Per row, the winning column plus a renaming-sensitivity flag.
 
     First-maximum tie breaking gives the lowest token id.  The flag marks
     an exact tie between two interchangeable columns, the only place where
     tie breaking could interact with a renaming.
     """
-    vals = np.where(allowed, row, -np.inf)
-    best = int(vals.argmax())
-    winners = np.flatnonzero(vals == vals[best])
-    tied = int((winners >= n_base).sum()) >= 2
-    return best, tied
+    vals = np.where(allowed, rows, -np.inf)
+    best = vals.argmax(axis=-1)
+    winners = vals == vals[np.arange(len(vals)), best][:, None]
+    return best, winners[:, n_base:].sum(axis=-1) >= 2
 
 
 def decode_greedy(model, src, max_len=64):
     """Argmax decoding until the end marker or the length bound."""
-    ctx = model.begin_decode(src)
+    state = model.begin_decode(src)
     n_base = model.vocab.base_size
-    prefix = [SOS_ID]
+    tok = SOS_ID
     tokens = []
     score = 0.0
     tied = False
     for _ in range(max_len):
-        row = ctx.logits(prefix)
-        best, step_tied = _tied_inter_argmax(row, ctx.allowed, n_base)
-        tied = tied or step_tied
-        score += float(_log_softmax_allowed(row, ctx.allowed)[best])
-        tok = int(ctx.col_ids[best])
+        rows = model.step_logits(state, [tok])
+        best, step_tied = _tied_inter_argmax(rows, state.allowed, n_base)
+        best = int(best[0])
+        tied = tied or bool(step_tied[0])
+        score += float(_log_softmax_allowed(rows, state.allowed)[0, best])
+        tok = int(state.col_ids[best])
         if tok == EOS_ID:
             return DecodeResult(tokens, score, False, tied)
         tokens.append(tok)
-        prefix.append(tok)
     return DecodeResult(tokens, score, True, tied)
 
 
@@ -464,36 +576,41 @@ def decode_beam(model, src, width, max_len=64):
     """Beam search over summed log-probabilities.
 
     Returns up to `width` hypotheses, best first.  No length normalization,
-    so width 1 reproduces greedy decoding exactly.
+    so width 1 reproduces greedy decoding exactly.  The live hypotheses are
+    the rows of one decode state, advanced by one step_logits call.
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")
-    ctx = model.begin_decode(src)
+    state = model.begin_decode(src)
     n_base = model.vocab.base_size
+    cols = np.flatnonzero(state.allowed)
+    col_tokens = state.col_ids[cols]
     beams = [DecodeResult([], 0.0, False, False)]
     done = []
     for _ in range(max_len):
-        candidates = []
-        for hyp in beams:
-            row = ctx.logits([SOS_ID] + hyp.tokens)
-            logp = _log_softmax_allowed(row, ctx.allowed)
-            _, step_tied = _tied_inter_argmax(row, ctx.allowed, n_base)
-            for col in np.flatnonzero(ctx.allowed):
-                tok = int(ctx.col_ids[col])
-                cand = DecodeResult(hyp.tokens + [tok],
-                                    hyp.score + float(logp[col]), False,
-                                    hyp.tied or step_tied)
-                candidates.append(cand)
-        candidates.sort(key=lambda c: -c.score)  # stable: ties keep gen order
-        beams = []
-        for cand in candidates:
-            if cand.tokens[-1] == EOS_ID:
-                done.append(DecodeResult(cand.tokens[:-1], cand.score,
-                                         False, cand.tied))
-            else:
-                beams.append(cand)
-            if len(beams) >= width:
+        rows = model.step_logits(state, [hyp.tokens[-1] if hyp.tokens
+                                         else SOS_ID for hyp in beams])
+        logp = _log_softmax_allowed(rows, state.allowed)[:, cols]
+        _, step_tied = _tied_inter_argmax(rows, state.allowed, n_base)
+        cand = (np.array([hyp.score for hyp in beams])[:, None]
+                + logp).reshape(-1)
+        # candidates in generation order (hypothesis, then column); the
+        # stable sort keeps that order among equal scores
+        parents, live = [], []
+        for i in np.argsort(-cand, kind="stable"):
+            r, c = divmod(int(i), len(cols))
+            hyp = beams[r]
+            tied = bool(hyp.tied or step_tied[r])
+            if col_tokens[c] == EOS_ID:
+                done.append(DecodeResult(hyp.tokens, float(cand[i]),
+                                         False, tied))
+                continue
+            parents.append(r)
+            live.append(DecodeResult(hyp.tokens + [int(col_tokens[c])],
+                                     float(cand[i]), False, tied))
+            if len(live) >= width:
                 break
+        beams = live
         done.sort(key=lambda c: -c.score)
         done = done[:width]
         if not beams:
@@ -502,6 +619,7 @@ def decode_beam(model, src, width, max_len=64):
         # beats the best live hypothesis cannot be displaced
         if len(done) >= width and done[-1].score >= beams[0].score:
             break
+        state.select(parents)
     for hyp in beams:
         done.append(DecodeResult(hyp.tokens, hyp.score, True, hyp.tied))
     done.sort(key=lambda c: -c.score)
@@ -510,17 +628,17 @@ def decode_beam(model, src, width, max_len=64):
 
 def score_sequence(model, src, tokens):
     """Summed log-probability of emitting tokens then the end marker."""
-    ctx = model.begin_decode(src)
-    prefix = [SOS_ID]
+    state = model.begin_decode(src)
+    prev = SOS_ID
     total = 0.0
     for tok in list(tokens) + [EOS_ID]:
-        row = ctx.logits(prefix)
-        logp = _log_softmax_allowed(row, ctx.allowed)
-        cols = np.flatnonzero((ctx.col_ids == tok) & ctx.allowed)
+        logp = _log_softmax_allowed(model.step_logits(state, [prev]),
+                                    state.allowed)[0]
+        cols = np.flatnonzero((state.col_ids == tok) & state.allowed)
         if len(cols) == 0:
             raise ContractError(f"token {tok} has no emittable column")
         total += float(logp[cols[0]])
-        prefix.append(tok)
+        prev = tok
     return total
 
 
@@ -558,38 +676,24 @@ def check_invariance(model, src, f, max_len=64):
                             base.tokens, round_trip)
 
 
-class FlatVocabTransformer:
+class FlatVocabTransformer(Seq2SeqModel):
     """Ordinary transformer baseline: one stream, per-symbol embedding rows.
 
-    Shares the layer implementations with the stream model but embeds every
-    token by identity, so renamed inputs meet different weights and nothing
-    guarantees invariance.  Used as the comparison double in evaluations.
+    Shares the layers, the forward pass and the decode state with the
+    stream model but embeds every token by identity, so renamed inputs
+    meet different weights and nothing guarantees invariance.  Used as the
+    comparison double in evaluations.
     """
-
-    def __init__(self, cfg: ModelConfig, vocab: Vocabulary, seed=0):
-        self.cfg = cfg
-        self.vocab = vocab
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(cfg.d_model)
-        self.embedding = T.Parameter(
-            "embed.w", rng.uniform(-bound, bound, (vocab.total_size, cfg.d_model)))
-        self.enc_layers = [EncoderLayer(cfg, f"enc.{i}", rng)
-                           for i in range(cfg.enc_layers)]
-        self.dec_layers = [DecoderLayer(cfg, f"dec.{i}", rng)
-                           for i in range(cfg.dec_layers)]
-        self.adacos = None
-
-    def parameters(self):
-        out = [self.embedding]
-        for layer in self.enc_layers + self.dec_layers:
-            out += layer.parameters()
-        return out
 
     def label_columns(self, src, tgt):
         """Every token keeps its own column in the flat table."""
         return [int(t) for t in tgt]
 
-    def _single_stream(self, seqs):
+    @staticmethod
+    def _table_rows(vocab):
+        return vocab.total_size
+
+    def _embed(self, seqs, enc=None):
         B = len(seqs)
         Lmax = max(len(s) for s in seqs)
         ids = np.zeros((B, 1, Lmax), dtype=np.int64)
@@ -601,55 +705,18 @@ class FlatVocabTransformer:
         return StreamBatch(hidden, np.zeros((B, 1, Lmax)), np.ones((B, 1)),
                            np.full((B, 1), -1, dtype=np.int64), lengths)
 
-    def encode(self, srcs, ctx=_EVAL):
-        H = self._single_stream(srcs)
-        mask = padding_mask(H.lengths, H.length, H.length)
-        for layer in self.enc_layers:
-            H, _ = layer(H, mask, ctx)
-        return H
+    def _project(self, H, W):
+        return T.index(T.matmul(H.hidden, T.transpose(W, (1, 0))),
+                       (slice(None), 0))
 
-    def decode_hidden(self, tgt_inputs, enc, ctx=_EVAL):
-        H = self._single_stream(tgt_inputs)
-        m_la = look_ahead_mask(H.lengths, H.length)
-        m_pad = padding_mask(enc.lengths, H.length, enc.length)
-        for layer in self.dec_layers:
-            H, _ = layer(H, enc, m_la, m_pad, ctx)
-        return H
-
-    def project_logits(self, H):
-        W = self.embedding.tensor
-        feat = H.hidden
-        if self.cfg.cosine_head:
-            feat = l2_normalize(feat)
-            W = l2_normalize(W)
-        return T.index(T.matmul(feat, T.transpose(W, (1, 0))), (slice(None), 0))
-
-    def forward_batch(self, srcs, tgt_inputs, ctx=_EVAL):
-        enc = self.encode(srcs, ctx)
-        dec = self.decode_hidden(tgt_inputs, enc, ctx)
-        return self.project_logits(dec), enc.stream_ids
-
-    def forward(self, src, tgt_input):
-        logits, _ = self.forward_batch([list(src)], [list(tgt_input)])
-        return T.index(logits, 0)
+    def _columns(self, enc):
+        n = self.vocab.total_size
+        return np.arange(n), np.ones(n, dtype=bool)
 
     def align_renamed_logits(self, logits, src, renamed_src, f):
         """One column per token here, so the renaming permutes columns."""
         perm = np.array([f[c] for c in range(self.vocab.total_size)])
         return logits[:, perm]
-
-    def begin_decode(self, src):
-        with T.no_grad():
-            enc = self.encode([list(src)])
-        col_ids = np.arange(self.vocab.total_size)
-        allowed = np.ones(self.vocab.total_size, dtype=bool)
-        return _DecodeCtx(self, enc, col_ids, allowed)
-
-    def step_logits(self, ctx, prefix):
-        with T.no_grad():
-            dec = self.decode_hidden([prefix], ctx.enc)
-            row = self.project_logits(dec).data[0, -1]
-        return row
 
 
 # ------------------------------------------------------------------ persistence
@@ -673,8 +740,12 @@ def load_model(path):
     arrays, meta = T.load_checkpoint(path)
     if meta.get("format") != "streamformer-model v1":
         raise ContractError("checkpoint does not hold a model")
-    cfg = ModelConfig.from_dict(meta["config"])
-    vocab = Vocabulary(tuple(meta["vocab"]["base"]), tuple(meta["vocab"]["inter"]))
+    try:
+        cfg = ModelConfig.from_dict(meta["config"])
+        vocab = Vocabulary(tuple(meta["vocab"]["base"]),
+                           tuple(meta["vocab"]["inter"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ContractError(f"checkpoint metadata is malformed: {e!r}") from None
     cls = FlatVocabTransformer if meta.get("kind") == "FlatVocabTransformer" else Seq2SeqModel
     model = cls(cfg, vocab, seed=0)
     own = {p.name: p for p in model.parameters()}

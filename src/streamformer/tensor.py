@@ -24,6 +24,10 @@ array([[1., 1.],
 from __future__ import annotations
 
 import json
+import math
+import os
+import secrets
+
 import numpy as np
 
 from .errors import ContractError, DimensionError
@@ -513,37 +517,81 @@ def save_checkpoint(path, named_arrays, meta=None):
     Layout: magic line, one json line with metadata, one json line with the
     ordered manifest [{name, shape}], then the concatenated row-major
     little-endian float64 buffers.  Bytes are a pure function of the inputs.
+    The file is written next to path under a temporary name and then moved
+    over it, so a failed write leaves any earlier checkpoint untouched.
     """
     names = list(named_arrays)
     if len(set(names)) != len(names):
         raise ContractError("checkpoint parameter names must be unique")
     manifest = [{"name": n, "shape": list(np.asarray(named_arrays[n]).shape)}
                 for n in names]
-    with open(path, "wb") as f:
-        f.write((CHECKPOINT_MAGIC + "\n").encode())
-        f.write((json.dumps(meta or {}, sort_keys=True) + "\n").encode())
-        f.write((json.dumps(manifest) + "\n").encode())
-        for n in names:
-            arr = np.ascontiguousarray(np.asarray(named_arrays[n], dtype="<f8"))
-            f.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write((CHECKPOINT_MAGIC + "\n").encode())
+            f.write((json.dumps(meta or {}, sort_keys=True) + "\n").encode())
+            f.write((json.dumps(manifest) + "\n").encode())
+            for n in names:
+                arr = np.ascontiguousarray(np.asarray(named_arrays[n],
+                                                      dtype="<f8"))
+                f.write(arr.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _json_line(f, what):
+    try:
+        return json.loads(f.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"checkpoint {what} is not valid JSON: {e}") from None
+
+
+def _manifest_shapes(manifest):
+    """[(name, shape, element count)] of a manifest, checked entry by entry."""
+    if not isinstance(manifest, list):
+        raise ContractError("checkpoint manifest must be a JSON list")
+    out = []
+    for i, entry in enumerate(manifest):
+        ok = (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+              and isinstance(entry.get("shape"), list)
+              and all(type(n) is int and n >= 0 for n in entry["shape"]))
+        if not ok:
+            raise ContractError(f"checkpoint manifest entry {i} is malformed")
+        shape = tuple(entry["shape"])
+        out.append((entry["name"], shape, math.prod(shape)))
+    return out
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint; returns (arrays, meta)."""
+    """Read a checkpoint written by save_checkpoint; returns (arrays, meta).
+
+    Anything that is not such a file raises ContractError, and the
+    manifest's byte count is checked against the file's before any array
+    is read, so a corrupt shape cannot ask for more memory than the file
+    holds.
+    """
     with open(path, "rb") as f:
-        magic = f.readline().decode().rstrip("\n")
+        magic = f.readline().decode("utf-8", "replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"not a checkpoint file (header {magic!r})")
-        meta = json.loads(f.readline().decode())
-        manifest = json.loads(f.readline().decode())
-        arrays = {}
-        for entry in manifest:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise ContractError("checkpoint truncated")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if f.read(1):
+        meta = _json_line(f, "metadata")
+        if not isinstance(meta, dict):
+            raise ContractError("checkpoint metadata must be a JSON object")
+        entries = _manifest_shapes(_json_line(f, "manifest"))
+        payload = 8 * sum(count for _, _, count in entries)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if payload > left:
+            raise ContractError(f"checkpoint truncated: manifest needs "
+                                f"{payload} bytes, file holds {left}")
+        if payload < left:
             raise ContractError("trailing bytes after checkpoint payload")
+        arrays = {}
+        for name, shape, count in entries:
+            buf = f.read(count * 8)
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return arrays, meta

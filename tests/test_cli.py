@@ -124,6 +124,41 @@ def test_exit_codes(workdir, monkeypatch, capsys):
     assert run("certify", "--trials", "1") == 3
 
 
+def fails_with_one_line(capsys, *argv):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_checkpoint_metadata_not_json_exits_2(workdir, capsys):
+    (workdir / "bad.ckpt").write_bytes(b"tensorckpt v1\n{not json\n[]\n")
+    fails_with_one_line(capsys, "certify", "--model", "bad.ckpt")
+
+
+def test_checkpoint_manifest_not_json_exits_2(workdir, capsys):
+    (workdir / "bad.ckpt").write_bytes(b"tensorckpt v1\n{}\n[{\n")
+    fails_with_one_line(capsys, "certify", "--model", "bad.ckpt")
+
+
+def test_checkpoint_malformed_manifest_entry_exits_2(workdir, capsys):
+    (workdir / "bad.ckpt").write_bytes(
+        b'tensorckpt v1\n{}\n[{"name": "w", "shape": [2, "x"]}]\n')
+    fails_with_one_line(capsys, "certify", "--model", "bad.ckpt")
+
+
+def test_checkpoint_claiming_more_bytes_than_it_holds_exits_2(workdir, capsys):
+    head = (b'tensorckpt v1\n{}\n'
+            b'[{"name": "w", "shape": [100000, 100000, 100]}]\n')
+    (workdir / "big.ckpt").write_bytes(head + b"\0" * (100 - len(head)))
+    assert (workdir / "big.ckpt").stat().st_size == 100
+    fails_with_one_line(capsys, "certify", "--model", "big.ckpt")
+
+
+def test_dataset_not_utf8_exits_2(workdir, capsys):
+    (workdir / "bad.tsv").write_bytes(b"#task=prop aps=3\n\xff\xfe\ta\n")
+    fails_with_one_line(capsys, "train", "--data", "bad.tsv")
+
+
 def test_config_parsing_and_model_mapping(workdir):
     text = ("# comment line\n"
             "\n"

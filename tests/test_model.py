@@ -1,4 +1,6 @@
 """Model-level behavior: toggles, tying, decoding, renaming invariance."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,47 @@ def test_score_sequence_matches_greedy_accumulation():
         assert abs(score_sequence(m, [C, AMP, A], r.tokens) - r.score) <= 1e-12
 
 
+def ablation_configs():
+    """All 27 sublayer ablations: encoder, decoder and cross choices."""
+    enc = ("EP", "EA", "EP-EA")
+    dec = ("DP", "DA", "DP-DA")
+    cross = ("CP", "CA", "CP-CA")
+    return [ModelConfig.from_code(f"{e}-{d}-{c}", **TINY)
+            for e, d, c in itertools.product(enc, dec, cross)]
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_cached_steps_match_teacher_forcing_for_every_ablation(cls):
+    src, tgt = [A, AMP, C, BANG, A], [C, AMP, A, A, BANG]
+    configs = ablation_configs()
+    assert len({cfg.code for cfg in configs}) == 27
+    for cfg in configs:
+        m = cls(cfg, VOCAB, seed=3)
+        forced = m.forward(src, [SOS_ID] + tgt).data
+        state = m.begin_decode(src)
+        for t, tok in enumerate([SOS_ID] + tgt):
+            rows = m.step_logits(state, [tok])
+            assert rows.shape == (1, forced.shape[1])
+            finite_close(rows[0], forced[t], 1e-12)
+        assert state.length == len(tgt) + 1
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_cached_rows_follow_their_parents_after_select(cls):
+    m = cls(ModelConfig(cross_modes=("per", "agg"), **TINY), VOCAB, seed=4)
+    src = [B, AMP, A, BANG, C]
+    state = m.begin_decode(src)
+    m.step_logits(state, [SOS_ID])
+    state.select([0, 0, 0])
+    m.step_logits(state, [A, B, C])
+    # row 2 is picked twice and row 1 dropped
+    state.select([2, 0, 2])
+    rows = m.step_logits(state, [AMP, A, BANG])
+    for row, prefix in zip(rows, ([C, AMP], [A, A], [C, BANG])):
+        forced = m.forward(src, [SOS_ID] + prefix).data
+        finite_close(row, forced[-1], 1e-12)
+
+
 def test_beam_rejects_zero_width():
     with pytest.raises(ContractError):
         decode_beam(small_model(), [A], width=0)
@@ -331,5 +374,10 @@ def test_save_load_round_trip(tmp_path):
 def test_load_rejects_foreign_checkpoint(tmp_path):
     p = tmp_path / "x.ckpt"
     T.save_checkpoint(p, {"a": np.zeros(3)}, {"format": "other"})
+    with pytest.raises(ContractError):
+        load_model(p)
+    # a model checkpoint whose metadata lacks the config
+    T.save_checkpoint(p, {"a": np.zeros(3)},
+                      {"format": "streamformer-model v1"})
     with pytest.raises(ContractError):
         load_model(p)

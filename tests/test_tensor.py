@@ -297,6 +297,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
         T.load_checkpoint(p)
 
 
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path):
+    p = tmp_path / "model.ckpt"
+    T.save_checkpoint(p, {"w": np.arange(6.0)}, {"step": 1})
+    before = p.read_bytes()
+    # the second array cannot be converted, after the first was written
+    with pytest.raises(ValueError):
+        T.save_checkpoint(p, {"w": np.ones(6), "bad": "not a number"},
+                          {"step": 2})
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_finite_difference_helper_agrees_with_itself():
     # sanity that the test-side oracle is wired correctly
     arr = RNG.normal(size=(3,))
