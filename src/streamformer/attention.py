@@ -8,6 +8,9 @@ fused variants read only the stream-symmetric aggregate.
 Rotary position encoding is applied to queries and keys inside every
 attention call, each side rotated by its own absolute positions, so all
 score logits depend on relative offsets only.
+
+Inactive stream slots (batch padding) are attended like any other slot;
+their outputs are finite and the model's residual wrapper discards them.
 """
 from __future__ import annotations
 
@@ -167,12 +170,6 @@ class KVCache:
         self.k, self.v = self.k[rows], self.v[rows]
 
 
-def _passthrough_inactive(H, new_hidden):
-    act = H.active[:, :, None, None]
-    return H.with_hidden(T.add(T.mul(new_hidden, act),
-                               T.mul(H.hidden, 1.0 - act)))
-
-
 def _self_kv(mha, kv_in, positions, cache):
     """Keys and values of a self-attention call; a cache appends them to
     those of the earlier decode steps and returns all of them."""
@@ -188,17 +185,16 @@ def _positions(H, cache):
 
 
 def per_stream_attention(mha, H, mask, cache=None):
-    """Self-attention run independently inside each active stream.
+    """Self-attention run independently inside each stream.
 
-    Inactive stream slots pass through untouched.  With k=1 this is plain
-    self-attention.  With a KVCache, H holds only the new positions and
-    attends over every cached one as well.  Returns (StreamBatch of raw
-    attention outputs, weights).
+    With k=1 this is plain self-attention.  With a KVCache, H holds only
+    the new positions and attends over every cached one as well.  Returns
+    (StreamBatch of raw attention outputs, weights).
     """
     pos = _positions(H, cache)
     k, v = _self_kv(mha, H.hidden, pos, cache)
     out, w = mha.attend(H.hidden, k, v, mask, pos)
-    return _passthrough_inactive(H, out), w
+    return H.with_hidden(out), w
 
 
 def aggregated_attention(mha, H, mask, cache=None):
@@ -213,7 +209,7 @@ def aggregated_attention(mha, H, mask, cache=None):
     kv = T.reshape(fused, (H.batch, 1, H.length, fused.shape[-1]))
     k, v = _self_kv(mha, kv, pos, cache)
     out, w = mha.attend(H.hidden, k, v, mask, pos)
-    return _passthrough_inactive(H, out), w
+    return H.with_hidden(out), w
 
 
 def cross_kv(mha, H_enc, mode):
@@ -244,4 +240,4 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, start=0):
         raise ContractError("per-stream cross attention needs aligned streams")
     k, v = cross_kv(mha, H_enc, mode) if kv is None else kv
     out, w = mha.attend(H_dec.hidden, k, v, mask, start + np.arange(H_dec.length))
-    return _passthrough_inactive(H_dec, out), w
+    return H_dec.with_hidden(out), w

@@ -188,7 +188,8 @@ _EVAL = _TrainCtx()
 
 
 def _residual_norm(H, sub, norm, ctx):
-    """norm(x + dropout(sub(x))) for active streams; inactive pass through."""
+    """norm(x + dropout(sub(x))) for active streams; inactive slots pass
+    through untouched.  This is the one place they are masked."""
     y = norm(T.add(H.hidden, T.dropout(sub, ctx.rate, ctx.rng)))
     act = H.active[:, :, None, None]
     return H.with_hidden(T.add(T.mul(y, act), T.mul(H.hidden, 1.0 - act)))

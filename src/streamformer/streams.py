@@ -119,22 +119,24 @@ class Vocabulary:
 
     @staticmethod
     def load(path):
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != "streamformer-vocab v1":
-                raise VocabularyError(f"unrecognized vocabulary header {header!r}")
-            base, inter = [], []
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                kind, _, tok = line.partition(" ")
-                if kind == "base":
-                    base.append(tok)
-                elif kind == "inter":
-                    inter.append(tok)
-                else:
-                    raise VocabularyError(f"bad vocabulary line {line!r}")
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise VocabularyError(f"vocabulary file is not UTF-8: {e}") from None
+        if lines[0] != "streamformer-vocab v1":
+            raise VocabularyError(f"unrecognized vocabulary header {lines[0]!r}")
+        base, inter = [], []
+        for line in lines[1:]:
+            if not line:
+                continue
+            kind, _, tok = line.partition(" ")
+            if kind == "base":
+                base.append(tok)
+            elif kind == "inter":
+                inter.append(tok)
+            else:
+                raise VocabularyError(f"bad vocabulary line {line!r}")
         return Vocabulary(tuple(base), tuple(inter))
 
 

@@ -3,14 +3,24 @@
 Every operation builds a node in an implicit computation graph: the output
 tensor remembers its parent tensors and a vector-Jacobian closure.  Calling
 ``backward`` on a scalar walks the graph once in reverse topological order
-and accumulates gradients into ``.grad`` buffers.  Non-Tensor operands
-(numpy arrays, python scalars) are treated as constants and receive no
-gradient, which keeps masks and positional tables out of the graph.
+and sums the gradients reaching each node into its ``.grad``.  Non-Tensor
+operands (numpy arrays, python scalars) are treated as constants and
+receive no gradient, which keeps masks and positional tables out of the
+graph.
+
+A vjp may return its input gradient itself or a view of it, so the first
+gradient to reach a node is stored as it is and later ones are added out
+of place: no stored gradient is ever written in place.  A leaf's ``.grad``
+(a parameter's) always owns its memory.  A matmul whose right operand is
+2-D (a weight) forms each gradient as one GEMM over every row of the left
+operand, whatever its leading axes.
 
 Determinism: arrays are C-ordered float64, reductions run through numpy's
 pairwise summation in ascending index order, and the backward traversal
-order is fixed by graph construction order.  Two runs over identical inputs
-produce bit-identical numbers.
+order is fixed by graph construction order.  A weight gradient's sum over
+rows runs inside one BLAS GEMM, whose order depends on the BLAS build and
+its thread count.  Two runs over identical inputs with the same BLAS and
+the same BLAS thread count produce bit-identical numbers.
 
 Example
 -------
@@ -23,6 +33,7 @@ array([[1., 1.],
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -210,6 +221,13 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul inner axes disagree: {ad.shape} @ {bd.shape}")
     out = np.matmul(ad, bd)
+    if bd.ndim == 2:
+        # a weight: fold every leading axis of a into rows, so each gradient
+        # is one GEMM and the weight's sum over rows runs inside it
+        K, N = bd.shape
+        return _node(out, (a, b),
+                     (lambda g: np.matmul(g.reshape(-1, N), bd.T).reshape(ad.shape),
+                      lambda g: np.matmul(ad.reshape(-1, K).T, g.reshape(-1, N))))
     return _node(out, (a, b),
                  (lambda g: _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
                   lambda g: _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)))
@@ -399,9 +417,7 @@ def rope_rotate(x, positions, base=10000.0):
     if d % 2 != 0:
         raise DimensionError("rope_rotate needs an even last axis")
     pos = np.asarray(positions, dtype=np.float64)
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
-    ang = pos[..., None] * freqs          # (..., L, d/2)
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = _rope_tables(pos.shape, pos.tobytes(), d, float(base))
 
     def rotate(arr, c, s):
         ev, od = arr[..., 0::2], arr[..., 1::2]
@@ -412,6 +428,19 @@ def rope_rotate(x, positions, base=10000.0):
 
     return _node(rotate(xd, cos, sin), (x,),
                  (lambda g: rotate(g, cos, -sin),))
+
+
+@functools.lru_cache(maxsize=256)
+def _rope_tables(shape, pos_bytes, d, base):
+    """Read-only cos and sin tables (..., L, d/2) of rope_rotate, built once
+    per (positions, width, base): a decode step rotates every query and
+    key of every layer by the same positions."""
+    pos = np.frombuffer(pos_bytes, dtype=np.float64).reshape(shape)
+    freqs = base ** (-2.0 * np.arange(d // 2) / d)
+    ang = pos[..., None] * freqs
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def dropout(x, rate, rng=None):
@@ -452,9 +481,18 @@ def backward(loss):
         for parent, g in zip(node.parents, node.vjp(node.grad)):
             if g is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            if parent.grad is not None:
+                parent.grad = parent.grad + g
+            elif parent.parents or _owned(g, node.grad):
+                parent.grad = g
+            else:
+                parent.grad = np.array(g)   # a leaf's gradient owns its memory
+
+
+def _owned(g, upstream):
+    """Whether a vjp result is an array of its own: not a view, and not
+    the very gradient array of the node it came from."""
+    return type(g) is np.ndarray and g.base is None and g is not upstream
 
 
 def zero_grads(params):

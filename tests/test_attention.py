@@ -127,17 +127,6 @@ def test_duplicated_stream_gets_identical_output():
     assert np.max(np.abs(out_a.hidden.data[0, 0] - out_a.hidden.data[0, 1])) <= 1e-12
 
 
-def test_inactive_streams_pass_through_untouched():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
-    mha = A.MultiHeadAttention("t", cfg, RNG)
-    H = make_H(B=1, k=3, L=4, active=[[1, 0, 1]])
-    before = H.hidden.data[0, 1].copy()
-    out, _ = A.per_stream_attention(mha, H, None)
-    assert np.array_equal(out.hidden.data[0, 1], before)
-    out2, _ = A.aggregated_attention(mha, H, None)
-    assert np.array_equal(out2.hidden.data[0, 1], before)
-
-
 def test_aggregated_attention_uses_shared_key_buffer():
     # the fused keys enter with a size-1 stream axis: one buffer, broadcast
     # to every query stream, so key identity across streams is structural

@@ -145,6 +145,21 @@ def test_inactive_stream_slot_passes_through_encoder():
     assert H.hidden.data[1, 1].tobytes() == raw.hidden.data[1, 1].tobytes()
 
 
+def test_inactive_stream_slot_passes_through_decoder_layer():
+    # every decoder sublayer (DP, DA, CP, CA, FFN) leaves a padding slot's
+    # hidden rows bitwise as they came in, and active slots change
+    m = small_model(cross_modes=("per", "agg"))
+    srcs = [[A, B, AMP], [AMP, BANG, AMP]]
+    enc = m.encode(srcs)
+    H = m._embed([[SOS_ID, A, B], [SOS_ID, BANG]], enc)
+    assert H.active[1, 1] == 0.0
+    m_la = look_ahead_mask(H.lengths, H.length)
+    m_pad = padding_mask(enc.lengths, H.length, enc.length)
+    out, _ = m.dec_layers[0](H, enc, m_la, m_pad)
+    assert out.hidden.data[1, 1].tobytes() == H.hidden.data[1, 1].tobytes()
+    assert not np.array_equal(out.hidden.data[0, 1], H.hidden.data[0, 1])
+
+
 def test_decoder_is_causal_end_to_end():
     m = small_model(cross_modes=("per", "agg"))
     src = [A, AMP, B]

@@ -47,6 +47,13 @@ def test_vocabulary_file_roundtrip(tmp_path):
     assert p.read_text() == first
 
 
+def test_vocabulary_load_rejects_non_utf8(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(b"streamformer-vocab v1\nbase \xff\n")
+    with pytest.raises(VocabularyError, match="not UTF-8"):
+        S.Vocabulary.load(p)
+
+
 def test_stream_lookup_spec_example():
     # x = [0, 3, 1, 4] over V_n = 3: two streams, actual row 3, placeholder 4
     v = bare_vocab(3)

@@ -95,6 +95,28 @@ def test_rope_matches_oracle_and_shift_property():
         assert abs(d1 - d2) < 1e-9
 
 
+def test_rope_tables_built_once_rotate_bitwise_as_before():
+    # the cached cos/sin tables hold the same arithmetic as building them
+    # in each call: pos * base**(-2j/D), then cos and sin
+    x = RNG.normal(size=(2, 3, 5, 8))
+    g = RNG.normal(size=(2, 3, 5, 8))
+    for pos, base in ((np.arange(5.0), 10000.0), (np.arange(5.0) + 7, 500.0)):
+        ang = pos[:, None] * base ** (-2.0 * np.arange(4) / 8)
+        cos, sin = np.cos(ang), np.sin(ang)
+
+        def rotate(arr, c, s):
+            out = np.empty_like(arr)
+            out[..., 0::2] = arr[..., 0::2] * c - arr[..., 1::2] * s
+            out[..., 1::2] = arr[..., 0::2] * s + arr[..., 1::2] * c
+            return out
+
+        for _ in range(2):   # built on the first call, reused on the second
+            xt = T.Tensor(x.copy())
+            y = T.rope_rotate(xt, list(pos), base)
+            assert y.data.tobytes() == rotate(x, cos, sin).tobytes()
+            assert y.vjp(g)[0].tobytes() == rotate(g, cos, -sin).tobytes()
+
+
 def test_rope_odd_width_rejected():
     with pytest.raises(DimensionError):
         T.rope_rotate(T.Tensor(np.ones((2, 3))), [0.0, 1.0])
@@ -248,20 +270,95 @@ def test_backward_requires_scalar():
 
 
 def test_forward_backward_deterministic_bitwise():
-    def run():
+    def run(a_shape):
         rng = np.random.default_rng(123)
-        a = T.Parameter("a", rng.normal(size=(6, 6)))
+        a = T.Parameter("a", rng.normal(size=a_shape))
         b = T.Parameter("b", rng.normal(size=(6, 6)))
         y = T.softmax_rows(T.matmul(a.tensor, b.tensor))
         loss = T.tsum(T.mul(y, y))
         T.backward(loss)
         return loss.data.copy(), a.grad.copy(), b.grad.copy()
 
-    l1, ga1, gb1 = run()
-    l2, ga2, gb2 = run()
-    assert l1.tobytes() == l2.tobytes()
-    assert ga1.tobytes() == ga2.tobytes()
-    assert gb1.tobytes() == gb2.tobytes()
+    # 2-D x 2-D, and 4-D x 2-D, whose weight gradient sums over 30 rows
+    for a_shape in ((6, 6), (2, 3, 5, 6)):
+        l1, ga1, gb1 = run(a_shape)
+        l2, ga2, gb2 = run(a_shape)
+        assert l1.tobytes() == l2.tobytes()
+        assert ga1.tobytes() == ga2.tobytes()
+        assert gb1.tobytes() == gb2.tobytes()
+
+
+@pytest.mark.parametrize("a_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4),
+                                     (2, 1, 5, 4)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_with_2d_right_operand_gradients(a_shape, transposed):
+    # a 2-D right operand is a weight: its gradient is one GEMM over every
+    # row of the left operand, and must equal the batched product summed
+    # over the leading axes
+    rng = np.random.default_rng(len(a_shape) + 10 * transposed)
+    a = T.Parameter("a", rng.normal(size=a_shape))
+    w = T.Parameter("w", rng.normal(size=(6, 4) if transposed else (4, 6)))
+    up = rng.normal(size=a_shape[:-1] + (6,))
+
+    def right():
+        return T.transpose(w.tensor, (1, 0)) if transposed else w.tensor
+
+    def loss_fn():
+        return T.tsum(T.mul(T.matmul(a.tensor, right()), up))
+
+    assert max(T.gradient_check([a, w], loss_fn).values()) <= 1e-4
+    T.zero_grads([a, w])
+    T.backward(loss_fn())
+    wd = right().data
+    batched_a = np.matmul(up, wd.T)
+    batched_w = np.matmul(a.data.swapaxes(-1, -2), up)
+    batched_w = batched_w.reshape(-1, 4, 6).sum(axis=0)
+    if transposed:
+        batched_w = batched_w.T
+    assert a.grad.shape == a.data.shape and w.grad.shape == w.data.shape
+    assert np.allclose(a.grad, batched_a, rtol=1e-12, atol=1e-12)
+    assert np.allclose(w.grad, batched_w, rtol=1e-12, atol=1e-12)
+
+
+def test_gradient_through_three_consumers():
+    # h reaches the loss through add (which hands h and y its own gradient
+    # array), reshape (a view of a gradient) and an add with itself.  h and
+    # y both accumulate after sharing that array, so writing a stored
+    # gradient in place would corrupt one of them
+    rng = np.random.default_rng(5)
+    x = T.Parameter("x", rng.normal(size=(2, 3)))
+    w = T.Parameter("w", rng.normal(size=(2, 3)))
+    u1, u2, u3, u4 = (rng.normal(size=s)
+                      for s in ((2, 3), (3, 2), (2, 3), (2, 3)))
+
+    def loss_fn():
+        h = T.mul(x.tensor, 2.0)
+        y = T.mul(w.tensor, 3.0)
+        s = T.add(h, y)
+        return T.add(T.add(T.add(T.tsum(T.mul(s, u1)),
+                                 T.tsum(T.mul(T.reshape(h, (3, 2)), u2))),
+                           T.tsum(T.mul(T.add(h, h), u3))),
+                     T.tsum(T.mul(y, u4)))
+
+    assert max(T.gradient_check([x, w], loss_fn).values()) <= 1e-4
+    T.zero_grads([x, w])
+    T.backward(loss_fn())
+    assert np.allclose(x.grad, 2.0 * (u1 + u2.reshape(2, 3) + 2.0 * u3),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(w.grad, 3.0 * (u1 + u4), rtol=1e-12, atol=1e-12)
+
+
+def test_parameter_gradients_own_their_memory():
+    # add hands both operands its own gradient array; each parameter must
+    # still get a buffer of its own
+    p = T.Parameter("p", np.ones((2, 3)))
+    q = T.Parameter("q", np.zeros((2, 3)))
+    s = T.add(p.tensor, q.tensor)
+    T.backward(T.tsum(T.mul(s, np.arange(6.0).reshape(2, 3))))
+    assert not np.shares_memory(p.grad, q.grad)
+    assert not np.shares_memory(p.grad, s.grad)
+    p.grad[0, 0] = 99.0
+    assert q.grad[0, 0] == 0.0
 
 
 def test_dropout_identity_at_zero_and_scaling():
