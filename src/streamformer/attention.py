@@ -11,6 +11,9 @@ score logits depend on relative offsets only.
 
 Inactive stream slots (batch padding) are attended like any other slot;
 their outputs are finite and the model's residual wrapper discards them.
+
+The softmax weights stay inside MultiHeadAttention.attend; every function
+here returns only its output.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ class AttentionConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self):
+        if self.d_model < 1 or self.heads < 1 or not self.rope_base > 0:
+            raise DimensionError("d_model, heads and rope_base must be positive")
         if self.d_model % self.heads != 0:
             raise DimensionError("d_model must divide evenly into heads")
         if (self.d_model // self.heads) % 2 != 0:
@@ -112,10 +117,8 @@ class MultiHeadAttention:
         return k, v
 
     def attend(self, q_in, k, v, mask, q_positions):
-        """Attention of q_in (B,k,Lq,d) over heads k, v from project_kv.
-
-        Returns (output (B,k,Lq,d), attention weights ndarray (B,k,h,Lq,Lk)).
-        """
+        """Attention of q_in (B,k,Lq,d) over heads k, v from project_kv;
+        returns the output, (B,k,Lq,d)."""
         q = self._heads(T.matmul(q_in, self.wq.tensor))
         q = T.rope_rotate(q, np.asarray(q_positions, float), self.cfg.rope_base)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))),
@@ -127,17 +130,7 @@ class MultiHeadAttention:
         ctx = T.matmul(weights, v)                       # (B,k,h,Lq,hd)
         b, kk, h, Lq, hd = ctx.shape
         merged = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
-        return T.matmul(merged, self.wo.tensor), weights.data
-
-    def __call__(self, q_in, k_in, v_in, mask, q_positions, k_positions):
-        """q_in (B,k,Lq,d); k_in/v_in (B,k|1,Lk,d); mask AttentionMask or None.
-
-        Returns (output (B,k,Lq,d), attention weights ndarray (B,k,h,Lq,Lk)).
-        """
-        if q_in.ndim != 4 or k_in.ndim != 4:
-            raise DimensionError("attention inputs must be (B, k, L, d)")
-        k, v = self.project_kv(k_in, v_in, k_positions)
-        return self.attend(q_in, k, v, mask, q_positions)
+        return T.matmul(merged, self.wo.tensor)
 
 
 class KVCache:
@@ -189,12 +182,11 @@ def per_stream_attention(mha, H, mask, cache=None):
 
     With k=1 this is plain self-attention.  With a KVCache, H holds only
     the new positions and attends over every cached one as well.  Returns
-    (StreamBatch of raw attention outputs, weights).
+    the StreamBatch of raw attention outputs.
     """
     pos = _positions(H, cache)
     k, v = _self_kv(mha, H.hidden, pos, cache)
-    out, w = mha.attend(H.hidden, k, v, mask, pos)
-    return H.with_hidden(out), w
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, pos))
 
 
 def aggregated_attention(mha, H, mask, cache=None):
@@ -208,8 +200,7 @@ def aggregated_attention(mha, H, mask, cache=None):
     fused = aggregate(H)
     kv = T.reshape(fused, (H.batch, 1, H.length, fused.shape[-1]))
     k, v = _self_kv(mha, kv, pos, cache)
-    out, w = mha.attend(H.hidden, k, v, mask, pos)
-    return H.with_hidden(out), w
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, pos))
 
 
 def cross_kv(mha, H_enc, mode):
@@ -239,5 +230,5 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, start=0):
                           or (H_dec.stream_ids != H_enc.stream_ids).any()):
         raise ContractError("per-stream cross attention needs aligned streams")
     k, v = cross_kv(mha, H_enc, mode) if kv is None else kv
-    out, w = mha.attend(H_dec.hidden, k, v, mask, start + np.arange(H_dec.length))
-    return H_dec.with_hidden(out), w
+    return H_dec.with_hidden(
+        mha.attend(H_dec.hidden, k, v, mask, start + np.arange(H_dec.length)))

@@ -9,8 +9,8 @@ with 2, blown enumeration budgets with 3; a failed certification exits 1.
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import evaluation as ev
 from .errors import ContractError, ResourceError
@@ -18,8 +18,14 @@ from .logic import Dataset, gen_copying, gen_ltl, gen_prop, task_vocabulary
 from .model import ModelConfig, Seq2SeqModel, load_model
 from .training import TrainConfig, fit
 
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+# config keys with the type of the field each one sets
+_MODEL_KEYS = get_type_hints(ModelConfig)
+_TRAIN_KEYS = get_type_hints(TrainConfig)
+_KEY_TYPES = {**_MODEL_KEYS, **_TRAIN_KEYS, "code": str}
+# the types _coerce can produce that each field type accepts; bool is not
+# an int here, and a single cross mode arrives as a plain string
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+            tuple[str, ...]: (str, tuple)}
 
 _SIZE_DEFAULTS = {"copying": (5, 15), "prop": (3, 10), "ltl": (3, 8)}
 _GENERATORS = {"copying": gen_copying, "prop": gen_prop, "ltl": gen_ltl}
@@ -40,18 +46,29 @@ def _coerce(text):
 
 
 def load_config(path):
-    """key=value per line; blank lines and # comments are skipped."""
+    """key=value per line; blank lines and # comments are skipped.
+
+    Each value must have the type of the config field it sets.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{path} is not UTF-8 text: {e}") from None
     out = {}
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8")
-                            .splitlines(), 1):
+    for i, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ContractError(f"line {i} of {path} is not key=value")
         key, value = line.split("=", 1)
-        out[key.strip()] = _coerce(value.strip())
-    unknown = set(out) - _MODEL_KEYS - _TRAIN_KEYS - {"code"}
+        key, value = key.strip(), _coerce(value.strip())
+        want = _KEY_TYPES.get(key)
+        if want is not None and type(value) not in _ACCEPTS[want]:
+            raise ContractError(f"line {i} of {path}: {key} must be "
+                                f"{want.__name__}, not {value!r}")
+        out[key] = value
+    unknown = set(out) - set(_KEY_TYPES)
     if unknown:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
     return out

@@ -82,14 +82,6 @@ def renaming_set(vocab, used, seed=0):
     return out
 
 
-def _unrenamed_predictions(model, src, renamings, max_len):
-    preds = []
-    for f in renamings:
-        out = decode_greedy(model, f(src), max_len=max_len)
-        preds.append(tuple(f.inverse()(out.tokens)))
-    return preds
-
-
 def alpha_covariance(model, pair, renamings, max_len=64):
     """1 - (|U|-1)/(|P|-1) over un-renamed predictions for one input.
 
@@ -100,9 +92,11 @@ def alpha_covariance(model, pair, renamings, max_len=64):
     src = list(pair[0])
     if len(renamings) < 2:
         raise ContractError("need at least 2 renamings to measure covariance")
-    preds = _unrenamed_predictions(model, src, renamings, max_len)
-    u = len(set(preds))
-    return 1.0 - (u - 1) / (len(preds) - 1)
+    preds = set()
+    for f in renamings:
+        out = decode_greedy(model, f(src), max_len=max_len)
+        preds.add(tuple(f.inverse()(out.tokens)))
+    return 1.0 - (len(preds) - 1) / (len(renamings) - 1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,6 @@ class AlphaCovReport:
 
     ap_count: int
     values: tuple
-    u_sizes: tuple
     p_sizes: tuple
     sampled: int    # samples whose renaming set was sampled, not enumerated
     skipped: int    # samples with fewer than 2 applicable renamings
@@ -131,7 +124,7 @@ def _cell_seed(*parts):
 def alpha_covariance_suite(model, dataset, seed=0, max_len=64):
     """Audit every pair in a dataset; see alpha_covariance for the measure."""
     vocab = model.vocab
-    values, u_sizes, p_sizes = [], [], []
+    values, p_sizes = [], []
     sampled = skipped = 0
     for i, (src_text, _) in enumerate(dataset.pairs):
         src = vocab.encode(src_text)
@@ -142,13 +135,10 @@ def alpha_covariance_suite(model, dataset, seed=0, max_len=64):
             continue
         if not _enumerable(len(used), vocab.inter_size):
             sampled += 1
-        preds = _unrenamed_predictions(model, src, fs, max_len)
-        u, p = len(set(preds)), len(preds)
-        values.append(1.0 - (u - 1) / (p - 1))
-        u_sizes.append(u)
-        p_sizes.append(p)
-    return AlphaCovReport(dataset.ap_count, tuple(values), tuple(u_sizes),
-                          tuple(p_sizes), sampled, skipped)
+        values.append(alpha_covariance(model, (src, None), fs, max_len))
+        p_sizes.append(len(fs))
+    return AlphaCovReport(dataset.ap_count, tuple(values), tuple(p_sizes),
+                          sampled, skipped)
 
 
 # -------------------------------------------------------- semantic scoring
@@ -175,10 +165,35 @@ def prediction_correct(task, src_text, pred_text):
     raise ContractError(f"unknown task {task!r}")
 
 
-def _top_prediction(model, src, beam_width, max_len):
-    if beam_width <= 1:
-        return decode_greedy(model, src, max_len=max_len)
-    return decode_beam(model, src, beam_width, max_len=max_len)[0]
+def _judged(task, src_text, tokens, vocab):
+    """prediction_correct on decoded tokens, and whether the check blew its
+    budget; a blown check counts as incorrect."""
+    try:
+        ok = prediction_correct(task, src_text, vocab.decode(tokens))
+    except ResourceError:
+        return False, True
+    return bool(ok), False
+
+
+def _score(model, task, pairs, beam_width, max_len):
+    """Decode each source, keep the top answer and judge it.
+
+    Returns counts of semantically correct answers, token-exact answers and
+    checks that exceeded their resource budget.
+    """
+    vocab = model.vocab
+    correct = exact = blown = 0
+    for src_text, tgt_text in pairs:
+        src = vocab.encode(src_text)
+        if beam_width <= 1:
+            pred = decode_greedy(model, src, max_len=max_len)
+        else:
+            pred = decode_beam(model, src, beam_width, max_len=max_len)[0]
+        exact += list(pred.tokens) == vocab.encode(tgt_text)
+        ok, over = _judged(task, src_text, pred.tokens, vocab)
+        correct += ok
+        blown += over
+    return correct, exact, blown
 
 
 def eval_correct(model, dataset, beam_width=1, max_len=64):
@@ -187,24 +202,11 @@ def eval_correct(model, dataset, beam_width=1, max_len=64):
     Returns fractions in [0,1] plus how many semantic checks exceeded
     their resource budget (those count as incorrect).
     """
-    vocab = model.vocab
     n = len(dataset.pairs)
-    correct = exact = blown = 0
-    for src_text, tgt_text in dataset.pairs:
-        src = vocab.encode(src_text)
-        gt = vocab.encode(tgt_text)
-        pred = _top_prediction(model, src, beam_width, max_len)
-        if list(pred.tokens) == list(gt):
-            exact += 1
-        try:
-            ok = prediction_correct(dataset.task, src_text,
-                                    vocab.decode(pred.tokens))
-        except ResourceError:
-            blown += 1
-            ok = False
-        correct += bool(ok)
     if n == 0:
         raise ContractError("empty dataset")
+    correct, exact, blown = _score(model, dataset.task, dataset.pairs,
+                                   beam_width, max_len)
     return {"n": n, "correct": correct / n, "exact": exact / n,
             "resource_exceeded": blown}
 
@@ -213,21 +215,14 @@ def topn_accuracy(model, dataset, n, max_len=64):
     """Fraction of inputs with a semantically correct answer in the top n."""
     if n < 1:
         raise ContractError("n must be positive")
+    if not dataset.pairs:
+        raise ContractError("empty dataset")
     vocab = model.vocab
     hits = 0
     for src_text, _ in dataset.pairs:
-        src = vocab.encode(src_text)
-        for cand in decode_beam(model, src, n, max_len=max_len):
-            try:
-                ok = prediction_correct(dataset.task, src_text,
-                                        vocab.decode(cand.tokens))
-            except ResourceError:
-                ok = False
-            if ok:
-                hits += 1
-                break
-    if not dataset.pairs:
-        raise ContractError("empty dataset")
+        beams = decode_beam(model, vocab.encode(src_text), n, max_len=max_len)
+        hits += any(_judged(dataset.task, src_text, cand.tokens, vocab)[0]
+                    for cand in beams)
     return hits / len(dataset.pairs)
 
 
@@ -280,25 +275,13 @@ def heatmap(model, spec: GridSpec):
             raise VocabularyError(
                 f"model vocabulary has {model.vocab.inter_size} "
                 f"interchangeable symbols, cell wants {ap}")
-    vocab = model.vocab
     cells = []
     for ap in spec.ap_counts:
         for length in spec.lengths:
             d = _generate_cell(spec.task, ap, length, spec.per_cell,
                                _cell_seed(spec.seed, ap, length))
-            correct = exact = 0
-            for src_text, tgt_text in d.pairs:
-                src = vocab.encode(src_text)
-                pred = _top_prediction(model, src, spec.beam_width,
-                                       max_len=64)
-                if list(pred.tokens) == list(vocab.encode(tgt_text)):
-                    exact += 1
-                try:
-                    ok = prediction_correct(spec.task, src_text,
-                                            vocab.decode(pred.tokens))
-                except ResourceError:
-                    ok = False
-                correct += bool(ok)
+            correct, exact, _ = _score(model, spec.task, d.pairs,
+                                       spec.beam_width, 64)
             cells.append((ap, length, len(d.pairs), correct, exact))
     return HeatmapGrid(spec.task, tuple(cells))
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ContractError, InvalidTraceError, ParseError,
                      ResourceError, VocabularyError)
-from .streams import RESERVED, Vocabulary, canonicalize_first_appearance
+from .streams import RESERVED, Vocabulary
 
 AP_CHARS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -400,9 +400,6 @@ def check_symbolic_trace(phi, trace, max_concretizations=1 << 18):
     n = len(steps)
     if n > 8:
         raise ResourceError(f"{n} steps is too long to enumerate")
-    for s in steps:
-        if len(aps(s)) > 3:
-            raise ResourceError("step constrains more than 3 propositions")
     universe = sorted(set(aps(phi)).union(*[set(aps(s)) for s in steps], set()))
     m = len(universe)
     if m > 10:
@@ -663,25 +660,3 @@ def gen_ltl(seed, ap_count, size_range, n, weights=None, max_u=4, max_v=3):
     if len(pairs) < n:
         warnings.warn(f"generated only {len(pairs)} of {n} requested pairs")
     return Dataset("ltl", ap_count, pairs)
-
-
-def perturb_renamed(dataset):
-    """Relabel every pair to first-appearance canonical symbol order."""
-    vocab = task_vocabulary(dataset.task, dataset.ap_count)
-    out = []
-    for src, tgt in dataset.pairs:
-        pair = (vocab.encode(src), vocab.encode(tgt))
-        (rs, rt), _ = canonicalize_first_appearance(pair, vocab)
-        out.append((vocab.decode(rs), vocab.decode(rt)))
-    return Dataset(dataset.task, dataset.ap_count, out)
-
-
-def perturb_reduced(dataset, fraction, seed=0):
-    """Keep a seeded random fraction of the pairs, original order."""
-    if not 0 < fraction <= 1:
-        raise ContractError("fraction must lie in (0, 1]")
-    keep = int(round(len(dataset.pairs) * fraction))
-    rng = np.random.default_rng(seed)
-    idx = sorted(rng.choice(len(dataset.pairs), size=keep, replace=False))
-    return Dataset(dataset.task, dataset.ap_count,
-                   [dataset.pairs[i] for i in idx])

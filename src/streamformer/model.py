@@ -79,6 +79,8 @@ class ModelConfig:
                 raise ContractError(f"unknown cross-attention mode {m!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError("dropout must lie in [0, 1)")
+        if self.ffn_dim < 1:
+            raise ContractError("ffn_dim must be positive")
         AttentionConfig(self.d_model, self.heads, self.rope_base)  # validates
 
     @property
@@ -210,15 +212,13 @@ class EncoderLayer:
         self.ffn_norm = Norm(f"{prefix}.ffn.norm", cfg.d_model)
 
     def __call__(self, H, mask, ctx=_EVAL):
-        weights = None
         if self.self_attn is not None:
-            sub, weights = per_stream_attention(self.self_attn, H, mask)
+            sub = per_stream_attention(self.self_attn, H, mask)
             H = _residual_norm(H, sub.hidden, self.self_norm, ctx)
         if self.agg_attn is not None:
-            sub, _ = aggregated_attention(self.agg_attn, H, mask)
+            sub = aggregated_attention(self.agg_attn, H, mask)
             H = _residual_norm(H, sub.hidden, self.agg_norm, ctx)
-        H = _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
-        return H, weights
+        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
 
     def parameters(self):
         out = []
@@ -254,20 +254,18 @@ class DecoderLayer:
         start = 0
         if cache is not None:
             dp, da, cross, start = cache.dp, cache.da, cache.cross, cache.length
-        weights = None
         if self.self_attn is not None:
-            sub, weights = per_stream_attention(self.self_attn, H, m_la, dp)
+            sub = per_stream_attention(self.self_attn, H, m_la, dp)
             H = _residual_norm(H, sub.hidden, self.self_norm, ctx)
         if self.agg_attn is not None:
             # the look-ahead mask keeps the fused keys causal too
-            sub, _ = aggregated_attention(self.agg_attn, H, m_la, da)
+            sub = aggregated_attention(self.agg_attn, H, m_la, da)
             H = _residual_norm(H, sub.hidden, self.agg_norm, ctx)
         for mode, mha, norm in self.cross:
             kv = None if cross is None else cross[mode]
-            sub, _ = cross_attention(mha, H, enc, mode, m_pad, kv, start)
+            sub = cross_attention(mha, H, enc, mode, m_pad, kv, start)
             H = _residual_norm(H, sub.hidden, norm, ctx)
-        H = _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
-        return H, weights
+        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
 
     def parameters(self):
         out = []
@@ -388,9 +386,6 @@ class Seq2SeqModel:
             out += layer.parameters()
         return out
 
-    def parameter_names(self):
-        return {p.name for p in self.parameters()}
-
     def label_columns(self, src, tgt):
         """Logit column index for each target token, given its source.
 
@@ -445,7 +440,7 @@ class Seq2SeqModel:
         H = self._embed(srcs)
         mask = padding_mask(H.lengths, H.length, H.length)
         for layer in self.enc_layers:
-            H, _ = layer(H, mask, ctx)
+            H = layer(H, mask, ctx)
         return H
 
     def decode_hidden(self, tgt_inputs, enc, ctx=_EVAL, state=None):
@@ -467,7 +462,7 @@ class Seq2SeqModel:
             m_la = m_pad = None
             caches = state.layers
         for layer, cache in zip(self.dec_layers, caches):
-            H, _ = layer(H, enc, m_la, m_pad, ctx, cache)
+            H = layer(H, enc, m_la, m_pad, ctx, cache)
         return H
 
     def _output_table(self):
@@ -741,14 +736,14 @@ def load_model(path):
     arrays, meta = T.load_checkpoint(path)
     if meta.get("format") != "streamformer-model v1":
         raise ContractError("checkpoint does not hold a model")
+    cls = FlatVocabTransformer if meta.get("kind") == "FlatVocabTransformer" else Seq2SeqModel
     try:
         cfg = ModelConfig.from_dict(meta["config"])
         vocab = Vocabulary(tuple(meta["vocab"]["base"]),
                            tuple(meta["vocab"]["inter"]))
+        model = cls(cfg, vocab, seed=0)
     except (KeyError, TypeError, ValueError) as e:
         raise ContractError(f"checkpoint metadata is malformed: {e!r}") from None
-    cls = FlatVocabTransformer if meta.get("kind") == "FlatVocabTransformer" else Seq2SeqModel
-    model = cls(cfg, vocab, seed=0)
     own = {p.name: p for p in model.parameters()}
     if set(own) != set(arrays):
         raise ContractError("checkpoint parameters do not match the model")

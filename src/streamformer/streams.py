@@ -39,7 +39,10 @@ RESERVED = ("<pad>", "<s>", "</s>")
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Two-tier id space plus the surface forms used by the text codecs."""
+    """Two-tier id space plus the surface forms used by encode/decode.
+
+    A model checkpoint stores its vocabulary in its metadata.
+    """
 
     base_tokens: tuple[str, ...]
     inter_tokens: tuple[str, ...]
@@ -102,42 +105,6 @@ class Vocabulary:
 
     def decode(self, ids):
         return "".join(self.surface(i) for i in ids)
-
-    def with_inter_size(self, n, alphabet="abcdefghijklmnopqrstuvwxyz"):
-        """Grow or shrink the interchangeable tier; the table never changes."""
-        if n > len(alphabet):
-            raise VocabularyError("not enough surface forms for that tier size")
-        return Vocabulary(self.base_tokens, tuple(alphabet[:n]))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("streamformer-vocab v1\n")
-            for tok in self.base_tokens:
-                f.write(f"base {tok}\n")
-            for tok in self.inter_tokens:
-                f.write(f"inter {tok}\n")
-
-    @staticmethod
-    def load(path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                lines = f.read().split("\n")
-        except UnicodeDecodeError as e:
-            raise VocabularyError(f"vocabulary file is not UTF-8: {e}") from None
-        if lines[0] != "streamformer-vocab v1":
-            raise VocabularyError(f"unrecognized vocabulary header {lines[0]!r}")
-        base, inter = [], []
-        for line in lines[1:]:
-            if not line:
-                continue
-            kind, _, tok = line.partition(" ")
-            if kind == "base":
-                base.append(tok)
-            elif kind == "inter":
-                inter.append(tok)
-            else:
-                raise VocabularyError(f"bad vocabulary line {line!r}")
-        return Vocabulary(tuple(base), tuple(inter))
 
 
 class AlphaRenaming:
@@ -224,13 +191,6 @@ class StreamBatch:
         return StreamBatch(hidden, self.occupancy, self.active,
                            self.stream_ids, self.lengths)
 
-    def permuted(self, order):
-        """Reorder the stream axis (test helper for equivariance checks)."""
-        order = list(order)
-        return StreamBatch(T.Tensor(self.hidden.data[:, order]),
-                           self.occupancy[:, order], self.active[:, order],
-                           self.stream_ids[:, order], self.lengths)
-
 
 def sequence_stream_ids(seq, vocab):
     """Distinct interchangeable ids of a sequence, ascending."""
@@ -260,22 +220,6 @@ def stream_lookup_ids(seq, vocab, stream_ids):
     return lookup, occupancy
 
 
-def embed_streams(seq, W, vocab):
-    """Embed one sequence into its parallel streams (batch of one)."""
-    if len(seq) == 0:
-        raise ContractError("cannot embed an empty sequence")
-    if W.shape[0] != vocab.table_rows:
-        raise VocabularyError(
-            f"embedding table has {W.shape[0]} rows, vocabulary needs {vocab.table_rows}")
-    sids = sequence_stream_ids(seq, vocab)
-    lookup, occupancy = stream_lookup_ids(seq, vocab, sids)
-    k = lookup.shape[0]
-    hidden = T.gather_rows(W, lookup[None])
-    ids = np.array(sids, dtype=np.int64) if sids else np.array([-1], dtype=np.int64)
-    return StreamBatch(hidden, occupancy[None], np.ones((1, k)),
-                       ids[None], np.array([len(seq)], dtype=np.int64))
-
-
 def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     """Embed a list of sequences into one padded StreamBatch.
 
@@ -285,6 +229,9 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     """
     if not seqs:
         raise ContractError("cannot pack an empty batch")
+    if W.shape[0] != vocab.table_rows:
+        raise VocabularyError(
+            f"embedding table has {W.shape[0]} rows, vocabulary needs {vocab.table_rows}")
     if stream_id_lists is None:
         stream_id_lists = [sequence_stream_ids(s, vocab) for s in seqs]
     if len(stream_id_lists) != len(seqs):
@@ -353,27 +300,3 @@ def project(H, W):
     live = (H.active > 0) & (H.stream_ids >= 0)
     dead = np.where(live[:, None, :], 0.0, -np.inf)
     return T.concat([base, T.add(own, dead)], axis=-1)
-
-
-def canonicalize_first_appearance(pair, vocab):
-    """Relabel a (src, tgt) pair so first appearances take ascending ids.
-
-    Scans the source then the target; the i-th interchangeable id to appear
-    is renamed to the i-th lowest interchangeable id.  Returns the renamed
-    pair and the renaming that produced it.
-    """
-    src, tgt = pair
-    order = []
-    for t in list(src) + list(tgt):
-        t = int(t)
-        if vocab.is_inter(t) and t not in order:
-            order.append(t)
-    targets = list(vocab.inter_ids())
-    mapping = {}
-    for i, t in enumerate(order):
-        mapping[t] = targets[i]
-    leftover_src = [t for t in vocab.inter_ids() if t not in mapping]
-    leftover_dst = [t for t in targets if t not in mapping.values()]
-    mapping.update(dict(zip(leftover_src, leftover_dst)))
-    f = AlphaRenaming(vocab, mapping)
-    return (f(src), f(tgt)), f

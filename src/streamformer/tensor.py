@@ -92,34 +92,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    # operator sugar; constants on either side stay out of the graph
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter:
     """Named trainable leaf.  Tied parameters share one Tensor object."""
@@ -256,15 +228,6 @@ def tsum(a, axis=None, keepdims=False):
         return np.broadcast_to(gg, ad.shape).copy()
 
     return _node(ad.sum(axis=axis, keepdims=keepdims), (a,), (back,))
-
-
-def tmean(a, axis=None, keepdims=False):
-    ad = _data(a)
-    if axis is None:
-        n = ad.size
-    else:
-        n = ad.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def exp(a):

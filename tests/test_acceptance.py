@@ -22,6 +22,7 @@ from streamformer.model import (DecoderLayer, EncoderLayer,
 from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
+from helpers import permuted
 from oracles import truth_table_check, unrolled_ltl_eval
 
 
@@ -255,38 +256,38 @@ def test_criterion_6_stream_permutation_equivariance():
         H = rand_H(Lq)
         mask = A.padding_mask(H.lengths, Lq, Lq)
 
-        out, _ = A.per_stream_attention(mha, H, mask)
-        out_p, _ = A.per_stream_attention(mha, H.permuted(perm), mask)
+        out = A.per_stream_attention(mha, H, mask)
+        out_p = A.per_stream_attention(mha, permuted(H, perm), mask)
         assert out.hidden.data[:, perm].tobytes() == \
             out_p.hidden.data.tobytes()
 
         fused = S.aggregate(H).data
-        fused_p = S.aggregate(H.permuted(perm)).data
+        fused_p = S.aggregate(permuted(H, perm)).data
         worst_agg = max(worst_agg, float(np.max(np.abs(fused - fused_p))))
 
         logits = S.project(H, T.Tensor(W)).data
-        logits_p = S.project(H.permuted(perm), T.Tensor(W)).data
+        logits_p = S.project(permuted(H, perm), T.Tensor(W)).data
         d = np.abs(logits[..., 3:][..., perm] - logits_p[..., 3:])
         worst_agg = max(worst_agg, float(np.max(d)),
                         float(np.max(np.abs(logits[..., :3] -
                                             logits_p[..., :3]))))
 
-        out, _ = A.aggregated_attention(mha, H, mask)
-        out_p, _ = A.aggregated_attention(mha, H.permuted(perm), mask)
+        out = A.aggregated_attention(mha, H, mask)
+        out_p = A.aggregated_attention(mha, permuted(H, perm), mask)
         worst_agg = max(worst_agg, float(np.max(np.abs(
             out.hidden.data[:, perm] - out_p.hidden.data))))
 
-        out, _ = enc_layer(H, mask)
-        out_p, _ = enc_layer(H.permuted(perm), mask)
+        out = enc_layer(H, mask)
+        out_p = enc_layer(permuted(H, perm), mask)
         worst_agg = max(worst_agg, float(np.max(np.abs(
             out.hidden.data[:, perm] - out_p.hidden.data))))
 
         He = rand_H(Lq + 2)
         m_la = A.look_ahead_mask(H.lengths, Lq)
         m_pad = A.padding_mask(He.lengths, Lq, Lq + 2)
-        out, _ = dec_layer(H, He, m_la, m_pad)
-        out_p, _ = dec_layer(H.permuted(perm), He.permuted(perm), m_la,
-                             m_pad)
+        out = dec_layer(H, He, m_la, m_pad)
+        out_p = dec_layer(permuted(H, perm), permuted(He, perm), m_la,
+                          m_pad)
         worst_agg = max(worst_agg, float(np.max(np.abs(
             out.hidden.data[:, perm] - out_p.hidden.data))))
     ok = worst_agg <= 1e-9
@@ -309,7 +310,7 @@ def test_criterion_7_ablation_plumbing():
                           dec_layers=1, use_ep=ep, use_ea=ea, use_dp=dp,
                           use_da=da, cross_modes=cross)
         m = Seq2SeqModel(cfg, vocab, seed=7)
-        names = m.parameter_names()
+        names = {p.name for p in m.parameters()}
         wired = {
             "enc.0.self": ep, "enc.0.agg": ea,
             "dec.0.self": dp, "dec.0.agg": da,

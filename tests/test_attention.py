@@ -7,6 +7,7 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
+from helpers import attention, permuted
 from oracles import naive_attention
 
 RNG = np.random.default_rng(23)
@@ -52,23 +53,22 @@ def test_mha_single_head_matches_scalar_oracle():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = RNG.normal(size=(1, 1, 4, 6))
     mask = A.padding_mask([4], 4, 4)
-    out, w = mha(T.Tensor(x), T.Tensor(x), T.Tensor(x), mask,
-                 np.arange(4), np.arange(4))
+    out = attention(mha, T.Tensor(x), T.Tensor(x), T.Tensor(x), mask,
+                    np.arange(4), np.arange(4))
     q = x[0, 0] @ mha.wq.data
     k = x[0, 0] @ mha.wk.data
     v = x[0, 0] @ mha.wv.data
     want = naive_attention(q, k, v, mask.bits[0], np.arange(4), np.arange(4))
     want = want @ mha.wo.data
     assert np.max(np.abs(out.data[0, 0] - want)) <= 1e-10
-    assert np.allclose(w.sum(axis=-1), 1.0)
 
 
 def test_mha_multi_head_matches_per_head_oracle():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = RNG.normal(size=(1, 1, 5, 8))
-    out, w = mha(T.Tensor(x), T.Tensor(x), T.Tensor(x), None,
-                 np.arange(5), np.arange(5))
+    out = attention(mha, T.Tensor(x), T.Tensor(x), T.Tensor(x), None,
+                    np.arange(5), np.arange(5))
     q = x[0, 0] @ mha.wq.data
     k = x[0, 0] @ mha.wk.data
     v = x[0, 0] @ mha.wv.data
@@ -83,26 +83,39 @@ def test_mha_multi_head_matches_per_head_oracle():
 
 
 def test_masked_weights_are_zero_and_rows_sum_to_one():
+    # checked on the output: a key a query may not see (causal or padding)
+    # leaves that query's output bitwise unchanged when it changes, and
+    # values equal at every key pass through the weighting unscaled
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
-    H = make_H(B=2, k=2, L=6)
+    x = make_H(B=2, k=2, L=6).hidden
+    pos = np.arange(6)
     mask = A.look_ahead_mask([6, 4], 6)
-    _, w = A.per_stream_attention(mha, H, mask)
-    assert np.allclose(w.sum(axis=-1), 1.0)
-    assert np.all(w[:, :, :, 0, 1:] == 0.0)       # causal row 0
-    assert np.all(w[1, :, :, :, 4:] == 0.0)       # padded keys of sequence 1
+    out = attention(mha, x, x, x, mask, pos, pos).data
+    for j in range(6):
+        kv = x.data.copy()
+        kv[:, :, j] += 10.0
+        kv = T.Tensor(kv)
+        bumped = attention(mha, x, kv, kv, mask, pos, pos).data
+        for b, t in zip(*np.nonzero(~mask.bits[:, :, j])):
+            assert bumped[b, :, t].tobytes() == out[b, :, t].tobytes()
+    row = RNG.normal(size=8)
+    flat = T.Tensor(np.broadcast_to(row, x.shape).copy())
+    out = attention(mha, x, x, flat, mask, pos, pos).data
+    want = row @ mha.wv.data @ mha.wo.data
+    assert np.max(np.abs(out - want)) <= 1e-12
 
 
 def test_per_stream_attention_k1_equals_plain_and_batches_agree():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
-    out, _ = A.per_stream_attention(mha, H, None)
+    out = A.per_stream_attention(mha, H, None)
     for i in range(3):
         solo = S.StreamBatch(T.Tensor(H.hidden.data[:, i:i + 1]),
                              H.occupancy[:, i:i + 1], np.ones((1, 1)),
                              H.stream_ids[:, i:i + 1], H.lengths)
-        alone, _ = A.per_stream_attention(mha, solo, None)
+        alone = A.per_stream_attention(mha, solo, None)
         assert np.max(np.abs(alone.hidden.data[0, 0] - out.hidden.data[0, i])) == 0.0
 
 
@@ -110,9 +123,9 @@ def test_per_stream_attention_is_permutation_equivariant_bitwise():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=4, L=6, seed=3)
-    out, _ = A.per_stream_attention(mha, H, None)
+    out = A.per_stream_attention(mha, H, None)
     perm = [3, 1, 0, 2]
-    out_p, _ = A.per_stream_attention(mha, H.permuted(perm), None)
+    out_p = A.per_stream_attention(mha, permuted(H, perm), None)
     assert out.hidden.data[:, perm].tobytes() == out_p.hidden.data.tobytes()
 
 
@@ -121,9 +134,9 @@ def test_duplicated_stream_gets_identical_output():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=5, seed=4)
     H.hidden.data[0, 1] = H.hidden.data[0, 0]
-    out, _ = A.per_stream_attention(mha, H, None)
+    out = A.per_stream_attention(mha, H, None)
     assert np.max(np.abs(out.hidden.data[0, 0] - out.hidden.data[0, 1])) <= 1e-12
-    out_a, _ = A.aggregated_attention(mha, H, None)
+    out_a = A.aggregated_attention(mha, H, None)
     assert np.max(np.abs(out_a.hidden.data[0, 0] - out_a.hidden.data[0, 1])) <= 1e-12
 
 
@@ -133,10 +146,10 @@ def test_aggregated_attention_uses_shared_key_buffer():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
-    out, _ = A.aggregated_attention(mha, H, None)
+    out = A.aggregated_attention(mha, H, None)
     fused = S.aggregate(H)
     kv = T.reshape(fused, (1, 1, 5, 8))
-    out2, _ = mha(H.hidden, kv, kv, None, np.arange(5), np.arange(5))
+    out2 = attention(mha, H.hidden, kv, kv, None, np.arange(5), np.arange(5))
     assert out.hidden.data.tobytes() == out2.data.tobytes()
 
 
@@ -144,9 +157,9 @@ def test_aggregated_attention_permutation_within_1e9():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=4, L=6, seed=8)
-    out, _ = A.aggregated_attention(mha, H, None)
+    out = A.aggregated_attention(mha, H, None)
     perm = [2, 3, 1, 0]
-    out_p, _ = A.aggregated_attention(mha, H.permuted(perm), None)
+    out_p = A.aggregated_attention(mha, permuted(H, perm), None)
     assert np.max(np.abs(out.hidden.data[:, perm] - out_p.hidden.data)) <= 1e-9
 
 
@@ -159,9 +172,8 @@ def test_cross_attention_per_requires_alignment():
         A.cross_attention(mha, Hd, He, "per", None)
     with pytest.raises(ContractError):
         A.cross_attention(mha, Hd, He, "sideways", None)
-    out, w = A.cross_attention(mha, Hd, He, "agg", None)
+    out = A.cross_attention(mha, Hd, He, "agg", None)
     assert out.hidden.shape == (1, 2, 4, 8)
-    assert w.shape[-1] == 6
 
 
 def test_cross_attention_per_stream_pairs_streams():
@@ -169,7 +181,7 @@ def test_cross_attention_per_stream_pairs_streams():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     Hd = make_H(B=1, k=3, L=4, seed=5)
     He = make_H(B=1, k=3, L=6, seed=6)
-    out, _ = A.cross_attention(mha, Hd, He, "per", None)
+    out = A.cross_attention(mha, Hd, He, "per", None)
     for i in range(3):
         qd = S.StreamBatch(T.Tensor(Hd.hidden.data[:, i:i + 1]),
                            Hd.occupancy[:, i:i + 1], np.ones((1, 1)),
@@ -177,7 +189,7 @@ def test_cross_attention_per_stream_pairs_streams():
         ke = S.StreamBatch(T.Tensor(He.hidden.data[:, i:i + 1]),
                            He.occupancy[:, i:i + 1], np.ones((1, 1)),
                            He.stream_ids[:, i:i + 1], He.lengths)
-        alone, _ = A.cross_attention(mha, qd, ke, "per", None)
+        alone = A.cross_attention(mha, qd, ke, "per", None)
         assert np.array_equal(alone.hidden.data[0, 0], out.hidden.data[0, i])
 
 
@@ -186,11 +198,11 @@ def test_causal_mask_blocks_future_bitwise():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=6, seed=7)
     mask = A.look_ahead_mask([6], 6)
-    out, _ = A.per_stream_attention(mha, H, mask)
+    out = A.per_stream_attention(mha, H, mask)
     bumped = H.hidden.data.copy()
     bumped[:, :, 4] += 10.0  # perturb position 4
     H2 = H.with_hidden(T.Tensor(bumped))
-    out2, _ = A.per_stream_attention(mha, H2, mask)
+    out2 = A.per_stream_attention(mha, H2, mask)
     assert out.hidden.data[:, :, :4].tobytes() == out2.hidden.data[:, :, :4].tobytes()
 
 
@@ -199,9 +211,9 @@ def test_rope_shift_moves_into_scores():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = T.Tensor(RNG.normal(size=(1, 1, 5, 8)))
-    out1, w1 = mha(x, x, x, None, np.arange(5), np.arange(5))
-    out2, w2 = mha(x, x, x, None, np.arange(5) + 13, np.arange(5) + 13)
-    assert np.max(np.abs(w1 - w2)) <= 1e-9
+    out1 = attention(mha, x, x, x, None, np.arange(5), np.arange(5))
+    out2 = attention(mha, x, x, x, None, np.arange(5) + 13, np.arange(5) + 13)
+    assert np.max(np.abs(out1.data - out2.data)) <= 1e-9
 
 
 def test_attention_parameter_count_independent_of_k():
@@ -224,10 +236,10 @@ def test_gradient_check_through_all_attention_variants():
     mask = A.look_ahead_mask([3], 3)
 
     def loss_fn():
-        a, _ = A.per_stream_attention(mha, Hd, mask)
-        b, _ = A.aggregated_attention(mha, a, mask)
-        c, _ = A.cross_attention(mha, b, He, "per", None)
-        d, _ = A.cross_attention(mha, c, He, "agg", None)
+        a = A.per_stream_attention(mha, Hd, mask)
+        b = A.aggregated_attention(mha, a, mask)
+        c = A.cross_attention(mha, b, He, "per", None)
+        d = A.cross_attention(mha, c, He, "agg", None)
         return T.tsum(T.mul(d.hidden, weight))
 
     report = T.gradient_check(mha.parameters(), loss_fn)

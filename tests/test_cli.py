@@ -159,6 +159,17 @@ def test_dataset_not_utf8_exits_2(workdir, capsys):
     fails_with_one_line(capsys, "train", "--data", "bad.tsv")
 
 
+@pytest.mark.parametrize("text", [
+    b"d_model=\xff\n", b"d_model=abc\n", b"dropout=x\n", b"cross_modes=1\n",
+    b"batch_size=2.5\n", b"heads=0\n", b"ffn_dim=0\n",
+], ids=["not-utf8", "int-field", "float-field", "modes-field", "int-not-float",
+        "no-heads", "no-ffn"])
+def test_malformed_config_exits_2(workdir, capsys, text):
+    (workdir / "bad.cfg").write_bytes(text)
+    fails_with_one_line(capsys, "--config", "bad.cfg", "certify",
+                        "--trials", "1")
+
+
 def test_config_parsing_and_model_mapping(workdir):
     text = ("# comment line\n"
             "\n"

@@ -7,6 +7,7 @@ import pytest
 from streamformer import logic as L
 from streamformer.errors import (ContractError, InvalidTraceError, ParseError,
                                  ResourceError)
+from streamformer.evaluation import prediction_correct
 
 from oracles import truth_table_check, unrolled_ltl_eval
 
@@ -221,11 +222,27 @@ def test_symbolic_check_errors():
     nine = ";".join(["a"] * 8) + ";{a}"
     with pytest.raises(ResourceError):
         L.check_symbolic_trace(L.TRUE, L.parse_trace(nine))
+    eleven = "&" * 10 + L.AP_CHARS[:11]
     with pytest.raises(ResourceError):
-        L.check_symbolic_trace(L.TRUE, L.parse_trace("&a&b&cd;{a}"))
+        L.check_symbolic_trace(L.TRUE, L.parse_trace(eleven + ";{a}"))
     with pytest.raises(ResourceError):
         L.check_symbolic_trace(L.parse_ltl("&a&b!c"), L.parse_trace("1;1;{1}"),
                                max_concretizations=10)
+
+
+def test_gen_ltl_four_to_six_propositions():
+    # each step of a generated lasso names every proposition of the formula
+    for n in (4, 5, 6):
+        d = L.gen_ltl(0, n, (3, 8), 100)
+        assert len(d) == 100
+        for src, tgt in d.pairs:
+            assert L.check_symbolic_trace(L.parse_ltl(src),
+                                          L.parse_trace(tgt))
+
+
+def test_four_proposition_step_is_scored():
+    assert prediction_correct("ltl", "&&&abcd", "{&a&b&cd}")
+    assert not prediction_correct("ltl", "&&&abcd", "{&a&b&c!d}")
 
 
 def test_step_literals():
@@ -372,38 +389,7 @@ def test_task_vocabulary_layouts():
     assert cp.inter_size == 4
 
 
-# ------------------------------------------------------------- perturbations
-
-def test_perturb_renamed_idempotent_and_shape_preserving():
-    d = L.gen_prop(3, 4, (4, 10), 30)
-    r1 = L.perturb_renamed(d)
-    r2 = L.perturb_renamed(r1)
-    assert r1.pairs == r2.pairs
-
-    def shape(s):
-        return "".join("?" if c in L.AP_CHARS else c for c in s)
-
-    assert sorted(shape(s) for s, _ in d.pairs) == sorted(
-        shape(s) for s, _ in r1.pairs)
-    # first appearance order: the first symbols seen are a, b, c, ...
-    for s, t in r1.pairs:
-        seen = []
-        for c in s + t:
-            if c in L.AP_CHARS and c not in seen:
-                seen.append(c)
-        assert seen == list(L.AP_CHARS[:len(seen)])
-
-
-def test_perturb_renamed_preserves_validity():
-    for d in (L.gen_prop(8, 4, (4, 9), 15), L.gen_ltl(8, 3, (3, 7), 10)):
-        for src, tgt in L.perturb_renamed(d).pairs:
-            if d.task == "prop":
-                assert L.check_assignment(L.parse_prop(src),
-                                          L.parse_assignment(tgt))
-            else:
-                assert L.check_symbolic_trace(L.parse_ltl(src),
-                                              L.parse_trace(tgt))
-
+# ------------------------------------------------------------------ renaming
 
 def test_semantic_checks_invariant_under_renaming():
     d = L.gen_prop(13, 3, (3, 8), 15)
@@ -419,16 +405,3 @@ def test_semantic_checks_invariant_under_renaming():
         for mp in maps:
             assert L.check_symbolic_trace(L.parse_ltl(rename_text(src, mp)),
                                           L.parse_trace(rename_text(tgt, mp)))
-
-
-def test_perturb_reduced_ratio_and_determinism():
-    d = L.gen_copying(0, 4, (2, 5), 800)
-    r = L.perturb_reduced(d, 0.1, seed=5)
-    assert len(r) == 80
-    assert L.perturb_reduced(d, 0.1, seed=5).pairs == r.pairs
-    assert L.perturb_reduced(d, 0.1, seed=6).pairs != r.pairs
-    seen = set(map(tuple, d.pairs))
-    for p in r.pairs:
-        assert tuple(p) in seen
-    with pytest.raises(ContractError):
-        L.perturb_reduced(d, 0.0)

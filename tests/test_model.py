@@ -71,9 +71,10 @@ def test_config_dict_round_trip():
 # ----------------------------------------------------------------- parameters
 
 def test_toggles_control_parameter_names():
-    full = small_model(cross_modes=("per", "agg")).parameter_names()
-    lean = small_model(use_ea=False, use_da=False,
-                       cross_modes=("per",)).parameter_names()
+    full = {p.name for p in small_model(
+        cross_modes=("per", "agg")).parameters()}
+    lean = {p.name for p in small_model(
+        use_ea=False, use_da=False, cross_modes=("per",)).parameters()}
     dropped = full - lean
     assert lean < full
     for name in dropped:
@@ -118,7 +119,7 @@ def test_encoder_layer_wiring_matches_manual_composition():
     H = pack_sequences([[A, AMP, B], [B, BANG, B, A]], m.embedding.tensor, VOCAB)
     mask = padding_mask(H.lengths, H.length, H.length)
 
-    out, _ = layer(H, mask)
+    out = layer(H, mask)
 
     def wrap(Hc, sub, norm):
         y = T.layer_norm(T.add(Hc.hidden, sub), norm.gain.tensor,
@@ -127,9 +128,9 @@ def test_encoder_layer_wiring_matches_manual_composition():
         return Hc.with_hidden(T.add(T.mul(y, act), T.mul(Hc.hidden, 1.0 - act)))
 
     Hm = H
-    s, _ = per_stream_attention(layer.self_attn, Hm, mask)
+    s = per_stream_attention(layer.self_attn, Hm, mask)
     Hm = wrap(Hm, s.hidden, layer.self_norm)
-    s, _ = aggregated_attention(layer.agg_attn, Hm, mask)
+    s = aggregated_attention(layer.agg_attn, Hm, mask)
     Hm = wrap(Hm, s.hidden, layer.agg_norm)
     Hm = wrap(Hm, layer.ffn(Hm.hidden), layer.ffn_norm)
     assert out.hidden.data.tobytes() == Hm.hidden.data.tobytes()
@@ -155,7 +156,7 @@ def test_inactive_stream_slot_passes_through_decoder_layer():
     assert H.active[1, 1] == 0.0
     m_la = look_ahead_mask(H.lengths, H.length)
     m_pad = padding_mask(enc.lengths, H.length, enc.length)
-    out, _ = m.dec_layers[0](H, enc, m_la, m_pad)
+    out = m.dec_layers[0](H, enc, m_la, m_pad)
     assert out.hidden.data[1, 1].tobytes() == H.hidden.data[1, 1].tobytes()
     assert not np.array_equal(out.hidden.data[0, 1], H.hidden.data[0, 1])
 
@@ -394,5 +395,13 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
     # a model checkpoint whose metadata lacks the config
     T.save_checkpoint(p, {"a": np.zeros(3)},
                       {"format": "streamformer-model v1"})
+    with pytest.raises(ContractError):
+        load_model(p)
+    # a layer count that is not an integer
+    cfg = dict(ModelConfig(**TINY).to_dict(), enc_layers=1.0)
+    T.save_checkpoint(p, {"a": np.zeros(3)},
+                      {"format": "streamformer-model v1", "config": cfg,
+                       "vocab": {"base": list(VOCAB.base_tokens),
+                                 "inter": list(VOCAB.inter_tokens)}})
     with pytest.raises(ContractError):
         load_model(p)

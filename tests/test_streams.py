@@ -6,6 +6,8 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, VocabularyError
 
+from helpers import permuted
+
 RNG = np.random.default_rng(11)
 
 
@@ -32,26 +34,9 @@ def test_vocabulary_requires_reserved_prefix():
 
 def test_vocabulary_growth_keeps_table():
     v = bare_vocab(3)
-    w = v.with_inter_size(10)
+    w = S.Vocabulary(S.RESERVED, tuple("abcdefghij"))
     assert w.table_rows == v.table_rows  # table never depends on V_i
     assert w.inter_size == 10
-
-
-def test_vocabulary_file_roundtrip(tmp_path):
-    v = S.Vocabulary(S.RESERVED + ("&", "!"), ("a", "b", "c"))
-    p = tmp_path / "vocab.txt"
-    v.save(p)
-    assert S.Vocabulary.load(p) == v
-    first = p.read_text()
-    v.save(p)
-    assert p.read_text() == first
-
-
-def test_vocabulary_load_rejects_non_utf8(tmp_path):
-    p = tmp_path / "vocab.txt"
-    p.write_bytes(b"streamformer-vocab v1\nbase \xff\n")
-    with pytest.raises(VocabularyError, match="not UTF-8"):
-        S.Vocabulary.load(p)
 
 
 def test_stream_lookup_spec_example():
@@ -65,7 +50,7 @@ def test_stream_lookup_spec_example():
 def test_embed_streams_synthetic_single_stream():
     v = bare_vocab(3)
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
-    H = S.embed_streams([0, 1, 2], W, v)
+    H = S.pack_sequences([[0, 1, 2]], W, v)
     assert H.k == 1
     assert H.occupancy.sum() == 0.0
     assert H.stream_ids.tolist() == [[-1]]
@@ -75,7 +60,7 @@ def test_embed_streams_synthetic_single_stream():
 def test_embed_streams_rows():
     v = bare_vocab(3)
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
-    H = S.embed_streams([1, 3, 5, 3], W, v)
+    H = S.pack_sequences([[1, 3, 5, 3]], W, v)
     assert H.k == 2 and H.stream_ids.tolist() == [[3, 5]]
     got = H.hidden.data[0]
     assert np.array_equal(got[0], W.data[[1, 3, 4, 3]])   # stream of id 3
@@ -87,11 +72,11 @@ def test_embed_rejects_empty_and_bad_ids():
     v = bare_vocab(2)
     W = T.Tensor(np.zeros((v.table_rows, 4)))
     with pytest.raises(ContractError):
-        S.embed_streams([], W, v)
+        S.pack_sequences([[]], W, v)
     with pytest.raises(VocabularyError):
-        S.embed_streams([9], W, v)
+        S.pack_sequences([[9]], W, v)
     with pytest.raises(VocabularyError):
-        S.embed_streams([0], T.Tensor(np.zeros((3, 4))), v)
+        S.pack_sequences([[0]], T.Tensor(np.zeros((3, 4))), v)
 
 
 def test_embedding_permutation_equivariance_exact():
@@ -100,8 +85,8 @@ def test_embedding_permutation_equivariance_exact():
     W = T.Tensor(RNG.normal(size=(v.table_rows, 8)))
     x = [1, 3, 5, 6, 3, 0, 6]
     f = S.AlphaRenaming(v, {3: 6, 6: 3, 4: 5, 5: 4})
-    H = S.embed_streams(x, W, v)
-    Hf = S.embed_streams(f(x), W, v)
+    H = S.pack_sequences([x], W, v)
+    Hf = S.pack_sequences([f(x)], W, v)
     # stream for id t in H matches stream for f(t) in Hf
     for i, sid in enumerate(H.stream_ids[0]):
         j = list(Hf.stream_ids[0]).index(f[int(sid)])
@@ -112,7 +97,7 @@ def test_embedding_permutation_equivariance_exact():
 def test_aggregate_single_stream_is_identity():
     v = bare_vocab(2)
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
-    H = S.embed_streams([0, 3, 1], W, v)
+    H = S.pack_sequences([[0, 3, 1]], W, v)
     assert H.k == 1
     out = S.aggregate(H)
     assert out.data.tobytes() == H.hidden.data[:, 0].tobytes()
@@ -140,7 +125,7 @@ def test_aggregate_permutation_reorders_only_summation():
                       np.array([[3, 4, 5, 6]]), np.array([5]))
     base = S.aggregate(H).data
     perm = [2, 0, 3, 1]
-    again = S.aggregate(H.permuted(perm)).data
+    again = S.aggregate(permuted(H, perm)).data
     assert np.max(np.abs(base - again)) <= 1e-9
 
 
@@ -173,7 +158,7 @@ def test_embed_then_project_matches_scalar_oracle():
     v = bare_vocab(3)
     W = T.Tensor(RNG.normal(size=(v.table_rows, 6)))
     x = [1, 3, 4, 0, 4, 3, 2, 5]
-    H = S.embed_streams(x, W, v)
+    H = S.pack_sequences([x], W, v)
     logits = S.project(H, W).data[0]
     sids = [3, 4, 5]
     for t, tok in enumerate(x):
@@ -228,37 +213,13 @@ def test_renaming_roundtrip_and_validation():
         S.AlphaRenaming.identity(v)([99])
 
 
-def test_canonicalize_first_appearance_spec_example():
-    v = bare_vocab(3)
-    (src, tgt), f = S.canonicalize_first_appearance(([5, 3, 4], [4, 5]), v)
-    assert src == [3, 4, 5]          # appearance order 5,3,4 -> 3,4,5
-    assert tgt == [5, 3]
-    assert f[5] == 3 and f[3] == 4 and f[4] == 5
-
-
-def test_canonicalize_is_idempotent_and_scans_target():
-    v = bare_vocab(4)
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        src = [int(t) for t in rng.integers(0, v.total_size, size=10)]
-        tgt = [int(t) for t in rng.integers(0, v.total_size, size=6)]
-        (cs, ct), _ = S.canonicalize_first_appearance((src, tgt), v)
-        (cs2, ct2), f2 = S.canonicalize_first_appearance((cs, ct), v)
-        assert cs2 == cs and ct2 == ct and f2.is_identity()
-        seen = []
-        for t in cs + ct:
-            if v.is_inter(t) and t not in seen:
-                seen.append(t)
-        assert seen == sorted(seen)
-
-
 def test_gradients_flow_through_aggregate_and_project():
     v = bare_vocab(2)
     Wp = T.Parameter("embed.w", RNG.normal(size=(v.table_rows, 6)))
     weight = np.random.default_rng(3).normal(size=(1, 4, 5))
 
     def loss_fn():
-        H = S.embed_streams([1, 3, 4, 2], Wp.tensor, v)
+        H = S.pack_sequences([[1, 3, 4, 2]], Wp.tensor, v)
         g = S.aggregate(H)
         logits = S.project(H.with_hidden(T.add(H.hidden, T.reshape(
             g, (1, 1, 4, 6)))), Wp.tensor)

@@ -219,7 +219,7 @@ def test_mean_sum_div_grads():
     x = T.Parameter("x", RNG.normal(size=(4, 3)) + 3.0)
 
     def loss_fn():
-        m = T.tmean(x.tensor, axis=1, keepdims=True)
+        m = T.mul(T.tsum(x.tensor, axis=1, keepdims=True), 1.0 / 3)
         return T.tsum(T.div(x.tensor, T.add(m, 1.0)))
 
     assert T.gradient_check([x], loss_fn)["x"] <= 1e-4
