@@ -7,7 +7,16 @@ fused variants read only the stream-symmetric aggregate.
 
 Rotary position encoding is applied to queries and keys inside every
 attention call, each side rotated by its own absolute positions, so all
-score logits depend on relative offsets only.
+score logits depend on relative offsets only.  A projection's head pairs
+are read as complex numbers and rotated by one multiply with a cached
+phase table (tensor.rope_phases); the multiply is elementwise, so each
+stream's result depends on that stream alone, bit for bit.
+
+An attention call is four graph nodes, each with a hand-written vjp: the
+q, k and v projections (product, rotation, head split), then one node
+for scores, mask, softmax, value mixing, head merge and output
+projection.  Training, teacher-forced evaluation and cached decoding all
+run these nodes.
 
 Inactive stream slots (batch padding) are attended like any other slot;
 their outputs are finite and the model's residual wrapper discards them.
@@ -100,10 +109,40 @@ class MultiHeadAttention:
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
 
-    def _heads(self, x):
-        b, k, L, d = x.shape
+    def _heads(self, x, w, positions=None):
+        """One node: x (B,k|1,L,d) @ w split into heads, (B,k|1,h,L,hd),
+        each head rotated by positions when they are given.
+
+        The product is rotated while it is still (B,k,L,h,hd) and
+        contiguous, as hd/2 complex pairs times the phase table; the head
+        axis is then moved forward as a view.  The vjp undoes the
+        rotation with the conjugate phases, and forms the weight gradient
+        as one GEMM over every row.
+        """
         h, hd = self.cfg.heads, self.cfg.head_dim
-        return T.transpose(T.reshape(x, (b, k, L, h, hd)), (0, 1, 3, 2, 4))
+        phase = None
+        if positions is not None:
+            phase = T.rope_phases(positions, hd, self.cfg.rope_base)[:, None]
+
+        def forward(xd, wd):
+            d = xd.shape[-1]
+            y = np.matmul(xd, wd).reshape(xd.shape[:-1] + (h, hd))
+            if phase is not None:
+                pairs = y.view(np.complex128)
+                pairs *= phase
+
+            def vjp(g):
+                gy = g.transpose(0, 1, 3, 2, 4)
+                if phase is None:
+                    gy = gy.reshape(-1, d)
+                else:
+                    gy = T.rotate_pairs(gy, phase.conj()).reshape(-1, d)
+                return (np.matmul(gy, wd.T).reshape(xd.shape),
+                        np.matmul(xd.reshape(-1, d).T, gy))
+
+            return y.transpose(0, 1, 3, 2, 4), vjp
+
+        return T.fused(forward, x, w.tensor)
 
     def project_kv(self, k_in, v_in, k_positions):
         """Keys and values split into heads, keys rotated by k_positions.
@@ -111,26 +150,61 @@ class MultiHeadAttention:
         k_in/v_in (B,k|1,Lk,d) give (B,k|1,h,Lk,hd) each: the form attend()
         reads and a decode cache stores.
         """
-        k = self._heads(T.matmul(k_in, self.wk.tensor))
-        v = self._heads(T.matmul(v_in, self.wv.tensor))
-        k = T.rope_rotate(k, np.asarray(k_positions, float), self.cfg.rope_base)
-        return k, v
+        return (self._heads(k_in, self.wk, k_positions),
+                self._heads(v_in, self.wv))
 
     def attend(self, q_in, k, v, mask, q_positions):
         """Attention of q_in (B,k,Lq,d) over heads k, v from project_kv;
-        returns the output, (B,k,Lq,d)."""
-        q = self._heads(T.matmul(q_in, self.wq.tensor))
-        q = T.rope_rotate(q, np.asarray(q_positions, float), self.cfg.rope_base)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))),
-                       1.0 / np.sqrt(self.cfg.head_dim))
-        keep = None
-        if mask is not None:
-            keep = mask.bits[:, None, None, :, :]
-        weights = T.softmax_rows(scores, keep)
-        ctx = T.matmul(weights, v)                       # (B,k,h,Lq,hd)
-        b, kk, h, Lq, hd = ctx.shape
-        merged = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
-        return T.matmul(merged, self.wo.tensor)
+        returns the output, (B,k,Lq,d).
+
+        One node after the query projection: scaled scores, mask, softmax,
+        value mixing, head merge and output projection.  Its vjp takes the
+        softmax backward in one pass, dS = P * (dP - rowsum(dP * P)) *
+        scale, and sums the key and value gradients of a size-1 stream
+        axis over the query streams.
+        """
+        q = self._heads(q_in, self.wq, q_positions)
+        scale = 1.0 / np.sqrt(self.cfg.head_dim)
+        drop = None if mask is None else ~mask.bits[:, None, None]
+
+        def forward(qd, kd, vd, wo):
+            p = np.matmul(qd, kd.swapaxes(-1, -2))
+            p *= scale
+            if drop is not None:
+                np.copyto(p, -np.inf, where=drop)
+            mx = p.max(axis=-1, keepdims=True)
+            if not np.isfinite(mx).all():
+                raise ContractError("attention: a query row has every key masked")
+            p -= mx
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            ctx = np.matmul(p, vd)                           # (B,k,h,Lq,hd)
+            b, kk, h, Lq, hd = ctx.shape
+            merged = ctx.transpose(0, 1, 3, 2, 4).reshape(-1, h * hd)
+            out = np.matmul(merged.reshape(b, kk, Lq, h * hd), wo)
+
+            def vjp(g):
+                g2 = g.reshape(-1, wo.shape[1])
+                dctx = np.matmul(g2, wo.T).reshape(b, kk, Lq, h, hd)
+                dctx = dctx.transpose(0, 1, 3, 2, 4)
+                dv = np.matmul(p.swapaxes(-1, -2), dctx)
+                ds = np.matmul(dctx, vd.swapaxes(-1, -2))
+                ds -= np.einsum("...j,...j->...", ds, p)[..., None]
+                ds *= p
+                ds *= scale
+                dk = np.matmul(ds.swapaxes(-1, -2), qd)
+                return (np.matmul(ds, kd), _stream_sum(dk, kd.shape),
+                        _stream_sum(dv, vd.shape), np.matmul(merged.T, g2))
+
+            return out, vjp
+
+        return T.fused(forward, q, k, v, self.wo.tensor)
+
+
+def _stream_sum(g, shape):
+    """A key or value gradient summed over the query streams when the
+    keys and values had one stream, broadcast to all of them."""
+    return g if g.shape == shape else g.sum(axis=1, keepdims=True)
 
 
 class KVCache:

@@ -165,6 +165,17 @@ def prediction_correct(task, src_text, pred_text):
     raise ContractError(f"unknown task {task!r}")
 
 
+def _encode_source(vocab, task, src_text):
+    """A dataset source's ids.  A prop or ltl source must parse as a
+    formula; one that does not (nested past logic.MAX_NESTING, say) raises
+    ParseError here, before anything is decoded."""
+    if task == "prop":
+        parse_prop(src_text)
+    elif task == "ltl":
+        parse_ltl(src_text)
+    return vocab.encode(src_text)
+
+
 def _judged(task, src_text, tokens, vocab):
     """prediction_correct on decoded tokens, and whether the check blew its
     budget; a blown check counts as incorrect."""
@@ -184,7 +195,7 @@ def _score(model, task, pairs, beam_width, max_len):
     vocab = model.vocab
     correct = exact = blown = 0
     for src_text, tgt_text in pairs:
-        src = vocab.encode(src_text)
+        src = _encode_source(vocab, task, src_text)
         if beam_width <= 1:
             pred = decode_greedy(model, src, max_len=max_len)
         else:
@@ -220,7 +231,8 @@ def topn_accuracy(model, dataset, n, max_len=64):
     vocab = model.vocab
     hits = 0
     for src_text, _ in dataset.pairs:
-        beams = decode_beam(model, vocab.encode(src_text), n, max_len=max_len)
+        src = _encode_source(vocab, dataset.task, src_text)
+        beams = decode_beam(model, src, n, max_len=max_len)
         hits += any(_judged(dataset.task, src_text, cand.tokens, vocab)[0]
                     for cand in beams)
     return hits / len(dataset.pairs)
@@ -385,36 +397,40 @@ def certify_invariance(model=None, n_trials=500, seed=0, task=None,
 
 @dataclass(frozen=True)
 class TimingTable:
-    rows: tuple    # (stream_count, mean_ms)
+    rows: tuple    # (stream_count, median_ms)
     slope: float
     intercept: float
     r_squared: float
 
 
 def time_scaling(model, ap_counts, samples_per_point=20, length=24):
-    """Mean teacher-forced forward time per sample at each stream count.
+    """Median teacher-forced forward time per sample at each stream count.
 
     Inputs are fixed-length sequences touching exactly s distinct
     interchangeable symbols, so the stream count is the only thing that
-    varies.  Reports a least-squares linear fit of ms against s.
+    varies.  The counts take turns, one forward each per round, so a
+    phase of slow machine speed slows every count alike instead of
+    skewing one.  Reports a least-squares linear fit of ms against s.
     """
     if len(ap_counts) < 2:
         raise ContractError("need at least two stream counts to fit a line")
     if samples_per_point < 1:
         raise ContractError("samples_per_point must be positive")
     ids = list(model.vocab.inter_ids())
-    rows = []
+    inputs = []
     for s in ap_counts:
         if not 1 <= s <= len(ids):
             raise ContractError(f"no {s}-symbol input in this vocabulary")
         src = [ids[i % s] for i in range(length)]
-        dec = [SOS_ID] + src[:-1]
-        model.forward(src, dec)    # warm up allocators before timing
-        t0 = time.perf_counter()
-        for _ in range(samples_per_point):
+        inputs.append((src, [SOS_ID] + src[:-1]))
+        model.forward(*inputs[-1])    # warm up allocators before timing
+    times = [[] for _ in inputs]
+    for _ in range(samples_per_point):
+        for (src, dec), ts in zip(inputs, times):
+            t0 = time.perf_counter()
             model.forward(src, dec)
-        ms = (time.perf_counter() - t0) * 1000.0 / samples_per_point
-        rows.append((int(s), float(ms)))
+            ts.append((time.perf_counter() - t0) * 1000.0)
+    rows = [(int(s), float(np.median(ts))) for s, ts in zip(ap_counts, times)]
     xs = np.array([r[0] for r in rows], dtype=float)
     ys = np.array([r[1] for r in rows], dtype=float)
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -155,7 +155,13 @@ _OP_CHAR = {"not": "!", "and": "&", "or": "|", "iff": "=", "xor": "^",
             "next": "X", "until": "U"}
 
 
-def _parse_at(text, i, unary, binary, consts, offset):
+# Operators on one path from a formula's root.  Parsing, evaluation and
+# printing all recurse once per level, so the parser refuses deeper
+# formulas and nothing downstream nears Python's recursion limit.
+MAX_NESTING = 200
+
+
+def _parse_at(text, i, unary, binary, consts, offset, depth=0):
     if i >= len(text):
         raise ParseError("formula ends before its operands", offset + i)
     c = text[i]
@@ -163,12 +169,15 @@ def _parse_at(text, i, unary, binary, consts, offset):
         return consts[c], i + 1
     if c in AP_CHARS:
         return Ap(c), i + 1
+    if (c in unary or c in binary) and depth >= MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} operators",
+                         offset + i)
     if c in unary:
-        a, j = _parse_at(text, i + 1, unary, binary, consts, offset)
+        a, j = _parse_at(text, i + 1, unary, binary, consts, offset, depth + 1)
         return unary[c](a), j
     if c in binary:
-        a, j = _parse_at(text, i + 1, unary, binary, consts, offset)
-        b, k = _parse_at(text, j, unary, binary, consts, offset)
+        a, j = _parse_at(text, i + 1, unary, binary, consts, offset, depth + 1)
+        b, k = _parse_at(text, j, unary, binary, consts, offset, depth + 1)
         return binary[c](a, b), k
     raise ParseError(f"unknown symbol {c!r}", offset + i)
 

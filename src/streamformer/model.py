@@ -15,7 +15,10 @@ Layer composition follows two toggled stacks:
            CA aggregated) ffn
 
 Each enabled sublayer is wrapped as norm(x + dropout(sub(x))); disabling a
-toggle removes the sublayer and its norm parameters entirely.
+toggle removes the sublayer and its norm parameters entirely.  Every
+attention sublayer is four graph nodes (see attention.py).  A batch with
+inactive stream slots keeps them with one where node after each norm; a
+batch without (a single sequence, every decode step) adds none.
 
 Decoding runs on a DecodeState.  begin_decode encodes the source once and
 projects each layer's cross-attention keys and values once; every
@@ -191,10 +194,13 @@ _EVAL = _TrainCtx()
 
 def _residual_norm(H, sub, norm, ctx):
     """norm(x + dropout(sub(x))) for active streams; inactive slots pass
-    through untouched.  This is the one place they are masked."""
+    through untouched.  This is the one place they are masked, and a
+    batch with no inactive slot (every decode step, every single
+    sequence) adds no mask node."""
     y = norm(T.add(H.hidden, T.dropout(sub, ctx.rate, ctx.rng)))
-    act = H.active[:, :, None, None]
-    return H.with_hidden(T.add(T.mul(y, act), T.mul(H.hidden, 1.0 - act)))
+    if H.active.all():
+        return H.with_hidden(y)
+    return H.with_hidden(T.where(H.active[:, :, None, None] > 0, y, H.hidden))
 
 
 class EncoderLayer:

@@ -10,10 +10,17 @@ graph.
 
 A vjp may return its input gradient itself or a view of it, so the first
 gradient to reach a node is stored as it is and later ones are added out
-of place: no stored gradient is ever written in place.  A leaf's ``.grad``
-(a parameter's) always owns its memory.  A matmul whose right operand is
-2-D (a weight) forms each gradient as one GEMM over every row of the left
+of place: no stored gradient is ever written in place.  An interior
+node's ``.grad`` is dropped as soon as its vjp has run, so after
+``backward`` only leaves (parameters) hold gradients, and a leaf's
+``.grad`` always owns its memory.  A matmul whose right operand is 2-D (a
+weight) forms each gradient as one GEMM over every row of the left
 operand, whatever its leading axes.
+
+Besides the elementary ops, ``fused`` makes one node of a whole
+sub-computation with a hand-written vjp (attention uses it), and
+``rope_phases``/``rotate_pairs`` apply rotary position encoding as one
+complex multiply per adjacent pair.
 
 Determinism: arrays are C-ordered float64, reductions run through numpy's
 pairwise summation in ascending index order, and the backward traversal
@@ -147,6 +154,9 @@ def _unbroadcast(g, shape):
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
         return g
+    if g.shape[g.ndim - len(shape):] == shape:
+        # the operand is g's trailing shape (a gain or a bias): one sum
+        return g.reshape(-1, *shape).sum(axis=0)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -319,91 +329,101 @@ def concat(parts, axis):
     return _node(out, tuple(parts), tuple(make_back(i) for i in range(len(parts))))
 
 
-def softmax_rows(x, mask=None):
-    """Softmax along the last axis with an optional binary keep-mask.
+def where(cond, a, b):
+    """a where the constant boolean cond holds, b elsewhere (broadcasting)."""
+    c = np.asarray(cond, dtype=bool)
+    ad, bd = _data(a), _data(b)
+    return _node(np.where(c, ad, bd), (a, b),
+                 (lambda g: _unbroadcast(np.where(c, g, 0.0), ad.shape),
+                  lambda g: _unbroadcast(np.where(c, 0.0, g), bd.shape)))
 
-    Masked entries get probability exactly 0.  A row with every entry
-    masked has no valid distribution and raises ContractError.
-    """
-    xd = _data(x)
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        z = np.where(keep, xd, -np.inf)
-    else:
-        z = xd
-    mx = z.max(axis=-1, keepdims=True)
-    if not np.isfinite(mx).all():
-        raise ContractError("softmax_rows: a row is fully masked")
-    e = np.exp(z - mx)
-    out = e / e.sum(axis=-1, keepdims=True)
 
-    def back(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return _unbroadcast(out * (g - dot), xd.shape)
-
-    return _node(out, (x,), (back,))
+def _rowdot(a, b):
+    """Dot products of matching rows over the last axis, kept as (..., 1)."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
     xd, gd, bd = _data(x), _data(gain), _data(bias)
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    n = xd.shape[-1]
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps)
+    xhat *= inv
+    out = xhat * gd
+    out += bd
 
     def back_x(g):
-        n = xd.shape[-1]
         gx = g * gd
-        t1 = gx.mean(axis=-1, keepdims=True)
-        t2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        return inv * (gx - t1 - xhat * t2)
+        dx = xhat * (_rowdot(gx, xhat) / n)
+        np.subtract(gx, dx, out=dx)
+        dx -= gx.mean(axis=-1, keepdims=True)
+        dx *= inv
+        return dx
 
-    def back_gain(g):
-        return _unbroadcast(g * xhat, gd.shape)
-
-    def back_bias(g):
-        return _unbroadcast(g, bd.shape)
-
-    return _node(xhat * gd + bd, (x, gain, bias), (back_x, back_gain, back_bias))
+    return _node(out, (x, gain, bias),
+                 (back_x,
+                  lambda g: _unbroadcast(g * xhat, gd.shape),
+                  lambda g: _unbroadcast(g, bd.shape)))
 
 
-def rope_rotate(x, positions, base=10000.0):
-    """Rotary position encoding over the last axis (adjacent-pair planes).
+def rope_phases(positions, width, base=10000.0):
+    """Unit phases of rotary position encoding, (..., L, width/2) complex.
 
-    Pair j of a width-D axis is rotated by angle pos * base**(-2j/D).
-    Linear in x, so the adjoint is rotation by the negative angle.
+    Adjacent pairs (x[2j], x[2j+1]) of a width-wide axis, read as the
+    complex number x[2j] + i x[2j+1], are rotated at position pos by the
+    angle pos * base**(-2j/width): one multiply by phase[..., j].  The
+    tables are cached and read-only.
     """
-    xd = _data(x)
-    d = xd.shape[-1]
-    if d % 2 != 0:
-        raise DimensionError("rope_rotate needs an even last axis")
+    if width % 2 != 0:
+        raise DimensionError("rotary encoding needs an even width")
     pos = np.asarray(positions, dtype=np.float64)
-    cos, sin = _rope_tables(pos.shape, pos.tobytes(), d, float(base))
-
-    def rotate(arr, c, s):
-        ev, od = arr[..., 0::2], arr[..., 1::2]
-        out = np.empty_like(arr)
-        out[..., 0::2] = ev * c - od * s
-        out[..., 1::2] = ev * s + od * c
-        return out
-
-    return _node(rotate(xd, cos, sin), (x,),
-                 (lambda g: rotate(g, cos, -sin),))
+    return _rope_tables(pos.shape, pos.tobytes(), width, float(base))
 
 
 @functools.lru_cache(maxsize=256)
 def _rope_tables(shape, pos_bytes, d, base):
-    """Read-only cos and sin tables (..., L, d/2) of rope_rotate, built once
-    per (positions, width, base): a decode step rotates every query and
-    key of every layer by the same positions."""
+    """Read-only phase table of rope_phases, built once per (positions,
+    width, base): a decode step rotates every query and key of every layer
+    by the same positions."""
     pos = np.frombuffer(pos_bytes, dtype=np.float64).reshape(shape)
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
-    ang = pos[..., None] * freqs
-    cos, sin = np.cos(ang), np.sin(ang)
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
+    ang = pos[..., None] * base ** (-2.0 * np.arange(d // 2) / d)
+    phase = np.empty(ang.shape, dtype=np.complex128)
+    phase.real = np.cos(ang)
+    phase.imag = np.sin(ang)
+    phase.flags.writeable = False
+    return phase
+
+
+def rotate_pairs(x, phase):
+    """x (..., width) with its adjacent pairs multiplied by phase as complex
+    numbers; a new C-ordered array.  x's last axis must be contiguous.
+    Rotation is orthogonal, so its adjoint multiplies by phase.conj()."""
+    return np.multiply(x.view(np.complex128), phase, order="C").view(np.float64)
+
+
+def fused(forward, *operands):
+    """One graph node for a whole sub-computation with a hand-written vjp.
+
+    forward(*arrays) receives the operands' data and returns (output, vjp),
+    where vjp(g) gives a gradient for every operand at once, so they can
+    share intermediate results.  Operands that are not Tensors are
+    constants: their gradients are dropped.
+    """
+    out, vjp = forward(*(_data(o) for o in operands))
+    if not _GRAD_ENABLED:
+        return Tensor(out)
+    live = [i for i, o in enumerate(operands) if isinstance(o, Tensor)]
+    if not live:
+        return Tensor(out)
+    if len(live) == len(operands):
+        return Tensor(out, operands, vjp)
+
+    def live_vjp(g):
+        grads = vjp(g)
+        return [grads[i] for i in live]
+
+    return Tensor(out, tuple(operands[i] for i in live), live_vjp)
 
 
 def dropout(x, rate, rng=None):
@@ -441,12 +461,14 @@ def backward(loss):
     for node in reversed(topo):
         if node.vjp is None or node.grad is None:
             continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
+        upstream = node.grad
+        node.grad = None   # an interior gradient is dead once its vjp ran
+        for parent, g in zip(node.parents, node.vjp(upstream)):
             if g is None:
                 continue
             if parent.grad is not None:
                 parent.grad = parent.grad + g
-            elif parent.parents or _owned(g, node.grad):
+            elif parent.parents or _owned(g, upstream):
                 parent.grad = g
             else:
                 parent.grad = np.array(g)   # a leaf's gradient owns its memory

@@ -2,11 +2,16 @@
 
 Everything here is written the slow, obvious way (scalar loops, explicit
 enumeration, finite unrolling) on purpose: these functions must not share
-code paths with the library they validate.
+code paths with the library they validate.  The composed attention below
+builds the fused attention nodes' computation out of the elementary
+autodiff ops, one graph node per step, so its gradients come from those
+ops' vjps and not from the fused nodes' hand-written ones.
 """
 import itertools
 
 import numpy as np
+
+from streamformer import tensor as T
 
 
 def naive_matmul(a, b):
@@ -86,6 +91,42 @@ def naive_attention(q, k, v, keep, positions_q, positions_k, base=10000.0):
         w = naive_softmax(scores, keep[i])
         out[i] = sum(w[j] * v[j] for j in range(k.shape[0]))
     return out
+
+
+def composed_heads(x, w, heads, positions=None, base=10000.0):
+    """x @ w split into heads, (B,k,h,L,hd), each head rotated by its
+    positions with the real pair formula; elementary ops only."""
+    b, k, L, d = x.shape
+    hd = d // heads
+    y = T.reshape(T.matmul(x, w), (b, k, L, heads, hd))
+    if positions is not None:
+        ang = (np.asarray(positions, float)[:, None]
+               * base ** (-2.0 * np.arange(hd // 2) / hd))
+        cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        ev = T.index(y, (Ellipsis, slice(0, None, 2)))
+        od = T.index(y, (Ellipsis, slice(1, None, 2)))
+        re = T.sub(T.mul(ev, cos), T.mul(od, sin))
+        im = T.add(T.mul(ev, sin), T.mul(od, cos))
+        pair = (b, k, L, heads, hd // 2, 1)
+        y = T.reshape(T.concat([T.reshape(re, pair), T.reshape(im, pair)],
+                               axis=-1), (b, k, L, heads, hd))
+    return T.transpose(y, (0, 1, 3, 2, 4))
+
+
+def composed_attend(q, k, v, wo, keep=None):
+    """Scaled scores, masked softmax, value mixing, head merge and output
+    projection of heads q (B,k,h,Lq,hd) over k, v (B,k|1,h,Lk,hd);
+    keep is a (B,Lq,Lk) keep-mask or None."""
+    hd = q.shape[-1]
+    s = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(hd))
+    if keep is not None:
+        s = T.add(s, np.where(keep[:, None, None], 0.0, -np.inf))
+    e = T.exp(T.sub(s, s.data.max(axis=-1, keepdims=True)))
+    p = T.div(e, T.tsum(e, axis=-1, keepdims=True))
+    ctx = T.matmul(p, v)
+    b, kk, h, Lq, _ = ctx.shape
+    merged = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
+    return T.matmul(merged, wo)
 
 
 def finite_difference(loss_fn, array, h=1e-4):

@@ -8,7 +8,7 @@ from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
 from helpers import attention, permuted
-from oracles import naive_attention
+from oracles import composed_attend, composed_heads, naive_attention
 
 RNG = np.random.default_rng(23)
 
@@ -244,3 +244,147 @@ def test_gradient_check_through_all_attention_variants():
 
     report = T.gradient_check(mha.parameters(), loss_fn)
     assert max(report.values()) <= 1e-4
+
+
+# ------------------------------------------------ fused nodes vs composition
+
+def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
+    """Output and leaf gradients of the fused nodes and of the op-by-op
+    composition, on the same weights, inputs and upstream gradient."""
+    cfg = A.AttentionConfig(d_model=8, heads=2)
+    rng = np.random.default_rng(seed)
+    mha = A.MultiHeadAttention("t", cfg, rng)
+    xq = T.Parameter("xq", rng.normal(size=q_shape))
+    xk = T.Parameter("xk", rng.normal(size=kv_shape))
+    xv = T.Parameter("xv", rng.normal(size=kv_shape))
+    up = rng.normal(size=q_shape)
+    leaves = [xq, xk, xv] + mha.parameters()
+    keep = None if mask is None else mask.bits
+
+    def fused():
+        k, v = mha.project_kv(xk.tensor, xv.tensor, k_pos)
+        return mha.attend(xq.tensor, k, v, mask, q_pos)
+
+    def composed():
+        h = cfg.heads
+        return composed_attend(composed_heads(xq.tensor, mha.wq.tensor, h, q_pos),
+                               composed_heads(xk.tensor, mha.wk.tensor, h, k_pos),
+                               composed_heads(xv.tensor, mha.wv.tensor, h),
+                               mha.wo.tensor, keep)
+
+    runs = []
+    for build in (fused, composed):
+        T.zero_grads(leaves)
+        out = build()
+        T.backward(T.tsum(T.mul(out, up)))
+        runs.append((out.data.copy(), {p.name: p.grad.copy() for p in leaves}))
+    return leaves, runs
+
+
+@pytest.mark.parametrize("case", ["per-stream keys, padding",
+                                  "per-stream keys, look-ahead",
+                                  "broadcast keys, padding",
+                                  "broadcast keys, look-ahead",
+                                  "broadcast keys, no mask"])
+def test_fused_nodes_match_composition(case):
+    streams = 1 if case.startswith("broadcast") else 3
+    Lk = 5 if "look-ahead" in case else 6
+    if "padding" in case:
+        mask = A.padding_mask([Lk, 3], 5, Lk)
+    elif "look-ahead" in case:
+        mask = A.look_ahead_mask([5, 3], 5)
+    else:
+        mask = None
+    leaves, ((o1, g1), (o2, g2)) = _fused_and_composed(
+        (2, 3, 5, 8), (2, streams, Lk, 8), mask, np.arange(5.0) + 1,
+        np.arange(float(Lk)), seed=len(case))
+    assert o1.shape == (2, 3, 5, 8)
+    assert np.max(np.abs(o1 - o2)) <= 1e-12
+    for p in leaves:
+        assert g1[p.name].shape == p.data.shape
+        assert np.max(np.abs(g1[p.name] - g2[p.name])) <= 1e-12, p.name
+
+
+def test_fused_nodes_match_composition_on_a_cached_decode_step():
+    # one new position attends over cached keys and values: those are
+    # constants, so the gradients reach the query side only
+    cfg = A.AttentionConfig(d_model=8, heads=2)
+    rng = np.random.default_rng(41)
+    mha = A.MultiHeadAttention("t", cfg, rng)
+    prefix = T.Tensor(rng.normal(size=(2, 3, 4, 8)))
+    x = T.Parameter("x", rng.normal(size=(2, 3, 1, 8)))
+    up = rng.normal(size=(2, 3, 1, 8))
+    cache = A.KVCache()
+    cache.extend(*mha.project_kv(prefix, prefix, np.arange(4)))
+    k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, [4]))
+    leaves = [x, mha.wq, mha.wo]
+    T.zero_grads(leaves)
+    out = mha.attend(x.tensor, k, v, None, [4])
+    T.backward(T.tsum(T.mul(out, up)))
+    got = {p.name: p.grad.copy() for p in leaves}
+    assert mha.wk.grad is None and mha.wv.grad is None
+
+    T.zero_grads(leaves)
+    seq = T.Tensor(np.concatenate([prefix.data, x.data], axis=2))
+    kc = composed_heads(seq, mha.wk.tensor, 2, np.arange(5)).data
+    vc = composed_heads(seq, mha.wv.tensor, 2).data
+    want = composed_attend(composed_heads(x.tensor, mha.wq.tensor, 2, [4]),
+                           kc, vc, mha.wo.tensor)
+    T.backward(T.tsum(T.mul(want, up)))
+    assert np.max(np.abs(out.data - want.data)) <= 1e-12
+    for p in leaves:
+        assert np.max(np.abs(got[p.name] - p.grad)) <= 1e-12, p.name
+
+
+def test_gradient_check_tiny_multi_head_attention():
+    cfg = A.AttentionConfig(d_model=4, heads=2)
+    rng = np.random.default_rng(43)
+    mha = A.MultiHeadAttention("t", cfg, rng)
+    xq = T.Parameter("xq", rng.normal(size=(2, 2, 3, 4)))
+    xkv = T.Parameter("xkv", rng.normal(size=(2, 1, 4, 4)))
+    up = rng.normal(size=(2, 2, 3, 4))
+    mask = A.padding_mask([4, 2], 3, 4)
+
+    def loss_fn():
+        out = attention(mha, xq.tensor, xkv.tensor, xkv.tensor, mask,
+                        np.arange(3) + 1, np.arange(4))
+        return T.tsum(T.mul(out, up))
+
+    report = T.gradient_check([xq, xkv] + mha.parameters(), loss_fn)
+    assert max(report.values()) <= 1e-4
+
+
+def test_attention_sublayer_is_four_graph_nodes():
+    # projections of q, k and v, then one node for everything after
+    cfg = A.AttentionConfig(d_model=8, heads=2)
+    mha = A.MultiHeadAttention("t", cfg, RNG)
+    H = make_H(B=2, k=3, L=5)
+    out = A.per_stream_attention(mha, H, A.look_ahead_mask([5, 4], 5)).hidden
+    inputs = {id(H.hidden)} | {id(p.tensor) for p in mha.parameters()}
+    nodes, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in inputs or id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        todo.extend(node.parents)
+    assert len(nodes) == 4
+    assert len(out.parents) == 4 and out.parents[3] is mha.wo.tensor
+
+
+def test_fused_attention_forward_backward_deterministic_bitwise():
+    def run():
+        rng = np.random.default_rng(44)
+        mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=8, heads=2), rng)
+        x = T.Parameter("x", rng.normal(size=(2, 3, 5, 8)))
+        H = S.StreamBatch(x.tensor, np.zeros((2, 3, 5)), np.ones((2, 3)),
+                          np.tile(np.arange(3, 6), (2, 1)), np.full(2, 5))
+        mask = A.look_ahead_mask([5, 3], 5)
+        a = A.per_stream_attention(mha, H, mask)
+        b = A.aggregated_attention(mha, a, mask)
+        loss = T.tsum(T.mul(b.hidden, b.hidden))
+        T.backward(loss)
+        return [loss.data.tobytes(), x.grad.tobytes()] + \
+            [p.grad.tobytes() for p in mha.parameters()]
+
+    assert run() == run()

@@ -159,6 +159,21 @@ def test_dataset_not_utf8_exits_2(workdir, capsys):
     fails_with_one_line(capsys, "train", "--data", "bad.tsv")
 
 
+def test_deeply_nested_source_exits_2(workdir, capsys):
+    # the source is rejected by the parser before anything is decoded
+    from streamformer.logic import task_vocabulary
+    from streamformer.model import ModelConfig, Seq2SeqModel, save_model
+    save_model(Seq2SeqModel(ModelConfig(d_model=8, heads=2, ffn_dim=8,
+                                        enc_layers=1, dec_layers=1),
+                            task_vocabulary("prop", 3)), "m.ckpt")
+    (workdir / "deep.tsv").write_text("#task=prop aps=3\n" + "!" * 3000
+                                      + "a\ta1\n")
+    fails_with_one_line(capsys, "eval", "--model", "m.ckpt",
+                        "--data", "deep.tsv")
+    fails_with_one_line(capsys, "topn", "--model", "m.ckpt",
+                        "--data", "deep.tsv", "--n", "2")
+
+
 @pytest.mark.parametrize("text", [
     b"d_model=\xff\n", b"d_model=abc\n", b"dropout=x\n", b"cross_modes=1\n",
     b"batch_size=2.5\n", b"heads=0\n", b"ffn_dim=0\n",

@@ -66,6 +66,27 @@ def test_parse_errors_carry_positions():
         L.parse_prop("")
 
 
+def test_deep_nesting_is_a_parse_error():
+    # every walk of a formula recurses once per level, so the parser stops
+    # at MAX_NESTING operators on a path instead of overflowing the stack
+    n = L.MAX_NESTING
+    deep = L.parse_prop("!" * n + "a")
+    assert L.unparse(deep) == "!" * n + "a"
+    assert L.eval_total(deep, {"a": True}) is (n % 2 == 0)
+    assert L.depth(deep) == n
+    for text, parse in (("!" * 5000 + "a", L.parse_prop),
+                        ("!" * (n + 1) + "a", L.parse_prop),
+                        ("&" * (n + 1) + "a" * (n + 2), L.parse_prop),
+                        ("X" * 3000 + "a", L.parse_ltl),
+                        ("!" * 3000 + "a;{a}", L.parse_trace)):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert "nests deeper" in str(e.value)
+    with pytest.raises(ParseError) as e:
+        L.parse_prop("!" * 5000 + "a")
+    assert e.value.position == n
+
+
 def test_each_dialect_rejects_foreign_operators():
     for bad in ("Xa", "Uab", "0"):
         with pytest.raises(ParseError):

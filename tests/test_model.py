@@ -136,6 +136,24 @@ def test_encoder_layer_wiring_matches_manual_composition():
     assert out.hidden.data.tobytes() == Hm.hidden.data.tobytes()
 
 
+def test_residual_norm_masks_only_batches_with_inactive_slots():
+    # all slots active: the sublayer ends in the norm itself; otherwise one
+    # where node picks the norm for active slots and the input elsewhere
+    m = small_model()
+    layer = m.enc_layers[0]
+    norm = layer.ffn_norm
+    for srcs in ([[A, AMP, B]], [[A, B, AMP], [AMP, BANG, AMP]]):
+        H = m._embed(srcs)
+        out = layer(H, padding_mask(H.lengths, H.length, H.length)).hidden
+        if H.active.all():
+            assert out.parents[1:] == (norm.gain.tensor, norm.bias.tensor)
+        else:
+            y, x = out.parents
+            assert y.parents[1:] == (norm.gain.tensor, norm.bias.tensor)
+            assert x.data[H.active == 0].tobytes() == \
+                out.data[H.active == 0].tobytes()
+
+
 def test_inactive_stream_slot_passes_through_encoder():
     m = small_model()
     # second sequence has fewer streams; its padding slot must ride along

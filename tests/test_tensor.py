@@ -3,6 +3,7 @@ central finite differences, determinism, and checkpoint round-trips."""
 import numpy as np
 import pytest
 
+from streamformer import attention as A
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
@@ -39,28 +40,57 @@ def test_matmul_shape_error():
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
 
 
+def _one_hot_attention(Lq, Lk):
+    """Single-head attention whose values and projections are identities,
+    so each output row is that query's softmax weights over the keys."""
+    mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=Lk, heads=1), RNG)
+    mha.wv.data = np.eye(Lk)
+    mha.wo.data = np.eye(Lk)
+    v = T.Tensor(np.eye(Lk)[None, None])
+    return mha, v
+
+
+def _attention_weights(mha, v, q_in, k_in, mask, pos_q, pos_k):
+    k, _ = mha.project_kv(T.Tensor(k_in), v, pos_k)
+    return mha.attend(T.Tensor(q_in), k, v, mask, pos_q).data
+
+
 def test_softmax_rows_matches_oracle_and_masks():
-    x = RNG.normal(size=(6, 9)) * 3
-    keep = RNG.random((6, 9)) > 0.3
-    keep[:, 0] = True
-    got = T.softmax_rows(T.Tensor(x), keep).data
+    # the softmax inside attend: rows match the scalar oracle on the
+    # rotated, scaled scores, masked keys get exactly 0, rows sum to 1
+    mha, v = _one_hot_attention(6, 8)
+    q_in = RNG.normal(size=(1, 1, 6, 8)) * 3
+    k_in = RNG.normal(size=(1, 1, 8, 8)) * 3
+    keep = RNG.random((1, 6, 8)) > 0.3
+    keep[:, :, 0] = True
+    mask = A.AttentionMask("padding", keep)
+    pos_q, pos_k = np.arange(6.0), np.arange(8.0)
+    got = _attention_weights(mha, v, q_in, k_in, mask, pos_q, pos_k)[0, 0]
+    q = naive_rope(q_in[0, 0] @ mha.wq.data, pos_q)
+    k = naive_rope(k_in[0, 0] @ mha.wk.data, pos_k)
     for i in range(6):
-        assert np.allclose(got[i], naive_softmax(x[i], keep[i]), atol=1e-12)
-        assert got[i][~keep[i]].sum() == 0.0
+        scores = np.array([np.dot(q[i], k[j]) for j in range(8)]) / np.sqrt(8)
+        assert np.allclose(got[i], naive_softmax(scores, keep[0, i]), atol=1e-12)
+        assert got[i][~keep[0, i]].sum() == 0.0
     assert np.allclose(got.sum(axis=-1), 1.0)
 
 
 def test_softmax_all_masked_row_raises():
-    x = np.zeros((2, 4))
-    keep = np.ones((2, 4), dtype=bool)
-    keep[1] = False
+    # masks are checked when built; one changed afterwards still cannot
+    # reach the softmax with a row that sees no key
+    mha, v = _one_hot_attention(2, 4)
+    mask = A.padding_mask([4], 2, 4)
+    mask.bits[0, 1] = False
+    x = np.zeros((1, 1, 4, 4))
     with pytest.raises(ContractError):
-        T.softmax_rows(T.Tensor(x), keep)
+        _attention_weights(mha, v, x[:, :, :2], x, mask, np.arange(2), np.arange(4))
 
 
 def test_softmax_uniform_row():
-    got = T.softmax_rows(T.Tensor(np.zeros((1, 5)))).data
-    assert np.allclose(got, 0.2)
+    mha, v = _one_hot_attention(1, 4)
+    got = _attention_weights(mha, v, np.zeros((1, 1, 1, 4)),
+                             RNG.normal(size=(1, 1, 4, 4)), None, [0], np.arange(4))
+    assert np.allclose(got, 0.25)
 
 
 def test_layer_norm_matches_oracle():
@@ -69,6 +99,22 @@ def test_layer_norm_matches_oracle():
     bias = RNG.normal(size=10)
     got = T.layer_norm(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data
     assert rel(got, naive_layer_norm(x, gain, bias)) <= 1e-10
+
+
+def test_layer_norm_4d_matches_oracle_and_gradients():
+    # the layout of the model's hidden slabs, (B, k, L, d); the gain and
+    # bias gradients sum over every row of it
+    x = T.Parameter("x", RNG.normal(size=(2, 3, 2, 5)) * 2 + 1)
+    gain = T.Parameter("gain", RNG.normal(size=5))
+    bias = T.Parameter("bias", RNG.normal(size=5))
+    got = T.layer_norm(x.tensor, gain.tensor, bias.tensor).data
+    assert rel(got, naive_layer_norm(x.data, gain.data, bias.data)) <= 1e-10
+    up = RNG.normal(size=(2, 3, 2, 5))
+
+    def loss_fn():
+        return T.tsum(T.mul(T.layer_norm(x.tensor, gain.tensor, bias.tensor), up))
+
+    assert max(T.gradient_check([x, gain, bias], loss_fn).values()) <= 1e-4
 
 
 def test_layer_norm_constant_vector_yields_bias():
@@ -80,46 +126,56 @@ def test_layer_norm_constant_vector_yields_bias():
 
 
 def test_rope_matches_oracle_and_shift_property():
-    x = RNG.normal(size=(2, 5, 8))
+    # keys from project_kv are rotated heads; with an identity weight they
+    # are the input rotated pair by pair in each head
+    mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=16, heads=2), RNG)
+    mha.wk.data = np.eye(16)
+    x = RNG.normal(size=(2, 1, 5, 16))
     pos = np.arange(5, dtype=float)
-    got = T.rope_rotate(T.Tensor(x), pos).data
-    assert rel(got, naive_rope(x, pos)) <= 1e-10
+    k, _ = mha.project_kv(T.Tensor(x), T.Tensor(x), pos)
+    for h in range(2):
+        want = naive_rope(x[..., h * 8:(h + 1) * 8], pos)
+        assert rel(k.data[:, :, h], want) <= 1e-10
     # relative-position property: dot(rope(q,m), rope(k,n)) depends on m-n only
-    q = RNG.normal(size=8)
-    k = RNG.normal(size=8)
+    q = T.Tensor(RNG.normal(size=(1, 1, 1, 16)))
+    kk = T.Tensor(RNG.normal(size=(1, 1, 1, 16)))
+
+    def dots(m, n):
+        a, _ = mha.project_kv(q, q, [m])
+        b, _ = mha.project_kv(kk, kk, [n])
+        return (a.data * b.data).sum(axis=-1)
+
     for shift in (1, 3, 11):
-        d1 = np.dot(T.rope_rotate(T.Tensor(q[None]), [4.0]).data[0],
-                    T.rope_rotate(T.Tensor(k[None]), [2.0]).data[0])
-        d2 = np.dot(T.rope_rotate(T.Tensor(q[None]), [4.0 + shift]).data[0],
-                    T.rope_rotate(T.Tensor(k[None]), [2.0 + shift]).data[0])
-        assert abs(d1 - d2) < 1e-9
+        assert np.max(np.abs(dots(4.0, 2.0) - dots(4.0 + shift, 2.0 + shift))) < 1e-9
 
 
-def test_rope_tables_built_once_rotate_bitwise_as_before():
-    # the cached cos/sin tables hold the same arithmetic as building them
-    # in each call: pos * base**(-2j/D), then cos and sin
+def test_rope_tables_built_once_rotate_as_real_formula():
+    # the cached phase tables hold cos + i sin of pos * base**(-2j/D); one
+    # complex multiply agrees with the real pair formula to rounding, and
+    # repeated calls, built once and then reused, agree bitwise
     x = RNG.normal(size=(2, 3, 5, 8))
-    g = RNG.normal(size=(2, 3, 5, 8))
     for pos, base in ((np.arange(5.0), 10000.0), (np.arange(5.0) + 7, 500.0)):
         ang = pos[:, None] * base ** (-2.0 * np.arange(4) / 8)
         cos, sin = np.cos(ang), np.sin(ang)
-
-        def rotate(arr, c, s):
-            out = np.empty_like(arr)
-            out[..., 0::2] = arr[..., 0::2] * c - arr[..., 1::2] * s
-            out[..., 1::2] = arr[..., 0::2] * s + arr[..., 1::2] * c
-            return out
-
-        for _ in range(2):   # built on the first call, reused on the second
-            xt = T.Tensor(x.copy())
-            y = T.rope_rotate(xt, list(pos), base)
-            assert y.data.tobytes() == rotate(x, cos, sin).tobytes()
-            assert y.vjp(g)[0].tobytes() == rotate(g, cos, -sin).tobytes()
+        want = np.empty_like(x)
+        want[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+        want[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+        phase = T.rope_phases(list(pos), 8, base)
+        assert T.rope_phases(pos, 8, base) is phase
+        assert not phase.flags.writeable
+        assert np.array_equal(phase, cos + 1j * sin)
+        first = T.rotate_pairs(x, phase)
+        assert np.max(np.abs(first - want)) <= 1e-15
+        assert T.rotate_pairs(x, T.rope_phases(pos, 8, base)).tobytes() == first.tobytes()
+        back = T.rotate_pairs(first, phase.conj())
+        assert np.max(np.abs(back - x)) <= 1e-15
+    assert T.rope_phases(np.arange(5.0), 8, 500.0) is not \
+        T.rope_phases(np.arange(5.0), 8, 10000.0)
 
 
 def test_rope_odd_width_rejected():
     with pytest.raises(DimensionError):
-        T.rope_rotate(T.Tensor(np.ones((2, 3))), [0.0, 1.0])
+        T.rope_phases([0.0, 1.0], 3)
 
 
 def test_gather_rows_forward_and_scatter_gradient():
@@ -148,7 +204,8 @@ def test_backward_composite_matches_finite_differences():
     def loss_fn():
         y = T.matmul(a.tensor, b.tensor)
         y = T.layer_norm(y, g.tensor, c.tensor)
-        y = T.softmax_rows(y)
+        y = T.exp(y)
+        y = T.div(y, T.tsum(y, axis=-1, keepdims=True))
         y = T.relu(T.sub(y, 0.1))
         return T.tsum(T.mul(y, y))
 
@@ -236,25 +293,49 @@ def test_exp_log_sqrt_grads():
 
 
 def test_rope_gradient_is_inverse_rotation():
-    x = T.Parameter("x", RNG.normal(size=(2, 3, 4)))
+    # rotation keeps norms, so the loss below reads only the rotated keys'
+    # lengths; its gradient must undo the rotation exactly
+    mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=4, heads=1), RNG)
+    x = T.Parameter("x", RNG.normal(size=(2, 1, 3, 4)))
+    up = RNG.normal(size=(2, 1, 1, 3, 4))
 
     def loss_fn():
-        y = T.rope_rotate(x.tensor, np.arange(3, dtype=float))
-        return T.tsum(T.mul(y, y))
+        k, _ = mha.project_kv(x.tensor, x.tensor, np.arange(3, dtype=float) + 5)
+        return T.tsum(T.mul(T.mul(k, k), 1.0 + up * up))
 
-    assert T.gradient_check([x], loss_fn)["x"] <= 1e-4
+    assert T.gradient_check([x, mha.wk], loss_fn)["x"] <= 1e-4
 
 
 def test_softmax_masked_gradient():
-    x = T.Parameter("x", RNG.normal(size=(3, 6)))
-    keep = RNG.random((3, 6)) > 0.3
-    keep[:, 2] = True
+    mha, v = _one_hot_attention(3, 6)
+    x = T.Parameter("x", RNG.normal(size=(1, 1, 6, 6)))
+    keep = RNG.random((1, 3, 6)) > 0.3
+    keep[:, :, 2] = True
+    mask = A.AttentionMask("padding", keep)
 
     def loss_fn():
-        y = T.softmax_rows(x.tensor, keep)
+        k, _ = mha.project_kv(x.tensor, v, np.arange(6.0))
+        y = mha.attend(T.index(x.tensor, (slice(None), slice(None), slice(0, 3))),
+                       k, v, mask, np.arange(3.0))
         return T.tsum(T.mul(y, np.arange(6.0)))
 
     assert T.gradient_check([x], loss_fn)["x"] <= 1e-4
+
+
+def test_where_routes_gradients():
+    a = T.Parameter("a", RNG.normal(size=(2, 3, 4)))
+    b = T.Parameter("b", RNG.normal(size=(2, 3, 4)))
+    cond = np.array([[True], [False], [True]])
+
+    def loss_fn():
+        y = T.where(cond, a.tensor, b.tensor)
+        return T.tsum(T.mul(y, y))
+
+    assert max(T.gradient_check([a, b], loss_fn).values()) <= 1e-4
+    T.zero_grads([a, b])
+    T.backward(loss_fn())
+    assert np.array_equal(a.grad[:, 1], np.zeros((2, 4)))
+    assert np.array_equal(b.grad[:, 0], np.zeros((2, 4)))
 
 
 def test_no_grad_suppresses_graph():
@@ -274,7 +355,7 @@ def test_forward_backward_deterministic_bitwise():
         rng = np.random.default_rng(123)
         a = T.Parameter("a", rng.normal(size=a_shape))
         b = T.Parameter("b", rng.normal(size=(6, 6)))
-        y = T.softmax_rows(T.matmul(a.tensor, b.tensor))
+        y = T.exp(T.mul(T.matmul(a.tensor, b.tensor), 0.1))
         loss = T.tsum(T.mul(y, y))
         T.backward(loss)
         return loss.data.copy(), a.grad.copy(), b.grad.copy()
@@ -350,15 +431,31 @@ def test_gradient_through_three_consumers():
 
 def test_parameter_gradients_own_their_memory():
     # add hands both operands its own gradient array; each parameter must
-    # still get a buffer of its own
+    # still get a buffer of its own, apart from the gradient add received
     p = T.Parameter("p", np.ones((2, 3)))
     q = T.Parameter("q", np.zeros((2, 3)))
     s = T.add(p.tensor, q.tensor)
+    received = []
+    add_vjp = s.vjp
+    s.vjp = lambda g: (received.append(g), add_vjp(g))[1]
     T.backward(T.tsum(T.mul(s, np.arange(6.0).reshape(2, 3))))
+    assert len(received) == 1
     assert not np.shares_memory(p.grad, q.grad)
-    assert not np.shares_memory(p.grad, s.grad)
+    assert not np.shares_memory(p.grad, received[0])
+    assert not np.shares_memory(q.grad, received[0])
     p.grad[0, 0] = 99.0
     assert q.grad[0, 0] == 0.0
+
+
+def test_backward_frees_interior_gradients():
+    # a node's gradient is dead once its vjp has run; parameters keep theirs
+    w = T.Parameter("w", RNG.normal(size=(3, 3)))
+    h = T.matmul(w.tensor, w.tensor)
+    r = T.relu(h)
+    loss = T.tsum(T.mul(r, r))
+    T.backward(loss)
+    assert loss.grad is None and h.grad is None and r.grad is None
+    assert w.grad is not None and w.grad.shape == (3, 3)
 
 
 def test_dropout_identity_at_zero_and_scaling():
