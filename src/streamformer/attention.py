@@ -18,8 +18,10 @@ for scores, mask, softmax, value mixing, head merge and output
 projection.  Training, teacher-forced evaluation and cached decoding all
 run these nodes.
 
-Inactive stream slots (batch padding) are attended like any other slot;
-their outputs are finite and the model's residual wrapper discards them.
+Queries, keys and masks come a row per real (sequence, stream).  Keys
+that exist once per sequence (EA, DA, CA: the aggregate's) reach their
+rows through one gather, whose vjp sums the rows' gradients back per
+sequence; a cached decode step gathers only its new position's.
 
 The softmax weights stay inside MultiHeadAttention.attend; every function
 here returns only its output.
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError
-from .streams import StreamBatch, aggregate
+from .streams import aggregate
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ class AttentionConfig:
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Binary keep-mask over (query, key) pairs, (B, Lq, Lk).
+    """Binary keep-mask over (query, key) pairs, (rows, Lq, Lk): one row
+    of bits per row of queries, or one that all the rows share.
 
     kind is "padding" or "look-ahead"; look-ahead masks are lower
     triangular intersected with key padding.  Construction rejects masks
@@ -93,9 +96,8 @@ def look_ahead_mask(key_lengths, L):
 
 
 class MultiHeadAttention:
-    """Projections + rotary scaled dot-product attention, batched over
-    leading (B, stream) axes.  Keys may carry a size-1 stream axis; they
-    then broadcast to every query stream, sharing one buffer."""
+    """Projections + rotary scaled dot-product attention, batched over any
+    leading axes; keys and values share the queries' leading axes."""
 
     def __init__(self, prefix, cfg: AttentionConfig, rng):
         d = cfg.d_model
@@ -110,10 +112,10 @@ class MultiHeadAttention:
         return [self.wq, self.wk, self.wv, self.wo]
 
     def _heads(self, x, w, positions=None):
-        """One node: x (B,k|1,L,d) @ w split into heads, (B,k|1,h,L,hd),
-        each head rotated by positions when they are given.
+        """One node: x (...,L,d) @ w split into heads, (...,h,L,hd), each
+        head rotated by positions when they are given.
 
-        The product is rotated while it is still (B,k,L,h,hd) and
+        The product is rotated while it is still (...,L,h,hd) and
         contiguous, as hd/2 complex pairs times the phase table; the head
         axis is then moved forward as a view.  The vjp undoes the
         rotation with the conjugate phases, and forms the weight gradient
@@ -132,7 +134,7 @@ class MultiHeadAttention:
                 pairs *= phase
 
             def vjp(g):
-                gy = g.transpose(0, 1, 3, 2, 4)
+                gy = g.swapaxes(-2, -3)
                 if phase is None:
                     gy = gy.reshape(-1, d)
                 else:
@@ -140,32 +142,33 @@ class MultiHeadAttention:
                 return (np.matmul(gy, wd.T).reshape(xd.shape),
                         np.matmul(xd.reshape(-1, d).T, gy))
 
-            return y.transpose(0, 1, 3, 2, 4), vjp
+            return y.swapaxes(-2, -3), vjp
 
         return T.fused(forward, x, w.tensor)
 
     def project_kv(self, k_in, v_in, k_positions):
         """Keys and values split into heads, keys rotated by k_positions.
 
-        k_in/v_in (B,k|1,Lk,d) give (B,k|1,h,Lk,hd) each: the form attend()
+        k_in/v_in (...,Lk,d) give (...,h,Lk,hd) each: the form attend()
         reads and a decode cache stores.
         """
         return (self._heads(k_in, self.wk, k_positions),
                 self._heads(v_in, self.wv))
 
     def attend(self, q_in, k, v, mask, q_positions):
-        """Attention of q_in (B,k,Lq,d) over heads k, v from project_kv;
-        returns the output, (B,k,Lq,d).
+        """Attention of q_in (...,Lq,d) over heads k, v from project_kv;
+        returns the output, (...,Lq,d).  The mask's rows go with the
+        entries of the first leading axis.
 
         One node after the query projection: scaled scores, mask, softmax,
         value mixing, head merge and output projection.  Its vjp takes the
         softmax backward in one pass, dS = P * (dP - rowsum(dP * P)) *
-        scale, and sums the key and value gradients of a size-1 stream
-        axis over the query streams.
+        scale.
         """
         q = self._heads(q_in, self.wq, q_positions)
         scale = 1.0 / np.sqrt(self.cfg.head_dim)
-        drop = None if mask is None else ~mask.bits[:, None, None]
+        drop = None if mask is None else ~mask.bits.reshape(
+            mask.bits.shape[:1] + (1,) * (q.ndim - 3) + mask.bits.shape[1:])
 
         def forward(qd, kd, vd, wo):
             p = np.matmul(qd, kd.swapaxes(-1, -2))
@@ -178,43 +181,36 @@ class MultiHeadAttention:
             p -= mx
             np.exp(p, out=p)
             p /= p.sum(axis=-1, keepdims=True)
-            ctx = np.matmul(p, vd)                           # (B,k,h,Lq,hd)
-            b, kk, h, Lq, hd = ctx.shape
-            merged = ctx.transpose(0, 1, 3, 2, 4).reshape(-1, h * hd)
-            out = np.matmul(merged.reshape(b, kk, Lq, h * hd), wo)
+            ctx = np.matmul(p, vd)                           # (...,h,Lq,hd)
+            lead, (h, Lq, hd) = ctx.shape[:-3], ctx.shape[-3:]
+            merged = ctx.swapaxes(-2, -3).reshape(-1, h * hd)
+            out = np.matmul(merged.reshape(lead + (Lq, h * hd)), wo)
 
             def vjp(g):
                 g2 = g.reshape(-1, wo.shape[1])
-                dctx = np.matmul(g2, wo.T).reshape(b, kk, Lq, h, hd)
-                dctx = dctx.transpose(0, 1, 3, 2, 4)
+                dctx = np.matmul(g2, wo.T).reshape(lead + (Lq, h, hd))
+                dctx = dctx.swapaxes(-2, -3)
                 dv = np.matmul(p.swapaxes(-1, -2), dctx)
                 ds = np.matmul(dctx, vd.swapaxes(-1, -2))
                 ds -= np.einsum("...j,...j->...", ds, p)[..., None]
                 ds *= p
                 ds *= scale
-                dk = np.matmul(ds.swapaxes(-1, -2), qd)
-                return (np.matmul(ds, kd), _stream_sum(dk, kd.shape),
-                        _stream_sum(dv, vd.shape), np.matmul(merged.T, g2))
+                return (np.matmul(ds, kd), np.matmul(ds.swapaxes(-1, -2), qd),
+                        dv, np.matmul(merged.T, g2))
 
             return out, vjp
 
         return T.fused(forward, q, k, v, self.wo.tensor)
 
 
-def _stream_sum(g, shape):
-    """A key or value gradient summed over the query streams when the
-    keys and values had one stream, broadcast to all of them."""
-    return g if g.shape == shape else g.sum(axis=1, keepdims=True)
-
-
 class KVCache:
     """Rotated keys and values of one self-attention sublayer, kept across
     decode steps.
 
-    k and v are (B, k|1, h, L, hd) arrays over the L positions fed so far.
-    A step appends its positions with extend(); select() re-indexes the
-    batch rows, as beam search does when it keeps some hypotheses and
-    drops others.
+    k and v are (rows, h, L, hd) arrays over the L positions fed so far,
+    a row per decoded stream.  A step appends its positions with
+    extend(); select() re-indexes the rows, as beam search does when it
+    keeps some hypotheses and drops others.
     """
 
     def __init__(self):
@@ -222,14 +218,14 @@ class KVCache:
 
     @property
     def length(self):
-        return 0 if self.k is None else self.k.shape[3]
+        return 0 if self.k is None else self.k.shape[-2]
 
     def extend(self, k, v):
         """Append the new positions' heads; returns the whole k and v."""
         k, v = k.data, v.data
         if self.k is not None:
-            k = np.concatenate([self.k, k], axis=3)
-            v = np.concatenate([self.v, v], axis=3)
+            k = np.concatenate([self.k, k], axis=-2)
+            v = np.concatenate([self.v, v], axis=-2)
         self.k, self.v = k, v
         return k, v
 
@@ -237,10 +233,13 @@ class KVCache:
         self.k, self.v = self.k[rows], self.v[rows]
 
 
-def _self_kv(mha, kv_in, positions, cache):
-    """Keys and values of a self-attention call; a cache appends them to
-    those of the earlier decode steps and returns all of them."""
+def _kv(mha, kv_in, positions, seq=None, cache=None):
+    """Keys and values of kv_in; given seq, kv_in has one entry per
+    sequence, gathered to row r from sequence seq[r].  A cache appends
+    them to the earlier decode steps' and returns all of them."""
     k, v = mha.project_kv(kv_in, kv_in, positions)
+    if seq is not None:
+        k, v = T.gather_rows(k, seq), T.gather_rows(v, seq)
     return (k, v) if cache is None else cache.extend(k, v)
 
 
@@ -259,50 +258,48 @@ def per_stream_attention(mha, H, mask, cache=None):
     the StreamBatch of raw attention outputs.
     """
     pos = _positions(H, cache)
-    k, v = _self_kv(mha, H.hidden, pos, cache)
+    k, v = _kv(mha, H.hidden, pos, cache=cache)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, pos))
 
 
 def aggregated_attention(mha, H, mask, cache=None):
     """Queries stay per-stream; keys and values are the fused aggregate.
 
-    The aggregate is computed once and broadcast, so every stream attends
-    over the identical key buffer.  It is position-wise, so a cached
-    decode step fuses only its new positions.
+    The aggregate is computed and projected once per sequence, so every
+    stream of a sequence attends over identical keys.  It is
+    position-wise, so a cached decode step fuses only its new positions.
     """
     pos = _positions(H, cache)
-    fused = aggregate(H)
-    kv = T.reshape(fused, (H.batch, 1, H.length, fused.shape[-1]))
-    k, v = _self_kv(mha, kv, pos, cache)
+    k, v = _kv(mha, aggregate(H), pos, H.rows.seq, cache)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, pos))
 
 
-def cross_kv(mha, H_enc, mode):
-    """Encoder keys and values for one cross-attention mode.
+def cross_kv(mha, H_enc, mode, seq):
+    """Encoder keys and values for one cross-attention mode, a row per
+    decoder row; decoder row r belongs to sequence seq[r].
 
-    "per" keeps encoder stream i for decoder stream i; "agg" fuses the
-    encoder streams into one sequence that every decoder stream reads.
+    "per" keeps encoder stream i for decoder stream i, so its rows are the
+    encoder's; "agg" fuses each sequence's encoder streams into one
+    sequence that all the sequence's decoder rows read.
     """
+    pos = np.arange(H_enc.length)
     if mode == "per":
-        kv = H_enc.hidden
-    elif mode == "agg":
-        fused = aggregate(H_enc)
-        kv = T.reshape(fused, (H_enc.batch, 1, H_enc.length, fused.shape[-1]))
-    else:
-        raise ContractError(f"unknown cross attention mode {mode!r}")
-    return mha.project_kv(kv, kv, np.arange(H_enc.length))
+        return _kv(mha, H_enc.hidden, pos)
+    if mode == "agg":
+        return _kv(mha, aggregate(H_enc), pos, seq)
+    raise ContractError(f"unknown cross attention mode {mode!r}")
 
 
 def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, start=0):
     """Decoder-to-encoder attention in one of two modes (see cross_kv).
 
     "per" needs aligned streams, which holds because the decoder reuses
-    the encoder's stream ids.  Decoding passes the cross_kv result it
-    computed once as kv, and the position of H_dec's first query as start.
+    the encoder's stream ids.  Decoding passes the keys and values it
+    holds for its rows as kv, and the position of its query as start.
     """
     if mode == "per" and (H_dec.k != H_enc.k
                           or (H_dec.stream_ids != H_enc.stream_ids).any()):
         raise ContractError("per-stream cross attention needs aligned streams")
-    k, v = cross_kv(mha, H_enc, mode) if kv is None else kv
+    k, v = cross_kv(mha, H_enc, mode, H_dec.rows.seq) if kv is None else kv
     return H_dec.with_hidden(
         mha.attend(H_dec.hidden, k, v, mask, start + np.arange(H_dec.length)))

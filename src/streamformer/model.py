@@ -16,9 +16,9 @@ Layer composition follows two toggled stacks:
 
 Each enabled sublayer is wrapped as norm(x + dropout(sub(x))); disabling a
 toggle removes the sublayer and its norm parameters entirely.  Every
-attention sublayer is four graph nodes (see attention.py).  A batch with
-inactive stream slots keeps them with one where node after each norm; a
-batch without (a single sequence, every decode step) adds none.
+attention sublayer is four graph nodes (see attention.py).  Every
+stream-wise piece runs on the stored rows, one per real (sequence,
+stream), so no work goes to stream slots a sequence lacks.
 
 Decoding runs on a DecodeState.  begin_decode encodes the source once and
 projects each layer's cross-attention keys and values once; every
@@ -46,7 +46,7 @@ from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         aggregated_attention, cross_attention, cross_kv,
                         look_ahead_mask, padding_mask, per_stream_attention)
 from .errors import ContractError, VocabularyError
-from .streams import (EOS_ID, SOS_ID, StreamBatch, Vocabulary,
+from .streams import (EOS_ID, SOS_ID, Rows, StreamBatch, Vocabulary,
                       pack_sequences, project, sequence_stream_ids)
 
 CROSS_MODES = ("per", "agg")
@@ -84,6 +84,8 @@ class ModelConfig:
             raise ContractError("dropout must lie in [0, 1)")
         if self.ffn_dim < 1:
             raise ContractError("ffn_dim must be positive")
+        if self.enc_layers < 1 or self.dec_layers < 1:
+            raise ContractError("encoder and decoder need a layer or more")
         AttentionConfig(self.d_model, self.heads, self.rope_base)  # validates
 
     @property
@@ -193,14 +195,9 @@ _EVAL = _TrainCtx()
 
 
 def _residual_norm(H, sub, norm, ctx):
-    """norm(x + dropout(sub(x))) for active streams; inactive slots pass
-    through untouched.  This is the one place they are masked, and a
-    batch with no inactive slot (every decode step, every single
-    sequence) adds no mask node."""
-    y = norm(T.add(H.hidden, T.dropout(sub, ctx.rate, ctx.rng)))
-    if H.active.all():
-        return H.with_hidden(y)
-    return H.with_hidden(T.where(H.active[:, :, None, None] > 0, y, H.hidden))
+    """norm(x + dropout(sub(x))) on every stored row."""
+    return H.with_hidden(norm(T.add(H.hidden,
+                                    T.dropout(sub, ctx.rate, ctx.rng))))
 
 
 class EncoderLayer:
@@ -289,12 +286,14 @@ class LayerCache:
 
     dp, da  KVCache of the masked self-attention sublayers (None if off)
     cross   cross-attention mode -> encoder keys and values, computed once
+    All three hold a row per decoded stream and re-index together.
     """
 
     def __init__(self, layer, enc):
         self.dp = KVCache() if layer.self_attn is not None else None
         self.da = KVCache() if layer.agg_attn is not None else None
-        self.cross = {mode: cross_kv(mha, enc, mode)
+        self.cross = {mode: tuple(x.data for x in cross_kv(mha, enc, mode,
+                                                          enc.rows.seq))
                       for mode, mha, _ in layer.cross}
 
     @property
@@ -306,6 +305,8 @@ class LayerCache:
         for kv in (self.dp, self.da):
             if kv is not None:
                 kv.select(rows)
+        self.cross = {mode: (k[rows], v[rows])
+                      for mode, (k, v) in self.cross.items()}
 
 
 class DecodeState:
@@ -336,7 +337,10 @@ class DecodeState:
         return self.layers[0].length
 
     def select(self, rows):
-        """Keep the given rows, in order; a row may be repeated."""
+        """Keep the given rows, in order; a row may be repeated.  Each
+        owns one cache row per stream of the source."""
+        k = len(self.enc.rows.seq)
+        rows = (np.asarray(rows)[:, None] * k + np.arange(k)).reshape(-1)
         for layer in self.layers:
             layer.select(rows)
 
@@ -444,7 +448,7 @@ class Seq2SeqModel:
     def encode(self, srcs, ctx=_EVAL):
         """Run the encoder stack over a batch of source id sequences."""
         H = self._embed(srcs)
-        mask = padding_mask(H.lengths, H.length, H.length)
+        mask = padding_mask(H.lengths[H.rows.seq], H.length, H.length)
         for layer in self.enc_layers:
             H = layer(H, mask, ctx)
         return H
@@ -459,8 +463,8 @@ class Seq2SeqModel:
         """
         H = self._embed(tgt_inputs, enc)
         if state is None:
-            m_la = look_ahead_mask(H.lengths, H.length)
-            m_pad = padding_mask(enc.lengths, H.length, enc.length)
+            m_la = look_ahead_mask(H.lengths[H.rows.seq], H.length)
+            m_pad = padding_mask(enc.lengths[H.rows.seq], H.length, enc.length)
             caches = [None] * len(self.dec_layers)
         else:
             if H.length != 1:
@@ -493,7 +497,7 @@ class Seq2SeqModel:
     def forward(self, src, tgt_input):
         """Single-sequence logits (Lt, columns)."""
         logits, _ = self.forward_batch([list(src)], [list(tgt_input)])
-        return T.index(logits, 0)
+        return T.reshape(logits, logits.shape[1:])
 
     def align_renamed_logits(self, logits, src, renamed_src, f):
         """Permute a renamed run's columns back into the base run's order.
@@ -697,19 +701,16 @@ class FlatVocabTransformer(Seq2SeqModel):
 
     def _embed(self, seqs, enc=None):
         B = len(seqs)
-        Lmax = max(len(s) for s in seqs)
-        ids = np.zeros((B, 1, Lmax), dtype=np.int64)
-        lengths = np.zeros(B, dtype=np.int64)
+        lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+        ids = np.zeros((B, lengths.max()), dtype=np.int64)
         for b, s in enumerate(seqs):
-            ids[b, 0, :len(s)] = s
-            lengths[b] = len(s)
-        hidden = T.gather_rows(self.embedding.tensor, ids)
-        return StreamBatch(hidden, np.zeros((B, 1, Lmax)), np.ones((B, 1)),
+            ids[b, :len(s)] = s
+        return StreamBatch(T.gather_rows(self.embedding.tensor, ids),
+                           np.zeros(ids.shape), Rows(np.ones(B)),
                            np.full((B, 1), -1, dtype=np.int64), lengths)
 
     def _project(self, H, W):
-        return T.index(T.matmul(H.hidden, T.transpose(W, (1, 0))),
-                       (slice(None), 0))
+        return T.matmul(H.hidden, T.transpose(W, (1, 0)))
 
     def _columns(self, enc):
         n = self.vocab.total_size

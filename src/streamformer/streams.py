@@ -16,13 +16,15 @@ interchangeable tokens still gets one synthetic stream (its occupancy is
 all zero and its stream id is recorded as -1) so that shapes never
 degenerate.
 
-All containers carry a leading batch axis; single sequences are batches of
-size one.  Sequences in a batch may differ in length and in stream count;
-the padding stream slots are marked inactive and contribute nothing.
+Sequences in a batch may differ in length and in stream count.  A
+StreamBatch stores one row per real (sequence, stream), a sequence's rows
+contiguous and in stream order, so no work goes to stream slots a
+sequence lacks; only positions are padded.  aggregate and project reduce
+each sequence's rows to values with a leading batch axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,37 +160,66 @@ def apply_renaming(renaming, seq):
     return out
 
 
+class Rows:
+    """Which sequence each stored row belongs to.
+
+    counts  (B,)  streams per sequence
+    seq     (N,)  sequence of each row, ascending
+    """
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if (self.counts < 1).any():
+            raise ContractError("every sequence needs at least one stream")
+        self.seq = np.repeat(np.arange(len(self.counts)), self.counts)
+        self._onehot = (np.arange(len(self.counts))[:, None]
+                        == self.seq[None, :]).astype(np.float64)
+
+    def sum(self, x):
+        """x (N, ...) summed over each sequence's rows, (B, ...): one GEMM
+        with a one-hot (sequences x rows) matrix."""
+        return np.matmul(self._onehot, x.reshape(len(self.seq), -1)).reshape(
+            (len(self.counts),) + x.shape[1:])
+
+
 @dataclass
 class StreamBatch:
-    """Hidden states of k parallel streams for a batch of sequences.
+    """Hidden states of the parallel streams of a batch of sequences.
 
-    hidden     (B, k, L, d) activations, one slab per stream
-    occupancy  (B, k, L)    1.0 where stream i's own token sits
-    active     (B, k)       1.0 for real streams, 0.0 for batch padding
-    stream_ids (B, k)       interchangeable id behind each stream, -1 if none
-    lengths    (B,)         valid positions per sequence (rest is padding)
+    hidden     (N, L, d) activations, one row per real (sequence, stream)
+    occupancy  (N, L)    1.0 where the row's own token sits
+    rows       Rows      the sequence of every row
+    stream_ids (B, k)    interchangeable id behind each stream slot, -1 if none
+    lengths    (B,)      valid positions per sequence (rest is padding)
+    k is the largest stream count; slots past a sequence's own have no row.
     """
 
     hidden: T.Tensor
     occupancy: np.ndarray
-    active: np.ndarray
+    rows: Rows
     stream_ids: np.ndarray
     lengths: np.ndarray
 
     @property
     def batch(self):
-        return self.hidden.shape[0]
+        return len(self.lengths)
 
     @property
     def k(self):
-        return self.hidden.shape[1]
+        return self.stream_ids.shape[1]
 
     @property
     def length(self):
-        return self.hidden.shape[2]
+        return self.hidden.shape[1]
+
+    @property
+    def active(self):
+        """(B, k) 1.0 for the stream slots that have a row, else 0.0."""
+        return (np.arange(self.k)
+                < self.rows.counts[:, None]).astype(np.float64)
 
     def with_hidden(self, hidden):
-        return StreamBatch(hidden, self.occupancy, self.active,
+        return StreamBatch(hidden, self.occupancy, self.rows,
                            self.stream_ids, self.lengths)
 
 
@@ -221,9 +252,8 @@ def stream_lookup_ids(seq, vocab, stream_ids):
 
 
 def pack_sequences(seqs, W, vocab, stream_id_lists=None):
-    """Embed a list of sequences into one padded StreamBatch.
+    """Embed a list of sequences into one StreamBatch, a row per stream.
 
-    Stream slots are sized to the batch maximum; missing slots are inactive.
     stream_id_lists pins each sequence's streams (the decoder reuses the
     encoder's); by default they come from the sequences themselves.
     """
@@ -236,67 +266,76 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
         stream_id_lists = [sequence_stream_ids(s, vocab) for s in seqs]
     if len(stream_id_lists) != len(seqs):
         raise ContractError("one stream id list per sequence required")
-    B = len(seqs)
-    kmax = max(1, max(len(s) for s in stream_id_lists))
-    Lmax = max(len(s) for s in seqs)
-    lookup = np.full((B, kmax, Lmax), PAD_ID, dtype=np.int64)
-    occupancy = np.zeros((B, kmax, Lmax))
-    active = np.zeros((B, kmax))
-    stream_ids = np.full((B, kmax), -1, dtype=np.int64)
-    lengths = np.zeros(B, dtype=np.int64)
+    rows = Rows([max(1, len(s)) for s in stream_id_lists])
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    lookup = np.full((len(rows.seq), lengths.max()), PAD_ID, dtype=np.int64)
+    occupancy = np.zeros(lookup.shape)
+    stream_ids = np.full((len(seqs), rows.counts.max()), -1, dtype=np.int64)
+    r = 0
     for b, (seq, sids) in enumerate(zip(seqs, stream_id_lists)):
         if len(seq) == 0:
             raise ContractError("cannot embed an empty sequence")
         lk, occ = stream_lookup_ids(seq, vocab, sids)
-        k, L = lk.shape
-        lookup[b, :k, :L] = lk
-        occupancy[b, :k, :L] = occ
-        active[b, :k] = 1.0
+        lookup[r:r + len(lk), :len(seq)] = lk
+        occupancy[r:r + len(lk), :len(seq)] = occ
         stream_ids[b, :len(sids)] = sids
-        lengths[b] = L
-    hidden = T.gather_rows(W, lookup)
-    return StreamBatch(hidden, occupancy, active, stream_ids, lengths)
+        r += len(lk)
+    return StreamBatch(T.gather_rows(W, lookup), occupancy, rows, stream_ids,
+                       lengths)
 
 
 def aggregate(H):
-    """Fuse the streams into one sequence (Algorithm: mean then restore).
+    """Fuse each sequence's streams into one sequence (mean then restore).
 
-    Position-wise mean over active streams, then positions occupied by a
-    stream's own token are replaced by that stream's hidden row, so each
-    symbol keeps its private view of itself while everything else is shared.
-    Returns a (B, L, d) tensor.
+    Position-wise mean over the sequence's rows, then positions occupied by
+    a stream's own token are replaced by that stream's hidden row, so each
+    symbol keeps its private view of itself while everything else is
+    shared.  Returns a (B, L, d) tensor: one node, a weighted sum of each
+    sequence's rows, whose vjp hands every row its weighted share.
     """
-    counts = H.active.sum(axis=1)
-    if (counts < 1).any():
-        raise ContractError("aggregate needs at least one active stream per sequence")
-    act = H.active[:, :, None, None]
-    mean = T.mul(T.tsum(T.mul(H.hidden, act), axis=1),
-                 (1.0 / counts)[:, None, None])
-    occ = H.occupancy[:, :, :, None]
-    restored = T.tsum(T.mul(H.hidden, occ), axis=1)
-    occ_any = H.occupancy.sum(axis=1)[:, :, None]
-    return T.add(T.mul(mean, 1.0 - occ_any), restored)
+    rows, occ = H.rows, H.occupancy
+    share = (1.0 - rows.sum(occ)) / rows.counts[:, None]
+    weight = (share[rows.seq] + occ)[:, :, None]          # (N, L, 1)
+
+    def forward(h):
+        return rows.sum(h * weight), lambda g: (g[rows.seq] * weight,)
+
+    return T.fused(forward, H.hidden)
 
 
 def project(H, W):
     """Asymmetric projection from streams to logits, (B, L, V_n + k).
 
     Each stream is scored against the embedding table.  Base columns are
-    the mean score over active streams; the column for stream i's symbol is
-    stream i's score against the actual row.  Stream slots that carry no
-    symbol (batch padding, the synthetic stream) get -inf so they can
-    never win.  Pure dot products; any normalization of the inputs happens
-    before this call.
+    the mean score over the sequence's streams, taken as the score of the
+    streams' mean; the column for stream i's symbol is stream i's score
+    against the actual row.  Columns that carry no symbol (stream slots a
+    sequence lacks, the synthetic stream) get -inf so they can never win.
+    Pure dot products, in one node; any normalization of the inputs
+    happens before this call.
     """
-    base_rows = W.shape[0] - 2
-    z = T.matmul(H.hidden, T.transpose(W, (1, 0)))      # (B, k, L, V_n + 2)
-    counts = H.active.sum(axis=1)
-    if (counts < 1).any():
-        raise ContractError("project needs at least one active stream per sequence")
-    act = H.active[:, :, None, None]
-    base = T.mul(T.tsum(T.mul(T.index(z, (..., slice(0, base_rows))), act), axis=1),
-                 (1.0 / counts)[:, None, None])          # (B, L, V_n)
-    own = T.transpose(T.index(z, (..., base_rows)), (0, 2, 1))  # (B, L, k)
-    live = (H.active > 0) & (H.stream_ids >= 0)
-    dead = np.where(live[:, None, :], 0.0, -np.inf)
-    return T.concat([base, T.add(own, dead)], axis=-1)
+    rows = H.rows
+    n = W.shape[0] - 2
+    inv = (1.0 / rows.counts)[:, None, None]
+    have = H.active > 0                                     # (B, k)
+
+    def forward(h, w):
+        mean = rows.sum(h) * inv                            # (B, L, d)
+        own = np.full((H.batch, H.k, h.shape[1]), -np.inf)
+        own[have] = np.matmul(h, w[n])
+        own[H.stream_ids < 0] = -np.inf
+        out = np.concatenate([np.matmul(mean, w[:n].T),
+                              own.transpose(0, 2, 1)], axis=-1)
+
+        def vjp(g):
+            g_base, g_own = g[..., :n], g[..., n:].transpose(0, 2, 1)[have]
+            dw = np.zeros_like(w)
+            dw[:n] = np.matmul(g_base.reshape(-1, n).T,
+                               mean.reshape(-1, w.shape[1]))
+            dw[n] = np.matmul(g_own.reshape(-1), h.reshape(-1, w.shape[1]))
+            return ((np.matmul(g_base, w[:n]) * inv)[rows.seq]
+                    + g_own[:, :, None] * w[n], dw)
+
+        return out, vjp
+
+    return T.fused(forward, H.hidden, W)

@@ -262,7 +262,8 @@ def relu(a):
 
 
 def gather_rows(table, ids):
-    """Row lookup table[ids]; gradient scatter-adds into the table."""
+    """Row lookup table[ids]; the gradient is one GEMM of a one-hot
+    (table rows x ids) matrix with the gradient's rows."""
     td = _data(table)
     idx = np.asarray(ids)
     if idx.size and (idx.min() < 0 or idx.max() >= td.shape[0]):
@@ -270,9 +271,10 @@ def gather_rows(table, ids):
     out = td[idx]
 
     def back(g):
-        buf = np.zeros_like(td)
-        np.add.at(buf, idx.reshape(-1), g.reshape(-1, td.shape[-1]))
-        return buf
+        flat = idx.reshape(-1)
+        onehot = np.arange(td.shape[0])[:, None] == flat[None, :]
+        return np.matmul(onehot.astype(np.float64),
+                         g.reshape(flat.size, -1)).reshape(td.shape)
 
     return _node(out, (table,), (back,))
 
@@ -299,43 +301,6 @@ def take_along_last(a, idx):
         return buf
 
     return _node(out, (a,), (back,))
-
-
-def index(a, key):
-    """Basic slicing; gradient pastes into a zero buffer."""
-    ad = _data(a)
-    out = ad[key]
-
-    def back(g):
-        buf = np.zeros_like(ad)
-        buf[key] = g
-        return buf
-
-    return _node(out, (a,), (back,))
-
-
-def concat(parts, axis):
-    datas = [_data(p) for p in parts]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_back(i):
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(offsets[i], offsets[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return _node(out, tuple(parts), tuple(make_back(i) for i in range(len(parts))))
-
-
-def where(cond, a, b):
-    """a where the constant boolean cond holds, b elsewhere (broadcasting)."""
-    c = np.asarray(cond, dtype=bool)
-    ad, bd = _data(a), _data(b)
-    return _node(np.where(c, ad, bd), (a, b),
-                 (lambda g: _unbroadcast(np.where(c, g, 0.0), ad.shape),
-                  lambda g: _unbroadcast(np.where(c, 0.0, g), bd.shape)))
 
 
 def _rowdot(a, b):

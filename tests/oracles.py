@@ -13,6 +13,8 @@ import numpy as np
 
 from streamformer import tensor as T
 
+from helpers import concat, index
+
 
 def naive_matmul(a, b):
     """Triple-loop matrix product for 2-D inputs."""
@@ -103,12 +105,12 @@ def composed_heads(x, w, heads, positions=None, base=10000.0):
         ang = (np.asarray(positions, float)[:, None]
                * base ** (-2.0 * np.arange(hd // 2) / hd))
         cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        ev = T.index(y, (Ellipsis, slice(0, None, 2)))
-        od = T.index(y, (Ellipsis, slice(1, None, 2)))
+        ev = index(y, (Ellipsis, slice(0, None, 2)))
+        od = index(y, (Ellipsis, slice(1, None, 2)))
         re = T.sub(T.mul(ev, cos), T.mul(od, sin))
         im = T.add(T.mul(ev, sin), T.mul(od, cos))
         pair = (b, k, L, heads, hd // 2, 1)
-        y = T.reshape(T.concat([T.reshape(re, pair), T.reshape(im, pair)],
+        y = T.reshape(concat([T.reshape(re, pair), T.reshape(im, pair)],
                                axis=-1), (b, k, L, heads, hd))
     return T.transpose(y, (0, 1, 3, 2, 4))
 

@@ -22,7 +22,7 @@ from streamformer.model import (DecoderLayer, EncoderLayer,
 from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
-from helpers import permuted
+from helpers import dense, permuted, rows_batch
 from oracles import truth_table_check, unrolled_ltl_eval
 
 
@@ -250,16 +250,15 @@ def test_criterion_6_stream_permutation_equivariance():
             occ = (owner[None, None, :] ==
                    np.arange(k)[None, :, None]).astype(float)
             sids = np.arange(base, base + k)[None, :]
-            return S.StreamBatch(T.Tensor(h), occ, np.ones((1, k)), sids,
-                                 np.full(1, length, dtype=np.int64))
+            return rows_batch(h, occ, np.ones((1, k)), sids,
+                              np.full(1, length, dtype=np.int64))
 
         H = rand_H(Lq)
         mask = A.padding_mask(H.lengths, Lq, Lq)
 
         out = A.per_stream_attention(mha, H, mask)
         out_p = A.per_stream_attention(mha, permuted(H, perm), mask)
-        assert out.hidden.data[:, perm].tobytes() == \
-            out_p.hidden.data.tobytes()
+        assert dense(out)[:, perm].tobytes() == dense(out_p).tobytes()
 
         fused = S.aggregate(H).data
         fused_p = S.aggregate(permuted(H, perm)).data
@@ -275,12 +274,12 @@ def test_criterion_6_stream_permutation_equivariance():
         out = A.aggregated_attention(mha, H, mask)
         out_p = A.aggregated_attention(mha, permuted(H, perm), mask)
         worst_agg = max(worst_agg, float(np.max(np.abs(
-            out.hidden.data[:, perm] - out_p.hidden.data))))
+            dense(out)[:, perm] - dense(out_p)))))
 
         out = enc_layer(H, mask)
         out_p = enc_layer(permuted(H, perm), mask)
         worst_agg = max(worst_agg, float(np.max(np.abs(
-            out.hidden.data[:, perm] - out_p.hidden.data))))
+            dense(out)[:, perm] - dense(out_p)))))
 
         He = rand_H(Lq + 2)
         m_la = A.look_ahead_mask(H.lengths, Lq)
@@ -289,7 +288,7 @@ def test_criterion_6_stream_permutation_equivariance():
         out_p = dec_layer(permuted(H, perm), permuted(He, perm), m_la,
                           m_pad)
         worst_agg = max(worst_agg, float(np.max(np.abs(
-            out.hidden.data[:, perm] - out_p.hidden.data))))
+            dense(out)[:, perm] - dense(out_p)))))
     ok = worst_agg <= 1e-9
     _report(6, "stream permutation equivariance: per-stream bitwise, "
             "aggregated paths within 1e-9, 200 trials", ok,

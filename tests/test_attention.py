@@ -7,7 +7,7 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import attention, permuted
+from helpers import attention, dense, permuted, rows_batch, shared_by_streams
 from oracles import composed_attend, composed_heads, naive_attention
 
 RNG = np.random.default_rng(23)
@@ -21,8 +21,7 @@ def make_H(B=1, k=3, L=5, d=8, active=None, seed=0):
         occ[:, i, i] = 1.0
     act = np.ones((B, k)) if active is None else np.asarray(active, float)
     sids = np.tile(np.arange(3, 3 + k), (B, 1))
-    return S.StreamBatch(T.Tensor(h), occ, act, sids,
-                         np.full(B, L, dtype=np.int64))
+    return rows_batch(h, occ, act, sids, np.full(B, L, dtype=np.int64))
 
 
 def test_attention_config_validation():
@@ -88,7 +87,7 @@ def test_masked_weights_are_zero_and_rows_sum_to_one():
     # values equal at every key pass through the weighting unscaled
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
-    x = make_H(B=2, k=2, L=6).hidden
+    x = T.Tensor(dense(make_H(B=2, k=2, L=6)))
     pos = np.arange(6)
     mask = A.look_ahead_mask([6, 4], 6)
     out = attention(mha, x, x, x, mask, pos, pos).data
@@ -112,11 +111,10 @@ def test_per_stream_attention_k1_equals_plain_and_batches_agree():
     H = make_H(B=1, k=3, L=5)
     out = A.per_stream_attention(mha, H, None)
     for i in range(3):
-        solo = S.StreamBatch(T.Tensor(H.hidden.data[:, i:i + 1]),
-                             H.occupancy[:, i:i + 1], np.ones((1, 1)),
-                             H.stream_ids[:, i:i + 1], H.lengths)
+        solo = rows_batch(dense(H)[:, i:i + 1], dense(H, H.occupancy)[:, i:i + 1],
+                          np.ones((1, 1)), H.stream_ids[:, i:i + 1], H.lengths)
         alone = A.per_stream_attention(mha, solo, None)
-        assert np.max(np.abs(alone.hidden.data[0, 0] - out.hidden.data[0, i])) == 0.0
+        assert np.max(np.abs(dense(alone)[0, 0] - dense(out)[0, i])) == 0.0
 
 
 def test_per_stream_attention_is_permutation_equivariant_bitwise():
@@ -126,31 +124,35 @@ def test_per_stream_attention_is_permutation_equivariant_bitwise():
     out = A.per_stream_attention(mha, H, None)
     perm = [3, 1, 0, 2]
     out_p = A.per_stream_attention(mha, permuted(H, perm), None)
-    assert out.hidden.data[:, perm].tobytes() == out_p.hidden.data.tobytes()
+    assert dense(out)[:, perm].tobytes() == dense(out_p).tobytes()
 
 
 def test_duplicated_stream_gets_identical_output():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=5, seed=4)
-    H.hidden.data[0, 1] = H.hidden.data[0, 0]
-    out = A.per_stream_attention(mha, H, None)
-    assert np.max(np.abs(out.hidden.data[0, 0] - out.hidden.data[0, 1])) <= 1e-12
-    out_a = A.aggregated_attention(mha, H, None)
-    assert np.max(np.abs(out_a.hidden.data[0, 0] - out_a.hidden.data[0, 1])) <= 1e-12
+    H.hidden.data[1] = H.hidden.data[0]
+    out = dense(A.per_stream_attention(mha, H, None))
+    assert np.max(np.abs(out[0, 0] - out[0, 1])) <= 1e-12
+    out_a = dense(A.aggregated_attention(mha, H, None))
+    assert np.max(np.abs(out_a[0, 0] - out_a[0, 1])) <= 1e-12
 
 
 def test_aggregated_attention_uses_shared_key_buffer():
-    # the fused keys enter with a size-1 stream axis: one buffer, broadcast
-    # to every query stream, so key identity across streams is structural
+    # the fused keys are one buffer per sequence; broadcast to every query
+    # stream with a size-1 stream axis they give the same bytes as the
+    # gathered copies the layer attends over, so key identity across
+    # streams is structural
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
     out = A.aggregated_attention(mha, H, None)
     fused = S.aggregate(H)
     kv = T.reshape(fused, (1, 1, 5, 8))
-    out2 = attention(mha, H.hidden, kv, kv, None, np.arange(5), np.arange(5))
-    assert out.hidden.data.tobytes() == out2.data.tobytes()
+    with T.no_grad():
+        k, v = mha.project_kv(kv, kv, np.arange(5))
+        out2 = mha.attend(T.Tensor(dense(H)), k, v, None, np.arange(5))
+    assert dense(out).tobytes() == out2.data.tobytes()
 
 
 def test_aggregated_attention_permutation_within_1e9():
@@ -160,7 +162,7 @@ def test_aggregated_attention_permutation_within_1e9():
     out = A.aggregated_attention(mha, H, None)
     perm = [2, 3, 1, 0]
     out_p = A.aggregated_attention(mha, permuted(H, perm), None)
-    assert np.max(np.abs(out.hidden.data[:, perm] - out_p.hidden.data)) <= 1e-9
+    assert np.max(np.abs(dense(out)[:, perm] - dense(out_p))) <= 1e-9
 
 
 def test_cross_attention_per_requires_alignment():
@@ -173,7 +175,7 @@ def test_cross_attention_per_requires_alignment():
     with pytest.raises(ContractError):
         A.cross_attention(mha, Hd, He, "sideways", None)
     out = A.cross_attention(mha, Hd, He, "agg", None)
-    assert out.hidden.shape == (1, 2, 4, 8)
+    assert dense(out).shape == (1, 2, 4, 8)
 
 
 def test_cross_attention_per_stream_pairs_streams():
@@ -183,14 +185,12 @@ def test_cross_attention_per_stream_pairs_streams():
     He = make_H(B=1, k=3, L=6, seed=6)
     out = A.cross_attention(mha, Hd, He, "per", None)
     for i in range(3):
-        qd = S.StreamBatch(T.Tensor(Hd.hidden.data[:, i:i + 1]),
-                           Hd.occupancy[:, i:i + 1], np.ones((1, 1)),
-                           Hd.stream_ids[:, i:i + 1], Hd.lengths)
-        ke = S.StreamBatch(T.Tensor(He.hidden.data[:, i:i + 1]),
-                           He.occupancy[:, i:i + 1], np.ones((1, 1)),
-                           He.stream_ids[:, i:i + 1], He.lengths)
+        qd = rows_batch(dense(Hd)[:, i:i + 1], dense(Hd, Hd.occupancy)[:, i:i + 1],
+                        np.ones((1, 1)), Hd.stream_ids[:, i:i + 1], Hd.lengths)
+        ke = rows_batch(dense(He)[:, i:i + 1], dense(He, He.occupancy)[:, i:i + 1],
+                        np.ones((1, 1)), He.stream_ids[:, i:i + 1], He.lengths)
         alone = A.cross_attention(mha, qd, ke, "per", None)
-        assert np.array_equal(alone.hidden.data[0, 0], out.hidden.data[0, i])
+        assert np.array_equal(dense(alone)[0, 0], dense(out)[0, i])
 
 
 def test_causal_mask_blocks_future_bitwise():
@@ -200,10 +200,10 @@ def test_causal_mask_blocks_future_bitwise():
     mask = A.look_ahead_mask([6], 6)
     out = A.per_stream_attention(mha, H, mask)
     bumped = H.hidden.data.copy()
-    bumped[:, :, 4] += 10.0  # perturb position 4
+    bumped[:, 4] += 10.0  # perturb position 4
     H2 = H.with_hidden(T.Tensor(bumped))
     out2 = A.per_stream_attention(mha, H2, mask)
-    assert out.hidden.data[:, :, :4].tobytes() == out2.hidden.data[:, :, :4].tobytes()
+    assert dense(out)[:, :, :4].tobytes() == dense(out2)[:, :, :4].tobytes()
 
 
 def test_rope_shift_moves_into_scores():
@@ -263,6 +263,9 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
 
     def fused():
         k, v = mha.project_kv(xk.tensor, xv.tensor, k_pos)
+        if kv_shape[1] < q_shape[1]:
+            k = shared_by_streams(k, q_shape[1])
+            v = shared_by_streams(v, q_shape[1])
         return mha.attend(xq.tensor, k, v, mask, q_pos)
 
     def composed():
@@ -359,7 +362,8 @@ def test_attention_sublayer_is_four_graph_nodes():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=3, L=5)
-    out = A.per_stream_attention(mha, H, A.look_ahead_mask([5, 4], 5)).hidden
+    mask = A.look_ahead_mask(np.repeat([5, 4], 3), 5)
+    out = A.per_stream_attention(mha, H, mask).hidden
     inputs = {id(H.hidden)} | {id(p.tensor) for p in mha.parameters()}
     nodes, todo = set(), [out]
     while todo:
@@ -377,9 +381,9 @@ def test_fused_attention_forward_backward_deterministic_bitwise():
         rng = np.random.default_rng(44)
         mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=8, heads=2), rng)
         x = T.Parameter("x", rng.normal(size=(2, 3, 5, 8)))
-        H = S.StreamBatch(x.tensor, np.zeros((2, 3, 5)), np.ones((2, 3)),
-                          np.tile(np.arange(3, 6), (2, 1)), np.full(2, 5))
-        mask = A.look_ahead_mask([5, 3], 5)
+        H = rows_batch(x.tensor, np.zeros((2, 3, 5)), np.ones((2, 3)),
+                       np.tile(np.arange(3, 6), (2, 1)), np.full(2, 5))
+        mask = A.look_ahead_mask(np.repeat([5, 3], 3), 5)
         a = A.per_stream_attention(mha, H, mask)
         b = A.aggregated_attention(mha, a, mask)
         loss = T.tsum(T.mul(b.hidden, b.hidden))

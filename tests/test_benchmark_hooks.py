@@ -37,16 +37,26 @@ def test_spans_reach_every_layer_and_uninstall_cleanly():
                                      cross_modes=("per", "agg")),
                          task_vocabulary("prop", 3), seed=0)
     src = model.vocab.encode("&a|bc")
+    # a batch that mixes 1 and 3 streams: its pack spans count the real
+    # (sequence, stream, position) cells and the dense grid's cells
+    mixed = [model.vocab.encode("!a"), src]
     tracer = spans.Tracer()
     spans.install(tracer, sf)
     wrapped = list(tracer._undo)
     try:
         model.forward_batch([src], [[1] + src])
         decode_greedy(model, src, max_len=3)
+        first = len(tracer.spans)
+        model.forward_batch(mixed, [[1] + s for s in mixed])
     finally:
         tracer.uninstall()
     seen = {span[0] for span in tracer.spans}
     assert LAYERS <= seen, sorted(LAYERS - seen)
+    packs = [span[6] for span in tracer.spans[first:]
+             if span[0] == "streams.pack"]
+    lengths = [(2, 5), (3, 6)]     # sources, then decoder inputs
+    assert packs == [{"real": 1.0 * a + 3.0 * b, "padded": 2.0 * 3 * b}
+                     for a, b in lengths]
     for owner, attr, orig in wrapped:
         assert getattr(owner, attr) is orig, attr
     count = len(tracer.spans)

@@ -176,9 +176,10 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
 
 @pytest.mark.parametrize("text", [
     b"d_model=\xff\n", b"d_model=abc\n", b"dropout=x\n", b"cross_modes=1\n",
-    b"batch_size=2.5\n", b"heads=0\n", b"ffn_dim=0\n",
+    b"batch_size=2.5\n", b"heads=0\n", b"ffn_dim=0\n", b"enc_layers=-2\n",
+    b"dec_layers=0\n",
 ], ids=["not-utf8", "int-field", "float-field", "modes-field", "int-not-float",
-        "no-heads", "no-ffn"])
+        "no-heads", "no-ffn", "negative-enc-layers", "no-dec-layers"])
 def test_malformed_config_exits_2(workdir, capsys, text):
     (workdir / "bad.cfg").write_bytes(text)
     fails_with_one_line(capsys, "--config", "bad.cfg", "certify",

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import streamformer.tensor as T
-from streamformer.attention import look_ahead_mask, padding_mask, per_stream_attention, aggregated_attention
+from streamformer.attention import (aggregated_attention, padding_mask,
+                                    per_stream_attention)
 from streamformer.errors import ContractError
+from streamformer.logic import task_vocabulary
 from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer,
                                 ModelConfig, Seq2SeqModel, check_invariance,
                                 decode_beam, decode_greedy, load_model,
                                 save_model, score_sequence)
 from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
+from streamformer.training import sequence_loss
 
 VOCAB = Vocabulary(RESERVED + ("&", "!"), ("a", "b", "c"))
 AMP, BANG = 3, 4
@@ -61,6 +64,10 @@ def test_config_validation():
         ModelConfig.from_code("EP-DP-XX-CP")
     with pytest.raises(ContractError):
         ModelConfig(dropout=1.0)
+    with pytest.raises(ContractError):
+        ModelConfig(enc_layers=0)
+    with pytest.raises(ContractError):
+        ModelConfig(dec_layers=-1)
 
 
 def test_config_dict_round_trip():
@@ -117,15 +124,13 @@ def test_encoder_layer_wiring_matches_manual_composition():
     layer = EncoderLayer(cfg, "enc.0", rng)
     m = small_model()
     H = pack_sequences([[A, AMP, B], [B, BANG, B, A]], m.embedding.tensor, VOCAB)
-    mask = padding_mask(H.lengths, H.length, H.length)
+    mask = padding_mask(H.lengths[H.rows.seq], H.length, H.length)
 
     out = layer(H, mask)
 
     def wrap(Hc, sub, norm):
-        y = T.layer_norm(T.add(Hc.hidden, sub), norm.gain.tensor,
-                         norm.bias.tensor, norm.eps)
-        act = Hc.active[:, :, None, None]
-        return Hc.with_hidden(T.add(T.mul(y, act), T.mul(Hc.hidden, 1.0 - act)))
+        return Hc.with_hidden(T.layer_norm(T.add(Hc.hidden, sub), norm.gain.tensor,
+                                           norm.bias.tensor, norm.eps))
 
     Hm = H
     s = per_stream_attention(layer.self_attn, Hm, mask)
@@ -134,49 +139,6 @@ def test_encoder_layer_wiring_matches_manual_composition():
     Hm = wrap(Hm, s.hidden, layer.agg_norm)
     Hm = wrap(Hm, layer.ffn(Hm.hidden), layer.ffn_norm)
     assert out.hidden.data.tobytes() == Hm.hidden.data.tobytes()
-
-
-def test_residual_norm_masks_only_batches_with_inactive_slots():
-    # all slots active: the sublayer ends in the norm itself; otherwise one
-    # where node picks the norm for active slots and the input elsewhere
-    m = small_model()
-    layer = m.enc_layers[0]
-    norm = layer.ffn_norm
-    for srcs in ([[A, AMP, B]], [[A, B, AMP], [AMP, BANG, AMP]]):
-        H = m._embed(srcs)
-        out = layer(H, padding_mask(H.lengths, H.length, H.length)).hidden
-        if H.active.all():
-            assert out.parents[1:] == (norm.gain.tensor, norm.bias.tensor)
-        else:
-            y, x = out.parents
-            assert y.parents[1:] == (norm.gain.tensor, norm.bias.tensor)
-            assert x.data[H.active == 0].tobytes() == \
-                out.data[H.active == 0].tobytes()
-
-
-def test_inactive_stream_slot_passes_through_encoder():
-    m = small_model()
-    # second sequence has fewer streams; its padding slot must ride along
-    H = m.encode([[A, B, AMP], [AMP, BANG, AMP]])
-    raw = pack_sequences([[A, B, AMP], [AMP, BANG, AMP]],
-                         m.embedding.tensor, VOCAB)
-    assert H.active[1, 1] == 0.0
-    assert H.hidden.data[1, 1].tobytes() == raw.hidden.data[1, 1].tobytes()
-
-
-def test_inactive_stream_slot_passes_through_decoder_layer():
-    # every decoder sublayer (DP, DA, CP, CA, FFN) leaves a padding slot's
-    # hidden rows bitwise as they came in, and active slots change
-    m = small_model(cross_modes=("per", "agg"))
-    srcs = [[A, B, AMP], [AMP, BANG, AMP]]
-    enc = m.encode(srcs)
-    H = m._embed([[SOS_ID, A, B], [SOS_ID, BANG]], enc)
-    assert H.active[1, 1] == 0.0
-    m_la = look_ahead_mask(H.lengths, H.length)
-    m_pad = padding_mask(enc.lengths, H.length, enc.length)
-    out = m.dec_layers[0](H, enc, m_la, m_pad)
-    assert out.hidden.data[1, 1].tobytes() == H.hidden.data[1, 1].tobytes()
-    assert not np.array_equal(out.hidden.data[0, 1], H.hidden.data[0, 1])
 
 
 def test_decoder_is_causal_end_to_end():
@@ -197,6 +159,47 @@ def test_batch_padding_does_not_change_logits():
     batched, _ = m.forward_batch([src, [B, BANG, C, C, A, AMP]],
                                  [tgt, [SOS_ID, C, C, A, B]])
     finite_close(solo, batched.data[0, :3, :solo.shape[1]], 1e-12)
+
+
+def _summed_loss(m, batch):
+    """Logits and the summed token cross-entropy of a teacher-forced batch."""
+    logits, _ = m.forward_batch([s for s, _ in batch],
+                                [[SOS_ID] + t for _, t in batch])
+    cols = np.zeros(logits.shape[:2], dtype=np.int64)
+    mask = np.zeros(logits.shape[:2])
+    for b, (src, tgt) in enumerate(batch):
+        c = m.label_columns(src, tgt + [EOS_ID])
+        cols[b, :len(c)] = c
+        mask[b, :len(c)] = 1.0
+    return logits.data, T.mul(sequence_loss(logits, cols, mask, 4.0), mask.sum())
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_batch_matches_its_sequences_one_at_a_time(cls):
+    # 1-, 2-, 3- and 4-stream sources beside one with no symbols, whose one
+    # stream is synthetic: batching must not couple the sequences
+    vocab = task_vocabulary("prop", 4)
+    texts = [("&a|b!a", "a1b0"), ("a", "a1"), ("&1!0", "1"),
+             ("&|ab^cd", "a1b0c1d1"), ("&a|bc", "b1")]
+    batch = [(vocab.encode(s), vocab.encode(t)) for s, t in texts]
+    m = cls(ModelConfig(cross_modes=("per", "agg"), **TINY), vocab, seed=5)
+    params = m.parameters()
+    T.zero_grads(params)
+    logits, loss = _summed_loss(m, batch)
+    T.backward(loss)
+    grads = {p.name: p.grad.copy() for p in params}
+    summed = {p.name: np.zeros_like(p.data) for p in params}
+    for b, (src, tgt) in enumerate(batch):
+        T.zero_grads(params)
+        solo, loss = _summed_loss(m, [(src, tgt)])
+        T.backward(loss)
+        for p in params:
+            summed[p.name] += p.grad
+        rows, cols = solo.shape[1:]
+        finite_close(logits[b, :rows, :cols], solo[0], 1e-12)
+        assert np.isneginf(logits[b, :rows, cols:]).all()
+    for p in params:
+        assert np.max(np.abs(grads[p.name] - summed[p.name])) <= 1e-12, p.name
 
 
 def test_disabling_sublayer_changes_output():

@@ -6,7 +6,7 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, VocabularyError
 
-from helpers import permuted
+from helpers import dense, permuted, rows_batch
 
 RNG = np.random.default_rng(11)
 
@@ -54,7 +54,7 @@ def test_embed_streams_synthetic_single_stream():
     assert H.k == 1
     assert H.occupancy.sum() == 0.0
     assert H.stream_ids.tolist() == [[-1]]
-    assert np.array_equal(H.hidden.data[0, 0], W.data[[0, 1, 2]])
+    assert np.array_equal(dense(H)[0, 0], W.data[[0, 1, 2]])
 
 
 def test_embed_streams_rows():
@@ -62,10 +62,10 @@ def test_embed_streams_rows():
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
     H = S.pack_sequences([[1, 3, 5, 3]], W, v)
     assert H.k == 2 and H.stream_ids.tolist() == [[3, 5]]
-    got = H.hidden.data[0]
+    got = dense(H)[0]
     assert np.array_equal(got[0], W.data[[1, 3, 4, 3]])   # stream of id 3
     assert np.array_equal(got[1], W.data[[1, 4, 3, 4]])   # stream of id 5
-    assert H.occupancy[0].tolist() == [[0, 1, 0, 1], [0, 0, 1, 0]]
+    assert dense(H, H.occupancy)[0].tolist() == [[0, 1, 0, 1], [0, 0, 1, 0]]
 
 
 def test_embed_rejects_empty_and_bad_ids():
@@ -90,8 +90,9 @@ def test_embedding_permutation_equivariance_exact():
     # stream for id t in H matches stream for f(t) in Hf
     for i, sid in enumerate(H.stream_ids[0]):
         j = list(Hf.stream_ids[0]).index(f[int(sid)])
-        assert H.hidden.data[0, i].tobytes() == Hf.hidden.data[0, j].tobytes()
-        assert np.array_equal(H.occupancy[0, i], Hf.occupancy[0, j])
+        assert dense(H)[0, i].tobytes() == dense(Hf)[0, j].tobytes()
+        assert np.array_equal(dense(H, H.occupancy)[0, i],
+                              dense(Hf, Hf.occupancy)[0, j])
 
 
 def test_aggregate_single_stream_is_identity():
@@ -100,7 +101,7 @@ def test_aggregate_single_stream_is_identity():
     H = S.pack_sequences([[0, 3, 1]], W, v)
     assert H.k == 1
     out = S.aggregate(H)
-    assert out.data.tobytes() == H.hidden.data[:, 0].tobytes()
+    assert out.data.tobytes() == dense(H)[:, 0].tobytes()
 
 
 def test_aggregate_mean_and_restore():
@@ -108,8 +109,7 @@ def test_aggregate_mean_and_restore():
     occ = np.zeros((1, 2, 3))
     occ[0, 0, 1] = 1.0  # stream 0 owns position 1
     occ[0, 1, 2] = 1.0  # stream 1 owns position 2
-    H = S.StreamBatch(T.Tensor(h), occ, np.ones((1, 2)),
-                      np.array([[3, 4]]), np.array([3]))
+    H = rows_batch(h, occ, np.ones((1, 2)), np.array([[3, 4]]), np.array([3]))
     out = S.aggregate(H).data[0]
     assert np.allclose(out[0], h[0, :, 0].mean(axis=0))
     assert np.array_equal(out[1], h[0, 0, 1])
@@ -121,8 +121,8 @@ def test_aggregate_permutation_reorders_only_summation():
     occ = np.zeros((1, 4, 5))
     for i in range(4):
         occ[0, i, i] = 1.0
-    H = S.StreamBatch(T.Tensor(h), occ, np.ones((1, 4)),
-                      np.array([[3, 4, 5, 6]]), np.array([5]))
+    H = rows_batch(h, occ, np.ones((1, 4)), np.array([[3, 4, 5, 6]]),
+                   np.array([5]))
     base = S.aggregate(H).data
     perm = [2, 0, 3, 1]
     again = S.aggregate(permuted(H, perm)).data
@@ -130,18 +130,17 @@ def test_aggregate_permutation_reorders_only_summation():
 
 
 def test_aggregate_requires_active_stream():
-    H = S.StreamBatch(T.Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 1, 2)),
-                      np.zeros((1, 1)), np.array([[-1]]), np.array([2]))
     with pytest.raises(ContractError):
-        S.aggregate(H)
+        S.aggregate(rows_batch(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2)),
+                               np.zeros((1, 1)), np.array([[-1]]), np.array([2])))
 
 
 def test_project_matches_hand_dot_products():
     v = bare_vocab(2)
     W = T.Tensor(RNG.normal(size=(v.table_rows, 3)))
     h = RNG.normal(size=(1, 2, 4, 3))
-    H = S.StreamBatch(T.Tensor(h), np.zeros((1, 2, 4)), np.ones((1, 2)),
-                      np.array([[3, 4]]), np.array([4]))
+    H = rows_batch(h, np.zeros((1, 2, 4)), np.ones((1, 2)),
+                   np.array([[3, 4]]), np.array([4]))
     logits = S.project(H, W).data[0]
     assert logits.shape == (4, v.base_size + 2)
     for t in range(4):
@@ -181,8 +180,8 @@ def test_embed_then_project_matches_scalar_oracle():
 def test_project_inactive_columns_are_minus_inf():
     h = RNG.normal(size=(1, 2, 3, 4))
     active = np.array([[1.0, 0.0]])
-    H = S.StreamBatch(T.Tensor(h), np.zeros((1, 2, 3)), active,
-                      np.array([[3, -1]]), np.array([3]))
+    H = rows_batch(h, np.zeros((1, 2, 3)), active, np.array([[3, -1]]),
+                   np.array([3]))
     logits = S.project(H, T.Tensor(RNG.normal(size=(6, 4)))).data
     assert np.all(np.isinf(logits[0, :, -1])) and np.all(logits[0, :, -1] < 0)
     assert np.all(np.isfinite(logits[0, :, :-1]))
@@ -197,7 +196,7 @@ def test_pack_sequences_padding_and_activity():
     assert H.stream_ids.tolist() == [[3, 4], [5, -1]]
     assert H.lengths.tolist() == [4, 3]
     # padded tail reads the padding row
-    assert np.array_equal(H.hidden.data[1, 0, 3], W.data[S.PAD_ID])
+    assert np.array_equal(dense(H)[1, 0, 3], W.data[S.PAD_ID])
 
 
 def test_renaming_roundtrip_and_validation():
@@ -222,7 +221,7 @@ def test_gradients_flow_through_aggregate_and_project():
         H = S.pack_sequences([[1, 3, 4, 2]], Wp.tensor, v)
         g = S.aggregate(H)
         logits = S.project(H.with_hidden(T.add(H.hidden, T.reshape(
-            g, (1, 1, 4, 6)))), Wp.tensor)
+            g, (1, 4, 6)))), Wp.tensor)
         return T.tsum(T.mul(logits, weight))
 
     report = T.gradient_check([Wp], loss_fn)

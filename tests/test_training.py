@@ -12,6 +12,8 @@ from streamformer.training import (Adam, AdaCosState, TrainConfig,
                                    adacos_update, fit, sequence_loss,
                                    train_step)
 
+from helpers import index
+
 VOCAB = Vocabulary(RESERVED + ("&",), ("a", "b", "c"))
 AMP = 3
 A, B, C = 4, 5, 6
@@ -212,7 +214,7 @@ def test_train_step_aborts_on_non_finite_loss():
         def forward_batch(self, srcs, dec_in, ctx):
             bad = np.zeros((1, len(dec_in[0]), 3))
             bad[0, 0, 1] = np.nan    # one poisoned competitor column
-            return T.mul(T.index(self.p.tensor, 0), bad), None
+            return T.mul(index(self.p.tensor, 0), bad), None
 
     boom = Boom()
     with pytest.raises(ContractError):
