@@ -21,7 +21,8 @@ run these nodes.
 Queries, keys and masks come a row per real (sequence, stream).  Keys
 that exist once per sequence (EA, DA, CA: the aggregate's) reach their
 rows through one gather, whose vjp sums the rows' gradients back per
-sequence; a cached decode step gathers only its new position's.
+sequence; a cached decode step gathers only its new position's, and a
+KVCache writes it in place after the positions it already holds.
 
 The softmax weights stay inside MultiHeadAttention.attend; every function
 here returns only its output.
@@ -207,30 +208,48 @@ class KVCache:
     """Rotated keys and values of one self-attention sublayer, kept across
     decode steps.
 
-    k and v are (rows, h, L, hd) arrays over the L positions fed so far,
-    a row per decoded stream.  A step appends its positions with
-    extend(); select() re-indexes the rows, as beam search does when it
-    keeps some hypotheses and drops others.
+    k and v are (rows, h, capacity, hd) buffers, a row per decoded stream,
+    whose first `length` positions are filled.  A step writes its
+    positions in place with extend(), and a full buffer is replaced by one
+    of twice the capacity, so an L-step decode copies O(L) positions, not
+    O(L^2).  select() re-indexes the rows' filled positions, as beam
+    search does when it keeps some hypotheses and drops others.
     """
 
     def __init__(self):
         self.k = self.v = None
-
-    @property
-    def length(self):
-        return 0 if self.k is None else self.k.shape[-2]
+        self.length = 0
 
     def extend(self, k, v):
-        """Append the new positions' heads; returns the whole k and v."""
+        """Write the new positions' heads after the filled ones; returns
+        views of every filled position of k and v."""
         k, v = k.data, v.data
-        if self.k is not None:
-            k = np.concatenate([self.k, k], axis=-2)
-            v = np.concatenate([self.v, v], axis=-2)
-        self.k, self.v = k, v
-        return k, v
+        if self.k is None:
+            self.k, self.v = k[..., :0, :], v[..., :0, :]
+        start, end = self.length, self.length + k.shape[-2]
+        if end > self.k.shape[-2]:
+            cap = max(end, 2 * start, FIRST_CAPACITY)
+            self.k = _buffer(self.k[..., :start, :], cap)
+            self.v = _buffer(self.v[..., :start, :], cap)
+        self.k[..., start:end, :] = k
+        self.v[..., start:end, :] = v
+        self.length = end
+        return self.k[..., :end, :], self.v[..., :end, :]
 
     def select(self, rows):
-        self.k, self.v = self.k[rows], self.v[rows]
+        n, cap = self.length, self.k.shape[-2]
+        self.k = _buffer(self.k[rows, ..., :n, :], cap)
+        self.v = _buffer(self.v[rows, ..., :n, :], cap)
+
+
+FIRST_CAPACITY = 8   # positions a KVCache holds before it first grows
+
+
+def _buffer(filled, cap):
+    """A (..., cap, hd) buffer whose first positions hold `filled`."""
+    out = np.empty(filled.shape[:-2] + (cap, filled.shape[-1]))
+    out[..., :filled.shape[-2], :] = filled
+    return out
 
 
 def _kv(mha, kv_in, positions, seq=None, cache=None):

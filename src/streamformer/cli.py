@@ -97,6 +97,15 @@ def _train_config(overrides, args):
     return TrainConfig(**kw)
 
 
+def _int_list(text, what):
+    """A comma-separated list of integers, e.g. "1,2,4"."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ContractError(f"{what} must be comma-separated integers, "
+                            f"not {text!r}") from None
+
+
 def _encoded_pairs(dataset, vocab):
     return [(vocab.encode(s), vocab.encode(t)) for s, t in dataset.pairs]
 
@@ -165,8 +174,8 @@ def _cmd_alpha_cov(args, cfg):
 def _cmd_heatmap(args, cfg):
     model = load_model(args.model)
     spec = ev.GridSpec(args.task,
-                       tuple(int(x) for x in args.aps.split(",")),
-                       tuple(int(x) for x in args.lengths.split(",")),
+                       _int_list(args.aps, "--aps"),
+                       _int_list(args.lengths, "--lengths"),
                        per_cell=args.per_cell, beam_width=args.beam,
                        seed=args.seed if args.seed is not None else 0)
     _emit(ev.heatmap(model, spec).to_csv(), args.out)
@@ -200,7 +209,7 @@ def _cmd_certify(args, cfg):
 
 
 def _cmd_time(args, cfg):
-    counts = tuple(int(x) for x in args.aps.split(","))
+    counts = _int_list(args.aps, "--aps")
     if args.model:
         model = load_model(args.model)
     else:

@@ -412,6 +412,8 @@ def time_scaling(model, ap_counts, samples_per_point=20, length=24):
     phase of slow machine speed slows every count alike instead of
     skewing one.  Reports a least-squares linear fit of ms against s.
     """
+    if len(set(ap_counts)) < len(ap_counts):
+        raise ContractError("stream counts must not repeat")
     if len(ap_counts) < 2:
         raise ContractError("need at least two stream counts to fit a line")
     if samples_per_point < 1:

@@ -537,8 +537,19 @@ def random_formula(rng, task, target_size, ap_pool):
     return _random_formula(rng, target_size, *tables, ap_pool)
 
 
+def _check_request(ap_count, n):
+    """Reject a symbol count or pair count no dataset can hold, before
+    any generation runs."""
+    if not 1 <= ap_count <= len(AP_CHARS):
+        raise ContractError(f"symbol count must lie in 1..{len(AP_CHARS)}, "
+                            f"not {ap_count}")
+    if n < 0:
+        raise ContractError(f"pair count must not be negative, not {n}")
+
+
 def gen_copying(seed, vocab_size, len_range, n):
     """Identity pairs over `vocab_size` interchangeable characters."""
+    _check_request(vocab_size, n)
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise ContractError("bad length range")
@@ -570,6 +581,7 @@ def _minimal_assignment(phi):
 
 def gen_prop(seed, ap_count, size_range, n, weights=None):
     """Formula -> minimal forcing assignment pairs, self-checked."""
+    _check_request(ap_count, n)
     lo, hi = size_range
     if lo < 1 or hi < lo:
         raise ContractError("bad size range")
@@ -648,6 +660,7 @@ def _first_satisfying_lasso(phi, max_u=4, max_v=3, budget=1 << 18,
 
 def gen_ltl(seed, ap_count, size_range, n, weights=None, max_u=4, max_v=3):
     """Formula -> first satisfying concrete lasso pairs, self-checked."""
+    _check_request(ap_count, n)
     lo, hi = size_range
     if lo < 1 or hi < lo:
         raise ContractError("bad size range")

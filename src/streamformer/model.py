@@ -16,14 +16,19 @@ Layer composition follows two toggled stacks:
 
 Each enabled sublayer is wrapped as norm(x + dropout(sub(x))); disabling a
 toggle removes the sublayer and its norm parameters entirely.  Every
-attention sublayer is four graph nodes (see attention.py).  Every
+attention sublayer is four graph nodes (see attention.py); the residual
+sum and its norm are one node, and so are the feed-forward block and the
+cosine head's normalisation.  Every
 stream-wise piece runs on the stored rows, one per real (sequence,
 stream), so no work goes to stream slots a sequence lacks.
 
-Decoding runs on a DecodeState.  begin_decode encodes the source once and
-projects each layer's cross-attention keys and values once; every
-step_logits call then feeds one position per row through the decoder and
-appends its rotated DP and DA keys and values to the layer caches.  This
+Decoding runs on a DecodeState.  begin_decode encodes the source once,
+projects each layer's cross-attention keys and values once, and builds a
+lookup table from every token id to its embedding row in each of the
+source's streams; every step_logits call then embeds one token per row
+with one index into that table, feeds it through the same decoder layers
+as the teacher-forced pass, and writes its rotated DP and DA keys and
+values in place into the layer caches.  This
 matches the teacher-forced pass up to rounding because every decoder
 sublayer is position-wise or causal: the DA aggregate at position t reads
 only position t, and rotary encoding rotates each key by its own absolute
@@ -47,7 +52,8 @@ from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         look_ahead_mask, padding_mask, per_stream_attention)
 from .errors import ContractError, VocabularyError
 from .streams import (EOS_ID, SOS_ID, Rows, StreamBatch, Vocabulary,
-                      pack_sequences, project, sequence_stream_ids)
+                      pack_sequences, project, sequence_stream_ids,
+                      stream_lookup_ids)
 
 CROSS_MODES = ("per", "agg")
 
@@ -148,9 +154,23 @@ class ModelConfig:
 
 
 def l2_normalize(x):
-    """Unit-norm rows over the last axis; epsilon guards the zero vector."""
-    s = T.tsum(T.mul(x, x), axis=-1, keepdims=True)
-    return T.div(x, T.sqrt(T.add(s, 1e-12)))
+    """Unit-norm rows over the last axis; epsilon guards the zero vector.
+
+    One node: y = x / sqrt(|x|^2 + 1e-12), whose vjp is
+    (g - y * rowdot(g, y)) / sqrt(|x|^2 + 1e-12).
+    """
+    def forward(xd):
+        norm = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + 1e-12)
+        y = xd / norm
+
+        def vjp(g):
+            dx = g - y * (g * y).sum(axis=-1, keepdims=True)
+            dx /= norm
+            return (dx,)
+
+        return y, vjp
+
+    return T.fused(forward, x)
 
 
 class Norm:
@@ -159,8 +179,10 @@ class Norm:
         self.bias = T.Parameter(f"{prefix}.bias", np.zeros(d))
         self.eps = eps
 
-    def __call__(self, x):
-        return T.layer_norm(x, self.gain.tensor, self.bias.tensor, self.eps)
+    def __call__(self, x, y):
+        """The norm of the residual sum x + y, one node."""
+        return T.add_layer_norm(x, y, self.gain.tensor, self.bias.tensor,
+                                self.eps)
 
     def parameters(self):
         return [self.gain, self.bias]
@@ -176,8 +198,33 @@ class FeedForward:
         self.b2 = T.Parameter(f"{prefix}.b2", np.zeros(d))
 
     def __call__(self, x):
-        h = T.relu(T.add(T.matmul(x, self.w1.tensor), self.b1.tensor))
-        return T.add(T.matmul(h, self.w2.tensor), self.b2.tensor)
+        """relu(x @ w1 + b1) @ w2 + b2 as one node.
+
+        The ReLU runs as tensor.relu under its own vjp (tensor.pullback);
+        each weight gradient is one GEMM over every row of x.
+        """
+        def forward(xd, w1, b1, w2, b2):
+            pre = np.matmul(xd, w1)
+            pre += b1
+            h, relu_back = T.pullback(T.relu, pre)
+            out = np.matmul(h, w2)
+            out += b2
+
+            def vjp(g):
+                d, f = w1.shape
+                g2 = g.reshape(-1, d)
+                gpre = relu_back(np.matmul(g2, w2.T).reshape(h.shape))
+                gpre = gpre.reshape(-1, f)
+                return (np.matmul(gpre, w1.T).reshape(xd.shape),
+                        np.matmul(xd.reshape(-1, d).T, gpre),
+                        gpre.sum(axis=0),
+                        np.matmul(h.reshape(-1, f).T, g2),
+                        g2.sum(axis=0))
+
+            return out, vjp
+
+        return T.fused(forward, x, self.w1.tensor, self.b1.tensor,
+                       self.w2.tensor, self.b2.tensor)
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -196,8 +243,7 @@ _EVAL = _TrainCtx()
 
 def _residual_norm(H, sub, norm, ctx):
     """norm(x + dropout(sub(x))) on every stored row."""
-    return H.with_hidden(norm(T.add(H.hidden,
-                                    T.dropout(sub, ctx.rate, ctx.rng))))
+    return H.with_hidden(norm(H.hidden, T.dropout(sub, ctx.rate, ctx.rng)))
 
 
 class EncoderLayer:
@@ -313,33 +359,68 @@ class DecodeState:
     """One encoded source and the decoder caches of the rows decoding it.
 
     begin_decode builds it: the encoder runs once, each decoder layer's
-    cross-attention keys and values are projected once, and so is the
-    output table (normalised for the cosine head).  Each step_logits call
-    then feeds one token per row and appends that position's rotated keys
-    and values to every layer's cache.  The rows share the source and the
-    length, so none is padded; beam search keeps its live hypotheses as
-    rows and calls select() to re-index the caches by parent.
+    cross-attention keys and values are projected once, and so are the
+    output table (normalised for the cosine head) and the step embedding's
+    lookup table.  Each step_logits call then feeds one token per row,
+    embeds it with one index into that table, and writes that position's
+    rotated keys and values into every layer's cache.  The rows share the
+    source and the length, so none is padded; beam search keeps its live
+    hypotheses as rows and calls select() to re-index the caches by
+    parent.
 
     col_ids  token id behind each logit column
     allowed  columns this source can emit
+    lookup   (k, V) embedding row of every token id in each source stream
+    own      (k, V) 1.0 where the token id is the stream's own symbol
+    rows, stream_ids, lengths  the StreamBatch fields of the current rows
     """
 
-    def __init__(self, enc, col_ids, allowed, table, layers):
+    def __init__(self, enc, col_ids, allowed, table, layers, lookup, own):
         self.enc = enc
         self.col_ids = col_ids
         self.allowed = allowed
         self.table = table
         self.layers = layers
+        self.lookup = lookup
+        self.own = own
+        self._fit(1)
+
+    def _fit(self, n):
+        """Row bookkeeping for n decoded rows, each with the source's
+        streams."""
+        self.rows = Rows(np.full(n, len(self.lookup)))
+        self.stream_ids = np.repeat(self.enc.stream_ids, n, axis=0)
+        self.lengths = np.ones(n, dtype=np.int64)
 
     @property
     def length(self):
         """Positions fed so far, the start marker included."""
         return self.layers[0].length
 
+    def embed(self, tgt_inputs, W):
+        """StreamBatch of the next token of every row, tgt_inputs (rows, 1):
+        each stream row reads its embedding row through the lookup table."""
+        tokens = np.asarray(tgt_inputs)
+        if tokens.ndim != 2 or tokens.shape[1] != 1:
+            raise ContractError("a cached decode step feeds one position")
+        tokens = tokens[:, 0]
+        if len(tokens) != len(self.lengths):
+            raise ContractError(f"{len(tokens)} tokens fed to "
+                                f"{len(self.lengths)} decoded rows")
+        if tokens.size and (tokens.min() < 0
+                            or tokens.max() >= self.lookup.shape[1]):
+            raise VocabularyError("decode step fed an out-of-range token id")
+        ids = self.lookup[:, tokens].T.reshape(-1, 1)
+        return StreamBatch(T.gather_rows(W, ids),
+                           self.own[:, tokens].T.reshape(-1, 1), self.rows,
+                           self.stream_ids, self.lengths)
+
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated.  Each
         owns one cache row per stream of the source."""
-        k = len(self.enc.rows.seq)
+        k = len(self.lookup)
+        if len(rows) != len(self.lengths):
+            self._fit(len(rows))
         rows = (np.asarray(rows)[:, None] * k + np.arange(k)).reshape(-1)
         for layer in self.layers:
             layer.select(rows)
@@ -427,10 +508,16 @@ class Seq2SeqModel:
         sids = None
         if enc is not None:
             sids = [[int(s) for s in row if s >= 0] for row in enc.stream_ids]
-            if enc.batch == 1:
-                sids = sids * len(seqs)   # rows decoding one source
         return pack_sequences(seqs, self.embedding.tensor, self.vocab,
                               stream_id_lists=sids)
+
+    def _step_lookup(self, enc):
+        """Embedding row and occupancy of every token id in each stream of
+        the one source enc holds, (k, V) each: what _embed gives a token
+        at any position of a decoder row."""
+        sids = [int(s) for s in enc.stream_ids[0] if s >= 0]
+        return stream_lookup_ids(np.arange(self.vocab.total_size),
+                                 self.vocab, sids)
 
     def _project(self, H, W):
         return project(H, W)
@@ -457,18 +544,18 @@ class Seq2SeqModel:
         """Run the decoder stack; streams are pinned to the encoder's.
 
         With a DecodeState, each row of tgt_inputs is the one next token of
-        a decoded row: the layers read the earlier positions from the
-        state's caches and append this one.  The new position may see every
-        cached one and the source is unpadded, so nothing is masked.
+        a decoded row, embedded through the state's lookup table: the
+        layers read the earlier positions from the state's caches and
+        append this one.  The new position may see every cached one and
+        the source is unpadded, so nothing is masked.
         """
-        H = self._embed(tgt_inputs, enc)
         if state is None:
+            H = self._embed(tgt_inputs, enc)
             m_la = look_ahead_mask(H.lengths[H.rows.seq], H.length)
             m_pad = padding_mask(enc.lengths[H.rows.seq], H.length, enc.length)
             caches = [None] * len(self.dec_layers)
         else:
-            if H.length != 1:
-                raise ContractError("a cached decode step feeds one position")
+            H = state.embed(tgt_inputs, self.embedding.tensor)
             m_la = m_pad = None
             caches = state.layers
         for layer, cache in zip(self.dec_layers, caches):
@@ -523,17 +610,18 @@ class Seq2SeqModel:
             table = self._output_table()
             layers = [LayerCache(layer, enc) for layer in self.dec_layers]
         col_ids, allowed = self._columns(enc)
-        return DecodeState(enc, col_ids, allowed, table, layers)
+        return DecodeState(enc, col_ids, allowed, table, layers,
+                           *self._step_lookup(enc))
 
     def step_logits(self, state, tokens):
         """Feed one token per row; returns the next logits, (rows, columns).
 
-        The first step feeds the start marker.  Later steps must feed as
-        many rows as the state holds, after any select().
+        The first step feeds the start marker to the state's one row;
+        later steps feed as many rows as the last select() kept.
         """
         with T.no_grad():
-            dec = self.decode_hidden([[int(t)] for t in tokens], state.enc,
-                                     state=state)
+            tgt_inputs = np.asarray(tokens, dtype=np.int64)[:, None]
+            dec = self.decode_hidden(tgt_inputs, state.enc, state=state)
             return self.project_logits(dec, state.table).data[:, 0]
 
 
@@ -559,6 +647,8 @@ def _tied_inter_argmax(rows, allowed, n_base):
 
 def decode_greedy(model, src, max_len=64):
     """Argmax decoding until the end marker or the length bound."""
+    if max_len < 1:
+        raise ContractError("max_len must be at least 1")
     state = model.begin_decode(src)
     n_base = model.vocab.base_size
     tok = SOS_ID
@@ -587,6 +677,8 @@ def decode_beam(model, src, width, max_len=64):
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")
+    if max_len < 1:
+        raise ContractError("max_len must be at least 1")
     state = model.begin_decode(src)
     n_base = model.vocab.base_size
     cols = np.flatnonzero(state.allowed)
@@ -708,6 +800,10 @@ class FlatVocabTransformer(Seq2SeqModel):
         return StreamBatch(T.gather_rows(self.embedding.tensor, ids),
                            np.zeros(ids.shape), Rows(np.ones(B)),
                            np.full((B, 1), -1, dtype=np.int64), lengths)
+
+    def _step_lookup(self, enc):
+        n = self.vocab.total_size
+        return np.arange(n)[None], np.zeros((1, n))
 
     def _project(self, H, W):
         return T.matmul(H.hidden, T.transpose(W, (1, 0)))

@@ -8,17 +8,20 @@ operands (numpy arrays, python scalars) are treated as constants and
 receive no gradient, which keeps masks and positional tables out of the
 graph.
 
-A vjp may return its input gradient itself or a view of it, so the first
-gradient to reach a node is stored as it is and later ones are added out
-of place: no stored gradient is ever written in place.  An interior
-node's ``.grad`` is dropped as soon as its vjp has run, so after
-``backward`` only leaves (parameters) hold gradients, and a leaf's
-``.grad`` always owns its memory.  A matmul whose right operand is 2-D (a
-weight) forms each gradient as one GEMM over every row of the left
-operand, whatever its leading axes.
+A vjp may return its input gradient itself, a view of it, or one array
+for several operands, so the first gradient to reach a node is stored as
+it is and later ones are added out of place: no stored gradient is ever
+written in place.  An interior node's ``.grad`` is dropped as soon as
+its vjp has run, so after ``backward`` only leaves (parameters) hold
+gradients, and a leaf's ``.grad`` always owns its memory.  A matmul
+whose right operand is 2-D (a weight) forms each gradient as one GEMM
+over every row of the left operand, whatever its leading axes.
 
 Besides the elementary ops, ``fused`` makes one node of a whole
-sub-computation with a hand-written vjp (attention uses it), and
+sub-computation with a hand-written vjp (attention, the feed-forward
+block and the cosine normalisation use it; ``add_layer_norm`` is a
+residual sum and its layer norm as one node), ``pullback`` lets such a
+node run an elementary op under that op's own vjp, and
 ``rope_phases``/``rotate_pairs`` apply rotary position encoding as one
 complex multiply per adjacent pair.
 
@@ -308,28 +311,32 @@ def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)[..., None]
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
-    xd, gd, bd = _data(x), _data(gain), _data(bias)
-    n = xd.shape[-1]
-    xhat = xd - xd.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps)
-    xhat *= inv
-    out = xhat * gd
-    out += bd
+def add_layer_norm(x, y, gain, bias, eps=1e-5):
+    """Layer norm of the sum x + y over the last axis, then scale and
+    shift: a residual connection and its norm in one node.  Both summands
+    get the same input gradient."""
+    def forward(xd, yd, gd, bd):
+        n = xd.shape[-1]
+        xhat = xd + yd
+        xhat -= xhat.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps)
+        xhat *= inv
+        out = xhat * gd
+        out += bd
 
-    def back_x(g):
-        gx = g * gd
-        dx = xhat * (_rowdot(gx, xhat) / n)
-        np.subtract(gx, dx, out=dx)
-        dx -= gx.mean(axis=-1, keepdims=True)
-        dx *= inv
-        return dx
+        def vjp(g):
+            gx = g * gd
+            dx = xhat * (_rowdot(gx, xhat) / n)
+            np.subtract(gx, dx, out=dx)
+            dx -= gx.mean(axis=-1, keepdims=True)
+            dx *= inv
+            return (_unbroadcast(dx, xd.shape), _unbroadcast(dx, yd.shape),
+                    _unbroadcast(g * xhat, gd.shape),
+                    _unbroadcast(g, bd.shape))
 
-    return _node(out, (x, gain, bias),
-                 (back_x,
-                  lambda g: _unbroadcast(g * xhat, gd.shape),
-                  lambda g: _unbroadcast(g, bd.shape)))
+        return out, vjp
+
+    return fused(forward, x, y, gain, bias)
 
 
 def rope_phases(positions, width, base=10000.0):
@@ -407,9 +414,15 @@ def backward(loss):
     """Propagate d(loss)/d(node) to every tensor that fed the scalar loss."""
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         raise ContractError("backward expects a scalar Tensor")
+    _propagate(loss, np.ones(()))
+
+
+def _propagate(root, g):
+    """Hand g to root, then run each vjp of the graph behind it once, in
+    reverse topological order."""
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, post = stack.pop()
         if post:
@@ -422,75 +435,49 @@ def backward(loss):
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones(())
+    root.grad = g
     for node in reversed(topo):
         if node.vjp is None or node.grad is None:
             continue
         upstream = node.grad
         node.grad = None   # an interior gradient is dead once its vjp ran
-        for parent, g in zip(node.parents, node.vjp(upstream)):
+        grads = node.vjp(upstream)
+        for parent, g in zip(node.parents, grads):
             if g is None:
                 continue
             if parent.grad is not None:
                 parent.grad = parent.grad + g
-            elif parent.parents or _owned(g, upstream):
+            elif parent.parents or _owned(g, upstream, grads):
                 parent.grad = g
             else:
                 parent.grad = np.array(g)   # a leaf's gradient owns its memory
 
 
-def _owned(g, upstream):
-    """Whether a vjp result is an array of its own: not a view, and not
-    the very gradient array of the node it came from."""
-    return type(g) is np.ndarray and g.base is None and g is not upstream
+def _owned(g, upstream, grads):
+    """Whether a vjp result is an array of its own: not a view, not the
+    very gradient array of the node it came from, and not handed to a
+    second operand as well."""
+    return (type(g) is np.ndarray and g.base is None and g is not upstream
+            and sum(h is g for h in grads) == 1)
 
 
-def zero_grads(params):
-    for p in params:
-        p.zero_grad()
+def pullback(fn, x):
+    """Apply fn, a function of Tensors, to the array x inside a fused node.
 
-
-def gradient_check(params, loss_fn, h=1e-4):
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn() must rebuild the loss from the live parameter buffers.  For
-    each trainable parameter every coordinate is displaced by +-h and the
-    relative error |ad - fd| / max(1e-3, |ad| + |fd|) is recorded.  Returns
-    {parameter name: max relative error}.  Parameters the loss never reads
-    get an analytic gradient of exactly zero.
+    Returns fn's output array and back, which maps a gradient of that
+    output to the gradient of x through the graph fn recorded.  So a
+    fused node can run an elementary op under that op's own vjp instead
+    of a copy of its rule.
     """
-    zero_grads(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = {}
-    for p in params:
-        if not p.trainable:
-            continue
-        g = p.grad
-        analytic[p.name] = np.zeros_like(p.data) if g is None else g.copy()
-    report = {}
-    for p in params:
-        if not p.trainable:
-            continue
-        worst = 0.0
-        flat = p.data.reshape(-1)
-        ga = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            with no_grad():
-                lp = loss_fn().item()
-            flat[i] = orig - h
-            with no_grad():
-                lm = loss_fn().item()
-            flat[i] = orig
-            fd = (lp - lm) / (2.0 * h)
-            rel = abs(ga[i] - fd) / max(1e-3, abs(ga[i]) + abs(fd))
-            if rel > worst:
-                worst = rel
-        report[p.name] = worst
-    zero_grads(params)
-    return report
+    leaf = Tensor(x)
+    out = fn(leaf)
+
+    def back(g):
+        _propagate(out, g)
+        gx, leaf.grad = leaf.grad, None
+        return np.zeros_like(leaf.data) if gx is None else gx
+
+    return out.data, back
 
 
 # ---------------------------------------------------------------------------

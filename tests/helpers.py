@@ -5,6 +5,54 @@ import streamformer.tensor as T
 from streamformer.streams import Rows, StreamBatch
 
 
+def zero_grads(params):
+    for p in params:
+        p.zero_grad()
+
+
+def gradient_check(params, loss_fn, h=1e-4):
+    """Compare analytic gradients against central finite differences.
+
+    loss_fn() must rebuild the loss from the live parameter buffers.  For
+    each trainable parameter every coordinate is displaced by +-h and the
+    relative error |ad - fd| / max(1e-3, |ad| + |fd|) is recorded.  Returns
+    {parameter name: max relative error}.  Parameters the loss never reads
+    get an analytic gradient of exactly zero.
+    """
+    zero_grads(params)
+    loss = loss_fn()
+    T.backward(loss)
+    analytic = {}
+    for p in params:
+        if not p.trainable:
+            continue
+        g = p.grad
+        analytic[p.name] = np.zeros_like(p.data) if g is None else g.copy()
+    report = {}
+    for p in params:
+        if not p.trainable:
+            continue
+        worst = 0.0
+        flat = p.data.reshape(-1)
+        ga = analytic[p.name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            with T.no_grad():
+                lp = loss_fn().item()
+            flat[i] = orig - h
+            with T.no_grad():
+                lm = loss_fn().item()
+            flat[i] = orig
+            fd = (lp - lm) / (2.0 * h)
+            rel = abs(ga[i] - fd) / max(1e-3, abs(ga[i]) + abs(fd))
+            if rel > worst:
+                worst = rel
+        report[p.name] = worst
+    zero_grads(params)
+    return report
+
+
 def index(a, key):
     """Basic slicing as a graph node; the gradient pastes into zeros."""
     ad = T._data(a)

@@ -5,7 +5,8 @@ enumeration, finite unrolling) on purpose: these functions must not share
 code paths with the library they validate.  The composed attention below
 builds the fused attention nodes' computation out of the elementary
 autodiff ops, one graph node per step, so its gradients come from those
-ops' vjps and not from the fused nodes' hand-written ones.
+ops' vjps and not from the fused nodes' hand-written ones; so do the
+composed residual norm, feed-forward block and cosine normalisation.
 """
 import itertools
 
@@ -129,6 +130,28 @@ def composed_attend(q, k, v, wo, keep=None):
     b, kk, h, Lq, _ = ctx.shape
     merged = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
     return T.matmul(merged, wo)
+
+
+def composed_add_layer_norm(x, y, gain, bias, eps=1e-5):
+    """Layer norm of x + y over the last axis, scaled and shifted; one
+    elementary op per step."""
+    n = x.shape[-1]
+    s = T.add(x, y)
+    c = T.sub(s, T.mul(T.tsum(s, axis=-1, keepdims=True), 1.0 / n))
+    var = T.mul(T.tsum(T.mul(c, c), axis=-1, keepdims=True), 1.0 / n)
+    return T.add(T.mul(T.div(c, T.sqrt(T.add(var, eps))), gain), bias)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    """relu(x @ w1 + b1) @ w2 + b2; elementary ops only."""
+    h = T.relu(T.add(T.matmul(x, w1), b1))
+    return T.add(T.matmul(h, w2), b2)
+
+
+def composed_l2_normalize(x):
+    """x over its row norm, sqrt(|x|^2 + 1e-12); elementary ops only."""
+    s = T.tsum(T.mul(x, x), axis=-1, keepdims=True)
+    return T.div(x, T.sqrt(T.add(s, 1e-12)))
 
 
 def finite_difference(loss_fn, array, h=1e-4):

@@ -22,7 +22,7 @@ from streamformer.model import (DecoderLayer, EncoderLayer,
 from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
-from helpers import dense, permuted, rows_batch
+from helpers import dense, gradient_check, permuted, rows_batch
 from oracles import truth_table_check, unrolled_ltl_eval
 
 
@@ -220,7 +220,7 @@ def test_criterion_5_gradient_correctness():
         keep = np.isfinite(logits.data).astype(float)
         return T.tsum(T.mul(T.mul(logits, keep), pick))
 
-    errs = T.gradient_check(m.parameters(), loss_fn)
+    errs = gradient_check(m.parameters(), loss_fn)
     worst = max(errs.values())
     ok = all(e <= 1e-4 for e in errs.values())
     _report(5, "gradients match central differences in every parameter "

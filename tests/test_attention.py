@@ -7,7 +7,8 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import attention, dense, permuted, rows_batch, shared_by_streams
+from helpers import (attention, dense, gradient_check, permuted, rows_batch,
+                     shared_by_streams, zero_grads)
 from oracles import composed_attend, composed_heads, naive_attention
 
 RNG = np.random.default_rng(23)
@@ -242,7 +243,7 @@ def test_gradient_check_through_all_attention_variants():
         d = A.cross_attention(mha, c, He, "agg", None)
         return T.tsum(T.mul(d.hidden, weight))
 
-    report = T.gradient_check(mha.parameters(), loss_fn)
+    report = gradient_check(mha.parameters(), loss_fn)
     assert max(report.values()) <= 1e-4
 
 
@@ -277,7 +278,7 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
 
     runs = []
     for build in (fused, composed):
-        T.zero_grads(leaves)
+        zero_grads(leaves)
         out = build()
         T.backward(T.tsum(T.mul(out, up)))
         runs.append((out.data.copy(), {p.name: p.grad.copy() for p in leaves}))
@@ -321,13 +322,13 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     cache.extend(*mha.project_kv(prefix, prefix, np.arange(4)))
     k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, [4]))
     leaves = [x, mha.wq, mha.wo]
-    T.zero_grads(leaves)
+    zero_grads(leaves)
     out = mha.attend(x.tensor, k, v, None, [4])
     T.backward(T.tsum(T.mul(out, up)))
     got = {p.name: p.grad.copy() for p in leaves}
     assert mha.wk.grad is None and mha.wv.grad is None
 
-    T.zero_grads(leaves)
+    zero_grads(leaves)
     seq = T.Tensor(np.concatenate([prefix.data, x.data], axis=2))
     kc = composed_heads(seq, mha.wk.tensor, 2, np.arange(5)).data
     vc = composed_heads(seq, mha.wv.tensor, 2).data
@@ -353,7 +354,7 @@ def test_gradient_check_tiny_multi_head_attention():
                         np.arange(3) + 1, np.arange(4))
         return T.tsum(T.mul(out, up))
 
-    report = T.gradient_check([xq, xkv] + mha.parameters(), loss_fn)
+    report = gradient_check([xq, xkv] + mha.parameters(), loss_fn)
     assert max(report.values()) <= 1e-4
 
 

@@ -62,3 +62,26 @@ def test_spans_reach_every_layer_and_uninstall_cleanly():
     count = len(tracer.spans)
     model.forward_batch([src], [[1] + src])
     assert len(tracer.spans) == count
+
+
+def test_each_decode_step_feeds_one_position_per_row():
+    # decode.positions_per_token and decode.rows_per_call read the
+    # decode_hidden span under each step_logits span
+    spans = load_spans()
+    model = Seq2SeqModel(ModelConfig(d_model=8, heads=2, ffn_dim=16,
+                                     enc_layers=1, dec_layers=1),
+                         task_vocabulary("prop", 3), seed=0)
+    tracer = spans.Tracer()
+    spans.install(tracer, sf)
+    try:
+        out = decode_greedy(model, model.vocab.encode("&a|bc"), max_len=3)
+    finally:
+        tracer.uninstall()
+    assert out.truncated
+    steps = [i for i, span in enumerate(tracer.spans)
+             if span[0] == "model.step_logits"]
+    assert len(steps) == 3
+    for i in steps:
+        assert [span[6] for span in tracer.spans
+                if span[3] == i and span[0] == "model.decode_hidden"] == [
+            {"rows": 1, "positions": 1}]

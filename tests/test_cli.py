@@ -174,6 +174,41 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
                         "--data", "deep.tsv", "--n", "2")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--task", "prop", "--aps", "0", "--n", "5"),
+    ("gen-data", "--task", "copying", "--aps", "30", "--n", "2"),
+    ("gen-data", "--task", "ltl", "--aps", "27", "--n", "2"),
+    ("gen-data", "--task", "prop", "--aps", "3", "--n", "-1"),
+    ("time", "--aps", "1,x"),
+    ("time", "--aps", "2,2", "--samples", "1", "--length", "4"),
+    ("heatmap", "--model", "m.ckpt", "--task", "prop", "--aps", "x",
+     "--lengths", "3"),
+    ("heatmap", "--model", "m.ckpt", "--task", "prop", "--aps", "2",
+     "--lengths", "3,y"),
+    ("certify", "--trials", "1", "--max-len", "-3"),
+    ("eval", "--model", "m.ckpt", "--data", "p.tsv", "--max-len", "0"),
+    ("eval", "--model", "m.ckpt", "--data", "p.tsv", "--beam", "2",
+     "--max-len", "0"),
+    ("alpha-cov", "--model", "m.ckpt", "--data", "p.tsv", "--max-len", "0"),
+    ("topn", "--model", "m.ckpt", "--data", "p.tsv", "--n", "2",
+     "--max-len", "0"),
+], ids=["prop-no-symbols", "copying-too-many-symbols", "ltl-too-many-symbols",
+        "negative-pair-count", "time-list-not-integers",
+        "time-repeated-counts", "heatmap-aps-not-integers",
+        "heatmap-lengths-not-integers", "certify-negative-max-len",
+        "eval-zero-max-len", "eval-beam-zero-max-len",
+        "alpha-cov-zero-max-len", "topn-zero-max-len"])
+def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
+    from streamformer.logic import task_vocabulary
+    from streamformer.model import ModelConfig, Seq2SeqModel, save_model
+    save_model(Seq2SeqModel(ModelConfig(d_model=8, heads=2, ffn_dim=8,
+                                        enc_layers=1, dec_layers=1),
+                            task_vocabulary("prop", 3)), "m.ckpt")
+    (workdir / "p.tsv").write_text("#task=prop aps=3\n!a\ta0\n")
+    fails_with_one_line(capsys, *argv)
+    assert sorted(f.name for f in workdir.iterdir()) == ["m.ckpt", "p.tsv"]
+
+
 @pytest.mark.parametrize("text", [
     b"d_model=\xff\n", b"d_model=abc\n", b"dropout=x\n", b"cross_modes=1\n",
     b"batch_size=2.5\n", b"heads=0\n", b"ffn_dim=0\n", b"enc_layers=-2\n",

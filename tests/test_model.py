@@ -4,8 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+import streamformer.model as M
 import streamformer.tensor as T
-from streamformer.attention import (aggregated_attention, padding_mask,
+from streamformer.attention import (FIRST_CAPACITY, aggregated_attention,
+                                    padding_mask,
                                     per_stream_attention)
 from streamformer.errors import ContractError
 from streamformer.logic import task_vocabulary
@@ -16,6 +18,10 @@ from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer
 from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
 from streamformer.training import sequence_loss
+
+from helpers import gradient_check, zero_grads
+from oracles import (composed_add_layer_norm, composed_feed_forward,
+                     composed_l2_normalize)
 
 VOCAB = Vocabulary(RESERVED + ("&", "!"), ("a", "b", "c"))
 AMP, BANG = 3, 4
@@ -129,8 +135,8 @@ def test_encoder_layer_wiring_matches_manual_composition():
     out = layer(H, mask)
 
     def wrap(Hc, sub, norm):
-        return Hc.with_hidden(T.layer_norm(T.add(Hc.hidden, sub), norm.gain.tensor,
-                                           norm.bias.tensor, norm.eps))
+        return Hc.with_hidden(T.add_layer_norm(
+            Hc.hidden, sub, norm.gain.tensor, norm.bias.tensor, norm.eps))
 
     Hm = H
     s = per_stream_attention(layer.self_attn, Hm, mask)
@@ -184,13 +190,13 @@ def test_batch_matches_its_sequences_one_at_a_time(cls):
     batch = [(vocab.encode(s), vocab.encode(t)) for s, t in texts]
     m = cls(ModelConfig(cross_modes=("per", "agg"), **TINY), vocab, seed=5)
     params = m.parameters()
-    T.zero_grads(params)
+    zero_grads(params)
     logits, loss = _summed_loss(m, batch)
     T.backward(loss)
     grads = {p.name: p.grad.copy() for p in params}
     summed = {p.name: np.zeros_like(p.data) for p in params}
     for b, (src, tgt) in enumerate(batch):
-        T.zero_grads(params)
+        zero_grads(params)
         solo, loss = _summed_loss(m, [(src, tgt)])
         T.backward(loss)
         for p in params:
@@ -346,6 +352,86 @@ def test_beam_rejects_zero_width():
         decode_beam(small_model(), [A], width=0)
 
 
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+@pytest.mark.parametrize("width", [1, 3])
+def test_cached_steps_match_teacher_forcing_across_cache_growth(cls, width):
+    # every cache grows twice (to 4x its first capacity); with three rows,
+    # select() re-indexes them between and right after the growths
+    m = cls(ModelConfig(cross_modes=("per", "agg"), **TINY), VOCAB, seed=6)
+    src = [B, AMP, A, BANG, C]
+    rng = np.random.default_rng(width)
+    state = m.begin_decode(src)
+    m.step_logits(state, [SOS_ID])
+    state.select([0] * width)
+    prefixes = [[SOS_ID]] * width
+    for t in range(2 * FIRST_CAPACITY + 4):
+        if width > 1 and t % 3 == 2:
+            parents = rng.integers(0, width, width)
+            state.select(parents)
+            prefixes = [prefixes[p] for p in parents]
+        toks = rng.choice([A, B, C, AMP, BANG], width)
+        prefixes = [p + [int(x)] for p, x in zip(prefixes, toks)]
+        rows = m.step_logits(state, toks)
+        for row, prefix in zip(rows, prefixes):
+            finite_close(row, m.forward(src, prefix).data[-1], 1e-12)
+    caches = [c for c in (state.layers[0].dp, state.layers[0].da)]
+    assert [c.k.shape[-2] for c in caches] == [4 * FIRST_CAPACITY] * 2
+    assert state.length == 2 * FIRST_CAPACITY + 5
+
+
+def test_greedy_decode_packs_only_its_source(monkeypatch):
+    # each step embeds through the state's lookup table, not by packing
+    calls = []
+    pack = M.pack_sequences
+
+    def counting(seqs, *args, **kwargs):
+        calls.append([list(s) for s in seqs])
+        return pack(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(M, "pack_sequences", counting)
+    m = small_model(seed=1)
+    steps = []
+    step = m.step_logits
+    monkeypatch.setattr(m, "step_logits",
+                        lambda *a: steps.append(1) or step(*a))
+    out = decode_greedy(m, [B, AMP, A, BANG, C], max_len=20)
+    assert out.truncated and len(steps) == 20
+    assert calls == [[[B, AMP, A, BANG, C]]]
+
+
+@pytest.mark.parametrize("node", ["add_layer_norm", "ffn", "l2_normalize"])
+def test_fused_nodes_match_elementary_composition(node):
+    d, f = 6, 10
+    rng = np.random.default_rng(len(node))
+    x, y = (T.Parameter(n, rng.normal(size=(3, 4, d))) for n in "xy")
+    if node == "add_layer_norm":
+        norm = M.Norm("n", d)
+        leaves = [x, y, norm.gain, norm.bias]
+        fused = lambda x, y, *_: norm(x, y)    # noqa: E731
+        composed = composed_add_layer_norm
+    elif node == "ffn":
+        ffn = M.FeedForward("ffn", d, f, rng)
+        leaves = [x] + ffn.parameters()
+        fused = lambda x, *_: ffn(x)    # noqa: E731
+        composed = composed_feed_forward
+    else:
+        leaves, fused, composed = [x], M.l2_normalize, composed_l2_normalize
+    for p in leaves[1:]:
+        p.data = rng.normal(size=p.data.shape)
+    results = []
+    for fn in (fused, composed):
+        zero_grads(leaves)
+        out = fn(*(p.tensor for p in leaves))
+        up = np.random.default_rng(0).normal(size=out.shape)
+        T.backward(T.tsum(T.mul(out, up)))
+        results.append((out, [p.grad.copy() for p in leaves]))
+    (out, grads), (want, want_grads) = results
+    assert out.parents == tuple(p.tensor for p in leaves)   # one node
+    assert np.max(np.abs(out.data - want.data)) <= 1e-12
+    for p, g, w in zip(leaves, grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12, p.name
+
+
 # ----------------------------------------------------------------- gradients
 
 def test_gradient_check_full_stack():
@@ -360,7 +446,7 @@ def test_gradient_check_full_stack():
         keep = np.isfinite(logits.data)
         return T.tsum(T.mul(T.mul(logits, keep.astype(float)), pick))
 
-    errs = T.gradient_check(m.parameters(), loss_fn)
+    errs = gradient_check(m.parameters(), loss_fn)
     worst = max(errs.values())
     assert worst <= 1e-4, f"worst relative gradient error {worst}"
 

@@ -6,7 +6,7 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, VocabularyError
 
-from helpers import dense, permuted, rows_batch
+from helpers import dense, gradient_check, permuted, rows_batch
 
 RNG = np.random.default_rng(11)
 
@@ -224,5 +224,5 @@ def test_gradients_flow_through_aggregate_and_project():
             g, (1, 4, 6)))), Wp.tensor)
         return T.tsum(T.mul(logits, weight))
 
-    report = T.gradient_check([Wp], loss_fn)
+    report = gradient_check([Wp], loss_fn)
     assert report["embed.w"] <= 1e-4

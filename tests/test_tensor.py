@@ -7,7 +7,7 @@ from streamformer import attention as A
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import concat, index
+from helpers import concat, gradient_check, index, zero_grads
 from oracles import (finite_difference, naive_layer_norm, naive_matmul,
                      naive_rope, naive_softmax)
 
@@ -96,33 +96,45 @@ def test_softmax_uniform_row():
 
 def test_layer_norm_matches_oracle():
     x = RNG.normal(size=(4, 7, 10)) * 2
+    y = RNG.normal(size=(4, 7, 10))
     gain = RNG.normal(size=10)
     bias = RNG.normal(size=10)
-    got = T.layer_norm(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data
-    assert rel(got, naive_layer_norm(x, gain, bias)) <= 1e-10
+    got = T.add_layer_norm(T.Tensor(x), T.Tensor(y), T.Tensor(gain),
+                           T.Tensor(bias)).data
+    assert rel(got, naive_layer_norm(x + y, gain, bias)) <= 1e-10
 
 
 def test_layer_norm_4d_matches_oracle_and_gradients():
     # the layout of the model's hidden slabs, (B, k, L, d); the gain and
-    # bias gradients sum over every row of it
+    # bias gradients sum over every row of it, and both summands get the
+    # input gradient
     x = T.Parameter("x", RNG.normal(size=(2, 3, 2, 5)) * 2 + 1)
+    y = T.Parameter("y", RNG.normal(size=(2, 3, 2, 5)))
     gain = T.Parameter("gain", RNG.normal(size=5))
     bias = T.Parameter("bias", RNG.normal(size=5))
-    got = T.layer_norm(x.tensor, gain.tensor, bias.tensor).data
-    assert rel(got, naive_layer_norm(x.data, gain.data, bias.data)) <= 1e-10
+    got = T.add_layer_norm(x.tensor, y.tensor, gain.tensor, bias.tensor).data
+    assert rel(got, naive_layer_norm(x.data + y.data, gain.data,
+                                     bias.data)) <= 1e-10
     up = RNG.normal(size=(2, 3, 2, 5))
 
     def loss_fn():
-        return T.tsum(T.mul(T.layer_norm(x.tensor, gain.tensor, bias.tensor), up))
+        return T.tsum(T.mul(T.add_layer_norm(x.tensor, y.tensor, gain.tensor,
+                                             bias.tensor), up))
 
-    assert max(T.gradient_check([x, gain, bias], loss_fn).values()) <= 1e-4
+    assert max(gradient_check([x, y, gain, bias], loss_fn).values()) <= 1e-4
+    # the node hands one gradient array to both summands; each parameter
+    # still gets a buffer of its own
+    T.backward(loss_fn())
+    assert np.array_equal(x.grad, y.grad)
+    assert not np.shares_memory(x.grad, y.grad)
 
 
 def test_layer_norm_constant_vector_yields_bias():
     x = np.full((1, 8), 3.25)
     gain = np.ones(8)
     bias = RNG.normal(size=8)
-    got = T.layer_norm(T.Tensor(x), T.Tensor(gain), T.Tensor(bias)).data
+    got = T.add_layer_norm(T.Tensor(x), 0.0, T.Tensor(gain),
+                           T.Tensor(bias)).data
     assert np.allclose(got[0], bias, atol=1e-12)
 
 
@@ -220,13 +232,13 @@ def test_backward_composite_matches_finite_differences():
 
     def loss_fn():
         y = T.matmul(a.tensor, b.tensor)
-        y = T.layer_norm(y, g.tensor, c.tensor)
+        y = T.add_layer_norm(y, 0.0, g.tensor, c.tensor)
         y = T.exp(y)
         y = T.div(y, T.tsum(y, axis=-1, keepdims=True))
         y = T.relu(T.sub(y, 0.1))
         return T.tsum(T.mul(y, y))
 
-    report = T.gradient_check([a, b, g, c], loss_fn)
+    report = gradient_check([a, b, g, c], loss_fn)
     assert max(report.values()) <= 1e-4
 
 
@@ -241,18 +253,18 @@ def test_backward_through_slice_concat_reshape():
         z = T.transpose(z, (1, 0, 2))
         return T.tsum(T.mul(z, z))
 
-    report = T.gradient_check([w], loss_fn)
+    report = gradient_check([w], loss_fn)
     assert report["w"] <= 1e-4
 
 
 def test_gradient_of_unused_parameter_is_zero():
     used = T.Parameter("used", RNG.normal(size=(2, 2)))
     unused = T.Parameter("unused", RNG.normal(size=(2, 2)))
-    T.zero_grads([used, unused])
+    zero_grads([used, unused])
     loss = T.tsum(T.mul(used.tensor, used.tensor))
     T.backward(loss)
     assert unused.grad is None  # never touched -> exactly zero contribution
-    report = T.gradient_check([used, unused],
+    report = gradient_check([used, unused],
                               lambda: T.tsum(T.mul(used.tensor, used.tensor)))
     assert report["unused"] == 0.0
 
@@ -265,7 +277,7 @@ def test_gradient_check_flags_corrupted_rule():
         # deliberately wrong adjoint: claims d/dx x^2 = 3x
         return T.Tensor(d * d, (t,), lambda g: (g * 3.0 * d,))
 
-    report = T.gradient_check([w], lambda: T.tsum(bad_square(w.tensor)))
+    report = gradient_check([w], lambda: T.tsum(bad_square(w.tensor)))
     assert report["w"] >= 1e-1
 
 
@@ -276,7 +288,7 @@ def test_tied_tensor_accumulates_both_paths():
         y = T.matmul(w.tensor, w.tensor)  # same storage used twice
         return T.tsum(y)
 
-    report = T.gradient_check([w], loss_fn)
+    report = gradient_check([w], loss_fn)
     assert report["w"] <= 1e-4
 
 
@@ -284,7 +296,7 @@ def test_shared_gradient_buffer_for_tied_parameter():
     w = T.Parameter("w", np.eye(2))
     tied = T.Parameter("tied-view", np.zeros(1))
     tied.tensor = w.tensor  # tie by storage identity
-    T.zero_grads([w])
+    zero_grads([w])
     T.backward(T.tsum(T.mul(w.tensor, 2.0)))
     assert tied.grad is w.grad
 
@@ -296,7 +308,7 @@ def test_mean_sum_div_grads():
         m = T.mul(T.tsum(x.tensor, axis=1, keepdims=True), 1.0 / 3)
         return T.tsum(T.div(x.tensor, T.add(m, 1.0)))
 
-    assert T.gradient_check([x], loss_fn)["x"] <= 1e-4
+    assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
 
 def test_exp_log_sqrt_grads():
@@ -306,7 +318,7 @@ def test_exp_log_sqrt_grads():
         return T.tsum(T.add(T.log(x.tensor),
                             T.add(T.exp(T.mul(x.tensor, 0.3)), T.sqrt(x.tensor))))
 
-    assert T.gradient_check([x], loss_fn)["x"] <= 1e-4
+    assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
 
 def test_rope_gradient_is_inverse_rotation():
@@ -320,7 +332,7 @@ def test_rope_gradient_is_inverse_rotation():
         k, _ = mha.project_kv(x.tensor, x.tensor, np.arange(3, dtype=float) + 5)
         return T.tsum(T.mul(T.mul(k, k), 1.0 + up * up))
 
-    assert T.gradient_check([x, mha.wk], loss_fn)["x"] <= 1e-4
+    assert gradient_check([x, mha.wk], loss_fn)["x"] <= 1e-4
 
 
 def test_softmax_masked_gradient():
@@ -336,7 +348,7 @@ def test_softmax_masked_gradient():
                        k, v, mask, np.arange(3.0))
         return T.tsum(T.mul(y, np.arange(6.0)))
 
-    assert T.gradient_check([x], loss_fn)["x"] <= 1e-4
+    assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
 
 def test_no_grad_suppresses_graph():
@@ -392,8 +404,8 @@ def test_matmul_with_2d_right_operand_gradients(a_shape, transposed):
     def loss_fn():
         return T.tsum(T.mul(T.matmul(a.tensor, right()), up))
 
-    assert max(T.gradient_check([a, w], loss_fn).values()) <= 1e-4
-    T.zero_grads([a, w])
+    assert max(gradient_check([a, w], loss_fn).values()) <= 1e-4
+    zero_grads([a, w])
     T.backward(loss_fn())
     wd = right().data
     batched_a = np.matmul(up, wd.T)
@@ -426,8 +438,8 @@ def test_gradient_through_three_consumers():
                            T.tsum(T.mul(T.add(h, h), u3))),
                      T.tsum(T.mul(y, u4)))
 
-    assert max(T.gradient_check([x, w], loss_fn).values()) <= 1e-4
-    T.zero_grads([x, w])
+    assert max(gradient_check([x, w], loss_fn).values()) <= 1e-4
+    zero_grads([x, w])
     T.backward(loss_fn())
     assert np.allclose(x.grad, 2.0 * (u1 + u2.reshape(2, 3) + 2.0 * u3),
                        rtol=1e-12, atol=1e-12)
@@ -525,7 +537,7 @@ def test_take_along_last_gradient_and_inf_safety():
         picked = T.take_along_last(p.tensor, idx)
         return T.tsum(T.mul(picked, np.arange(6.0).reshape(2, 3)))
 
-    errs = T.gradient_check([p], loss_fn)
+    errs = gradient_check([p], loss_fn)
     assert errs["z"] <= 1e-4
     out = T.take_along_last(T.Tensor(raw), idx)
     assert np.isfinite(out.data).all()
