@@ -133,6 +133,8 @@ def _cmd_gen_data(args, cfg):
 
 def _cmd_train(args, cfg):
     data = Dataset.load(args.data)
+    if not data.pairs:
+        raise ContractError("empty dataset")
     vocab = task_vocabulary(data.task, data.ap_count)
     model = Seq2SeqModel(_model_config(cfg), vocab,
                          seed=args.seed if args.seed is not None else 0)

@@ -196,7 +196,7 @@ def _score(model, task, pairs, beam_width, max_len):
     correct = exact = blown = 0
     for src_text, tgt_text in pairs:
         src = _encode_source(vocab, task, src_text)
-        if beam_width <= 1:
+        if beam_width == 1:
             pred = decode_greedy(model, src, max_len=max_len)
         else:
             pred = decode_beam(model, src, beam_width, max_len=max_len)[0]
@@ -213,6 +213,8 @@ def eval_correct(model, dataset, beam_width=1, max_len=64):
     Returns fractions in [0,1] plus how many semantic checks exceeded
     their resource budget (those count as incorrect).
     """
+    if beam_width < 1:
+        raise ContractError("beam width must be at least 1")
     n = len(dataset.pairs)
     if n == 0:
         raise ContractError("empty dataset")
@@ -252,6 +254,8 @@ class GridSpec:
     def __post_init__(self):
         if self.per_cell < 1:
             raise ContractError("per_cell must be positive")
+        if self.beam_width < 1:
+            raise ContractError("beam width must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -418,6 +422,9 @@ def time_scaling(model, ap_counts, samples_per_point=20, length=24):
         raise ContractError("need at least two stream counts to fit a line")
     if samples_per_point < 1:
         raise ContractError("samples_per_point must be positive")
+    if length < max(ap_counts):
+        raise ContractError(f"length {length} cannot touch "
+                            f"{max(ap_counts)} distinct symbols")
     ids = list(model.vocab.inter_ids())
     inputs = []
     for s in ap_counts:

@@ -7,33 +7,33 @@ symmetric aggregate, and the projection reads each symbol's score off its
 own stream.  The embedding table is tied three ways (encoder input,
 decoder input, output projection share one buffer).
 
-Layer composition follows two toggled stacks:
+Each layer runs an ordered list of attention sublayers, then the
+feed-forward block, each wrapped as norm(x + dropout(sub(x))):
 
   encoder: [EP per-stream self-attention] [EA aggregated attention] ffn
   decoder: [DP masked per-stream self-attention] [DA masked aggregated
            attention] cross-attention per configured mode (CP per-stream,
            CA aggregated) ffn
 
-Each enabled sublayer is wrapped as norm(x + dropout(sub(x))); disabling a
-toggle removes the sublayer and its norm parameters entirely.  Every
-attention sublayer is four graph nodes (see attention.py); the residual
-sum and its norm are one node, and so are the feed-forward block and the
-cosine head's normalisation.  Every
-stream-wise piece runs on the stored rows, one per real (sequence,
-stream), so no work goes to stream slots a sequence lacks.
+Disabling a toggle removes the sublayer and its norm parameters entirely.
+Every attention sublayer is four graph nodes (see attention.py); the
+residual sum and its norm are one node, and so are the feed-forward block
+and the cosine head's normalisation.  Every stream-wise piece runs on the
+stored rows, one per real (sequence, stream), so no work goes to stream
+slots a sequence lacks.
 
 Decoding runs on a DecodeState.  begin_decode encodes the source once,
-projects each layer's cross-attention keys and values once, and builds a
-lookup table from every token id to its embedding row in each of the
-source's streams; every step_logits call then embeds one token per row
-with one index into that table, feeds it through the same decoder layers
-as the teacher-forced pass, and writes its rotated DP and DA keys and
-values in place into the layer caches.  This
-matches the teacher-forced pass up to rounding because every decoder
-sublayer is position-wise or causal: the DA aggregate at position t reads
-only position t, and rotary encoding rotates each key by its own absolute
-position.  Beam search advances its live hypotheses as rows of one state
-and re-indexes the caches by parent.
+opens one cache per decoder sublayer (a KVCache for self-attention, the
+cross-attention keys and values, projected once) and builds a lookup
+table from every token id to its embedding row in each of the source's
+streams; every step_logits call then embeds one token per row with one
+index into that table, feeds it through the same decoder layers as the
+teacher-forced pass, and writes its rotated DP and DA keys and values in
+place into the caches.  This matches the teacher-forced pass up to
+rounding because every decoder sublayer is position-wise or causal: the
+DA aggregate at position t reads only position t, and rotary encoding
+rotates each key by its own absolute position.  Beam search advances its
+live hypotheses as rows of one state and re-indexes the caches by parent.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
@@ -246,113 +246,79 @@ def _residual_norm(H, sub, norm, ctx):
     return H.with_hidden(norm(H.hidden, T.dropout(sub, ctx.rate, ctx.rng)))
 
 
-class EncoderLayer:
+class _Layer:
+    """An ordered list of residual-and-norm-wrapped attention sublayers,
+    then the feed-forward block.
+
+    subs holds (kind, MultiHeadAttention, Norm) per enabled sublayer, in
+    the order they run; the kind ("self", "agg", "cross.per" or
+    "cross.agg") is its parameter prefix.  A subclass names its kinds.
+    """
+
     def __init__(self, cfg: ModelConfig, prefix, rng):
         a = cfg.attention
-        self.self_attn = self.self_norm = None
-        self.agg_attn = self.agg_norm = None
-        if cfg.use_ep:
-            self.self_attn = MultiHeadAttention(f"{prefix}.self", a, rng)
-            self.self_norm = Norm(f"{prefix}.self.norm", cfg.d_model)
-        if cfg.use_ea:
-            self.agg_attn = MultiHeadAttention(f"{prefix}.agg", a, rng)
-            self.agg_norm = Norm(f"{prefix}.agg.norm", cfg.d_model)
+        self.subs = [(kind, MultiHeadAttention(f"{prefix}.{kind}", a, rng),
+                      Norm(f"{prefix}.{kind}.norm", cfg.d_model))
+                     for kind in self.kinds(cfg)]
         self.ffn = FeedForward(f"{prefix}.ffn", cfg.d_model, cfg.ffn_dim, rng)
         self.ffn_norm = Norm(f"{prefix}.ffn.norm", cfg.d_model)
 
-    def __call__(self, H, mask, ctx=_EVAL):
-        if self.self_attn is not None:
-            sub = per_stream_attention(self.self_attn, H, mask)
-            H = _residual_norm(H, sub.hidden, self.self_norm, ctx)
-        if self.agg_attn is not None:
-            sub = aggregated_attention(self.agg_attn, H, mask)
-            H = _residual_norm(H, sub.hidden, self.agg_norm, ctx)
-        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
-
     def parameters(self):
         out = []
-        if self.self_attn is not None:
-            out += self.self_attn.parameters() + self.self_norm.parameters()
-        if self.agg_attn is not None:
-            out += self.agg_attn.parameters() + self.agg_norm.parameters()
-        return out + self.ffn.parameters() + self.ffn_norm.parameters()
-
-
-class DecoderLayer:
-    def __init__(self, cfg: ModelConfig, prefix, rng):
-        a = cfg.attention
-        self.self_attn = self.self_norm = None
-        self.agg_attn = self.agg_norm = None
-        if cfg.use_dp:
-            self.self_attn = MultiHeadAttention(f"{prefix}.self", a, rng)
-            self.self_norm = Norm(f"{prefix}.self.norm", cfg.d_model)
-        if cfg.use_da:
-            self.agg_attn = MultiHeadAttention(f"{prefix}.agg", a, rng)
-            self.agg_norm = Norm(f"{prefix}.agg.norm", cfg.d_model)
-        self.cross = []
-        for mode in cfg.cross_modes:
-            self.cross.append((mode,
-                               MultiHeadAttention(f"{prefix}.cross.{mode}", a, rng),
-                               Norm(f"{prefix}.cross.{mode}.norm", cfg.d_model)))
-        self.ffn = FeedForward(f"{prefix}.ffn", cfg.d_model, cfg.ffn_dim, rng)
-        self.ffn_norm = Norm(f"{prefix}.ffn.norm", cfg.d_model)
-
-    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL, cache=None):
-        """One decoder layer; with a LayerCache, H holds one new position."""
-        dp = da = cross = None
-        start = 0
-        if cache is not None:
-            dp, da, cross, start = cache.dp, cache.da, cache.cross, cache.length
-        if self.self_attn is not None:
-            sub = per_stream_attention(self.self_attn, H, m_la, dp)
-            H = _residual_norm(H, sub.hidden, self.self_norm, ctx)
-        if self.agg_attn is not None:
-            # the look-ahead mask keeps the fused keys causal too
-            sub = aggregated_attention(self.agg_attn, H, m_la, da)
-            H = _residual_norm(H, sub.hidden, self.agg_norm, ctx)
-        for mode, mha, norm in self.cross:
-            kv = None if cross is None else cross[mode]
-            sub = cross_attention(mha, H, enc, mode, m_pad, kv, start)
-            H = _residual_norm(H, sub.hidden, norm, ctx)
-        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
-
-    def parameters(self):
-        out = []
-        if self.self_attn is not None:
-            out += self.self_attn.parameters() + self.self_norm.parameters()
-        if self.agg_attn is not None:
-            out += self.agg_attn.parameters() + self.agg_norm.parameters()
-        for _, mha, norm in self.cross:
+        for _, mha, norm in self.subs:
             out += mha.parameters() + norm.parameters()
         return out + self.ffn.parameters() + self.ffn_norm.parameters()
 
 
-class LayerCache:
-    """Decode-time state of one decoder layer.
+class EncoderLayer(_Layer):
+    @staticmethod
+    def kinds(cfg):
+        return ["self"] * cfg.use_ep + ["agg"] * cfg.use_ea
 
-    dp, da  KVCache of the masked self-attention sublayers (None if off)
-    cross   cross-attention mode -> encoder keys and values, computed once
-    All three hold a row per decoded stream and re-index together.
-    """
+    def __call__(self, H, mask, ctx=_EVAL):
+        for kind, mha, norm in self.subs:
+            attn = per_stream_attention if kind == "self" \
+                else aggregated_attention
+            H = _residual_norm(H, attn(mha, H, mask).hidden, norm, ctx)
+        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
 
-    def __init__(self, layer, enc):
-        self.dp = KVCache() if layer.self_attn is not None else None
-        self.da = KVCache() if layer.agg_attn is not None else None
-        self.cross = {mode: tuple(x.data for x in cross_kv(mha, enc, mode,
-                                                          enc.rows.seq))
-                      for mode, mha, _ in layer.cross}
 
-    @property
-    def length(self):
-        """Positions fed so far."""
-        return (self.dp or self.da).length
+class DecoderLayer(_Layer):
+    @staticmethod
+    def kinds(cfg):
+        return (["self"] * cfg.use_dp + ["agg"] * cfg.use_da
+                + [f"cross.{mode}" for mode in cfg.cross_modes])
 
-    def select(self, rows):
-        for kv in (self.dp, self.da):
-            if kv is not None:
-                kv.select(rows)
-        self.cross = {mode: (k[rows], v[rows])
-                      for mode, (k, v) in self.cross.items()}
+    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL, caches=None):
+        """One decoder layer; with its caches(), H holds one new position."""
+        if caches is None:
+            caches, start = [None] * len(self.subs), 0
+        else:
+            start = caches[0].length
+        for (kind, mha, norm), cache in zip(self.subs, caches):
+            if kind == "self":
+                sub = per_stream_attention(mha, H, m_la, cache)
+            elif kind == "agg":
+                # the look-ahead mask keeps the fused keys causal too
+                sub = aggregated_attention(mha, H, m_la, cache)
+            else:
+                sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
+                                      cache, start)
+            H = _residual_norm(H, sub.hidden, norm, ctx)
+        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
+
+    def caches(self, enc):
+        """Decode-time state, one entry per sublayer: a KVCache for masked
+        self-attention, the encoder keys and values, computed once, for
+        cross-attention.  Each holds a row per decoded stream."""
+        return [KVCache() if kind in ("self", "agg") else
+                tuple(x.data for x in cross_kv(mha, enc, _cross_mode(kind),
+                                               enc.rows.seq))
+                for kind, mha, _ in self.subs]
+
+
+def _cross_mode(kind):
+    return kind.removeprefix("cross.")
 
 
 class DecodeState:
@@ -372,6 +338,7 @@ class DecodeState:
     allowed  columns this source can emit
     lookup   (k, V) embedding row of every token id in each source stream
     own      (k, V) 1.0 where the token id is the stream's own symbol
+    layers   per decoder layer, its caches(): one entry per sublayer
     rows, stream_ids, lengths  the StreamBatch fields of the current rows
     """
 
@@ -394,8 +361,9 @@ class DecodeState:
 
     @property
     def length(self):
-        """Positions fed so far, the start marker included."""
-        return self.layers[0].length
+        """Positions fed so far, the start marker included: a decoder
+        layer's first sublayer is self-attention, so its cache counts."""
+        return self.layers[0][0].length
 
     def embed(self, tgt_inputs, W):
         """StreamBatch of the next token of every row, tgt_inputs (rows, 1):
@@ -422,8 +390,12 @@ class DecodeState:
         if len(rows) != len(self.lengths):
             self._fit(len(rows))
         rows = (np.asarray(rows)[:, None] * k + np.arange(k)).reshape(-1)
-        for layer in self.layers:
-            layer.select(rows)
+        for caches in self.layers:
+            for i, c in enumerate(caches):
+                if isinstance(c, KVCache):
+                    c.select(rows)
+                else:
+                    caches[i] = tuple(x[rows] for x in c)
 
 
 @dataclass
@@ -558,8 +530,8 @@ class Seq2SeqModel:
             H = state.embed(tgt_inputs, self.embedding.tensor)
             m_la = m_pad = None
             caches = state.layers
-        for layer, cache in zip(self.dec_layers, caches):
-            H = layer(H, enc, m_la, m_pad, ctx, cache)
+        for layer, layer_caches in zip(self.dec_layers, caches):
+            H = layer(H, enc, m_la, m_pad, ctx, layer_caches)
         return H
 
     def _output_table(self):
@@ -608,7 +580,7 @@ class Seq2SeqModel:
         with T.no_grad():
             enc = self.encode([list(src)])
             table = self._output_table()
-            layers = [LayerCache(layer, enc) for layer in self.dec_layers]
+            layers = [layer.caches(enc) for layer in self.dec_layers]
         col_ids, allowed = self._columns(enc)
         return DecodeState(enc, col_ids, allowed, table, layers,
                            *self._step_lookup(enc))
@@ -722,22 +694,6 @@ def decode_beam(model, src, width, max_len=64):
         done.append(DecodeResult(hyp.tokens, hyp.score, True, hyp.tied))
     done.sort(key=lambda c: -c.score)
     return done[:width]
-
-
-def score_sequence(model, src, tokens):
-    """Summed log-probability of emitting tokens then the end marker."""
-    state = model.begin_decode(src)
-    prev = SOS_ID
-    total = 0.0
-    for tok in list(tokens) + [EOS_ID]:
-        logp = _log_softmax_allowed(model.step_logits(state, [prev]),
-                                    state.allowed)[0]
-        cols = np.flatnonzero((state.col_ids == tok) & state.allowed)
-        if len(cols) == 0:
-            raise ContractError(f"token {tok} has no emittable column")
-        total += float(logp[cols[0]])
-        prev = tok
-    return total
 
 
 def check_invariance(model, src, f, max_len=64):

@@ -186,19 +186,18 @@ def fit(model, pairs, cfg: TrainConfig, checkpoint_path=None, log=None):
 
     Batches are drawn from a seeded shuffle, reshuffled each epoch.  With
     a checkpoint path the model is saved every checkpoint_every steps (if
-    nonzero) and always at the end.  Same seed, same data, same model
-    init: byte-identical checkpoints.
+    nonzero) and always at the end, even when no step ran.  Same seed,
+    same data, same model init: byte-identical checkpoints.
     """
     pairs = list(pairs)
-    if not pairs or cfg.steps == 0:
-        return []
+    steps = cfg.steps if pairs else 0
     shuffle_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
     opt = Adam(model.parameters(), lr=cfg.learning_rate, warmup=cfg.warmup)
     order = []
     metrics = []
     t0 = time.perf_counter()
-    for step in range(1, cfg.steps + 1):
+    for step in range(1, steps + 1):
         if len(order) < cfg.batch_size:
             order = shuffle_rng.permutation(len(pairs)).tolist() + order
         take, order = order[:cfg.batch_size], order[cfg.batch_size:]
@@ -206,7 +205,7 @@ def fit(model, pairs, cfg: TrainConfig, checkpoint_path=None, log=None):
         mets = train_step(model, batch, opt, dropout_rng)
         mets = {"step": step, **mets, "wall": time.perf_counter() - t0}
         metrics.append(mets)
-        if log is not None and (step % cfg.log_every == 0 or step == cfg.steps):
+        if log is not None and (step % cfg.log_every == 0 or step == steps):
             log(f"step {step} loss {mets['loss']:.4f} s {mets['scale']:.2f} "
                 f"grad_norm {mets['grad_norm']:.4f} wall {mets['wall']:.1f}s")
         if (checkpoint_path is not None and cfg.checkpoint_every

@@ -73,6 +73,10 @@ def test_train_flag_overrides_config(workdir):
                "--data", "d.tsv", "--steps", "3") == 0
     # 3 steps, not 25: the run is near-instant and still checkpoints
     assert (workdir / "m.ckpt").exists()
+    # no step at all still writes the (untrained) model
+    assert run("--config", "tiny.cfg", "--out", "z.ckpt", "train",
+               "--data", "d.tsv", "--steps", "0") == 0
+    assert load_model("z.ckpt").cfg.d_model == 16
 
 
 def test_heatmap_csv_stability(workdir):
@@ -192,12 +196,23 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
     ("alpha-cov", "--model", "m.ckpt", "--data", "p.tsv", "--max-len", "0"),
     ("topn", "--model", "m.ckpt", "--data", "p.tsv", "--n", "2",
      "--max-len", "0"),
+    ("--out", "r.txt", "eval", "--model", "m.ckpt", "--data", "p.tsv",
+     "--beam", "0"),
+    ("--out", "r.txt", "eval", "--model", "m.ckpt", "--data", "p.tsv",
+     "--beam", "-3"),
+    ("--out", "h.csv", "heatmap", "--model", "m.ckpt", "--task", "prop",
+     "--aps", "2", "--lengths", "3", "--beam", "-1"),
+    ("--out", "t.txt", "time", "--aps", "1,3", "--samples", "1",
+     "--length", "2"),
+    ("--out", "e.ckpt", "train", "--data", "e.tsv"),
 ], ids=["prop-no-symbols", "copying-too-many-symbols", "ltl-too-many-symbols",
         "negative-pair-count", "time-list-not-integers",
         "time-repeated-counts", "heatmap-aps-not-integers",
         "heatmap-lengths-not-integers", "certify-negative-max-len",
         "eval-zero-max-len", "eval-beam-zero-max-len",
-        "alpha-cov-zero-max-len", "topn-zero-max-len"])
+        "alpha-cov-zero-max-len", "topn-zero-max-len", "eval-zero-beam",
+        "eval-negative-beam", "heatmap-negative-beam",
+        "time-length-below-streams", "train-empty-dataset"])
 def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     from streamformer.logic import task_vocabulary
     from streamformer.model import ModelConfig, Seq2SeqModel, save_model
@@ -205,8 +220,10 @@ def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
                                         enc_layers=1, dec_layers=1),
                             task_vocabulary("prop", 3)), "m.ckpt")
     (workdir / "p.tsv").write_text("#task=prop aps=3\n!a\ta0\n")
+    (workdir / "e.tsv").write_text("#task=prop aps=3\n")   # gen-data --n 0
     fails_with_one_line(capsys, *argv)
-    assert sorted(f.name for f in workdir.iterdir()) == ["m.ckpt", "p.tsv"]
+    assert sorted(f.name for f in workdir.iterdir()) == ["e.tsv", "m.ckpt",
+                                                         "p.tsv"]
 
 
 @pytest.mark.parametrize("text", [

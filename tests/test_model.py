@@ -14,7 +14,7 @@ from streamformer.logic import task_vocabulary
 from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer,
                                 ModelConfig, Seq2SeqModel, check_invariance,
                                 decode_beam, decode_greedy, load_model,
-                                save_model, score_sequence)
+                                save_model)
 from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
 from streamformer.training import sequence_loss
@@ -113,6 +113,33 @@ def test_embedding_tied_three_ways():
     assert np.abs(g[AMP]).sum() > 0
 
 
+def test_parameter_order_is_pinned():
+    # checkpoints and Adam state follow this order, so it must not move
+    names = [p.name for p in small_model(
+        cross_modes=("per", "agg")).parameters()]
+    assert names == [
+        "embed.w",
+        "enc.0.self.wq", "enc.0.self.wk", "enc.0.self.wv", "enc.0.self.wo",
+        "enc.0.self.norm.gain", "enc.0.self.norm.bias",
+        "enc.0.agg.wq", "enc.0.agg.wk", "enc.0.agg.wv", "enc.0.agg.wo",
+        "enc.0.agg.norm.gain", "enc.0.agg.norm.bias",
+        "enc.0.ffn.w1", "enc.0.ffn.b1", "enc.0.ffn.w2", "enc.0.ffn.b2",
+        "enc.0.ffn.norm.gain", "enc.0.ffn.norm.bias",
+        "dec.0.self.wq", "dec.0.self.wk", "dec.0.self.wv", "dec.0.self.wo",
+        "dec.0.self.norm.gain", "dec.0.self.norm.bias",
+        "dec.0.agg.wq", "dec.0.agg.wk", "dec.0.agg.wv", "dec.0.agg.wo",
+        "dec.0.agg.norm.gain", "dec.0.agg.norm.bias",
+        "dec.0.cross.per.wq", "dec.0.cross.per.wk", "dec.0.cross.per.wv",
+        "dec.0.cross.per.wo",
+        "dec.0.cross.per.norm.gain", "dec.0.cross.per.norm.bias",
+        "dec.0.cross.agg.wq", "dec.0.cross.agg.wk", "dec.0.cross.agg.wv",
+        "dec.0.cross.agg.wo",
+        "dec.0.cross.agg.norm.gain", "dec.0.cross.agg.norm.bias",
+        "dec.0.ffn.w1", "dec.0.ffn.b1", "dec.0.ffn.w2", "dec.0.ffn.b2",
+        "dec.0.ffn.norm.gain", "dec.0.ffn.norm.bias",
+    ]
+
+
 def test_parameter_names_unique_and_prefixed():
     m = small_model(enc_layers=2, dec_layers=2, cross_modes=("per", "agg"))
     names = [p.name for p in m.parameters()]
@@ -138,11 +165,12 @@ def test_encoder_layer_wiring_matches_manual_composition():
         return Hc.with_hidden(T.add_layer_norm(
             Hc.hidden, sub, norm.gain.tensor, norm.bias.tensor, norm.eps))
 
+    (_, self_attn, self_norm), (_, agg_attn, agg_norm) = layer.subs
     Hm = H
-    s = per_stream_attention(layer.self_attn, Hm, mask)
-    Hm = wrap(Hm, s.hidden, layer.self_norm)
-    s = aggregated_attention(layer.agg_attn, Hm, mask)
-    Hm = wrap(Hm, s.hidden, layer.agg_norm)
+    s = per_stream_attention(self_attn, Hm, mask)
+    Hm = wrap(Hm, s.hidden, self_norm)
+    s = aggregated_attention(agg_attn, Hm, mask)
+    Hm = wrap(Hm, s.hidden, agg_norm)
     Hm = wrap(Hm, layer.ffn(Hm.hidden), layer.ffn_norm)
     assert out.hidden.data.tobytes() == Hm.hidden.data.tobytes()
 
@@ -299,13 +327,6 @@ def test_beam_scores_sorted_and_beat_greedy():
     assert scores[0] >= g.score - 1e-12
 
 
-def test_score_sequence_matches_greedy_accumulation():
-    m = small_model(seed=12)
-    r = decode_greedy(m, [C, AMP, A], max_len=6)
-    if not r.truncated:
-        assert abs(score_sequence(m, [C, AMP, A], r.tokens) - r.score) <= 1e-12
-
-
 def ablation_configs():
     """All 27 sublayer ablations: encoder, decoder and cross choices."""
     enc = ("EP", "EA", "EP-EA")
@@ -374,7 +395,7 @@ def test_cached_steps_match_teacher_forcing_across_cache_growth(cls, width):
         rows = m.step_logits(state, toks)
         for row, prefix in zip(rows, prefixes):
             finite_close(row, m.forward(src, prefix).data[-1], 1e-12)
-    caches = [c for c in (state.layers[0].dp, state.layers[0].da)]
+    caches = state.layers[0][:2]    # DP and DA; the cross entries follow
     assert [c.k.shape[-2] for c in caches] == [4 * FIRST_CAPACITY] * 2
     assert state.length == 2 * FIRST_CAPACITY + 5
 
