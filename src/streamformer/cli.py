@@ -4,7 +4,8 @@ All subcommands share three global flags.  --config points at a key=value
 file whose entries override model and trainer defaults, --seed seeds
 whatever randomness the subcommand uses, and --out redirects the primary
 output (dataset, checkpoint, CSV, or report).  Contract violations exit
-with 2, blown enumeration budgets with 3; a failed certification exits 1.
+with 2, blown enumeration budgets and exhausted memory with 3; a failed
+certification exits 1.
 """
 
 import argparse
@@ -23,7 +24,7 @@ _MODEL_KEYS = get_type_hints(ModelConfig)
 _TRAIN_KEYS = get_type_hints(TrainConfig)
 _KEY_TYPES = {**_MODEL_KEYS, **_TRAIN_KEYS, "code": str}
 # the types _coerce can produce that each field type accepts; bool is not
-# an int here, and a single cross mode arrives as a plain string
+# an int here, and a one-item tuple arrives as a plain string
 _ACCEPTS = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
             tuple[str, ...]: (str, tuple)}
 
@@ -67,6 +68,8 @@ def load_config(path):
         if want is not None and type(value) not in _ACCEPTS[want]:
             raise ContractError(f"line {i} of {path}: {key} must be "
                                 f"{want.__name__}, not {value!r}")
+        if want == tuple[str, ...] and isinstance(value, str):
+            value = (value,)
         out[key] = value
     unknown = set(out) - set(_KEY_TYPES)
     if unknown:
@@ -76,12 +79,7 @@ def load_config(path):
 
 def _model_config(overrides):
     kw = {k: v for k, v in overrides.items() if k in _MODEL_KEYS}
-    if isinstance(kw.get("cross_modes"), str):
-        kw["cross_modes"] = (kw["cross_modes"],)
     if "code" in overrides:
-        kw.pop("use_ep", None), kw.pop("use_ea", None)
-        kw.pop("use_dp", None), kw.pop("use_da", None)
-        kw.pop("cross_modes", None)
         return ModelConfig.from_code(overrides["code"], **kw)
     return ModelConfig(**kw)
 
@@ -313,6 +311,10 @@ def main(argv=None):
         return 2
     except ResourceError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"error: out of memory: {e}" if str(e) else
+              "error: out of memory", file=sys.stderr)
         return 3
 
 

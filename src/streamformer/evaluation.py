@@ -8,6 +8,7 @@ quantify how consistently a model answers alpha-equivalent inputs.
 """
 
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -42,16 +43,18 @@ def edit_distance(a, b) -> int:
 # ------------------------------------------------------------ renaming audit
 
 def _enumerable(k, m):
-    # small spaces are enumerated outright, everything else is sampled
-    return k <= 4 and m <= 6
+    # small spaces, and any with fewer injections than a sample holds, are
+    # enumerated outright; everything else is sampled
+    return (k <= 4 and m <= 6) or math.perm(m, k) < 24
 
 
 def renaming_set(vocab, used, seed=0):
     """Renamings exercising every relabeling of the symbols in `used`.
 
-    When at most 4 used symbols draw from a tier of at most 6, all
-    injections into the tier are enumerated; larger spaces get 24 distinct
-    injections sampled deterministically from `seed`.  Each injection is
+    When at most 4 used symbols draw from a tier of at most 6, or there
+    are fewer than 24 injections, all injections into the tier are
+    enumerated; larger spaces get 24 distinct injections sampled
+    deterministically from `seed`.  Each injection is
     completed to a full permutation by pairing leftovers in id order.
     """
     ids = list(vocab.inter_ids())

@@ -37,12 +37,16 @@ live hypotheses as rows of one state and re-indexes the caches by parent.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
-swaps the stream embedding and projection for flat ones and shares the
-rest, the decode state included.
+swaps the stream embedding, the projection and the column table for flat
+ones and shares the rest, the decode state included.
+
+Each source has one column table, _col_ids: the token id behind every
+logit column.  Training labels, the renamed run's column alignment and
+the decode state's emitted tokens are all read off it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,7 +59,12 @@ from .streams import (EOS_ID, SOS_ID, Rows, StreamBatch, Vocabulary,
                       pack_sequences, project, sequence_stream_ids,
                       stream_lookup_ids)
 
-CROSS_MODES = ("per", "agg")
+# ablation code tokens, in code order: the sublayer switch each turns on,
+# then the cross-attention mode each adds
+_SUBLAYER_CODES = {"EP": "use_ep", "DP": "use_dp", "EA": "use_ea",
+                   "DA": "use_da"}
+_CROSS_CODES = {"CP": "per", "CA": "agg"}
+CROSS_MODES = tuple(_CROSS_CODES.values())
 
 
 @dataclass(frozen=True)
@@ -101,50 +110,32 @@ class ModelConfig:
     @property
     def code(self):
         """Ablation code, e.g. "EP-DP-EA-DA-CP"."""
-        parts = []
-        if self.use_ep:
-            parts.append("EP")
-        if self.use_dp:
-            parts.append("DP")
-        if self.use_ea:
-            parts.append("EA")
-        if self.use_da:
-            parts.append("DA")
-        parts += ["CP" if m == "per" else "CA" for m in self.cross_modes]
+        parts = [tok for tok, use in _SUBLAYER_CODES.items()
+                 if getattr(self, use)]
+        parts += [tok for mode in self.cross_modes
+                  for tok, m in _CROSS_CODES.items() if m == mode]
         return "-".join(parts)
 
     @staticmethod
     def from_code(code, **overrides):
-        """Build a config from an ablation code like "EP-DP-EA-CP"."""
-        toggles = {"use_ep": False, "use_ea": False, "use_dp": False,
-                   "use_da": False}
+        """Build a config from an ablation code like "EP-DP-EA-CP"; the
+        code sets every sublayer switch and the cross modes, whatever
+        overrides says."""
+        switches = dict.fromkeys(_SUBLAYER_CODES.values(), False)
         cross = []
         for tok in code.split("-"):
             t = tok.strip().upper()
-            if t == "EP":
-                toggles["use_ep"] = True
-            elif t == "EA":
-                toggles["use_ea"] = True
-            elif t == "DP":
-                toggles["use_dp"] = True
-            elif t == "DA":
-                toggles["use_da"] = True
-            elif t == "CP":
-                cross.append("per")
-            elif t == "CA":
-                cross.append("agg")
+            if t in _SUBLAYER_CODES:
+                switches[_SUBLAYER_CODES[t]] = True
+            elif t in _CROSS_CODES:
+                cross.append(_CROSS_CODES[t])
             else:
                 raise ContractError(f"unknown ablation token {tok!r}")
-        return ModelConfig(cross_modes=tuple(cross), **toggles, **overrides)
+        return ModelConfig(**{**overrides, **switches,
+                              "cross_modes": tuple(cross)})
 
     def to_dict(self):
-        return {"d_model": self.d_model, "heads": self.heads,
-                "ffn_dim": self.ffn_dim, "enc_layers": self.enc_layers,
-                "dec_layers": self.dec_layers, "use_ep": self.use_ep,
-                "use_ea": self.use_ea, "use_dp": self.use_dp,
-                "use_da": self.use_da, "cross_modes": list(self.cross_modes),
-                "cosine_head": self.cosine_head, "dropout": self.dropout,
-                "rope_base": self.rope_base}
+        return dict(asdict(self), cross_modes=list(self.cross_modes))
 
     @staticmethod
     def from_dict(d):
@@ -174,15 +165,13 @@ def l2_normalize(x):
 
 
 class Norm:
-    def __init__(self, prefix, d, eps=1e-5):
+    def __init__(self, prefix, d):
         self.gain = T.Parameter(f"{prefix}.gain", np.ones(d))
         self.bias = T.Parameter(f"{prefix}.bias", np.zeros(d))
-        self.eps = eps
 
     def __call__(self, x, y):
         """The norm of the residual sum x + y, one node."""
-        return T.add_layer_norm(x, y, self.gain.tensor, self.bias.tensor,
-                                self.eps)
+        return T.add_layer_norm(x, y, self.gain.tensor, self.bias.tensor)
 
     def parameters(self):
         return [self.gain, self.bias]
@@ -450,23 +439,14 @@ class Seq2SeqModel:
         return out
 
     def label_columns(self, src, tgt):
-        """Logit column index for each target token, given its source.
-
-        Base tokens keep their id; an interchangeable token maps to the
-        column of the stream that owns it in this source.
-        """
-        sids = sequence_stream_ids(src, self.vocab)
-        cols = []
-        for t in tgt:
-            t = int(t)
-            if self.vocab.is_inter(t):
-                if t not in sids:
-                    raise VocabularyError(
-                        f"target symbol {t} does not appear in the source")
-                cols.append(self.vocab.base_size + sids.index(t))
-            else:
-                cols.append(t)
-        return cols
+        """Logit column index for each target token, given its source: the
+        token's place in the source's column table."""
+        column = {t: c for c, t in enumerate(self._col_ids(src)) if t >= 0}
+        try:
+            return [column[int(t)] for t in tgt]
+        except KeyError as e:
+            raise VocabularyError(f"target symbol {e.args[0]} has no logit "
+                                  f"column for this source") from None
 
     # ------------------------------------------------- embedding and columns
 
@@ -494,13 +474,12 @@ class Seq2SeqModel:
     def _project(self, H, W):
         return project(H, W)
 
-    def _columns(self, enc):
-        """Token id behind each logit column, and which columns can win."""
-        sids = enc.stream_ids[0]
-        col_ids = np.concatenate([np.arange(self.vocab.base_size), sids])
-        allowed = np.concatenate([np.ones(self.vocab.base_size, dtype=bool),
-                                  sids >= 0])
-        return col_ids, allowed
+    def _col_ids(self, src):
+        """Token id behind each logit column for src: the base ids, then
+        one per stream, in the order pack_sequences and project give the
+        streams; -1 marks the synthetic stream of a symbol-free source."""
+        return (list(range(self.vocab.base_size))
+                + (sequence_stream_ids(src, self.vocab) or [-1]))
 
     # ----------------------------------------------------------------- forward
 
@@ -559,19 +538,13 @@ class Seq2SeqModel:
         return T.reshape(logits, logits.shape[1:])
 
     def align_renamed_logits(self, logits, src, renamed_src, f):
-        """Permute a renamed run's columns back into the base run's order.
-
-        Stream columns follow their symbol: column for stream s in the base
-        run lines up with the renamed run's column for stream f[s].
-        """
-        sids1 = sequence_stream_ids(src, self.vocab)
-        sids2 = sequence_stream_ids(renamed_src, self.vocab)
-        if not sids1:
-            return logits
-        n_base = self.vocab.base_size
-        order = [sids2.index(f[s]) for s in sids1]
-        return np.concatenate([logits[:, :n_base],
-                               logits[:, n_base:][:, order]], axis=1)
+        """Permute a renamed run's columns back into the base run's order:
+        the base run's column for token t lines up with the renamed run's
+        column for f[t].  A synthetic stream's column stays put."""
+        renamed = self._col_ids(renamed_src)
+        order = [c if t < 0 else renamed.index(f[t])
+                 for c, t in enumerate(self._col_ids(src))]
+        return logits[:, order]
 
     # ----------------------------------------------------------------- decode
 
@@ -581,8 +554,8 @@ class Seq2SeqModel:
             enc = self.encode([list(src)])
             table = self._output_table()
             layers = [layer.caches(enc) for layer in self.dec_layers]
-        col_ids, allowed = self._columns(enc)
-        return DecodeState(enc, col_ids, allowed, table, layers,
+        col_ids = np.array(self._col_ids(src))
+        return DecodeState(enc, col_ids, col_ids >= 0, table, layers,
                            *self._step_lookup(enc))
 
     def step_logits(self, state, tokens):
@@ -733,15 +706,11 @@ def check_invariance(model, src, f, max_len=64):
 class FlatVocabTransformer(Seq2SeqModel):
     """Ordinary transformer baseline: one stream, per-symbol embedding rows.
 
-    Shares the layers, the forward pass and the decode state with the
-    stream model but embeds every token by identity, so renamed inputs
-    meet different weights and nothing guarantees invariance.  Used as the
-    comparison double in evaluations.
+    Shares the layers, the forward pass, the decode state and the column
+    lookups with the stream model but embeds every token by identity, so
+    renamed inputs meet different weights and nothing guarantees
+    invariance.  Used as the comparison double in evaluations.
     """
-
-    def label_columns(self, src, tgt):
-        """Every token keeps its own column in the flat table."""
-        return [int(t) for t in tgt]
 
     @staticmethod
     def _table_rows(vocab):
@@ -764,14 +733,9 @@ class FlatVocabTransformer(Seq2SeqModel):
     def _project(self, H, W):
         return T.matmul(H.hidden, T.transpose(W, (1, 0)))
 
-    def _columns(self, enc):
-        n = self.vocab.total_size
-        return np.arange(n), np.ones(n, dtype=bool)
-
-    def align_renamed_logits(self, logits, src, renamed_src, f):
-        """One column per token here, so the renaming permutes columns."""
-        perm = np.array([f[c] for c in range(self.vocab.total_size)])
-        return logits[:, perm]
+    def _col_ids(self, src):
+        """Every token keeps its own column in the flat table."""
+        return list(range(self.vocab.total_size))
 
 
 # ------------------------------------------------------------------ persistence
@@ -809,6 +773,8 @@ def load_model(path):
     for name, arr in arrays.items():
         if own[name].data.shape != arr.shape:
             raise ContractError(f"shape mismatch for {name}")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"parameter {name} holds NaN or inf")
         own[name].data = arr
     if "adacos" in meta:
         from .training import AdaCosState

@@ -106,10 +106,11 @@ class Tensor:
 class Parameter:
     """Named trainable leaf.  Tied parameters share one Tensor object."""
 
-    def __init__(self, name, data, trainable=True):
+    trainable = True
+
+    def __init__(self, name, data):
         self.name = name
         self.tensor = Tensor(data)
-        self.trainable = trainable
 
     @property
     def data(self):

@@ -13,6 +13,7 @@ source sequence.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -88,14 +89,14 @@ def sequence_loss(logits, labels, mask, scale):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, warmup=500, betas=(0.9, 0.999), eps=1e-8):
-        self.params = [p for p in params if p.trainable]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3, warmup=500):
+        self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("duplicate parameter handed to the optimizer")
         self.lr = lr
         self.warmup = warmup
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -133,7 +134,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ContractError("bad training configuration")
-        if self.learning_rate <= 0 or self.warmup < 0 or self.checkpoint_every < 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError("learning_rate must be positive and finite")
+        if self.warmup < 0 or self.checkpoint_every < 0:
             raise ContractError("bad training configuration")
 
 

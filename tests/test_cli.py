@@ -127,6 +127,42 @@ def test_exit_codes(workdir, monkeypatch, capsys):
     monkeypatch.setattr(cli.ev, "certify_invariance", boom)
     assert run("certify", "--trials", "1") == 3
 
+    def no_memory(*a, **kw):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+    monkeypatch.setattr(cli.ev, "time_scaling", no_memory)
+    capsys.readouterr()
+    assert run("time", "--aps", "1") == 3
+    assert capsys.readouterr().err == \
+        "error: out of memory: Unable to allocate 9.31 GiB for an array\n"
+
+
+def test_non_finite_checkpoint_exits_2_naming_the_parameter(workdir, capsys):
+    from streamformer.logic import task_vocabulary
+    from streamformer.model import ModelConfig, Seq2SeqModel, save_model
+    m = Seq2SeqModel(ModelConfig(d_model=8, heads=2, ffn_dim=8, enc_layers=1,
+                                 dec_layers=1), task_vocabulary("prop", 3))
+    name = m.parameters()[3].name
+    m.parameters()[3].data.flat[0] = float("nan")
+    save_model(m, "nan.ckpt")
+    (workdir / "p.tsv").write_text("#task=prop aps=3\n!a\ta0\n")
+    assert run("eval", "--model", "nan.ckpt", "--data", "p.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err
+
+
+def test_alpha_cov_with_one_symbol_sources_in_a_wide_tier(workdir, capsys):
+    # prop-7 sources with one symbol have 7 renamings, fewer than a sample
+    (workdir / "tiny.cfg").write_text(TINY_CFG)
+    assert run("--out", "d.tsv", "gen-data", "--task", "prop", "--aps", "7",
+               "--n", "12") == 0
+    assert run("--config", "tiny.cfg", "--out", "m.ckpt", "train",
+               "--data", "d.tsv", "--steps", "0") == 0
+    assert run("--out", "cov.txt", "alpha-cov", "--model", "m.ckpt",
+               "--data", "d.tsv", "--max-len", "4") == 0
+    lines = (workdir / "cov.txt").read_text().splitlines()
+    assert lines[1] == "samples 12" and lines[-1] == "skipped 0"
+
 
 def fails_with_one_line(capsys, *argv):
     assert run(*argv) == 2
@@ -205,6 +241,8 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
     ("--out", "t.txt", "time", "--aps", "1,3", "--samples", "1",
      "--length", "2"),
     ("--out", "e.ckpt", "train", "--data", "e.tsv"),
+    ("--out", "n.ckpt", "train", "--data", "p.tsv", "--learning-rate", "nan"),
+    ("--out", "n.ckpt", "train", "--data", "p.tsv", "--learning-rate", "inf"),
 ], ids=["prop-no-symbols", "copying-too-many-symbols", "ltl-too-many-symbols",
         "negative-pair-count", "time-list-not-integers",
         "time-repeated-counts", "heatmap-aps-not-integers",
@@ -212,7 +250,8 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
         "eval-zero-max-len", "eval-beam-zero-max-len",
         "alpha-cov-zero-max-len", "topn-zero-max-len", "eval-zero-beam",
         "eval-negative-beam", "heatmap-negative-beam",
-        "time-length-below-streams", "train-empty-dataset"])
+        "time-length-below-streams", "train-empty-dataset",
+        "train-nan-learning-rate", "train-inf-learning-rate"])
 def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     from streamformer.logic import task_vocabulary
     from streamformer.model import ModelConfig, Seq2SeqModel, save_model

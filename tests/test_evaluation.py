@@ -79,6 +79,17 @@ def test_renaming_set_identity_for_no_symbols():
     assert len(fs) == 1 and fs[0].is_identity()
 
 
+def test_renaming_set_enumerates_spaces_smaller_than_a_sample():
+    # a 7-symbol tier holds only 7 injections of one symbol and one of none,
+    # fewer than the 24 a sample draws, so both are enumerated
+    vocab = L.task_vocabulary("prop", 7)
+    first = vocab.inter_ids()[0]
+    fs = E.renaming_set(vocab, [first])
+    assert sorted(f[first] for f in fs) == list(vocab.inter_ids())
+    fs = E.renaming_set(vocab, [])
+    assert len(fs) == 1 and fs[0].is_identity()
+
+
 def test_renaming_set_samples_large_spaces():
     vocab = L.task_vocabulary("copying", 7)
     used = list(vocab.inter_ids())[:5]

@@ -10,7 +10,7 @@ from streamformer.attention import (FIRST_CAPACITY, aggregated_attention,
                                     padding_mask,
                                     per_stream_attention)
 from streamformer.errors import ContractError
-from streamformer.logic import task_vocabulary
+from streamformer.logic import gen_prop, task_vocabulary
 from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer,
                                 ModelConfig, Seq2SeqModel, check_invariance,
                                 decode_beam, decode_greedy, load_model,
@@ -163,7 +163,7 @@ def test_encoder_layer_wiring_matches_manual_composition():
 
     def wrap(Hc, sub, norm):
         return Hc.with_hidden(T.add_layer_norm(
-            Hc.hidden, sub, norm.gain.tensor, norm.bias.tensor, norm.eps))
+            Hc.hidden, sub, norm.gain.tensor, norm.bias.tensor))
 
     (_, self_attn, self_norm), (_, agg_attn, agg_norm) = layer.subs
     Hm = H
@@ -497,6 +497,31 @@ def test_flat_baseline_is_renaming_sensitive():
         if np.abs(l1 - swap).max() > 1e-6:
             return
     pytest.fail("flat baseline never broke symmetry across 10 seeds")
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_column_table_follows_stream_order(cls):
+    # sources with 0 to 4 symbols, many first met out of id order: labels,
+    # decode columns and renamed-run alignment all read the one table, and
+    # the stream model's table lists streams as the encoder packs them
+    vocab = task_vocabulary("prop", 4)
+    pairs = [(vocab.encode(s), vocab.encode(t))
+             for s, t in gen_prop(4, 4, (3, 12), 40).pairs + [("!1", "0")]]
+    assert {len(set(src) & set(vocab.inter_ids()))
+            for src, _ in pairs} == {0, 1, 2, 3, 4}
+    m = cls(ModelConfig(**TINY), vocab, seed=1)
+    identity = AlphaRenaming.identity(vocab)
+    for src, tgt in pairs:
+        col_ids = m._col_ids(src)
+        for t in tgt + [EOS_ID]:
+            assert col_ids[m.label_columns(src, [t])[0]] == t
+        assert m.begin_decode(src).col_ids.tolist() == col_ids
+        if cls is Seq2SeqModel:
+            assert (col_ids[vocab.base_size:]
+                    == m.encode([src]).stream_ids[0].tolist())
+        logits = m.forward(src, [SOS_ID] + tgt).data
+        aligned = m.align_renamed_logits(logits, src, src, identity)
+        assert aligned.tobytes() == logits.tobytes()
 
 
 # ----------------------------------------------------------------- persistence
