@@ -9,27 +9,32 @@ Rotary position encoding is applied to queries and keys inside every
 attention call, each side rotated by its own absolute positions, so all
 score logits depend on relative offsets only.  A projection's head pairs
 are read as complex numbers and rotated by one multiply with a cached
-phase table (tensor.rope_phases); the multiply is elementwise, so each
-stream's result depends on that stream alone, bit for bit.
+phase table (rotation(), over tensor.rope_phases); the multiply is
+elementwise, so each stream's result depends on that stream alone, bit
+for bit.  A sublayer looks its table up once for its query and key
+projections, and a caller that holds it already (the decoder, once per
+step) passes it in.
 
-An attention call is four graph nodes, each with a hand-written vjp: the
-q, k and v projections (product, rotation, head split), then one node
-for scores, mask, softmax, value mixing, head merge and output
-projection.  Training, teacher-forced evaluation and cached decoding all
-run these nodes.
+An attention call is three graph nodes, each with a hand-written vjp: the
+k and v projections (product, rotation, head split), then one node for
+the query projection, scores, mask, softmax, value mixing, head merge
+and output projection.  Training, teacher-forced evaluation and cached
+decoding all run these nodes.
 
 Queries, keys and masks come a row per real (sequence, stream).  Keys
 that exist once per sequence (EA, DA, CA: the aggregate's) reach their
 rows through one gather, whose vjp sums the rows' gradients back per
-sequence; a cached decode step gathers only its new position's, and a
-KVCache writes it in place after the positions it already holds.
+sequence.  A cached decode step records no such gather: its KVCache
+copies the new position's keys to their rows as it writes them in place
+after the positions it already holds.
 
 The softmax weights stay inside MultiHeadAttention.attend; every function
 here returns only its output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +48,7 @@ class AttentionConfig:
     d_model: int
     heads: int
     rope_base: float = 10000.0
+    head_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d_model < 1 or self.heads < 1 or not self.rope_base > 0:
@@ -51,10 +57,7 @@ class AttentionConfig:
             raise DimensionError("d_model must divide evenly into heads")
         if (self.d_model // self.heads) % 2 != 0:
             raise DimensionError("head width must be even for rotary pairs")
-
-    @property
-    def head_dim(self):
-        return self.d_model // self.heads
+        object.__setattr__(self, "head_dim", self.d_model // self.heads)
 
 
 @dataclass(frozen=True)
@@ -112,78 +115,56 @@ class MultiHeadAttention:
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
 
-    def _heads(self, x, w, positions=None):
+    def _heads(self, x, w, phase=None):
         """One node: x (...,L,d) @ w split into heads, (...,h,L,hd), each
-        head rotated by positions when they are given.
+        head rotated by phase (a rotation() table) when it is given."""
+        return T.fused(partial(_split_heads, h=self.cfg.heads,
+                               hd=self.cfg.head_dim, phase=phase), x, w.tensor)
 
-        The product is rotated while it is still (...,L,h,hd) and
-        contiguous, as hd/2 complex pairs times the phase table; the head
-        axis is then moved forward as a view.  The vjp undoes the
-        rotation with the conjugate phases, and forms the weight gradient
-        as one GEMM over every row.
-        """
-        h, hd = self.cfg.heads, self.cfg.head_dim
-        phase = None
-        if positions is not None:
-            phase = T.rope_phases(positions, hd, self.cfg.rope_base)[:, None]
-
-        def forward(xd, wd):
-            d = xd.shape[-1]
-            y = np.matmul(xd, wd).reshape(xd.shape[:-1] + (h, hd))
-            if phase is not None:
-                pairs = y.view(np.complex128)
-                pairs *= phase
-
-            def vjp(g):
-                gy = g.swapaxes(-2, -3)
-                if phase is None:
-                    gy = gy.reshape(-1, d)
-                else:
-                    gy = T.rotate_pairs(gy, phase.conj()).reshape(-1, d)
-                return (np.matmul(gy, wd.T).reshape(xd.shape),
-                        np.matmul(xd.reshape(-1, d).T, gy))
-
-            return y.swapaxes(-2, -3), vjp
-
-        return T.fused(forward, x, w.tensor)
-
-    def project_kv(self, k_in, v_in, k_positions):
+    def project_kv(self, k_in, v_in, k_positions, *, phase=None):
         """Keys and values split into heads, keys rotated by k_positions.
 
         k_in/v_in (...,Lk,d) give (...,h,Lk,hd) each: the form attend()
-        reads and a decode cache stores.
+        reads and a decode cache stores.  A caller that holds the
+        positions' rotation() table passes it as phase instead.
         """
-        return (self._heads(k_in, self.wk, k_positions),
-                self._heads(v_in, self.wv))
+        if phase is None:
+            phase = rotation(self.cfg, k_positions)
+        return self._heads(k_in, self.wk, phase), self._heads(v_in, self.wv)
 
-    def attend(self, q_in, k, v, mask, q_positions):
+    def attend(self, q_in, k, v, mask, q_positions, *, phase=None):
         """Attention of q_in (...,Lq,d) over heads k, v from project_kv;
         returns the output, (...,Lq,d).  The mask's rows go with the
-        entries of the first leading axis.
+        entries of the first leading axis.  phase, when given, is the
+        rotation() table of q_positions.
 
-        One node after the query projection: scaled scores, mask, softmax,
-        value mixing, head merge and output projection.  Its vjp takes the
-        softmax backward in one pass, dS = P * (dP - rowsum(dP * P)) *
-        scale.
+        One node: the query projection and its rotation, scaled scores,
+        mask, softmax, value mixing, head merge and output projection.
+        Its vjp takes the softmax backward in one pass, dS = P * (dP -
+        rowsum(dP * P)) * scale, and hands dQ to the query projection's
+        own vjp.
         """
-        q = self._heads(q_in, self.wq, q_positions)
-        scale = 1.0 / np.sqrt(self.cfg.head_dim)
+        if phase is None:
+            phase = rotation(self.cfg, q_positions)
+        h, hd = self.cfg.heads, self.cfg.head_dim
+        scale = 1.0 / np.sqrt(hd)
         drop = None if mask is None else ~mask.bits.reshape(
-            mask.bits.shape[:1] + (1,) * (q.ndim - 3) + mask.bits.shape[1:])
+            mask.bits.shape[:1] + (1,) * (q_in.ndim - 2) + mask.bits.shape[1:])
 
-        def forward(qd, kd, vd, wo):
+        def forward(xd, wq, kd, vd, wo):
+            qd, q_back = _split_heads(xd, wq, h, hd, phase)
             p = np.matmul(qd, kd.swapaxes(-1, -2))
             p *= scale
             if drop is not None:
                 np.copyto(p, -np.inf, where=drop)
-            mx = p.max(axis=-1, keepdims=True)
-            if not np.isfinite(mx).all():
+            mx = np.maximum.reduce(p, axis=-1, keepdims=True)
+            if not np.logical_and.reduce(np.isfinite(mx), axis=None):
                 raise ContractError("attention: a query row has every key masked")
             p -= mx
             np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
+            p /= np.add.reduce(p, axis=-1, keepdims=True)
             ctx = np.matmul(p, vd)                           # (...,h,Lq,hd)
-            lead, (h, Lq, hd) = ctx.shape[:-3], ctx.shape[-3:]
+            lead, Lq = ctx.shape[:-3], ctx.shape[-2]
             merged = ctx.swapaxes(-2, -3).reshape(-1, h * hd)
             out = np.matmul(merged.reshape(lead + (Lq, h * hd)), wo)
 
@@ -196,12 +177,49 @@ class MultiHeadAttention:
                 ds -= np.einsum("...j,...j->...", ds, p)[..., None]
                 ds *= p
                 ds *= scale
-                return (np.matmul(ds, kd), np.matmul(ds.swapaxes(-1, -2), qd),
-                        dv, np.matmul(merged.T, g2))
+                return (*q_back(np.matmul(ds, kd)),
+                        np.matmul(ds.swapaxes(-1, -2), qd), dv,
+                        np.matmul(merged.T, g2))
 
             return out, vjp
 
-        return T.fused(forward, q, k, v, self.wo.tensor)
+        return T.fused(forward, q_in, self.wq.tensor, k, v, self.wo.tensor)
+
+
+def rotation(cfg, positions):
+    """Rotary phase table of positions for cfg's heads, (L, 1, hd/2): what
+    a projection's (...,L,h,hd/2) pairs are multiplied by.  None gives
+    None, no rotation."""
+    if positions is None:
+        return None
+    return T.rope_phases(positions, cfg.head_dim, cfg.rope_base)[:, None]
+
+
+def _split_heads(xd, wd, h, hd, phase):
+    """xd (...,L,d) @ wd split into heads, (...,h,L,hd), plus its vjp.
+
+    The product is rotated while it is still (...,L,h,hd) and contiguous,
+    as hd/2 complex pairs times the phase table; the head axis is then
+    moved forward as a view.  The vjp undoes the rotation with the
+    conjugate phases, and forms the weight gradient as one GEMM over
+    every row.
+    """
+    d = xd.shape[-1]
+    y = np.matmul(xd, wd).reshape(xd.shape[:-1] + (h, hd))
+    if phase is not None:
+        pairs = y.view(np.complex128)
+        pairs *= phase
+
+    def vjp(g):
+        gy = g.swapaxes(-2, -3)
+        if phase is None:
+            gy = gy.reshape(-1, d)
+        else:
+            gy = T.rotate_pairs(gy, phase.conj()).reshape(-1, d)
+        return (np.matmul(gy, wd.T).reshape(xd.shape),
+                np.matmul(xd.reshape(-1, d).T, gy))
+
+    return y.swapaxes(-2, -3), vjp
 
 
 class KVCache:
@@ -220,10 +238,13 @@ class KVCache:
         self.k = self.v = None
         self.length = 0
 
-    def extend(self, k, v):
+    def extend(self, k, v, seq=None):
         """Write the new positions' heads after the filled ones; returns
-        views of every filled position of k and v."""
+        views of every filled position of k and v.  Given seq, k and v
+        have one entry per sequence, and row r reads entry seq[r]."""
         k, v = k.data, v.data
+        if seq is not None:
+            k, v = k[seq], v[seq]
         if self.k is None:
             self.k, self.v = k[..., :0, :], v[..., :0, :]
         start, end = self.length, self.length + k.shape[-2]
@@ -252,45 +273,52 @@ def _buffer(filled, cap):
     return out
 
 
-def _kv(mha, kv_in, positions, seq=None, cache=None):
-    """Keys and values of kv_in; given seq, kv_in has one entry per
-    sequence, gathered to row r from sequence seq[r].  A cache appends
-    them to the earlier decode steps' and returns all of them."""
-    k, v = mha.project_kv(kv_in, kv_in, positions)
+def _kv(mha, kv_in, phase, seq=None, cache=None):
+    """Keys and values of kv_in, keys rotated by phase; given seq, kv_in
+    has one entry per sequence, gathered to row r from sequence seq[r].
+    A cache appends them to the earlier decode steps' and returns all of
+    them."""
+    k, v = mha.project_kv(kv_in, kv_in, None, phase=phase)
+    if cache is not None:
+        return cache.extend(k, v, seq)
     if seq is not None:
         k, v = T.gather_rows(k, seq), T.gather_rows(v, seq)
-    return (k, v) if cache is None else cache.extend(k, v)
+    return k, v
 
 
-def _positions(H, cache):
-    """Absolute positions of H's sequence axis: a cached decode step
-    continues after the positions its cache already holds."""
+def _rotation(mha, H, cache, phase):
+    """phase if given, else the rotation() table of H's absolute positions:
+    a cached decode step continues after the positions its cache already
+    holds."""
+    if phase is not None:
+        return phase
     pos = np.arange(H.length)
-    return pos if cache is None else pos + cache.length
+    return rotation(mha.cfg, pos if cache is None else pos + cache.length)
 
 
-def per_stream_attention(mha, H, mask, cache=None):
+def per_stream_attention(mha, H, mask, cache=None, phase=None):
     """Self-attention run independently inside each stream.
 
     With k=1 this is plain self-attention.  With a KVCache, H holds only
-    the new positions and attends over every cached one as well.  Returns
-    the StreamBatch of raw attention outputs.
+    the new positions and attends over every cached one as well.  phase
+    is the rotation() table of H's positions when the caller holds it.
+    Returns the StreamBatch of raw attention outputs.
     """
-    pos = _positions(H, cache)
-    k, v = _kv(mha, H.hidden, pos, cache=cache)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, pos))
+    phase = _rotation(mha, H, cache, phase)
+    k, v = _kv(mha, H.hidden, phase, cache=cache)
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase))
 
 
-def aggregated_attention(mha, H, mask, cache=None):
+def aggregated_attention(mha, H, mask, cache=None, phase=None):
     """Queries stay per-stream; keys and values are the fused aggregate.
 
     The aggregate is computed and projected once per sequence, so every
     stream of a sequence attends over identical keys.  It is
     position-wise, so a cached decode step fuses only its new positions.
     """
-    pos = _positions(H, cache)
-    k, v = _kv(mha, aggregate(H), pos, H.rows.seq, cache)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, pos))
+    phase = _rotation(mha, H, cache, phase)
+    k, v = _kv(mha, aggregate(H), phase, H.rows.seq, cache)
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase))
 
 
 def cross_kv(mha, H_enc, mode, seq):
@@ -301,24 +329,29 @@ def cross_kv(mha, H_enc, mode, seq):
     encoder's; "agg" fuses each sequence's encoder streams into one
     sequence that all the sequence's decoder rows read.
     """
-    pos = np.arange(H_enc.length)
+    phase = rotation(mha.cfg, np.arange(H_enc.length))
     if mode == "per":
-        return _kv(mha, H_enc.hidden, pos)
+        return _kv(mha, H_enc.hidden, phase)
     if mode == "agg":
-        return _kv(mha, aggregate(H_enc), pos, seq)
+        return _kv(mha, aggregate(H_enc), phase, seq)
     raise ContractError(f"unknown cross attention mode {mode!r}")
 
 
-def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, start=0):
+def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, phase=None):
     """Decoder-to-encoder attention in one of two modes (see cross_kv).
 
     "per" needs aligned streams, which holds because the decoder reuses
     the encoder's stream ids.  Decoding passes the keys and values it
-    holds for its rows as kv, and the position of its query as start.
+    holds for its rows as kv, and the rotation() table of its query's
+    position as phase; its rows' streams are the encoder's by
+    construction, so only a call without kv checks them.
     """
-    if mode == "per" and (H_dec.k != H_enc.k
-                          or (H_dec.stream_ids != H_enc.stream_ids).any()):
-        raise ContractError("per-stream cross attention needs aligned streams")
-    k, v = cross_kv(mha, H_enc, mode, H_dec.rows.seq) if kv is None else kv
-    return H_dec.with_hidden(
-        mha.attend(H_dec.hidden, k, v, mask, start + np.arange(H_dec.length)))
+    if kv is None:
+        if mode == "per" and (H_dec.k != H_enc.k or
+                              (H_dec.stream_ids != H_enc.stream_ids).any()):
+            raise ContractError(
+                "per-stream cross attention needs aligned streams")
+        kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
+    k, v = kv
+    return H_dec.with_hidden(mha.attend(
+        H_dec.hidden, k, v, mask, np.arange(H_dec.length), phase=phase))

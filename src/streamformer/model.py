@@ -16,7 +16,7 @@ feed-forward block, each wrapped as norm(x + dropout(sub(x))):
            CA aggregated) ffn
 
 Disabling a toggle removes the sublayer and its norm parameters entirely.
-Every attention sublayer is four graph nodes (see attention.py); the
+Every attention sublayer is three graph nodes (see attention.py); the
 residual sum and its norm are one node, and so are the feed-forward block
 and the cosine head's normalisation.  Every stream-wise piece runs on the
 stored rows, one per real (sequence, stream), so no work goes to stream
@@ -47,13 +47,15 @@ the decode state's emitted tokens are all read off it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tensor as T
 from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         aggregated_attention, cross_attention, cross_kv,
-                        look_ahead_mask, padding_mask, per_stream_attention)
+                        look_ahead_mask, padding_mask, per_stream_attention,
+                        rotation)
 from .errors import ContractError, VocabularyError
 from .streams import (EOS_ID, SOS_ID, Rows, StreamBatch, Vocabulary,
                       pack_sequences, project, sequence_stream_ids,
@@ -103,7 +105,7 @@ class ModelConfig:
             raise ContractError("encoder and decoder need a layer or more")
         AttentionConfig(self.d_model, self.heads, self.rope_base)  # validates
 
-    @property
+    @cached_property
     def attention(self):
         return AttentionConfig(self.d_model, self.heads, self.rope_base)
 
@@ -151,11 +153,11 @@ def l2_normalize(x):
     (g - y * rowdot(g, y)) / sqrt(|x|^2 + 1e-12).
     """
     def forward(xd):
-        norm = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) + 1e-12)
+        norm = np.sqrt(np.add.reduce(xd * xd, axis=-1, keepdims=True) + 1e-12)
         y = xd / norm
 
         def vjp(g):
-            dx = g - y * (g * y).sum(axis=-1, keepdims=True)
+            dx = g - y * np.add.reduce(g * y, axis=-1, keepdims=True)
             dx /= norm
             return (dx,)
 
@@ -232,7 +234,9 @@ _EVAL = _TrainCtx()
 
 def _residual_norm(H, sub, norm, ctx):
     """norm(x + dropout(sub(x))) on every stored row."""
-    return H.with_hidden(norm(H.hidden, T.dropout(sub, ctx.rate, ctx.rng)))
+    if ctx.rate:
+        sub = T.dropout(sub, ctx.rate, ctx.rng)
+    return H.with_hidden(norm(H.hidden, sub))
 
 
 class _Layer:
@@ -278,21 +282,26 @@ class DecoderLayer(_Layer):
         return (["self"] * cfg.use_dp + ["agg"] * cfg.use_da
                 + [f"cross.{mode}" for mode in cfg.cross_modes])
 
-    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL, caches=None):
-        """One decoder layer; with its caches(), H holds one new position."""
+    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL, caches=None,
+                 phase=None):
+        """One decoder layer; with its caches(), H holds one new position.
+        phase is the rotation() table of H's positions, if the caller
+        holds it."""
         if caches is None:
             caches, start = [None] * len(self.subs), 0
         else:
             start = caches[0].length
+        if phase is None:
+            phase = rotation(self.subs[0][1].cfg, start + np.arange(H.length))
         for (kind, mha, norm), cache in zip(self.subs, caches):
             if kind == "self":
-                sub = per_stream_attention(mha, H, m_la, cache)
+                sub = per_stream_attention(mha, H, m_la, cache, phase)
             elif kind == "agg":
                 # the look-ahead mask keeps the fused keys causal too
-                sub = aggregated_attention(mha, H, m_la, cache)
+                sub = aggregated_attention(mha, H, m_la, cache, phase)
             else:
                 sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
-                                      cache, start)
+                                      cache, phase=phase)
             H = _residual_norm(H, sub.hidden, norm, ctx)
         return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
 
@@ -358,14 +367,13 @@ class DecodeState:
         """StreamBatch of the next token of every row, tgt_inputs (rows, 1):
         each stream row reads its embedding row through the lookup table."""
         tokens = np.asarray(tgt_inputs)
-        if tokens.ndim != 2 or tokens.shape[1] != 1:
-            raise ContractError("a cached decode step feeds one position")
+        if tokens.shape != (len(self.lengths), 1):
+            raise ContractError(f"a cached decode step feeds one token to each "
+                                f"of {len(self.lengths)} decoded rows, not "
+                                f"{tokens.shape}")
         tokens = tokens[:, 0]
-        if len(tokens) != len(self.lengths):
-            raise ContractError(f"{len(tokens)} tokens fed to "
-                                f"{len(self.lengths)} decoded rows")
-        if tokens.size and (tokens.min() < 0
-                            or tokens.max() >= self.lookup.shape[1]):
+        if not (0 <= np.minimum.reduce(tokens)
+                and np.maximum.reduce(tokens) < self.lookup.shape[1]):
             raise VocabularyError("decode step fed an out-of-range token id")
         ids = self.lookup[:, tokens].T.reshape(-1, 1)
         return StreamBatch(T.gather_rows(W, ids),
@@ -498,19 +506,23 @@ class Seq2SeqModel:
         a decoded row, embedded through the state's lookup table: the
         layers read the earlier positions from the state's caches and
         append this one.  The new position may see every cached one and
-        the source is unpadded, so nothing is masked.
+        the source is unpadded, so nothing is masked.  Every layer shares
+        one rotary phase table.
         """
         if state is None:
             H = self._embed(tgt_inputs, enc)
             m_la = look_ahead_mask(H.lengths[H.rows.seq], H.length)
             m_pad = padding_mask(enc.lengths[H.rows.seq], H.length, enc.length)
             caches = [None] * len(self.dec_layers)
+            pos = np.arange(H.length)
         else:
             H = state.embed(tgt_inputs, self.embedding.tensor)
             m_la = m_pad = None
             caches = state.layers
+            pos = np.arange(state.length, state.length + 1)
+        phase = rotation(self.cfg.attention, pos)
         for layer, layer_caches in zip(self.dec_layers, caches):
-            H = layer(H, enc, m_la, m_pad, ctx, layer_caches)
+            H = layer(H, enc, m_la, m_pad, ctx, layer_caches, phase)
         return H
 
     def _output_table(self):
@@ -570,24 +582,21 @@ class Seq2SeqModel:
             return self.project_logits(dec, state.table).data[:, 0]
 
 
-def _log_softmax_allowed(rows, allowed):
-    vals = np.where(allowed, rows, -np.inf)
-    m = vals.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(vals - m).sum(axis=-1, keepdims=True))
-    return vals - lse
-
-
-def _tied_inter_argmax(rows, allowed, n_base):
-    """Per row, the winning column plus a renaming-sensitivity flag.
+def _step_scores(rows, allowed, n_base):
+    """One masked row of logits per decoded row, read three ways: its
+    log-softmax over the allowed columns (-inf elsewhere), its winning
+    column and a renaming-sensitivity flag.
 
     First-maximum tie breaking gives the lowest token id.  The flag marks
     an exact tie between two interchangeable columns, the only place where
     tie breaking could interact with a renaming.
     """
     vals = np.where(allowed, rows, -np.inf)
-    best = vals.argmax(axis=-1)
-    winners = vals == vals[np.arange(len(vals)), best][:, None]
-    return best, winners[:, n_base:].sum(axis=-1) >= 2
+    top = np.maximum.reduce(vals, axis=-1, keepdims=True)
+    tied = np.add.reduce(vals[:, n_base:] == top, axis=-1) >= 2
+    lse = top + np.log(np.add.reduce(np.exp(vals - top), axis=-1,
+                                     keepdims=True))
+    return vals - lse, vals.argmax(axis=-1), tied
 
 
 def decode_greedy(model, src, max_len=64):
@@ -601,11 +610,11 @@ def decode_greedy(model, src, max_len=64):
     score = 0.0
     tied = False
     for _ in range(max_len):
-        rows = model.step_logits(state, [tok])
-        best, step_tied = _tied_inter_argmax(rows, state.allowed, n_base)
+        logp, best, step_tied = _step_scores(model.step_logits(state, [tok]),
+                                             state.allowed, n_base)
         best = int(best[0])
         tied = tied or bool(step_tied[0])
-        score += float(_log_softmax_allowed(rows, state.allowed)[0, best])
+        score += float(logp[0, best])
         tok = int(state.col_ids[best])
         if tok == EOS_ID:
             return DecodeResult(tokens, score, False, tied)
@@ -633,10 +642,9 @@ def decode_beam(model, src, width, max_len=64):
     for _ in range(max_len):
         rows = model.step_logits(state, [hyp.tokens[-1] if hyp.tokens
                                          else SOS_ID for hyp in beams])
-        logp = _log_softmax_allowed(rows, state.allowed)[:, cols]
-        _, step_tied = _tied_inter_argmax(rows, state.allowed, n_base)
+        logp, _, step_tied = _step_scores(rows, state.allowed, n_base)
         cand = (np.array([hyp.score for hyp in beams])[:, None]
-                + logp).reshape(-1)
+                + logp[:, cols]).reshape(-1)
         # candidates in generation order (hypothesis, then column); the
         # stable sort keeps that order among equal scores
         parents, live = [], []

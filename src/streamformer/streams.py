@@ -25,6 +25,7 @@ each sequence's rows to values with a leading batch axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -255,33 +256,53 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     """Embed a list of sequences into one StreamBatch, a row per stream.
 
     stream_id_lists pins each sequence's streams (the decoder reuses the
-    encoder's); by default they come from the sequences themselves.
+    encoder's); by default they come from the sequences themselves.  The
+    whole batch is built at once from one padded id matrix: each row reads
+    its sequence's ids, with interchangeable ids sent to the placeholder
+    row and the row's own id to the actual row, as stream_lookup_ids does
+    for one sequence.
     """
     if not seqs:
         raise ContractError("cannot pack an empty batch")
     if W.shape[0] != vocab.table_rows:
         raise VocabularyError(
             f"embedding table has {W.shape[0]} rows, vocabulary needs {vocab.table_rows}")
-    if stream_id_lists is None:
-        stream_id_lists = [sequence_stream_ids(s, vocab) for s in seqs]
-    if len(stream_id_lists) != len(seqs):
+    if stream_id_lists is not None and len(stream_id_lists) != len(seqs):
         raise ContractError("one stream id list per sequence required")
-    rows = Rows([max(1, len(s)) for s in stream_id_lists])
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    lookup = np.full((len(rows.seq), lengths.max()), PAD_ID, dtype=np.int64)
-    occupancy = np.zeros(lookup.shape)
+    if not lengths.all():
+        raise ContractError("cannot embed an empty sequence")
+    valid = np.arange(lengths.max()) < lengths[:, None]          # (B, L)
+    ids = np.full(valid.shape, PAD_ID, dtype=np.int64)
+    ids[valid] = _flat(seqs, lengths.sum())
+    if ids.min() < 0 or ids.max() >= vocab.total_size:
+        raise VocabularyError("sequence contains out-of-range token ids")
+    inter = ids >= vocab.base_size     # padding holds PAD_ID, a base id
+    if stream_id_lists is None:
+        # distinct interchangeable ids of each sequence, ascending
+        present = np.zeros((len(seqs), vocab.inter_size), dtype=bool)
+        present[np.nonzero(inter)[0], ids[inter] - vocab.base_size] = True
+        counts = present.sum(axis=1)
+        sids = np.nonzero(present)[1] + vocab.base_size
+    else:
+        counts = np.array([len(s) for s in stream_id_lists], dtype=np.int64)
+        sids = _flat(stream_id_lists, counts.sum())
+    rows = Rows(np.maximum(counts, 1))
     stream_ids = np.full((len(seqs), rows.counts.max()), -1, dtype=np.int64)
-    r = 0
-    for b, (seq, sids) in enumerate(zip(seqs, stream_id_lists)):
-        if len(seq) == 0:
-            raise ContractError("cannot embed an empty sequence")
-        lk, occ = stream_lookup_ids(seq, vocab, sids)
-        lookup[r:r + len(lk), :len(seq)] = lk
-        occupancy[r:r + len(lk), :len(seq)] = occ
-        stream_ids[b, :len(sids)] = sids
-        r += len(lk)
-    return StreamBatch(T.gather_rows(W, lookup), occupancy, rows, stream_ids,
-                       lengths)
+    stream_ids[np.arange(stream_ids.shape[1]) < counts[:, None]] = sids
+    # row r is stream slot r - first[seq] of its sequence
+    first = np.cumsum(rows.counts) - rows.counts
+    own_id = stream_ids[rows.seq, np.arange(len(rows.seq)) - first[rows.seq]]
+    lookup = np.where(inter[rows.seq], vocab.placeholder_row, ids[rows.seq])
+    own = (ids[rows.seq] == own_id[:, None]) & valid[rows.seq]
+    lookup[own] = vocab.actual_row
+    return StreamBatch(T.gather_rows(W, lookup), own.astype(np.float64), rows,
+                       stream_ids, lengths)
+
+
+def _flat(lists, n):
+    """The ids of a list of id sequences, concatenated, as int64."""
+    return np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=n)
 
 
 def aggregate(H):
@@ -314,16 +335,16 @@ def project(H, W):
     Pure dot products, in one node; any normalization of the inputs
     happens before this call.
     """
-    rows = H.rows
+    rows, sids = H.rows, H.stream_ids
     n = W.shape[0] - 2
     inv = (1.0 / rows.counts)[:, None, None]
-    have = H.active > 0                                     # (B, k)
+    have = np.arange(sids.shape[1]) < rows.counts[:, None]  # (B, k)
 
     def forward(h, w):
         mean = rows.sum(h) * inv                            # (B, L, d)
-        own = np.full((H.batch, H.k, h.shape[1]), -np.inf)
+        own = np.full(sids.shape + h.shape[1:2], -np.inf)
         own[have] = np.matmul(h, w[n])
-        own[H.stream_ids < 0] = -np.inf
+        own[sids < 0] = -np.inf
         out = np.concatenate([np.matmul(mean, w[:n].T),
                               own.transpose(0, 2, 1)], axis=-1)
 

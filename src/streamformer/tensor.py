@@ -71,6 +71,14 @@ class no_grad:
         return False
 
 
+_F64 = np.dtype(np.float64)
+
+try:    # einsum's C core, without the wrapper's per-call dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
+
 def _asarray(x):
     return np.asarray(x, dtype=np.float64)
 
@@ -79,7 +87,11 @@ class Tensor:
     __slots__ = ("data", "grad", "parents", "vjp")
 
     def __init__(self, data, parents=(), vjp=None):
-        self.data = _asarray(data)
+        # a float64 ndarray is stored as it is, which is what np.asarray
+        # would return for it; anything else is converted
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad = None
         if _GRAD_ENABLED:
             self.parents = parents
@@ -133,6 +145,9 @@ class Parameter:
 
 def _data(x):
     return x.data if isinstance(x, Tensor) else _asarray(x)
+
+
+_tensor_data = Tensor.data.__get__   # raises TypeError on a non-Tensor
 
 
 def _node(out_data, srcs, grad_fns):
@@ -270,7 +285,8 @@ def gather_rows(table, ids):
     (table rows x ids) matrix with the gradient's rows."""
     td = _data(table)
     idx = np.asarray(ids)
-    if idx.size and (idx.min() < 0 or idx.max() >= td.shape[0]):
+    if idx.size and (np.minimum.reduce(idx, axis=None) < 0
+                     or np.maximum.reduce(idx, axis=None) >= td.shape[0]):
         raise ContractError("gather_rows: index out of range")
     out = td[idx]
 
@@ -309,7 +325,7 @@ def take_along_last(a, idx):
 
 def _rowdot(a, b):
     """Dot products of matching rows over the last axis, kept as (..., 1)."""
-    return np.einsum("...i,...i->...", a, b)[..., None]
+    return _einsum("...i,...i->...", a, b)[..., None]
 
 
 def add_layer_norm(x, y, gain, bias, eps=1e-5):
@@ -319,7 +335,9 @@ def add_layer_norm(x, y, gain, bias, eps=1e-5):
     def forward(xd, yd, gd, bd):
         n = xd.shape[-1]
         xhat = xd + yd
-        xhat -= xhat.mean(axis=-1, keepdims=True)
+        mean = np.add.reduce(xhat, axis=-1, keepdims=True)
+        mean /= n
+        xhat -= mean
         inv = 1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps)
         xhat *= inv
         out = xhat * gd
@@ -329,7 +347,9 @@ def add_layer_norm(x, y, gain, bias, eps=1e-5):
             gx = g * gd
             dx = xhat * (_rowdot(gx, xhat) / n)
             np.subtract(gx, dx, out=dx)
-            dx -= gx.mean(axis=-1, keepdims=True)
+            gmean = np.add.reduce(gx, axis=-1, keepdims=True)
+            gmean /= n
+            dx -= gmean
             dx *= inv
             return (_unbroadcast(dx, xd.shape), _unbroadcast(dx, yd.shape),
                     _unbroadcast(g * xhat, gd.shape),
@@ -383,7 +403,12 @@ def fused(forward, *operands):
     share intermediate results.  Operands that are not Tensors are
     constants: their gradients are dropped.
     """
-    out, vjp = forward(*(_data(o) for o in operands))
+    try:
+        arrays = tuple(map(_tensor_data, operands))
+    except TypeError:   # a constant among them
+        arrays = [o.data if type(o) is Tensor
+                  else np.asarray(o, dtype=np.float64) for o in operands]
+    out, vjp = forward(*arrays)
     if not _GRAD_ENABLED:
         return Tensor(out)
     live = [i for i, o in enumerate(operands) if isinstance(o, Tensor)]

@@ -358,8 +358,9 @@ def test_gradient_check_tiny_multi_head_attention():
     assert max(report.values()) <= 1e-4
 
 
-def test_attention_sublayer_is_four_graph_nodes():
-    # projections of q, k and v, then one node for everything after
+def test_attention_sublayer_is_three_graph_nodes():
+    # projections of k and v, then one node for the query projection and
+    # everything after it
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=3, L=5)
@@ -373,8 +374,9 @@ def test_attention_sublayer_is_four_graph_nodes():
             continue
         nodes.add(id(node))
         todo.extend(node.parents)
-    assert len(nodes) == 4
-    assert len(out.parents) == 4 and out.parents[3] is mha.wo.tensor
+    assert len(nodes) == 3
+    assert out.parents[0] is H.hidden and out.parents[1] is mha.wq.tensor
+    assert len(out.parents) == 5 and out.parents[-1] is mha.wo.tensor
 
 
 def test_fused_attention_forward_backward_deterministic_bitwise():

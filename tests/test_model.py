@@ -327,6 +327,100 @@ def test_beam_scores_sorted_and_beat_greedy():
     assert scores[0] >= g.score - 1e-12
 
 
+def _scripted(monkeypatch, m, script):
+    """Make m.step_logits return script's rows, one per step (the last one
+    from then on), the same row for every decoded row.  The real step
+    still runs, so the decode state advances as it would."""
+    steps = []
+
+    def step_logits(state, tokens):
+        type(m).step_logits(m, state, tokens)
+        row = np.asarray(script[min(len(steps), len(script) - 1)], float)
+        steps.append(list(tokens))
+        return np.tile(row, (len(tokens), 1))
+
+    monkeypatch.setattr(m, "step_logits", step_logits)
+
+
+def _log_softmax_at(row, col, allowed):
+    lse = np.log(sum(np.exp(row[c]) for c in range(len(row)) if allowed[c]))
+    return row[col] - lse
+
+
+EOS_ROW = [0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("decode", ["greedy", "beam"])
+@pytest.mark.parametrize("row, token, tied", [
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 3.0], A, True),    # two symbols tie
+    ([0.0, 0.0, 0.0, 3.0, 3.0, 1.0, 2.0], AMP, False),  # two base tokens
+    ([0.0, 0.0, 0.0, 3.0, 0.0, 3.0, 1.0], AMP, False),  # base and symbol
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 3.0], B, False),    # no tie
+])
+def test_tie_flag_and_score_on_fixed_logits(monkeypatch, decode, row, token,
+                                            tied):
+    # source [A, AMP, B]: columns are the 5 base ids, then A and B
+    m = small_model(seed=0)
+    _scripted(monkeypatch, m, [row, EOS_ROW])
+    if decode == "greedy":
+        r = decode_greedy(m, [A, AMP, B], max_len=5)
+    else:
+        r = decode_beam(m, [A, AMP, B], width=1, max_len=5)[0]
+    allowed = [True] * 7
+    col = {A: 5, B: 6}.get(token, token)
+    want = _log_softmax_at(row, col, allowed) + _log_softmax_at(
+        EOS_ROW, EOS_ID, allowed)
+    assert r.tokens == [token] and not r.truncated
+    assert r.tied is tied
+    assert abs(r.score - want) <= 1e-12
+
+
+def test_tie_flag_reaches_every_beam_hypothesis(monkeypatch):
+    m = small_model(seed=0)
+    _scripted(monkeypatch, m, [[0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 3.0], EOS_ROW])
+    hyps = decode_beam(m, [A, AMP, B], width=2, max_len=5)
+    assert [h.tokens for h in hyps] == [[A], [B]]
+    assert all(h.tied for h in hyps)
+    assert hyps[0].score == hyps[1].score
+
+
+def test_score_ignores_disallowed_columns(monkeypatch):
+    # a symbol-free source's last column is its synthetic stream: it is
+    # never emitted and takes no share of the softmax
+    m = small_model(seed=0)
+    row = [0.0, 0.5, 0.0, 2.0, 1.0, 50.0]
+    eos = [0.0, 0.0, 4.0, 0.0, 0.0, 50.0]
+    allowed = [True] * 5 + [False]
+    want = _log_softmax_at(row, AMP, allowed) + _log_softmax_at(
+        eos, EOS_ID, allowed)
+    _scripted(monkeypatch, m, [row, eos])
+    g = decode_greedy(m, [AMP, BANG], max_len=5)
+    _scripted(monkeypatch, m, [row, eos])
+    b = decode_beam(m, [AMP, BANG], width=1, max_len=5)[0]
+    assert g.tokens == b.tokens == [AMP] and not g.tied and not b.tied
+    assert abs(g.score - want) <= 1e-12 and b.score == g.score
+
+
+def test_cached_step_tensor_budget(monkeypatch):
+    # default config, a 3-stream source: a cached step built 43 Tensors
+    # before the query projection joined attend and the aggregated keys
+    # went into their caches without a gather node; it builds 33 now
+    vocab = task_vocabulary("prop", 3)
+    m = Seq2SeqModel(ModelConfig(), vocab, seed=0)
+    state = m.begin_decode(vocab.encode("&a|b!c"))
+    m.step_logits(state, [SOS_ID])
+    built = []
+    init = T.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counting)
+    m.step_logits(state, vocab.encode("a"))
+    assert len(built) <= 33
+
+
 def ablation_configs():
     """All 27 sublayer ablations: encoder, decoder and cross choices."""
     enc = ("EP", "EA", "EP-EA")

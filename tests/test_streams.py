@@ -79,6 +79,61 @@ def test_embed_rejects_empty_and_bad_ids():
         S.pack_sequences([[0]], T.Tensor(np.zeros((3, 4))), v)
 
 
+def _pack_one_at_a_time(seqs, W, v, stream_id_lists):
+    """The batch pack_sequences builds, one stream_lookup_ids per sequence."""
+    lookups, occs, sids = [], [], []
+    L = max(len(s) for s in seqs)
+    for seq, ids in zip(seqs, stream_id_lists):
+        lk, occ = S.stream_lookup_ids(seq, v, ids)
+        lookups.append(np.pad(lk, ((0, 0), (0, L - len(seq)))))
+        occs.append(np.pad(occ, ((0, 0), (0, L - len(seq)))))
+        sids.append(list(ids))
+    k = max(1, max(len(i) for i in sids))
+    stream_ids = [i + [-1] * (k - len(i)) for i in sids]
+    seq_of_row = np.repeat(np.arange(len(seqs)), [len(x) for x in lookups])
+    return (W.data[np.concatenate(lookups)], np.concatenate(occs),
+            stream_ids, seq_of_row)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_pack_matches_per_sequence_lookup(pinned):
+    # a prop-4 corpus with a symbol-free source; pinned stream id lists
+    # are what the decoder passes: the sources' own, for its inputs
+    from streamformer.logic import gen_prop, task_vocabulary
+    v = task_vocabulary("prop", 4)
+    srcs = [v.encode(s) for s, _ in gen_prop(3, 4, (3, 12), 96).pairs]
+    srcs[5] = v.encode("!&10")
+    W = T.Tensor(RNG.normal(size=(v.table_rows, 6)))
+    own = [S.sequence_stream_ids(s, v) for s in srcs]
+    for b in range(0, len(srcs), 16):
+        seqs = srcs[b:b + 16]
+        ids = own[b:b + 16]
+        if pinned:
+            seqs = [[S.SOS_ID] + s[::-1] for s in seqs]
+        H = S.pack_sequences(seqs, W, v, ids if pinned else None)
+        hidden, occ, stream_ids, seq_of_row = _pack_one_at_a_time(
+            seqs, W, v, ids)
+        assert H.hidden.data.tobytes() == hidden.tobytes()
+        assert np.array_equal(H.occupancy, occ)
+        assert H.stream_ids.tolist() == stream_ids
+        assert H.lengths.tolist() == [len(s) for s in seqs]
+        assert np.array_equal(H.rows.seq, seq_of_row)
+    assert S.pack_sequences([srcs[5]], W, v).stream_ids.tolist() == [[-1]]
+
+
+def test_pack_rejects_bad_ids_and_empty_sequences_in_a_batch():
+    v = bare_vocab(3)
+    W = T.Tensor(np.zeros((v.table_rows, 4)))
+    for seqs in ([[1, 3], [6]], [[1, 3], [-1, 2]], [[1, 3], [4, 99]]):
+        with pytest.raises(VocabularyError):
+            S.pack_sequences(seqs, W, v)
+    for seqs in ([[1, 3], []], [[], [1, 3]]):
+        with pytest.raises(ContractError):
+            S.pack_sequences(seqs, W, v)
+    with pytest.raises(ContractError):
+        S.pack_sequences([[1, 3]], W, v, [[3], [4]])
+
+
 def test_embedding_permutation_equivariance_exact():
     # renaming the symbols only permutes the streams, bit for bit
     v = bare_vocab(4)

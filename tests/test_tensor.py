@@ -18,6 +18,29 @@ def rel(a, b):
     return np.max(np.abs(a - b) / np.maximum(1e-12, np.abs(a) + np.abs(b)))
 
 
+@pytest.mark.parametrize("value", [
+    [[1, 2], [3, 4]], np.arange(6).reshape(2, 3),
+    np.ones((2, 3), dtype=np.float32), 3, 2.5, np.float64(1.5),
+    np.array(7.0), np.arange(12.0).reshape(3, 4)[:, ::2],
+    np.arange(12.0).reshape(3, 4).T], ids=[
+    "list", "int array", "float32 array", "int", "float", "np.float64",
+    "0-d array", "strided view", "transposed view"])
+def test_tensor_stores_what_asarray_gives(value):
+    want = np.asarray(value, dtype=np.float64)
+    got = T.Tensor(value).data
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.shape == want.shape and got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
+def test_tensor_keeps_a_float64_array_without_a_copy():
+    x = np.arange(12.0).reshape(3, 4)
+    for arr in (x, x[:, ::2], x.T):
+        assert T.Tensor(arr).data is arr
+    other_order = x.astype(">f8")
+    assert T.Tensor(other_order).data.dtype == np.dtype(np.float64)
+
+
 def test_matmul_matches_scalar_oracle():
     for _ in range(5):
         m, n, p = RNG.integers(1, 33, size=3)
