@@ -21,12 +21,19 @@ the query projection, scores, mask, softmax, value mixing, head merge
 and output projection.  Training, teacher-forced evaluation and cached
 decoding all run these nodes.
 
-Queries, keys and masks come a row per real (sequence, stream).  Keys
-that exist once per sequence (EA, DA, CA: the aggregate's) reach their
-rows through one gather, whose vjp sums the rows' gradients back per
-sequence.  A cached decode step records no such gather: its KVCache
-copies the new position's keys to their rows as it writes them in place
-after the positions it already holds.
+Queries, keys and masks come a row per real (sequence, stream), and a
+stream batch holds only each row's real positions, its cells (see
+streams.Grid).  The projections run on the cells, each rotated by its
+own position's phase; inside the nodes the heads are scattered into the
+(rows, heads, longest length, head width) grid for the scores, mask,
+softmax and mixing, and the merged heads are gathered back to the cells
+before the output projection.  A batch without padding, a cached decode
+step among them, reshapes instead.  Keys that exist once per sequence
+(EA, DA, CA: the aggregate's) come on the (sequences, longest length)
+grid and reach their rows through one gather, whose vjp sums the rows'
+gradients back per sequence.  A cached decode step records no such
+gather: its KVCache copies the new position's keys to their rows as it
+writes them in place after the positions it already holds.
 
 The softmax weights stay inside MultiHeadAttention.attend; every function
 here returns only its output.
@@ -40,7 +47,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError
-from .streams import aggregate
+from .streams import Grid, aggregate
 
 
 @dataclass(frozen=True)
@@ -115,28 +122,36 @@ class MultiHeadAttention:
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
 
-    def _heads(self, x, w, phase=None):
-        """One node: x (...,L,d) @ w split into heads, (...,h,L,hd), each
-        head rotated by phase (a rotation() table) when it is given."""
+    def _heads(self, x, w, phase, grid):
+        """One node: x @ w split into heads, (...,h,L,hd), each head
+        rotated by phase (a rotation() table) when it is given; see
+        _split_heads."""
         return T.fused(partial(_split_heads, h=self.cfg.heads,
-                               hd=self.cfg.head_dim, phase=phase), x, w.tensor)
+                               hd=self.cfg.head_dim, phase=phase, grid=grid),
+                       x, w.tensor)
 
-    def project_kv(self, k_in, v_in, k_positions, *, phase=None):
+    def project_kv(self, k_in, v_in, k_positions, *, phase=None, grid=None):
         """Keys and values split into heads, keys rotated by k_positions.
 
-        k_in/v_in (...,Lk,d) give (...,h,Lk,hd) each: the form attend()
-        reads and a decode cache stores.  A caller that holds the
-        positions' rotation() table passes it as phase instead.
+        k_in/v_in (...,Lk,d), or the (P, d) cells of a grid (N, Lk), give
+        (...,h,Lk,hd) each, (N,h,Lk,hd) for cells: the form attend() reads
+        and a decode cache stores.  A caller that holds the positions'
+        rotation() table passes it as phase instead.
         """
         if phase is None:
             phase = rotation(self.cfg, k_positions)
-        return self._heads(k_in, self.wk, phase), self._heads(v_in, self.wv)
+        if grid is None:
+            grid = Grid(k_in.shape[:-1])
+        return (self._heads(k_in, self.wk, phase, grid),
+                self._heads(v_in, self.wv, None, grid))
 
-    def attend(self, q_in, k, v, mask, q_positions, *, phase=None):
-        """Attention of q_in (...,Lq,d) over heads k, v from project_kv;
-        returns the output, (...,Lq,d).  The mask's rows go with the
-        entries of the first leading axis.  phase, when given, is the
-        rotation() table of q_positions.
+    def attend(self, q_in, k, v, mask, q_positions, *, phase=None,
+               grid=None):
+        """Attention of q_in (...,Lq,d), or the (P, d) cells of a grid
+        (N, Lq), over heads k, v from project_kv; returns the output in
+        q_in's shape.  The mask's rows go with the entries of the first
+        leading axis.  phase, when given, is the rotation() table of
+        q_positions.
 
         One node: the query projection and its rotation, scaled scores,
         mask, softmax, value mixing, head merge and output projection.
@@ -148,11 +163,14 @@ class MultiHeadAttention:
             phase = rotation(self.cfg, q_positions)
         h, hd = self.cfg.heads, self.cfg.head_dim
         scale = 1.0 / np.sqrt(hd)
+        if grid is None:
+            grid = Grid(q_in.shape[:-1])
         drop = None if mask is None else ~mask.bits.reshape(
-            mask.bits.shape[:1] + (1,) * (q_in.ndim - 2) + mask.bits.shape[1:])
+            mask.bits.shape[:1] + (1,) * (len(grid.shape) - 1)
+            + mask.bits.shape[1:])
 
         def forward(xd, wq, kd, vd, wo):
-            qd, q_back = _split_heads(xd, wq, h, hd, phase)
+            qd, q_back = _split_heads(xd, wq, h, hd, phase, grid)
             p = np.matmul(qd, kd.swapaxes(-1, -2))
             p *= scale
             if drop is not None:
@@ -164,13 +182,12 @@ class MultiHeadAttention:
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=-1, keepdims=True)
             ctx = np.matmul(p, vd)                           # (...,h,Lq,hd)
-            lead, Lq = ctx.shape[:-3], ctx.shape[-2]
-            merged = ctx.swapaxes(-2, -3).reshape(-1, h * hd)
-            out = np.matmul(merged.reshape(lead + (Lq, h * hd)), wo)
+            merged = grid.gather(ctx.swapaxes(-2, -3)).reshape(-1, h * hd)
+            out = np.matmul(merged, wo).reshape(xd.shape)
 
             def vjp(g):
                 g2 = g.reshape(-1, wo.shape[1])
-                dctx = np.matmul(g2, wo.T).reshape(lead + (Lq, h, hd))
+                dctx = grid.scatter(np.matmul(g2, wo.T).reshape(-1, h, hd))
                 dctx = dctx.swapaxes(-2, -3)
                 dv = np.matmul(p.swapaxes(-1, -2), dctx)
                 ds = np.matmul(dctx, vd.swapaxes(-1, -2))
@@ -195,27 +212,40 @@ def rotation(cfg, positions):
     return T.rope_phases(positions, cfg.head_dim, cfg.rope_base)[:, None]
 
 
-def _split_heads(xd, wd, h, hd, phase):
-    """xd (...,L,d) @ wd split into heads, (...,h,L,hd), plus its vjp.
+def _split_heads(xd, wd, h, hd, phase, grid):
+    """xd, the (P, d) cells of grid, times wd and split into heads on the
+    grid, (...,h,L,hd); plus its vjp.
 
-    The product is rotated while it is still (...,L,h,hd) and contiguous,
-    as hd/2 complex pairs times the phase table; the head axis is then
-    moved forward as a view.  The vjp undoes the rotation with the
-    conjugate phases, and forms the weight gradient as one GEMM over
-    every row.
+    The product is one GEMM over the cells, rotated while it is still
+    contiguous, as hd/2 complex pairs times the phase table: a cell is
+    rotated by the table's row at its position.  The heads are then
+    scattered into the grid (zero where no cell sits), or reshaped to it
+    when every position is a cell, and the head axis is moved forward as a
+    view.  The vjp gathers the cells' gradient back, undoes the rotation
+    with the conjugate phases, and forms the weight gradient as one GEMM
+    over every cell.
     """
     d = xd.shape[-1]
-    y = np.matmul(xd, wd).reshape(xd.shape[:-1] + (h, hd))
+    y = np.matmul(xd.reshape(-1, d), wd)
+    if grid.index is None:
+        y = y.reshape(grid.shape + (h, hd))
+    else:
+        y = y.reshape(-1, h, hd)
+        if phase is not None:
+            phase = phase[grid.index[-1]]
     if phase is not None:
         pairs = y.view(np.complex128)
         pairs *= phase
+    if grid.index is not None:
+        y = grid.scatter(y)
 
     def vjp(g):
         gy = g.swapaxes(-2, -3)
-        if phase is None:
-            gy = gy.reshape(-1, d)
-        else:
-            gy = T.rotate_pairs(gy, phase.conj()).reshape(-1, d)
+        if grid.index is not None:
+            gy = grid.gather(gy)
+        if phase is not None:
+            gy = T.rotate_pairs(gy, phase.conj())
+        gy = gy.reshape(-1, d)
         return (np.matmul(gy, wd.T).reshape(xd.shape),
                 np.matmul(xd.reshape(-1, d).T, gy))
 
@@ -273,12 +303,12 @@ def _buffer(filled, cap):
     return out
 
 
-def _kv(mha, kv_in, phase, seq=None, cache=None):
-    """Keys and values of kv_in, keys rotated by phase; given seq, kv_in
-    has one entry per sequence, gathered to row r from sequence seq[r].
-    A cache appends them to the earlier decode steps' and returns all of
-    them."""
-    k, v = mha.project_kv(kv_in, kv_in, None, phase=phase)
+def _kv(mha, kv_in, phase, seq=None, cache=None, grid=None):
+    """Keys and values of kv_in, the cells of grid if it is given, keys
+    rotated by phase; given seq, kv_in has one entry per sequence,
+    gathered to row r from sequence seq[r].  A cache appends them to the
+    earlier decode steps' and returns all of them."""
+    k, v = mha.project_kv(kv_in, kv_in, None, phase=phase, grid=grid)
     if cache is not None:
         return cache.extend(k, v, seq)
     if seq is not None:
@@ -305,8 +335,9 @@ def per_stream_attention(mha, H, mask, cache=None, phase=None):
     Returns the StreamBatch of raw attention outputs.
     """
     phase = _rotation(mha, H, cache, phase)
-    k, v = _kv(mha, H.hidden, phase, cache=cache)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase))
+    k, v = _kv(mha, H.hidden, phase, cache=cache, grid=H.grid)
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase,
+                                    grid=H.grid))
 
 
 def aggregated_attention(mha, H, mask, cache=None, phase=None):
@@ -318,7 +349,8 @@ def aggregated_attention(mha, H, mask, cache=None, phase=None):
     """
     phase = _rotation(mha, H, cache, phase)
     k, v = _kv(mha, aggregate(H), phase, H.rows.seq, cache)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase))
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase,
+                                    grid=H.grid))
 
 
 def cross_kv(mha, H_enc, mode, seq):
@@ -331,7 +363,7 @@ def cross_kv(mha, H_enc, mode, seq):
     """
     phase = rotation(mha.cfg, np.arange(H_enc.length))
     if mode == "per":
-        return _kv(mha, H_enc.hidden, phase)
+        return _kv(mha, H_enc.hidden, phase, grid=H_enc.grid)
     if mode == "agg":
         return _kv(mha, aggregate(H_enc), phase, seq)
     raise ContractError(f"unknown cross attention mode {mode!r}")
@@ -354,4 +386,5 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, phase=None):
         kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
     k, v = kv
     return H_dec.with_hidden(mha.attend(
-        H_dec.hidden, k, v, mask, np.arange(H_dec.length), phase=phase))
+        H_dec.hidden, k, v, mask, np.arange(H_dec.length), phase=phase,
+        grid=H_dec.grid))

@@ -19,8 +19,11 @@ Disabling a toggle removes the sublayer and its norm parameters entirely.
 Every attention sublayer is three graph nodes (see attention.py); the
 residual sum and its norm are one node, and so are the feed-forward block
 and the cosine head's normalisation.  Every stream-wise piece runs on the
-stored rows, one per real (sequence, stream), so no work goes to stream
-slots a sequence lacks.
+stored cells, one per real (sequence, stream, position), so no work goes
+to stream slots a sequence lacks or to positions past its end: the
+embedding, the norms, the feed-forward block, dropout, the cosine
+normalisation and the projections see only the cells, and attention
+alone lays them out on the padded grid, inside its nodes.
 
 Decoding runs on a DecodeState.  begin_decode encodes the source once,
 opens one cache per decoder sublayer (a KVCache for self-attention, the
@@ -57,8 +60,8 @@ from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         look_ahead_mask, padding_mask, per_stream_attention,
                         rotation)
 from .errors import ContractError, VocabularyError
-from .streams import (EOS_ID, SOS_ID, Rows, StreamBatch, Vocabulary,
-                      pack_sequences, project, sequence_stream_ids,
+from .streams import (EOS_ID, SOS_ID, Grid, Rows, StreamBatch, Vocabulary,
+                      _flat, pack_sequences, project, sequence_stream_ids,
                       stream_lookup_ids)
 
 # ablation code tokens, in code order: the sublayer switch each turns on,
@@ -337,7 +340,8 @@ class DecodeState:
     lookup   (k, V) embedding row of every token id in each source stream
     own      (k, V) 1.0 where the token id is the stream's own symbol
     layers   per decoder layer, its caches(): one entry per sublayer
-    rows, stream_ids, lengths  the StreamBatch fields of the current rows
+    rows, stream_ids, lengths, grid  the StreamBatch fields of the
+                                     current rows
     """
 
     def __init__(self, enc, col_ids, allowed, table, layers, lookup, own):
@@ -356,6 +360,7 @@ class DecodeState:
         self.rows = Rows(np.full(n, len(self.lookup)))
         self.stream_ids = np.repeat(self.enc.stream_ids, n, axis=0)
         self.lengths = np.ones(n, dtype=np.int64)
+        self.grid = Grid((n * len(self.lookup), 1))
 
     @property
     def length(self):
@@ -375,10 +380,10 @@ class DecodeState:
         if not (0 <= np.minimum.reduce(tokens)
                 and np.maximum.reduce(tokens) < self.lookup.shape[1]):
             raise VocabularyError("decode step fed an out-of-range token id")
-        ids = self.lookup[:, tokens].T.reshape(-1, 1)
+        ids = self.lookup[:, tokens].T.reshape(-1)
         return StreamBatch(T.gather_rows(W, ids),
-                           self.own[:, tokens].T.reshape(-1, 1), self.rows,
-                           self.stream_ids, self.lengths)
+                           self.own[:, tokens].T.reshape(-1), self.rows,
+                           self.stream_ids, self.lengths, self.grid)
 
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated.  Each
@@ -725,21 +730,33 @@ class FlatVocabTransformer(Seq2SeqModel):
         return vocab.total_size
 
     def _embed(self, seqs, enc=None):
+        """One row per sequence; its ids, concatenated, are the cells."""
         B = len(seqs)
         lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-        ids = np.zeros((B, lengths.max()), dtype=np.int64)
-        for b, s in enumerate(seqs):
-            ids[b, :len(s)] = s
+        ids = _flat(seqs, lengths.sum())
         return StreamBatch(T.gather_rows(self.embedding.tensor, ids),
-                           np.zeros(ids.shape), Rows(np.ones(B)),
-                           np.full((B, 1), -1, dtype=np.int64), lengths)
+                           np.zeros(len(ids)), Rows(np.ones(B)),
+                           np.full((B, 1), -1, dtype=np.int64), lengths,
+                           Grid.of(np.arange(lengths.max())
+                                   < lengths[:, None]))
 
     def _step_lookup(self, enc):
         n = self.vocab.total_size
         return np.arange(n)[None], np.zeros((1, n))
 
     def _project(self, H, W):
-        return T.matmul(H.hidden, T.transpose(W, (1, 0)))
+        """Every cell scored against every table row, one node, on the
+        (B, L, V) grid; 0.0 past each sequence's end."""
+        grid = H.grid
+
+        def forward(h, w):
+            def vjp(g):
+                gc = grid.gather(g)
+                return np.matmul(gc, w), np.matmul(gc.T, h)
+
+            return grid.scatter(np.matmul(h, w.T)), vjp
+
+        return T.fused(forward, H.hidden, W)
 
     def _col_ids(self, src):
         """Every token keeps its own column in the flat table."""

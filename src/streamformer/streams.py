@@ -18,9 +18,13 @@ degenerate.
 
 Sequences in a batch may differ in length and in stream count.  A
 StreamBatch stores one row per real (sequence, stream), a sequence's rows
-contiguous and in stream order, so no work goes to stream slots a
-sequence lacks; only positions are padded.  aggregate and project reduce
-each sequence's rows to values with a leading batch axis.
+contiguous and in stream order, and of each row only its real positions:
+one stored cell per real (row, position), so no work goes to stream slots
+a sequence lacks or to positions past its end.  A Grid says where the
+cells sit in the (rows, longest length) grid; attention is the one piece
+that reads the grid, and everything position-wise runs on the cells.
+aggregate and project reduce each sequence's rows to values on the
+(sequences, longest length) grid.
 """
 from __future__ import annotations
 
@@ -183,16 +187,55 @@ class Rows:
             (len(self.counts),) + x.shape[1:])
 
 
+class Grid:
+    """Where a batch's stored cells sit in its (N, L) grid of rows by
+    positions.
+
+    The cells run row by row, each row's positions in order.  index is
+    None when every row fills the grid: the grid is then the cells
+    reshaped.  Otherwise it is the (rows, positions) pair of every cell,
+    and scatter fills the grid's other entries.
+    """
+
+    __slots__ = ("shape", "index")
+
+    def __init__(self, shape, index=None):
+        self.shape = tuple(shape)
+        self.index = index
+
+    @staticmethod
+    def of(valid):
+        """The grid of a (N, L) mask of the positions each row holds."""
+        return Grid(valid.shape, None if valid.all() else np.nonzero(valid))
+
+    def scatter(self, x, fill=0.0):
+        """Cells x (P, ...) in the grid, (N, L, ...)."""
+        if self.index is None:
+            return x.reshape(self.shape + x.shape[1:])
+        shape = self.shape + x.shape[1:]
+        out = np.zeros(shape) if fill == 0.0 else np.full(shape, fill)
+        out[self.index] = x
+        return out
+
+    def gather(self, x):
+        """The cells of a grid x (N, L, ...), (P, ...)."""
+        if self.index is None:
+            return x.reshape((-1,) + x.shape[len(self.shape):])
+        return x[self.index]
+
+
 @dataclass
 class StreamBatch:
     """Hidden states of the parallel streams of a batch of sequences.
 
-    hidden     (N, L, d) activations, one row per real (sequence, stream)
-    occupancy  (N, L)    1.0 where the row's own token sits
-    rows       Rows      the sequence of every row
-    stream_ids (B, k)    interchangeable id behind each stream slot, -1 if none
-    lengths    (B,)      valid positions per sequence (rest is padding)
-    k is the largest stream count; slots past a sequence's own have no row.
+    hidden     (P, d)  activations, one cell per real (row, position)
+    occupancy  (P,)    1.0 where the row's own token sits
+    rows       Rows    the sequence of every row
+    stream_ids (B, k)  interchangeable id behind each stream slot, -1 if none
+    lengths    (B,)    real positions per sequence
+    grid       Grid    where the cells sit among (rows, longest length)
+    A row is one real (sequence, stream); k is the largest stream count,
+    and slots past a sequence's own have no row.
     """
 
     hidden: T.Tensor
@@ -200,6 +243,7 @@ class StreamBatch:
     rows: Rows
     stream_ids: np.ndarray
     lengths: np.ndarray
+    grid: Grid
 
     @property
     def batch(self):
@@ -211,7 +255,8 @@ class StreamBatch:
 
     @property
     def length(self):
-        return self.hidden.shape[1]
+        """The longest length."""
+        return self.grid.shape[1]
 
     @property
     def active(self):
@@ -221,7 +266,7 @@ class StreamBatch:
 
     def with_hidden(self, hidden):
         return StreamBatch(hidden, self.occupancy, self.rows,
-                           self.stream_ids, self.lengths)
+                           self.stream_ids, self.lengths, self.grid)
 
 
 def sequence_stream_ids(seq, vocab):
@@ -260,7 +305,7 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     whole batch is built at once from one padded id matrix: each row reads
     its sequence's ids, with interchangeable ids sent to the placeholder
     row and the row's own id to the actual row, as stream_lookup_ids does
-    for one sequence.
+    for one sequence.  Only the real positions are embedded.
     """
     if not seqs:
         raise ContractError("cannot pack an empty batch")
@@ -294,10 +339,12 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     first = np.cumsum(rows.counts) - rows.counts
     own_id = stream_ids[rows.seq, np.arange(len(rows.seq)) - first[rows.seq]]
     lookup = np.where(inter[rows.seq], vocab.placeholder_row, ids[rows.seq])
-    own = (ids[rows.seq] == own_id[:, None]) & valid[rows.seq]
+    own = ids[rows.seq] == own_id[:, None]     # padding never matches
     lookup[own] = vocab.actual_row
-    return StreamBatch(T.gather_rows(W, lookup), own.astype(np.float64), rows,
-                       stream_ids, lengths)
+    grid = Grid.of(valid[rows.seq])
+    return StreamBatch(T.gather_rows(W, grid.gather(lookup)),
+                       grid.gather(own).astype(np.float64), rows, stream_ids,
+                       lengths, grid)
 
 
 def _flat(lists, n):
@@ -311,15 +358,18 @@ def aggregate(H):
     Position-wise mean over the sequence's rows, then positions occupied by
     a stream's own token are replaced by that stream's hidden row, so each
     symbol keeps its private view of itself while everything else is
-    shared.  Returns a (B, L, d) tensor: one node, a weighted sum of each
-    sequence's rows, whose vjp hands every row its weighted share.
+    shared.  Returns a (B, L, d) tensor, zero past each sequence's end:
+    one node, a weighted sum of each sequence's rows, whose vjp hands every
+    cell its weighted share.
     """
-    rows, occ = H.rows, H.occupancy
+    rows, grid = H.rows, H.grid
+    occ = grid.scatter(H.occupancy)                       # (N, L)
     share = (1.0 - rows.sum(occ)) / rows.counts[:, None]
-    weight = (share[rows.seq] + occ)[:, :, None]          # (N, L, 1)
+    weight = grid.gather(share[rows.seq] + occ)[:, None]  # (P, 1)
 
     def forward(h):
-        return rows.sum(h * weight), lambda g: (g[rows.seq] * weight,)
+        return (rows.sum(grid.scatter(h * weight)),
+                lambda g: (grid.gather(g[rows.seq]) * weight,))
 
     return T.fused(forward, H.hidden)
 
@@ -332,30 +382,32 @@ def project(H, W):
     streams' mean; the column for stream i's symbol is stream i's score
     against the actual row.  Columns that carry no symbol (stream slots a
     sequence lacks, the synthetic stream) get -inf so they can never win.
+    Past a sequence's end the base columns read 0.0 and the others -inf.
     Pure dot products, in one node; any normalization of the inputs
     happens before this call.
     """
-    rows, sids = H.rows, H.stream_ids
+    rows, sids, grid = H.rows, H.stream_ids, H.grid
     n = W.shape[0] - 2
     inv = (1.0 / rows.counts)[:, None, None]
     have = np.arange(sids.shape[1]) < rows.counts[:, None]  # (B, k)
 
     def forward(h, w):
-        mean = rows.sum(h) * inv                            # (B, L, d)
-        own = np.full(sids.shape + h.shape[1:2], -np.inf)
-        own[have] = np.matmul(h, w[n])
+        mean = rows.sum(grid.scatter(h)) * inv              # (B, L, d)
+        own = np.full(sids.shape + grid.shape[1:], -np.inf)
+        own[have] = grid.scatter(np.matmul(h, w[n]), -np.inf)
         own[sids < 0] = -np.inf
         out = np.concatenate([np.matmul(mean, w[:n].T),
                               own.transpose(0, 2, 1)], axis=-1)
 
         def vjp(g):
-            g_base, g_own = g[..., :n], g[..., n:].transpose(0, 2, 1)[have]
+            g_base = g[..., :n]
+            g_own = grid.gather(g[..., n:].transpose(0, 2, 1)[have])
             dw = np.zeros_like(w)
             dw[:n] = np.matmul(g_base.reshape(-1, n).T,
                                mean.reshape(-1, w.shape[1]))
-            dw[n] = np.matmul(g_own.reshape(-1), h.reshape(-1, w.shape[1]))
-            return ((np.matmul(g_base, w[:n]) * inv)[rows.seq]
-                    + g_own[:, :, None] * w[n], dw)
+            dw[n] = np.matmul(g_own, h)
+            return (grid.gather((np.matmul(g_base, w[:n]) * inv)[rows.seq])
+                    + g_own[:, None] * w[n], dw)
 
         return out, vjp
 

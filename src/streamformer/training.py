@@ -178,8 +178,9 @@ def train_step(model, batch, opt, dropout_rng=None):
     if not np.isfinite(lval):
         raise ContractError("loss became non-finite")
     T.backward(loss)
-    gn = np.sqrt(sum(float((p.grad ** 2).sum())
-                     for p in model.parameters() if p.grad is not None))
+    # the norm of the gradient the optimizer applies, one dot per array
+    grads = [p.grad.reshape(-1) for p in opt.params if p.grad is not None]
+    gn = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
     opt.step()
     return {"loss": lval, "scale": float(scale), "grad_norm": float(gn)}
 

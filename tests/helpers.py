@@ -2,7 +2,7 @@
 import numpy as np
 
 import streamformer.tensor as T
-from streamformer.streams import Rows, StreamBatch
+from streamformer.streams import Grid, Rows, StreamBatch
 
 
 def zero_grads(params):
@@ -82,25 +82,30 @@ def concat(parts, axis):
 def rows_batch(hidden, occupancy, active, stream_ids, lengths):
     """A StreamBatch from the dense layout: hidden (B, k, L, d), an array
     or a Tensor, occupancy (B, k, L) and active (B, k).  Each sequence's
-    active slots must come first; only they become rows.  A Tensor keeps
-    its gradient path through the conversion."""
+    active slots must come first; only they become rows, and only a row's
+    first lengths[b] positions become cells.  A Tensor keeps its gradient
+    path through the conversion."""
     active = np.asarray(active) > 0
-    B, k = active.shape
-    keep = np.flatnonzero(active.reshape(-1))
-    h = T.reshape(hidden, (B * k,) + tuple(hidden.shape[2:]))
-    if len(keep) < B * k:
+    lengths = np.asarray(lengths)
+    B, k, L = np.shape(occupancy)
+    rows = Rows(active.sum(axis=1))
+    cells = active[:, :, None] & (np.arange(L) < lengths[:, None, None])
+    keep = np.flatnonzero(cells)
+    h = T.reshape(hidden, (B * k * L, hidden.shape[-1]))
+    if len(keep) < B * k * L:
         h = T.gather_rows(h, keep)
-    occ = np.asarray(occupancy).reshape(B * k, -1)[keep]
-    return StreamBatch(h, occ, Rows(active.sum(axis=1)), np.asarray(stream_ids),
-                       np.asarray(lengths))
+    occ = np.asarray(occupancy).reshape(-1)[keep]
+    return StreamBatch(h, occ, rows, np.asarray(stream_ids), lengths,
+                       Grid.of(np.arange(L) < lengths[rows.seq][:, None]))
 
 
 def dense(H, x=None):
-    """A per-row array of H (its hidden data by default) in the dense
-    (B, k, ...) layout, zero in the slots without a row."""
+    """A per-cell array of H (its hidden data by default) in the dense
+    (B, k, L, ...) layout, zero in the slots and positions without a
+    cell."""
     x = H.hidden.data if x is None else x
-    out = np.zeros((H.batch, H.k) + x.shape[1:])
-    out[H.active > 0] = x
+    out = np.zeros((H.batch, H.k, H.length) + x.shape[1:])
+    out[H.active > 0] = H.grid.scatter(x)
     return out
 
 
@@ -110,8 +115,13 @@ def permuted(H, order):
     order = list(order)
     starts = np.cumsum(H.rows.counts) - H.rows.counts
     idx = (starts[:, None] + np.array(order)[None, :]).reshape(-1)
-    return StreamBatch(T.Tensor(H.hidden.data[idx]), H.occupancy[idx], H.rows,
-                       H.stream_ids[:, order], H.lengths)
+    grid = H.grid
+
+    def reorder(x):
+        return grid.gather(grid.scatter(x)[idx])
+
+    return StreamBatch(T.Tensor(reorder(H.hidden.data)), reorder(H.occupancy),
+                       H.rows, H.stream_ids[:, order], H.lengths, grid)
 
 
 def shared_by_streams(x, streams):

@@ -132,7 +132,8 @@ def test_duplicated_stream_gets_identical_output():
     cfg = A.AttentionConfig(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=5, seed=4)
-    H.hidden.data[1] = H.hidden.data[0]
+    cells = H.hidden.data.reshape(2, 5, 8)    # (rows, positions, d)
+    cells[1] = cells[0]
     out = dense(A.per_stream_attention(mha, H, None))
     assert np.max(np.abs(out[0, 0] - out[0, 1])) <= 1e-12
     out_a = dense(A.aggregated_attention(mha, H, None))
@@ -201,7 +202,7 @@ def test_causal_mask_blocks_future_bitwise():
     mask = A.look_ahead_mask([6], 6)
     out = A.per_stream_attention(mha, H, mask)
     bumped = H.hidden.data.copy()
-    bumped[:, 4] += 10.0  # perturb position 4
+    bumped.reshape(2, 6, 8)[:, 4] += 10.0  # perturb position 4
     H2 = H.with_hidden(T.Tensor(bumped))
     out2 = A.per_stream_attention(mha, H2, mask)
     assert dense(out)[:, :, :4].tobytes() == dense(out2)[:, :, :4].tobytes()
@@ -233,7 +234,7 @@ def test_gradient_check_through_all_attention_variants():
     mha = A.MultiHeadAttention("t", cfg, rng)
     Hd = make_H(B=1, k=2, L=3, d=4, seed=1)
     He = make_H(B=1, k=2, L=4, d=4, seed=2)
-    weight = rng.normal(size=(1, 2, 3, 4))
+    weight = rng.normal(size=(1, 2, 3, 4)).reshape(6, 4)   # per cell
     mask = A.look_ahead_mask([3], 3)
 
     def loss_fn():

@@ -208,15 +208,24 @@ def _summed_loss(m, batch):
     return logits.data, T.mul(sequence_loss(logits, cols, mask, 4.0), mask.sum())
 
 
-@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
-def test_batch_matches_its_sequences_one_at_a_time(cls):
+@pytest.mark.parametrize("cls, size", [
+    (Seq2SeqModel, "tiny"), (FlatVocabTransformer, "tiny"),
+    (Seq2SeqModel, "default")],
+    ids=["Seq2SeqModel", "FlatVocabTransformer", "Seq2SeqModel-default"])
+def test_batch_matches_its_sequences_one_at_a_time(cls, size):
     # 1-, 2-, 3- and 4-stream sources beside one with no symbols, whose one
-    # stream is synthetic: batching must not couple the sequences
+    # stream is synthetic: batching must not couple the sequences; the
+    # default-size case is a 16-pair training batch of lengths 3-10
     vocab = task_vocabulary("prop", 4)
-    texts = [("&a|b!a", "a1b0"), ("a", "a1"), ("&1!0", "1"),
-             ("&|ab^cd", "a1b0c1d1"), ("&a|bc", "b1")]
+    if size == "tiny":
+        texts = [("&a|b!a", "a1b0"), ("a", "a1"), ("&1!0", "1"),
+                 ("&|ab^cd", "a1b0c1d1"), ("&a|bc", "b1")]
+        opts = TINY
+    else:
+        texts = gen_prop(3, 4, (3, 10), 16).pairs
+        opts = {}
     batch = [(vocab.encode(s), vocab.encode(t)) for s, t in texts]
-    m = cls(ModelConfig(cross_modes=("per", "agg"), **TINY), vocab, seed=5)
+    m = cls(ModelConfig(cross_modes=("per", "agg"), **opts), vocab, seed=5)
     params = m.parameters()
     zero_grads(params)
     logits, loss = _summed_loss(m, batch)
@@ -399,6 +408,21 @@ def test_score_ignores_disallowed_columns(monkeypatch):
     b = decode_beam(m, [AMP, BANG], width=1, max_len=5)[0]
     assert g.tokens == b.tokens == [AMP] and not g.tied and not b.tied
     assert abs(g.score - want) <= 1e-12 and b.score == g.score
+
+
+def test_unpadded_batches_and_decode_steps_carry_no_grid_index():
+    # a batch whose rows all fill the grid is the cells reshaped: no index,
+    # so a one-source encode and every cached decode step stay dense
+    m = small_model(cross_modes=("per", "agg"))
+    full = m.encode([[A, AMP, B], [B, BANG, C]])
+    assert full.grid.index is None and full.hidden.shape == (4 * 3, 8)
+    assert m.encode([[A, AMP, B], [B, C]]).grid.index is not None
+    state = m.begin_decode([B, AMP, A, BANG, C])
+    assert state.enc.grid.index is None
+    m.step_logits(state, [SOS_ID])
+    state.select([0, 0])
+    step = state.embed(np.array([[A], [B]]), m.embedding.tensor)
+    assert step.grid.index is None and step.hidden.shape == (2 * 3, 8)
 
 
 def test_cached_step_tensor_budget(monkeypatch):

@@ -80,17 +80,18 @@ def test_embed_rejects_empty_and_bad_ids():
 
 
 def _pack_one_at_a_time(seqs, W, v, stream_id_lists):
-    """The batch pack_sequences builds, one stream_lookup_ids per sequence."""
+    """The batch pack_sequences builds, one stream_lookup_ids per sequence:
+    each row's real positions, row after row."""
     lookups, occs, sids = [], [], []
-    L = max(len(s) for s in seqs)
     for seq, ids in zip(seqs, stream_id_lists):
         lk, occ = S.stream_lookup_ids(seq, v, ids)
-        lookups.append(np.pad(lk, ((0, 0), (0, L - len(seq)))))
-        occs.append(np.pad(occ, ((0, 0), (0, L - len(seq)))))
+        lookups.append(lk.reshape(-1))
+        occs.append(occ.reshape(-1))
         sids.append(list(ids))
     k = max(1, max(len(i) for i in sids))
     stream_ids = [i + [-1] * (k - len(i)) for i in sids]
-    seq_of_row = np.repeat(np.arange(len(seqs)), [len(x) for x in lookups])
+    seq_of_row = np.repeat(np.arange(len(seqs)),
+                           [len(x) // len(s) for x, s in zip(lookups, seqs)])
     return (W.data[np.concatenate(lookups)], np.concatenate(occs),
             stream_ids, seq_of_row)
 
@@ -119,6 +120,25 @@ def test_pack_matches_per_sequence_lookup(pinned):
         assert H.lengths.tolist() == [len(s) for s in seqs]
         assert np.array_equal(H.rows.seq, seq_of_row)
     assert S.pack_sequences([srcs[5]], W, v).stream_ids.tolist() == [[-1]]
+
+
+def test_pack_stores_one_cell_per_real_stream_position():
+    # stream counts 1 to 4, a symbol-free source, lengths 2 to 10: the
+    # batch holds k_b * l_b cells per sequence and nothing for padding
+    from streamformer.logic import task_vocabulary
+    v = task_vocabulary("prop", 4)
+    texts = ["!a", "&1!0", "&a|bc", "&|ab^cd", "&a|b!&cd", "&&ab|c!&da",
+             "|ab"]
+    seqs = [v.encode(t) for t in texts]
+    streams = [max(1, len(S.sequence_stream_ids(s, v))) for s in seqs]
+    assert sorted(set(streams)) == [1, 2, 3, 4]
+    assert [len(s) for s in seqs] == [2, 4, 5, 7, 8, 10, 3]
+    W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
+    H = S.pack_sequences(seqs, W, v)
+    cells = sum(k * len(s) for k, s in zip(streams, seqs))
+    assert H.hidden.shape == (cells, 4) and H.occupancy.shape == (cells,)
+    assert H.length == 10 and H.grid.shape == (sum(streams), 10)
+    assert len(H.grid.index[0]) == cells
 
 
 def test_pack_rejects_bad_ids_and_empty_sequences_in_a_batch():
@@ -250,8 +270,8 @@ def test_pack_sequences_padding_and_activity():
     assert H.active.tolist() == [[1, 1], [1, 0]]
     assert H.stream_ids.tolist() == [[3, 4], [5, -1]]
     assert H.lengths.tolist() == [4, 3]
-    # padded tail reads the padding row
-    assert np.array_equal(dense(H)[1, 0, 3], W.data[S.PAD_ID])
+    # no padded cell is stored
+    assert H.hidden.shape == (2 * 4 + 1 * 3, 4)
 
 
 def test_renaming_roundtrip_and_validation():
@@ -275,8 +295,10 @@ def test_gradients_flow_through_aggregate_and_project():
     def loss_fn():
         H = S.pack_sequences([[1, 3, 4, 2]], Wp.tensor, v)
         g = S.aggregate(H)
-        logits = S.project(H.with_hidden(T.add(H.hidden, T.reshape(
-            g, (1, 4, 6)))), Wp.tensor)
+        # the sequence's two rows of four cells each add the aggregate
+        hidden = T.reshape(T.add(T.reshape(H.hidden, (2, 4, 6)),
+                                 T.reshape(g, (1, 4, 6))), (8, 6))
+        logits = S.project(H.with_hidden(hidden), Wp.tensor)
         return T.tsum(T.mul(logits, weight))
 
     report = gradient_check([Wp], loss_fn)

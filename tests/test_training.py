@@ -6,6 +6,7 @@ import pytest
 
 import streamformer.tensor as T
 from streamformer.errors import ContractError, VocabularyError
+from streamformer.logic import gen_prop, task_vocabulary
 from streamformer.model import ModelConfig, Seq2SeqModel, decode_greedy, load_model
 from streamformer.streams import EOS_ID, RESERVED, Vocabulary
 from streamformer.training import (Adam, AdaCosState, TrainConfig,
@@ -195,6 +196,36 @@ def test_fit_logs_expected_line_shape():
     for ln in lines:
         assert ln.startswith("step ")
         assert " loss " in ln and " grad_norm " in ln and " wall " in ln
+
+
+def test_train_step_graph_stays_within_budget(monkeypatch):
+    # default config on a fixed 16-pair prop-4 batch.  The graph behind the
+    # loss, walked through parents as the benchmark counts it, held 161
+    # nodes and 10,275,600 data bytes when every position-wise node ran on
+    # the padded grid; storing only real cells brings it to 8,691,472
+    vocab = task_vocabulary("prop", 4)
+    batch = [(vocab.encode(s), vocab.encode(t))
+             for s, t in gen_prop(0, 4, (3, 10), 64).pairs[:16]]
+    m = Seq2SeqModel(ModelConfig(), vocab, seed=0)
+    size = {}
+    backward = T.backward
+
+    def counting(loss):
+        seen, todo, nbytes = {id(loss)}, [loss], 0
+        while todo:
+            node = todo.pop()
+            nbytes += node.data.nbytes
+            for p in node.parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        size.update(nodes=len(seen), nbytes=nbytes)
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    train_step(m, batch, Adam(m.parameters()))
+    assert size["nodes"] <= 161
+    assert size["nbytes"] <= 9_000_000
 
 
 def test_train_step_aborts_on_non_finite_loss():
