@@ -189,10 +189,13 @@ def _judged(task, src_text, tokens, vocab):
     return bool(ok), False
 
 
-def _score(model, task, pairs, beam_width, max_len):
-    """Decode each source, keep the top answer and judge it.
+def _score(model, task, pairs, beam_width, max_len, top=1):
+    """Decode each source and judge its answers, best first, until one of
+    the first `top` is correct.  Width 1 decodes greedily, which is what
+    a beam of width 1 finds.
 
-    Returns counts of semantically correct answers, token-exact answers and
+    Returns counts of sources with a semantically correct answer among
+    those judged, of sources whose best answer is token-exact, and of
     checks that exceeded their resource budget.
     """
     vocab = model.vocab
@@ -200,13 +203,16 @@ def _score(model, task, pairs, beam_width, max_len):
     for src_text, tgt_text in pairs:
         src = _encode_source(vocab, task, src_text)
         if beam_width == 1:
-            pred = decode_greedy(model, src, max_len=max_len)
+            preds = [decode_greedy(model, src, max_len=max_len)]
         else:
-            pred = decode_beam(model, src, beam_width, max_len=max_len)[0]
-        exact += list(pred.tokens) == vocab.encode(tgt_text)
-        ok, over = _judged(task, src_text, pred.tokens, vocab)
-        correct += ok
-        blown += over
+            preds = decode_beam(model, src, beam_width, max_len=max_len)
+        exact += list(preds[0].tokens) == vocab.encode(tgt_text)
+        for pred in preds[:top]:
+            ok, over = _judged(task, src_text, pred.tokens, vocab)
+            blown += over
+            if ok:
+                correct += 1
+                break
     return correct, exact, blown
 
 
@@ -233,14 +239,9 @@ def topn_accuracy(model, dataset, n, max_len=64):
         raise ContractError("n must be positive")
     if not dataset.pairs:
         raise ContractError("empty dataset")
-    vocab = model.vocab
-    hits = 0
-    for src_text, _ in dataset.pairs:
-        src = _encode_source(vocab, dataset.task, src_text)
-        beams = decode_beam(model, src, n, max_len=max_len)
-        hits += any(_judged(dataset.task, src_text, cand.tokens, vocab)[0]
-                    for cand in beams)
-    return hits / len(dataset.pairs)
+    correct, _, _ = _score(model, dataset.task, dataset.pairs, n, max_len,
+                           top=n)
+    return correct / len(dataset.pairs)
 
 
 # ------------------------------------------------------------------ heatmap

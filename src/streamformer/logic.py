@@ -613,30 +613,38 @@ def _literal_step(universe, bits):
     return out
 
 
-def _first_satisfying_lasso(phi, max_u=4, max_v=3, budget=1 << 18,
-                            chunk=8192):
+# bounds of the lasso search behind gen_ltl: the longest prefix u and
+# cycle v tried, the candidates evaluated in all, and per numpy batch
+LASSO_MAX_PREFIX = 4
+LASSO_MAX_CYCLE = 3
+LASSO_BUDGET = 1 << 18
+LASSO_CHUNK = 8192
+
+
+def _first_satisfying_lasso(phi):
     """First concrete lasso satisfying phi, in canonical order.
 
-    Shapes (|u|, |v|) are tried by total length then prefix length; within
-    a shape, valuation tuples count up with step 0 / first symbol as the
-    most significant bit.  Scanning stops once `budget` candidates have
-    been evaluated; None means nothing was found in bounds.
+    Shapes (|u|, |v|) up to LASSO_MAX_PREFIX and LASSO_MAX_CYCLE are
+    tried by total length then prefix length; within a shape, valuation
+    tuples count up with step 0 / first symbol as the most significant
+    bit.  Scanning stops once LASSO_BUDGET candidates have been
+    evaluated; None means nothing was found in bounds.
     """
     universe = aps(phi)
     m = len(universe)
-    shapes = sorted(((u, v) for u in range(max_u + 1)
-                     for v in range(1, max_v + 1)),
+    shapes = sorted(((u, v) for u in range(LASSO_MAX_PREFIX + 1)
+                     for v in range(1, LASSO_MAX_CYCLE + 1)),
                     key=lambda s: (s[0] + s[1], s[0]))
     spent = 0
     for u, v in shapes:
         n = u + v
         bits = n * m
         count = 1 << bits
-        take = min(count, budget - spent)
+        take = min(count, LASSO_BUDGET - spent)
         spent += take
         start = 0
         while start < take:
-            stop = min(start + chunk, take)
+            stop = min(start + LASSO_CHUNK, take)
             ints = np.arange(start, stop, dtype=np.uint64)
             if m:
                 shift = np.array([bits - 1 - (t * m + j)
@@ -653,12 +661,12 @@ def _first_satisfying_lasso(phi, max_u=4, max_v=3, budget=1 << 18,
                 steps = [_literal_step(universe, w[t]) for t in range(n)]
                 return LassoTrace(tuple(steps[:u]), tuple(steps[u:]))
             start = stop
-        if spent >= budget:
+        if spent >= LASSO_BUDGET:
             return None
     return None
 
 
-def gen_ltl(seed, ap_count, size_range, n, weights=None, max_u=4, max_v=3):
+def gen_ltl(seed, ap_count, size_range, n, weights=None):
     """Formula -> first satisfying concrete lasso pairs, self-checked."""
     _check_request(ap_count, n)
     lo, hi = size_range
@@ -673,7 +681,7 @@ def gen_ltl(seed, ap_count, size_range, n, weights=None, max_u=4, max_v=3):
         attempts += 1
         phi = _random_formula(rng, int(rng.integers(lo, hi + 1)),
                               _LTL_GEN_UNARY, _LTL_GEN_BINARY, weights, pool)
-        trace = _first_satisfying_lasso(phi, max_u, max_v)
+        trace = _first_satisfying_lasso(phi)
         if trace is None:
             continue
         if not eval_lasso(phi, trace) or not check_symbolic_trace(phi, trace):

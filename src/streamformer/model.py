@@ -61,8 +61,8 @@ from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         rotation)
 from .errors import ContractError, VocabularyError
 from .streams import (EOS_ID, SOS_ID, Grid, Rows, StreamBatch, Vocabulary,
-                      _flat, pack_sequences, project, sequence_stream_ids,
-                      stream_lookup_ids)
+                      _flat, _stream_rows, pack_sequences, project,
+                      sequence_stream_ids)
 
 # ablation code tokens, in code order: the sublayer switch each turns on,
 # then the cross-attention mode each adds
@@ -480,9 +480,11 @@ class Seq2SeqModel:
         """Embedding row and occupancy of every token id in each stream of
         the one source enc holds, (k, V) each: what _embed gives a token
         at any position of a decoder row."""
-        sids = [int(s) for s in enc.stream_ids[0] if s >= 0]
-        return stream_lookup_ids(np.arange(self.vocab.total_size),
-                                 self.vocab, sids)
+        own_id = enc.stream_ids[0]
+        ids = np.broadcast_to(np.arange(self.vocab.total_size),
+                              (len(own_id), self.vocab.total_size))
+        lookup, own = _stream_rows(ids, own_id, self.vocab)
+        return lookup, own.astype(np.float64)
 
     def _project(self, H, W):
         return project(H, W)

@@ -274,29 +274,6 @@ def sequence_stream_ids(seq, vocab):
     return sorted({int(t) for t in seq if vocab.is_inter(int(t))})
 
 
-def stream_lookup_ids(seq, vocab, stream_ids):
-    """Per-stream embedding row indices plus occupancy for one sequence.
-
-    Stream i rewrites the sequence so its own id reads the actual row and
-    every other interchangeable id reads the placeholder row.  An empty
-    stream_ids list yields one synthetic stream (plain base embedding).
-    """
-    x = np.asarray(seq, dtype=np.int64)
-    if x.size and (x.min() < 0 or x.max() >= vocab.total_size):
-        raise VocabularyError("sequence contains out-of-range token ids")
-    k = max(1, len(stream_ids))
-    L = len(x)
-    inter = np.array([vocab.is_inter(t) for t in x], dtype=bool)
-    lookup = np.tile(x, (k, 1))
-    lookup[:, inter] = vocab.placeholder_row
-    occupancy = np.zeros((k, L), dtype=np.float64)
-    for i, sid in enumerate(stream_ids):
-        own = x == sid
-        lookup[i, own] = vocab.actual_row
-        occupancy[i, own] = 1.0
-    return lookup, occupancy
-
-
 def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     """Embed a list of sequences into one StreamBatch, a row per stream.
 
@@ -304,8 +281,9 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     encoder's); by default they come from the sequences themselves.  The
     whole batch is built at once from one padded id matrix: each row reads
     its sequence's ids, with interchangeable ids sent to the placeholder
-    row and the row's own id to the actual row, as stream_lookup_ids does
-    for one sequence.  Only the real positions are embedded.
+    row and the row's own id to the actual row (_stream_rows, the one
+    lookup rule, which the decode step's lookup table uses too).  Only the
+    real positions are embedded.
     """
     if not seqs:
         raise ContractError("cannot pack an empty batch")
@@ -322,9 +300,9 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     ids[valid] = _flat(seqs, lengths.sum())
     if ids.min() < 0 or ids.max() >= vocab.total_size:
         raise VocabularyError("sequence contains out-of-range token ids")
-    inter = ids >= vocab.base_size     # padding holds PAD_ID, a base id
     if stream_id_lists is None:
         # distinct interchangeable ids of each sequence, ascending
+        inter = ids >= vocab.base_size     # padding holds PAD_ID, a base id
         present = np.zeros((len(seqs), vocab.inter_size), dtype=bool)
         present[np.nonzero(inter)[0], ids[inter] - vocab.base_size] = True
         counts = present.sum(axis=1)
@@ -338,13 +316,22 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     # row r is stream slot r - first[seq] of its sequence
     first = np.cumsum(rows.counts) - rows.counts
     own_id = stream_ids[rows.seq, np.arange(len(rows.seq)) - first[rows.seq]]
-    lookup = np.where(inter[rows.seq], vocab.placeholder_row, ids[rows.seq])
-    own = ids[rows.seq] == own_id[:, None]     # padding never matches
-    lookup[own] = vocab.actual_row
+    lookup, own = _stream_rows(ids[rows.seq], own_id, vocab)
     grid = Grid.of(valid[rows.seq])
     return StreamBatch(T.gather_rows(W, grid.gather(lookup)),
                        grid.gather(own).astype(np.float64), rows, stream_ids,
                        lengths, grid)
+
+
+def _stream_rows(ids, own_id, vocab):
+    """Embedding rows of ids (N, L), row i read in the stream whose own
+    symbol is own_id[i] (-1: a synthetic stream, which owns none), and
+    where that symbol sits.  The own symbol reads the actual row, any
+    other interchangeable id the placeholder row, a base id its own row."""
+    lookup = np.where(ids >= vocab.base_size, vocab.placeholder_row, ids)
+    own = ids == own_id[:, None]     # no id is -1
+    lookup[own] = vocab.actual_row
+    return lookup, own
 
 
 def _flat(lists, n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, DimensionError
 from .model import _EVAL, _TrainCtx, save_model
 from .streams import EOS_ID, SOS_ID
 
@@ -67,25 +67,51 @@ def adacos_update(state, cos_values, labels, mask):
 
 
 def sequence_loss(logits, labels, mask, scale):
-    """Mean cross-entropy over unmasked positions at the given scale.
+    """Mean cross-entropy over unmasked positions at the given scale, as
+    one graph node.
 
     Handles -inf columns: the log-sum-exp shift is taken over finite
     entries only and the target score is gathered, never one-hot
-    multiplied.
+    multiplied.  With z the scaled logits and e = exp(z - max z), the
+    gradient is ((g / count) * mask / sum(e)) * e, minus that weight at
+    the label, times the scale: softmax minus one-hot, in the arithmetic
+    order of the op-by-op composition.
     """
-    if float(np.asarray(mask).sum()) <= 0:
+    mask = np.asarray(mask, dtype=np.float64)
+    count = float(mask.sum())
+    if count <= 0:
         raise ContractError("loss needs at least one unmasked position")
-    z = T.mul(logits, float(scale))
-    zd = z.data
-    m = np.max(np.where(np.isfinite(zd), zd, -np.inf), axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
-        raise ContractError("every position needs at least one finite logit")
-    e = T.exp(T.sub(z, m))
-    lse = T.add(T.log(T.tsum(e, axis=-1)), m[..., 0])
-    picked = T.take_along_last(z, labels)
-    nll = T.sub(lse, picked)
-    return T.div(T.tsum(T.mul(nll, np.asarray(mask, dtype=np.float64))),
-                 float(np.asarray(mask).sum()))
+    scale = float(scale)
+
+    def forward(x):
+        z = x * scale
+        m = np.max(np.where(np.isfinite(z), z, -np.inf), axis=-1, keepdims=True)
+        if not np.isfinite(m).all():
+            raise ContractError("every position needs at least one finite logit")
+        lab = np.asarray(labels, dtype=np.int64)
+        if lab.shape != z.shape[:-1]:
+            raise DimensionError(f"sequence_loss: label shape {lab.shape} "
+                                 f"does not match {z.shape[:-1]}")
+        if lab.size and (lab.min() < 0 or lab.max() >= z.shape[-1]):
+            raise ContractError("sequence_loss: label out of range")
+        lab = lab[..., None]
+        e = np.exp(z - m)
+        total = e.sum(axis=-1)
+        nll = (np.log(total) + m[..., 0]) - np.take_along_axis(z, lab, -1)[..., 0]
+
+        def vjp(g):
+            w = (g / count) * mask                # each position's weight
+            gz = (w / total)[..., None] * e
+            # its own array, added, as in the composition: zeros keep their sign
+            at_label = np.zeros_like(e)
+            np.put_along_axis(at_label, lab, -w[..., None], axis=-1)
+            gz += at_label
+            gz *= scale
+            return (gz,)
+
+        return (nll * mask).sum() / count, vjp
+
+    return T.fused(forward, logits)
 
 
 class Adam:

@@ -2,6 +2,7 @@
 import numpy as np
 
 import streamformer.tensor as T
+from streamformer.errors import ContractError, DimensionError, VocabularyError
 from streamformer.streams import Grid, Rows, StreamBatch
 
 
@@ -53,6 +54,106 @@ def gradient_check(params, loss_fn, h=1e-4):
     return report
 
 
+# ---------------------------------------------------------------------------
+# elementary autodiff ops: the oracles spell the fused nodes out with them,
+# one graph node per step, and tests build small graphs from them
+
+_data, _node, _unbroadcast = T._data, T._node, T._unbroadcast
+
+
+def mul(a, b):
+    ad, bd = _data(a), _data(b)
+    return _node(ad * bd, (a, b),
+                 (lambda g: _unbroadcast(g * bd, ad.shape),
+                  lambda g: _unbroadcast(g * ad, bd.shape)))
+
+
+def div(a, b):
+    ad, bd = _data(a), _data(b)
+    out = ad / bd
+    return _node(out, (a, b),
+                 (lambda g: _unbroadcast(g / bd, ad.shape),
+                  lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape)))
+
+
+def matmul(a, b):
+    ad, bd = _data(a), _data(b)
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise DimensionError("matmul operands must have at least 2 axes")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise DimensionError(
+            f"matmul inner axes disagree: {ad.shape} @ {bd.shape}")
+    out = np.matmul(ad, bd)
+    if bd.ndim == 2:
+        # a weight: fold every leading axis of a into rows, so each gradient
+        # is one GEMM and the weight's sum over rows runs inside it
+        K, N = bd.shape
+        return _node(out, (a, b),
+                     (lambda g: np.matmul(g.reshape(-1, N), bd.T).reshape(ad.shape),
+                      lambda g: np.matmul(ad.reshape(-1, K).T, g.reshape(-1, N))))
+    return _node(out, (a, b),
+                 (lambda g: _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
+                  lambda g: _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)))
+
+
+def transpose(a, axes):
+    ad = _data(a)
+    inv = np.argsort(axes)
+    return _node(np.transpose(ad, axes), (a,),
+                 (lambda g: np.transpose(g, inv),))
+
+
+def tsum(a, axis=None, keepdims=False):
+    ad = _data(a)
+
+    def back(g):
+        if axis is None:
+            return np.broadcast_to(g, ad.shape).copy()
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, ad.shape).copy()
+
+    return _node(ad.sum(axis=axis, keepdims=keepdims), (a,), (back,))
+
+
+def exp(a):
+    out = np.exp(_data(a))
+    return _node(out, (a,), (lambda g: g * out,))
+
+
+def log(a):
+    ad = _data(a)
+    return _node(np.log(ad), (a,), (lambda g: g / ad,))
+
+
+def sqrt(a):
+    out = np.sqrt(_data(a))
+    return _node(out, (a,), (lambda g: g * (0.5 / out),))
+
+
+def take_along_last(a, idx):
+    """Pick one entry per row over the last axis: out[..., ] = a[..., idx].
+
+    idx has the shape of a minus its last axis.  Used to pull target-class
+    scores out of logits without touching the other columns, which may
+    hold -inf sentinels that a one-hot multiply would turn into nan.
+    """
+    ad = _data(a)
+    ix = np.asarray(idx, dtype=np.int64)
+    if ix.shape != ad.shape[:-1]:
+        raise DimensionError(
+            f"take_along_last: index shape {ix.shape} does not match {ad.shape[:-1]}")
+    if ix.size and (ix.min() < 0 or ix.max() >= ad.shape[-1]):
+        raise ContractError("take_along_last: index out of range")
+    out = np.take_along_axis(ad, ix[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        buf = np.zeros_like(ad)
+        np.put_along_axis(buf, ix[..., None], g[..., None], axis=-1)
+        return buf
+
+    return _node(out, (a,), (back,))
+
+
 def index(a, key):
     """Basic slicing as a graph node; the gradient pastes into zeros."""
     ad = T._data(a)
@@ -77,6 +178,29 @@ def concat(parts, axis):
 
     return T._node(np.concatenate(datas, axis=axis), tuple(parts),
                    tuple(back(i) for i in range(len(parts))))
+
+
+def stream_lookup_ids(seq, vocab, stream_ids):
+    """Per-stream embedding row indices plus occupancy for one sequence.
+
+    Stream i rewrites the sequence so its own id reads the actual row and
+    every other interchangeable id reads the placeholder row.  An empty
+    stream_ids list yields one synthetic stream (plain base embedding).
+    """
+    x = np.asarray(seq, dtype=np.int64)
+    if x.size and (x.min() < 0 or x.max() >= vocab.total_size):
+        raise VocabularyError("sequence contains out-of-range token ids")
+    k = max(1, len(stream_ids))
+    L = len(x)
+    inter = np.array([vocab.is_inter(t) for t in x], dtype=bool)
+    lookup = np.tile(x, (k, 1))
+    lookup[:, inter] = vocab.placeholder_row
+    occupancy = np.zeros((k, L), dtype=np.float64)
+    for i, sid in enumerate(stream_ids):
+        own = x == sid
+        lookup[i, own] = vocab.actual_row
+        occupancy[i, own] = 1.0
+    return lookup, occupancy
 
 
 def rows_batch(hidden, occupancy, active, stream_ids, lengths):

@@ -6,15 +6,18 @@ code paths with the library they validate.  The composed attention below
 builds the fused attention nodes' computation out of the elementary
 autodiff ops, one graph node per step, so its gradients come from those
 ops' vjps and not from the fused nodes' hand-written ones; so do the
-composed residual norm, feed-forward block and cosine normalisation.
+composed residual norm, feed-forward block, cosine normalisation, loss
+and dropout.
 """
 import itertools
 
 import numpy as np
 
 from streamformer import tensor as T
+from streamformer.errors import ContractError
 
-from helpers import concat, index
+from helpers import (concat, div, exp, index, log, matmul, mul, sqrt,
+                     take_along_last, transpose, tsum)
 
 
 def naive_matmul(a, b):
@@ -101,19 +104,19 @@ def composed_heads(x, w, heads, positions=None, base=10000.0):
     positions with the real pair formula; elementary ops only."""
     b, k, L, d = x.shape
     hd = d // heads
-    y = T.reshape(T.matmul(x, w), (b, k, L, heads, hd))
+    y = T.reshape(matmul(x, w), (b, k, L, heads, hd))
     if positions is not None:
         ang = (np.asarray(positions, float)[:, None]
                * base ** (-2.0 * np.arange(hd // 2) / hd))
         cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
         ev = index(y, (Ellipsis, slice(0, None, 2)))
         od = index(y, (Ellipsis, slice(1, None, 2)))
-        re = T.sub(T.mul(ev, cos), T.mul(od, sin))
-        im = T.add(T.mul(ev, sin), T.mul(od, cos))
+        re = T.sub(mul(ev, cos), mul(od, sin))
+        im = T.add(mul(ev, sin), mul(od, cos))
         pair = (b, k, L, heads, hd // 2, 1)
         y = T.reshape(concat([T.reshape(re, pair), T.reshape(im, pair)],
                                axis=-1), (b, k, L, heads, hd))
-    return T.transpose(y, (0, 1, 3, 2, 4))
+    return transpose(y, (0, 1, 3, 2, 4))
 
 
 def composed_attend(q, k, v, wo, keep=None):
@@ -121,15 +124,15 @@ def composed_attend(q, k, v, wo, keep=None):
     projection of heads q (B,k,h,Lq,hd) over k, v (B,k|1,h,Lk,hd);
     keep is a (B,Lq,Lk) keep-mask or None."""
     hd = q.shape[-1]
-    s = T.mul(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(hd))
+    s = mul(matmul(q, transpose(k, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(hd))
     if keep is not None:
         s = T.add(s, np.where(keep[:, None, None], 0.0, -np.inf))
-    e = T.exp(T.sub(s, s.data.max(axis=-1, keepdims=True)))
-    p = T.div(e, T.tsum(e, axis=-1, keepdims=True))
-    ctx = T.matmul(p, v)
+    e = exp(T.sub(s, s.data.max(axis=-1, keepdims=True)))
+    p = div(e, tsum(e, axis=-1, keepdims=True))
+    ctx = matmul(p, v)
     b, kk, h, Lq, _ = ctx.shape
-    merged = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
-    return T.matmul(merged, wo)
+    merged = T.reshape(transpose(ctx, (0, 1, 3, 2, 4)), (b, kk, Lq, h * hd))
+    return matmul(merged, wo)
 
 
 def composed_add_layer_norm(x, y, gain, bias, eps=1e-5):
@@ -137,21 +140,48 @@ def composed_add_layer_norm(x, y, gain, bias, eps=1e-5):
     elementary op per step."""
     n = x.shape[-1]
     s = T.add(x, y)
-    c = T.sub(s, T.mul(T.tsum(s, axis=-1, keepdims=True), 1.0 / n))
-    var = T.mul(T.tsum(T.mul(c, c), axis=-1, keepdims=True), 1.0 / n)
-    return T.add(T.mul(T.div(c, T.sqrt(T.add(var, eps))), gain), bias)
+    c = T.sub(s, mul(tsum(s, axis=-1, keepdims=True), 1.0 / n))
+    var = mul(tsum(mul(c, c), axis=-1, keepdims=True), 1.0 / n)
+    return T.add(mul(div(c, sqrt(T.add(var, eps))), gain), bias)
 
 
 def composed_feed_forward(x, w1, b1, w2, b2):
     """relu(x @ w1 + b1) @ w2 + b2; elementary ops only."""
-    h = T.relu(T.add(T.matmul(x, w1), b1))
-    return T.add(T.matmul(h, w2), b2)
+    h = T.relu(T.add(matmul(x, w1), b1))
+    return T.add(matmul(h, w2), b2)
 
 
 def composed_l2_normalize(x):
     """x over its row norm, sqrt(|x|^2 + 1e-12); elementary ops only."""
-    s = T.tsum(T.mul(x, x), axis=-1, keepdims=True)
-    return T.div(x, T.sqrt(T.add(s, 1e-12)))
+    s = tsum(mul(x, x), axis=-1, keepdims=True)
+    return div(x, sqrt(T.add(s, 1e-12)))
+
+
+def composed_sequence_loss(logits, labels, mask, scale):
+    """training.sequence_loss one elementary op per step: mean
+    cross-entropy over unmasked positions at the given scale, the
+    log-sum-exp shift over finite entries only, the target score
+    gathered."""
+    if float(np.asarray(mask).sum()) <= 0:
+        raise ContractError("loss needs at least one unmasked position")
+    z = mul(logits, float(scale))
+    zd = z.data
+    m = np.max(np.where(np.isfinite(zd), zd, -np.inf), axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ContractError("every position needs at least one finite logit")
+    e = exp(T.sub(z, m))
+    lse = T.add(log(tsum(e, axis=-1)), m[..., 0])
+    picked = take_along_last(z, labels)
+    nll = T.sub(lse, picked)
+    return div(tsum(mul(nll, np.asarray(mask, dtype=np.float64))),
+               float(np.asarray(mask).sum()))
+
+
+def composed_dropout(x, rate, rng):
+    """tensor.dropout at a positive rate as a product with its keep mask,
+    drawn the same way."""
+    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return mul(x, keep)
 
 
 def finite_difference(loss_fn, array, h=1e-4):

@@ -22,7 +22,7 @@ from streamformer.model import (DecoderLayer, EncoderLayer,
 from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
-from helpers import dense, gradient_check, permuted, rows_batch
+from helpers import dense, gradient_check, mul, permuted, rows_batch, tsum
 from oracles import truth_table_check, unrolled_ltl_eval
 
 
@@ -218,7 +218,7 @@ def test_criterion_5_gradient_correctness():
     def loss_fn():
         logits = m.forward(src, tgt)
         keep = np.isfinite(logits.data).astype(float)
-        return T.tsum(T.mul(T.mul(logits, keep), pick))
+        return tsum(mul(mul(logits, keep), pick))
 
     errs = gradient_check(m.parameters(), loss_fn)
     worst = max(errs.values())

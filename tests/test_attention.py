@@ -7,8 +7,8 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import (attention, dense, gradient_check, permuted, rows_batch,
-                     shared_by_streams, zero_grads)
+from helpers import (attention, dense, gradient_check, mul, permuted,
+                     rows_batch, shared_by_streams, tsum, zero_grads)
 from oracles import composed_attend, composed_heads, naive_attention
 
 RNG = np.random.default_rng(23)
@@ -242,7 +242,7 @@ def test_gradient_check_through_all_attention_variants():
         b = A.aggregated_attention(mha, a, mask)
         c = A.cross_attention(mha, b, He, "per", None)
         d = A.cross_attention(mha, c, He, "agg", None)
-        return T.tsum(T.mul(d.hidden, weight))
+        return tsum(mul(d.hidden, weight))
 
     report = gradient_check(mha.parameters(), loss_fn)
     assert max(report.values()) <= 1e-4
@@ -281,7 +281,7 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
     for build in (fused, composed):
         zero_grads(leaves)
         out = build()
-        T.backward(T.tsum(T.mul(out, up)))
+        T.backward(tsum(mul(out, up)))
         runs.append((out.data.copy(), {p.name: p.grad.copy() for p in leaves}))
     return leaves, runs
 
@@ -325,7 +325,7 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     leaves = [x, mha.wq, mha.wo]
     zero_grads(leaves)
     out = mha.attend(x.tensor, k, v, None, [4])
-    T.backward(T.tsum(T.mul(out, up)))
+    T.backward(tsum(mul(out, up)))
     got = {p.name: p.grad.copy() for p in leaves}
     assert mha.wk.grad is None and mha.wv.grad is None
 
@@ -335,7 +335,7 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     vc = composed_heads(seq, mha.wv.tensor, 2).data
     want = composed_attend(composed_heads(x.tensor, mha.wq.tensor, 2, [4]),
                            kc, vc, mha.wo.tensor)
-    T.backward(T.tsum(T.mul(want, up)))
+    T.backward(tsum(mul(want, up)))
     assert np.max(np.abs(out.data - want.data)) <= 1e-12
     for p in leaves:
         assert np.max(np.abs(got[p.name] - p.grad)) <= 1e-12, p.name
@@ -353,7 +353,7 @@ def test_gradient_check_tiny_multi_head_attention():
     def loss_fn():
         out = attention(mha, xq.tensor, xkv.tensor, xkv.tensor, mask,
                         np.arange(3) + 1, np.arange(4))
-        return T.tsum(T.mul(out, up))
+        return tsum(mul(out, up))
 
     report = gradient_check([xq, xkv] + mha.parameters(), loss_fn)
     assert max(report.values()) <= 1e-4
@@ -390,7 +390,7 @@ def test_fused_attention_forward_backward_deterministic_bitwise():
         mask = A.look_ahead_mask(np.repeat([5, 3], 3), 5)
         a = A.per_stream_attention(mha, H, mask)
         b = A.aggregated_attention(mha, a, mask)
-        loss = T.tsum(T.mul(b.hidden, b.hidden))
+        loss = tsum(mul(b.hidden, b.hidden))
         T.backward(loss)
         return [loss.data.tobytes(), x.grad.tobytes()] + \
             [p.grad.tobytes() for p in mha.parameters()]

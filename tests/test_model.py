@@ -19,9 +19,10 @@ from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
 from streamformer.training import sequence_loss
 
-from helpers import gradient_check, zero_grads
-from oracles import (composed_add_layer_norm, composed_feed_forward,
-                     composed_l2_normalize)
+from helpers import gradient_check, mul, tsum, zero_grads
+from oracles import (composed_add_layer_norm, composed_dropout,
+                     composed_feed_forward, composed_l2_normalize,
+                     composed_sequence_loss)
 
 VOCAB = Vocabulary(RESERVED + ("&", "!"), ("a", "b", "c"))
 AMP, BANG = 3, 4
@@ -105,7 +106,7 @@ def test_embedding_tied_three_ways():
     # one buffer feeds encoder, decoder and projection: a loss touching
     # only the projection must still move the same tensor the inputs read
     logits, _ = m.forward_batch([[A, AMP, B]], [[SOS_ID, A]])
-    loss = T.tsum(T.mul(logits, np.isfinite(logits.data).astype(float)))
+    loss = tsum(mul(logits, np.isfinite(logits.data).astype(float)))
     T.backward(loss)
     g = m.embedding.grad
     assert g is not None and np.abs(g).sum() > 0
@@ -205,7 +206,7 @@ def _summed_loss(m, batch):
         c = m.label_columns(src, tgt + [EOS_ID])
         cols[b, :len(c)] = c
         mask[b, :len(c)] = 1.0
-    return logits.data, T.mul(sequence_loss(logits, cols, mask, 4.0), mask.sum())
+    return logits.data, mul(sequence_loss(logits, cols, mask, 4.0), mask.sum())
 
 
 @pytest.mark.parametrize("cls, size", [
@@ -538,11 +539,17 @@ def test_greedy_decode_packs_only_its_source(monkeypatch):
     assert calls == [[[B, AMP, A, BANG, C]]]
 
 
-@pytest.mark.parametrize("node", ["add_layer_norm", "ffn", "l2_normalize"])
+@pytest.mark.parametrize("node", [
+    "add_layer_norm", "ffn", "l2_normalize", "sequence_loss-1.0",
+    "sequence_loss-7.3", "dropout"])
 def test_fused_nodes_match_elementary_composition(node):
+    # the loss and dropout keep the composition's arithmetic order, so they
+    # match it bit for bit; the loss's logits hold -inf columns and a
+    # fully -inf row, and its mask drops positions
     d, f = 6, 10
     rng = np.random.default_rng(len(node))
     x, y = (T.Parameter(n, rng.normal(size=(3, 4, d))) for n in "xy")
+    exact = node.startswith("sequence_loss") or node == "dropout"
     if node == "add_layer_norm":
         norm = M.Norm("n", d)
         leaves = [x, y, norm.gain, norm.bias]
@@ -553,8 +560,25 @@ def test_fused_nodes_match_elementary_composition(node):
         leaves = [x] + ffn.parameters()
         fused = lambda x, *_: ffn(x)    # noqa: E731
         composed = composed_feed_forward
-    else:
+    elif node == "l2_normalize":
         leaves, fused, composed = [x], M.l2_normalize, composed_l2_normalize
+    elif node == "dropout":
+        leaves = [x]
+        fused = lambda x: T.dropout(x, 0.3, np.random.default_rng(5))  # noqa: E731
+        composed = lambda x: composed_dropout(    # noqa: E731
+            x, 0.3, np.random.default_rng(5))
+    else:
+        scale = float(node.split("-")[1])
+        x.data[..., 4:] = -np.inf
+        x.data[1, 2, 1:] = -np.inf
+        labels = rng.integers(0, 4, size=(3, 4))
+        labels[1, 2] = 0
+        mask = (rng.random((3, 4)) < 0.7).astype(float)
+        mask[1, 2] = 0.0
+        leaves = [x]
+        fused = lambda x: sequence_loss(x, labels, mask, scale)    # noqa: E731
+        composed = lambda x: composed_sequence_loss(    # noqa: E731
+            x, labels, mask, scale)
     for p in leaves[1:]:
         p.data = rng.normal(size=p.data.shape)
     results = []
@@ -562,13 +586,19 @@ def test_fused_nodes_match_elementary_composition(node):
         zero_grads(leaves)
         out = fn(*(p.tensor for p in leaves))
         up = np.random.default_rng(0).normal(size=out.shape)
-        T.backward(T.tsum(T.mul(out, up)))
+        T.backward(tsum(mul(out, up)))
         results.append((out, [p.grad.copy() for p in leaves]))
     (out, grads), (want, want_grads) = results
     assert out.parents == tuple(p.tensor for p in leaves)   # one node
-    assert np.max(np.abs(out.data - want.data)) <= 1e-12
+    if exact:
+        assert out.data.tobytes() == want.data.tobytes()
+    else:
+        assert np.max(np.abs(out.data - want.data)) <= 1e-12
     for p, g, w in zip(leaves, grads, want_grads):
-        assert np.max(np.abs(g - w)) <= 1e-12, p.name
+        if exact:
+            assert g.tobytes() == w.tobytes(), p.name
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-12, p.name
 
 
 # ----------------------------------------------------------------- gradients
@@ -583,7 +613,7 @@ def test_gradient_check_full_stack():
     def loss_fn():
         logits = m.forward(src, tgt + [EOS_ID])
         keep = np.isfinite(logits.data)
-        return T.tsum(T.mul(T.mul(logits, keep.astype(float)), pick))
+        return tsum(mul(mul(logits, keep.astype(float)), pick))
 
     errs = gradient_check(m.parameters(), loss_fn)
     worst = max(errs.values())

@@ -6,7 +6,8 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, VocabularyError
 
-from helpers import dense, gradient_check, permuted, rows_batch
+from helpers import (dense, gradient_check, mul, permuted, rows_batch,
+                     stream_lookup_ids, tsum)
 
 RNG = np.random.default_rng(11)
 
@@ -42,7 +43,7 @@ def test_vocabulary_growth_keeps_table():
 def test_stream_lookup_spec_example():
     # x = [0, 3, 1, 4] over V_n = 3: two streams, actual row 3, placeholder 4
     v = bare_vocab(3)
-    lookup, occ = S.stream_lookup_ids([0, 3, 1, 4], v, [3, 4])
+    lookup, occ = stream_lookup_ids([0, 3, 1, 4], v, [3, 4])
     assert lookup.tolist() == [[0, 3, 1, 4], [0, 4, 1, 3]]
     assert occ.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
 
@@ -84,7 +85,7 @@ def _pack_one_at_a_time(seqs, W, v, stream_id_lists):
     each row's real positions, row after row."""
     lookups, occs, sids = [], [], []
     for seq, ids in zip(seqs, stream_id_lists):
-        lk, occ = S.stream_lookup_ids(seq, v, ids)
+        lk, occ = stream_lookup_ids(seq, v, ids)
         lookups.append(lk.reshape(-1))
         occs.append(occ.reshape(-1))
         sids.append(list(ids))
@@ -299,7 +300,7 @@ def test_gradients_flow_through_aggregate_and_project():
         hidden = T.reshape(T.add(T.reshape(H.hidden, (2, 4, 6)),
                                  T.reshape(g, (1, 4, 6))), (8, 6))
         logits = S.project(H.with_hidden(hidden), Wp.tensor)
-        return T.tsum(T.mul(logits, weight))
+        return tsum(mul(logits, weight))
 
     report = gradient_check([Wp], loss_fn)
     assert report["embed.w"] <= 1e-4

@@ -7,7 +7,8 @@ from streamformer import attention as A
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import concat, gradient_check, index, zero_grads
+from helpers import (concat, div, exp, gradient_check, index, log, matmul, mul,
+                     sqrt, take_along_last, transpose, tsum, zero_grads)
 from oracles import (finite_difference, naive_layer_norm, naive_matmul,
                      naive_rope, naive_softmax)
 
@@ -46,14 +47,14 @@ def test_matmul_matches_scalar_oracle():
         m, n, p = RNG.integers(1, 33, size=3)
         a = RNG.normal(size=(m, n))
         b = RNG.normal(size=(n, p))
-        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        got = matmul(T.Tensor(a), T.Tensor(b)).data
         assert rel(got, naive_matmul(a, b)) <= 1e-10
 
 
 def test_matmul_batched_broadcast():
     a = RNG.normal(size=(3, 2, 4, 5))
     b = RNG.normal(size=(3, 1, 5, 6))
-    got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+    got = matmul(T.Tensor(a), T.Tensor(b)).data
     for i in range(3):
         for j in range(2):
             assert np.allclose(got[i, j], naive_matmul(a[i, j], b[i, 0]), atol=1e-12)
@@ -61,7 +62,7 @@ def test_matmul_batched_broadcast():
 
 def test_matmul_shape_error():
     with pytest.raises(DimensionError):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
+        matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
 
 
 def _one_hot_attention(Lq, Lk):
@@ -141,8 +142,8 @@ def test_layer_norm_4d_matches_oracle_and_gradients():
     up = RNG.normal(size=(2, 3, 2, 5))
 
     def loss_fn():
-        return T.tsum(T.mul(T.add_layer_norm(x.tensor, y.tensor, gain.tensor,
-                                             bias.tensor), up))
+        return tsum(mul(T.add_layer_norm(x.tensor, y.tensor, gain.tensor,
+                                         bias.tensor), up))
 
     assert max(gradient_check([x, y, gain, bias], loss_fn).values()) <= 1e-4
     # the node hands one gradient array to both summands; each parameter
@@ -220,7 +221,7 @@ def test_gather_rows_forward_and_scatter_gradient():
     out = T.gather_rows(table, ids)
     assert out.shape == (2, 3, 4)
     assert np.array_equal(out.data[0, 1], table.data[2])
-    loss = T.tsum(out)
+    loss = tsum(out)
     T.backward(loss)
     counts = np.bincount(ids.reshape(-1), minlength=6)[:, None]
     assert np.array_equal(table.grad, counts * np.ones((6, 4)))
@@ -235,7 +236,7 @@ def test_gather_rows_gradient_sums_repeated_ids():
     for data, ids in cases:
         table = T.Parameter("w", data)
         up = rng.normal(size=ids.shape + data.shape[1:])
-        T.backward(T.tsum(T.mul(T.gather_rows(table.tensor, ids), up)))
+        T.backward(tsum(mul(T.gather_rows(table.tensor, ids), up)))
         want = np.zeros_like(data)
         for i, g in zip(ids.reshape(-1), up.reshape((-1,) + data.shape[1:])):
             want[i] += g
@@ -254,12 +255,12 @@ def test_backward_composite_matches_finite_differences():
     c = T.Parameter("c", RNG.normal(size=5))
 
     def loss_fn():
-        y = T.matmul(a.tensor, b.tensor)
+        y = matmul(a.tensor, b.tensor)
         y = T.add_layer_norm(y, 0.0, g.tensor, c.tensor)
-        y = T.exp(y)
-        y = T.div(y, T.tsum(y, axis=-1, keepdims=True))
+        y = exp(y)
+        y = div(y, tsum(y, axis=-1, keepdims=True))
         y = T.relu(T.sub(y, 0.1))
-        return T.tsum(T.mul(y, y))
+        return tsum(mul(y, y))
 
     report = gradient_check([a, b, g, c], loss_fn)
     assert max(report.values()) <= 1e-4
@@ -273,8 +274,8 @@ def test_backward_through_slice_concat_reshape():
         y = index(w.tensor, (slice(1, 4), slice(None)))
         z = concat([x, y], axis=1)
         z = T.reshape(z, (2, 3, 6))
-        z = T.transpose(z, (1, 0, 2))
-        return T.tsum(T.mul(z, z))
+        z = transpose(z, (1, 0, 2))
+        return tsum(mul(z, z))
 
     report = gradient_check([w], loss_fn)
     assert report["w"] <= 1e-4
@@ -284,11 +285,11 @@ def test_gradient_of_unused_parameter_is_zero():
     used = T.Parameter("used", RNG.normal(size=(2, 2)))
     unused = T.Parameter("unused", RNG.normal(size=(2, 2)))
     zero_grads([used, unused])
-    loss = T.tsum(T.mul(used.tensor, used.tensor))
+    loss = tsum(mul(used.tensor, used.tensor))
     T.backward(loss)
     assert unused.grad is None  # never touched -> exactly zero contribution
     report = gradient_check([used, unused],
-                              lambda: T.tsum(T.mul(used.tensor, used.tensor)))
+                              lambda: tsum(mul(used.tensor, used.tensor)))
     assert report["unused"] == 0.0
 
 
@@ -300,7 +301,7 @@ def test_gradient_check_flags_corrupted_rule():
         # deliberately wrong adjoint: claims d/dx x^2 = 3x
         return T.Tensor(d * d, (t,), lambda g: (g * 3.0 * d,))
 
-    report = gradient_check([w], lambda: T.tsum(bad_square(w.tensor)))
+    report = gradient_check([w], lambda: tsum(bad_square(w.tensor)))
     assert report["w"] >= 1e-1
 
 
@@ -308,8 +309,8 @@ def test_tied_tensor_accumulates_both_paths():
     w = T.Parameter("w", RNG.normal(size=(3, 3)))
 
     def loss_fn():
-        y = T.matmul(w.tensor, w.tensor)  # same storage used twice
-        return T.tsum(y)
+        y = matmul(w.tensor, w.tensor)  # same storage used twice
+        return tsum(y)
 
     report = gradient_check([w], loss_fn)
     assert report["w"] <= 1e-4
@@ -320,7 +321,7 @@ def test_shared_gradient_buffer_for_tied_parameter():
     tied = T.Parameter("tied-view", np.zeros(1))
     tied.tensor = w.tensor  # tie by storage identity
     zero_grads([w])
-    T.backward(T.tsum(T.mul(w.tensor, 2.0)))
+    T.backward(tsum(mul(w.tensor, 2.0)))
     assert tied.grad is w.grad
 
 
@@ -328,8 +329,8 @@ def test_mean_sum_div_grads():
     x = T.Parameter("x", RNG.normal(size=(4, 3)) + 3.0)
 
     def loss_fn():
-        m = T.mul(T.tsum(x.tensor, axis=1, keepdims=True), 1.0 / 3)
-        return T.tsum(T.div(x.tensor, T.add(m, 1.0)))
+        m = mul(tsum(x.tensor, axis=1, keepdims=True), 1.0 / 3)
+        return tsum(div(x.tensor, T.add(m, 1.0)))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
@@ -338,8 +339,8 @@ def test_exp_log_sqrt_grads():
     x = T.Parameter("x", np.abs(RNG.normal(size=(5,))) + 0.5)
 
     def loss_fn():
-        return T.tsum(T.add(T.log(x.tensor),
-                            T.add(T.exp(T.mul(x.tensor, 0.3)), T.sqrt(x.tensor))))
+        return tsum(T.add(log(x.tensor),
+                          T.add(exp(mul(x.tensor, 0.3)), sqrt(x.tensor))))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
@@ -353,7 +354,7 @@ def test_rope_gradient_is_inverse_rotation():
 
     def loss_fn():
         k, _ = mha.project_kv(x.tensor, x.tensor, np.arange(3, dtype=float) + 5)
-        return T.tsum(T.mul(T.mul(k, k), 1.0 + up * up))
+        return tsum(mul(mul(k, k), 1.0 + up * up))
 
     assert gradient_check([x, mha.wk], loss_fn)["x"] <= 1e-4
 
@@ -369,7 +370,7 @@ def test_softmax_masked_gradient():
         k, _ = mha.project_kv(x.tensor, v, np.arange(6.0))
         y = mha.attend(index(x.tensor, (slice(None), slice(None), slice(0, 3))),
                        k, v, mask, np.arange(3.0))
-        return T.tsum(T.mul(y, np.arange(6.0)))
+        return tsum(mul(y, np.arange(6.0)))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
@@ -377,7 +378,7 @@ def test_softmax_masked_gradient():
 def test_no_grad_suppresses_graph():
     w = T.Parameter("w", np.ones((2, 2)))
     with T.no_grad():
-        y = T.matmul(w.tensor, w.tensor)
+        y = matmul(w.tensor, w.tensor)
     assert y.parents == () and y.vjp is None
 
 
@@ -392,8 +393,8 @@ def test_forward_backward_deterministic_bitwise():
         a = T.Parameter("a", rng.normal(size=a_shape))
         b = T.Parameter("b", rng.normal(size=(6, 6)))
         x = a.tensor if ids is None else T.gather_rows(a.tensor, ids)
-        y = T.exp(T.mul(T.matmul(x, b.tensor), 0.1))
-        loss = T.tsum(T.mul(y, y))
+        y = exp(mul(matmul(x, b.tensor), 0.1))
+        loss = tsum(mul(y, y))
         T.backward(loss)
         return loss.data.copy(), a.grad.copy(), b.grad.copy()
 
@@ -422,10 +423,10 @@ def test_matmul_with_2d_right_operand_gradients(a_shape, transposed):
     up = rng.normal(size=a_shape[:-1] + (6,))
 
     def right():
-        return T.transpose(w.tensor, (1, 0)) if transposed else w.tensor
+        return transpose(w.tensor, (1, 0)) if transposed else w.tensor
 
     def loss_fn():
-        return T.tsum(T.mul(T.matmul(a.tensor, right()), up))
+        return tsum(mul(matmul(a.tensor, right()), up))
 
     assert max(gradient_check([a, w], loss_fn).values()) <= 1e-4
     zero_grads([a, w])
@@ -453,13 +454,13 @@ def test_gradient_through_three_consumers():
                       for s in ((2, 3), (3, 2), (2, 3), (2, 3)))
 
     def loss_fn():
-        h = T.mul(x.tensor, 2.0)
-        y = T.mul(w.tensor, 3.0)
+        h = mul(x.tensor, 2.0)
+        y = mul(w.tensor, 3.0)
         s = T.add(h, y)
-        return T.add(T.add(T.add(T.tsum(T.mul(s, u1)),
-                                 T.tsum(T.mul(T.reshape(h, (3, 2)), u2))),
-                           T.tsum(T.mul(T.add(h, h), u3))),
-                     T.tsum(T.mul(y, u4)))
+        return T.add(T.add(T.add(tsum(mul(s, u1)),
+                                 tsum(mul(T.reshape(h, (3, 2)), u2))),
+                           tsum(mul(T.add(h, h), u3))),
+                     tsum(mul(y, u4)))
 
     assert max(gradient_check([x, w], loss_fn).values()) <= 1e-4
     zero_grads([x, w])
@@ -478,7 +479,7 @@ def test_parameter_gradients_own_their_memory():
     received = []
     add_vjp = s.vjp
     s.vjp = lambda g: (received.append(g), add_vjp(g))[1]
-    T.backward(T.tsum(T.mul(s, np.arange(6.0).reshape(2, 3))))
+    T.backward(tsum(mul(s, np.arange(6.0).reshape(2, 3))))
     assert len(received) == 1
     assert not np.shares_memory(p.grad, q.grad)
     assert not np.shares_memory(p.grad, received[0])
@@ -490,9 +491,9 @@ def test_parameter_gradients_own_their_memory():
 def test_backward_frees_interior_gradients():
     # a node's gradient is dead once its vjp has run; parameters keep theirs
     w = T.Parameter("w", RNG.normal(size=(3, 3)))
-    h = T.matmul(w.tensor, w.tensor)
+    h = matmul(w.tensor, w.tensor)
     r = T.relu(h)
-    loss = T.tsum(T.mul(r, r))
+    loss = tsum(mul(r, r))
     T.backward(loss)
     assert loss.grad is None and h.grad is None and r.grad is None
     assert w.grad is not None and w.grad.shape == (3, 3)
@@ -557,14 +558,14 @@ def test_take_along_last_gradient_and_inf_safety():
     p = T.Parameter("z", raw)
 
     def loss_fn():
-        picked = T.take_along_last(p.tensor, idx)
-        return T.tsum(T.mul(picked, np.arange(6.0).reshape(2, 3)))
+        picked = take_along_last(p.tensor, idx)
+        return tsum(mul(picked, np.arange(6.0).reshape(2, 3)))
 
     errs = gradient_check([p], loss_fn)
     assert errs["z"] <= 1e-4
-    out = T.take_along_last(T.Tensor(raw), idx)
+    out = take_along_last(T.Tensor(raw), idx)
     assert np.isfinite(out.data).all()
     with pytest.raises(T.DimensionError):
-        T.take_along_last(T.Tensor(raw), np.zeros((2, 2), dtype=int))
+        take_along_last(T.Tensor(raw), np.zeros((2, 2), dtype=int))
     with pytest.raises(ContractError):
-        T.take_along_last(T.Tensor(raw), np.full((2, 3), 9))
+        take_along_last(T.Tensor(raw), np.full((2, 3), 9))
