@@ -13,13 +13,17 @@ trace punctuation are base tokens.
 Checkers are exact: assignments are verified by enumerating completions,
 traces by a least-fixpoint evaluation over the lasso positions, and
 symbolic traces by enumerating every concretization.  Generators are
-seeded and emit only pairs their own checker accepts.
+seeded and emit only pairs their own checker accepts.  The propositional
+generator finds its minimal assignment in a bit-mask truth table of the
+formula, evaluated once, within ASSIGNMENT_BUDGET candidate checks, and
+calls the completion-enumerating checker once, on the map it emits.
 """
 from __future__ import annotations
 
 import itertools
 import re
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,10 +299,14 @@ def format_assignment(assignment):
                    for ap in sorted(assignment))
 
 
+# the most propositions an exhaustive search enumerates valuations of
+ENUM_MAX_SYMBOLS = 20
+
+
 def check_assignment(phi, assignment):
     """True iff phi holds under every completion of the partial map."""
     free = [p for p in aps(phi) if p not in assignment]
-    if len(free) > 20:
+    if len(free) > ENUM_MAX_SYMBOLS:
         raise ResourceError(f"{len(free)} unassigned propositions is too many "
                             "to enumerate")
     base = {k: bool(v) for k, v in assignment.items()}
@@ -495,46 +503,81 @@ def task_vocabulary(task, ap_count):
 
 # ----------------------------------------------------------------- generators
 
-def _random_formula(rng, target_size, unary, binary, weights, ap_pool,
-                    p_true=0.1):
+PROP_WEIGHTS = {"not": 1.0, "and": 1.0, "or": 1.0, "iff": 1.0, "xor": 1.0}
+LTL_WEIGHTS = {"not": 1.0, "and": 1.0, "next": 1.0, "until": 1.0}
+
+# each generated dialect's unary and binary constructors and default weights
+_DIALECTS = {
+    "prop": ({"not": Not}, {"and": And, "or": Or, "iff": Iff, "xor": Xor},
+             PROP_WEIGHTS),
+    "ltl": ({"not": Not, "next": Next}, {"and": And, "until": Until},
+            LTL_WEIGHTS),
+}
+
+
+def _draw_table(task, weights=None):
+    """Operator draw table of a dialect: for a size-2 node (unary
+    operators only) and for a larger one (unary, then binary), the
+    (constructor, arity) pairs and the cumulative distribution of their
+    weights.
+
+    The distribution is built exactly as Generator.choice builds it from
+    p = w / w.sum(), so bisecting it at one rng.random() draw picks the
+    operator rng.choice(len(w), p=p) would.  `weights` overrides the
+    dialect's defaults; each must be a finite non-negative number and
+    their sum positive.  A size-2 node with no positive unary weight is
+    refused when it is drawn.
+    """
+    if task not in _DIALECTS:
+        raise ContractError(f"no formula dialect for task {task!r}")
+    unary, binary, defaults = _DIALECTS[task]
+    unknown = [k for k in weights or () if k not in defaults]
+    if unknown:
+        raise ContractError(f"no {task} operator named {unknown[0]!r}")
+    weights = dict(defaults, **(weights or {}))
+    ops = [(f, 1) for f in unary.values()] + [(f, 2) for f in binary.values()]
+    try:
+        w = np.array([weights[k] for k in (*unary, *binary)], dtype=float)
+    except (TypeError, ValueError):
+        raise ContractError(f"operator weights must be numbers: "
+                            f"{weights}") from None
+    if not (np.isfinite(w).all() and (w >= 0).all()
+            and 0 < w.sum() < np.inf):
+        raise ContractError("operator weights must be finite, non-negative "
+                            f"and of positive sum: {weights}")
+    table = []
+    for part in (w[:len(unary)], w):
+        if part.sum() == 0:
+            table.append((None, None))
+            continue
+        cdf = (part / part.sum()).cumsum()
+        cdf /= cdf[-1]
+        table.append((ops[:len(part)], cdf.tolist()))
+    return table
+
+
+def _random_formula(rng, target_size, table, ap_pool, p_true=0.1):
     if target_size <= 1:
         if rng.random() < p_true:
             return TRUE
         return Ap(ap_pool[int(rng.integers(len(ap_pool)))])
-    feasible = [(k, f, 1) for k, f in unary.items()]
-    if target_size >= 3:
-        feasible += [(k, f, 2) for k, f in binary.items()]
-    w = np.array([weights[k] for k, _, _ in feasible], dtype=float)
-    pick = int(rng.choice(len(feasible), p=w / w.sum()))
-    kind, ctor, arity = feasible[pick]
+    ops, cdf = table[target_size >= 3]
+    if ops is None:
+        raise ContractError("a size-2 subformula needs a unary operator of "
+                            "positive weight")
+    ctor, arity = ops[bisect_right(cdf, rng.random())]
     if arity == 1:
-        return ctor(_random_formula(rng, target_size - 1, unary, binary,
-                                    weights, ap_pool, p_true))
+        return ctor(_random_formula(rng, target_size - 1, table, ap_pool,
+                                    p_true))
     left = int(rng.integers(1, target_size - 1))
-    return ctor(_random_formula(rng, left, unary, binary, weights, ap_pool,
-                                p_true),
-                _random_formula(rng, target_size - 1 - left, unary, binary,
-                                weights, ap_pool, p_true))
-
-
-_PROP_GEN_UNARY = {"not": Not}
-_PROP_GEN_BINARY = {"and": And, "or": Or, "iff": Iff, "xor": Xor}
-_LTL_GEN_UNARY = {"not": Not, "next": Next}
-_LTL_GEN_BINARY = {"and": And, "until": Until}
-
-PROP_WEIGHTS = {"not": 1.0, "and": 1.0, "or": 1.0, "iff": 1.0, "xor": 1.0}
-LTL_WEIGHTS = {"not": 1.0, "and": 1.0, "next": 1.0, "until": 1.0}
+    return ctor(_random_formula(rng, left, table, ap_pool, p_true),
+                _random_formula(rng, target_size - 1 - left, table, ap_pool,
+                                p_true))
 
 
 def random_formula(rng, task, target_size, ap_pool):
     """One random well-formed formula in the task's dialect, no filtering."""
-    if task == "prop":
-        tables = (_PROP_GEN_UNARY, _PROP_GEN_BINARY, PROP_WEIGHTS)
-    elif task == "ltl":
-        tables = (_LTL_GEN_UNARY, _LTL_GEN_BINARY, LTL_WEIGHTS)
-    else:
-        raise ContractError(f"no formula dialect for task {task!r}")
-    return _random_formula(rng, target_size, *tables, ap_pool)
+    return _random_formula(rng, target_size, _draw_table(task), ap_pool)
 
 
 def _check_request(ap_count, n):
@@ -563,44 +606,126 @@ def gen_copying(seed, vocab_size, len_range, n):
     return Dataset("copying", vocab_size, pairs)
 
 
-def _minimal_assignment(phi):
-    """Smallest partial map forcing phi true; ties broken canonically.
-
-    Subsets are tried by cardinality, then lexicographically by symbol,
-    then with values counting up from all-false.  None if unsatisfiable.
-    """
-    names = aps(phi)
-    for c in range(len(names) + 1):
-        for combo in itertools.combinations(names, c):
-            for bits in itertools.product((False, True), repeat=c):
-                a = dict(zip(combo, bits))
-                if check_assignment(phi, a):
-                    return a
-    return None
-
-
-def gen_prop(seed, ap_count, size_range, n, weights=None):
-    """Formula -> minimal forcing assignment pairs, self-checked."""
+def _generate(task, seed, ap_count, size_range, n, weights, solve):
+    """Formula -> target pairs of one task.  solve(phi) returns the
+    target text, or None to skip the formula; at most 50 formulas are
+    drawn per requested pair, and a shortfall is warned about."""
     _check_request(ap_count, n)
     lo, hi = size_range
     if lo < 1 or hi < lo:
         raise ContractError("bad size range")
+    table = _draw_table(task, weights)
     rng = np.random.default_rng(seed)
-    weights = dict(PROP_WEIGHTS, **(weights or {}))
     pool = AP_CHARS[:ap_count]
     pairs = []
     attempts = 0
     while len(pairs) < n and attempts < 50 * n:
         attempts += 1
-        phi = _random_formula(rng, int(rng.integers(lo, hi + 1)),
-                              _PROP_GEN_UNARY, _PROP_GEN_BINARY, weights, pool)
-        a = _minimal_assignment(phi)
-        if a is None:
-            continue
-        pairs.append((unparse(phi), format_assignment(a)))
+        phi = _random_formula(rng, int(rng.integers(lo, hi + 1)), table, pool)
+        target = solve(phi)
+        if target is not None:
+            pairs.append((unparse(phi), target))
     if len(pairs) < n:
         warnings.warn(f"generated only {len(pairs)} of {n} requested pairs")
-    return Dataset("prop", ap_count, pairs)
+    return Dataset(task, ap_count, pairs)
+
+
+# candidate assignments the search behind gen_prop checks for one
+# formula: every one over 8 symbols (3^8) fits, and a search that runs dry
+# over 20 symbols took 0.2 to 0.3 s on a 2-core x86 VM, so the 50 formulas
+# drawn for one pair stay under 15 s
+ASSIGNMENT_BUDGET = 1 << 13
+# bounds of the lasso search behind gen_ltl: the longest prefix u and
+# cycle v tried, the candidates evaluated in all, and per numpy batch
+LASSO_MAX_PREFIX = 4
+LASSO_MAX_CYCLE = 3
+LASSO_BUDGET = 1 << 18
+LASSO_CHUNK = 8192
+
+
+def _truth_table(phi, names):
+    """Truth table of phi over `names` as bit masks over its rows, where
+    row r gives names[i] the value of bit i of r: the rows falsifying
+    phi, and per symbol the rows where it is false and where it is true."""
+    nrows = 1 << len(names)
+    full = (1 << nrows) - 1
+    cols = {}
+    for i, name in enumerate(names):
+        run = 1 << i        # runs of 2^i false rows, then 2^i true rows
+        col = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < nrows:
+            col |= col << width
+            width *= 2
+        cols[name] = col
+
+    def sat(node):
+        k = node.kind
+        if k == "true":
+            return full
+        if k == "ap":
+            return cols[node.name]
+        if k == "not":
+            return full ^ sat(node.a)
+        a, b = sat(node.a), sat(node.b)
+        if k == "and":
+            return a & b
+        if k == "or":
+            return a | b
+        if k == "iff":
+            return full ^ a ^ b
+        if k == "xor":
+            return a ^ b
+        raise ContractError(f"{k} has no propositional value")
+
+    return full ^ sat(phi), [(full ^ cols[n], cols[n]) for n in names]
+
+
+def _minimal_assignment(phi):
+    """Smallest partial map forcing phi true; ties broken canonically.
+
+    Subsets are tried by cardinality, then lexicographically by symbol,
+    then with values counting up from all-false.  The formula is
+    evaluated once, into a truth table over its symbols held as bit
+    masks (_truth_table); a candidate forces phi when no falsifying row
+    agrees with it.  None if phi is unsatisfiable, has more than
+    ENUM_MAX_SYMBOLS symbols, or no candidate forces it within
+    ASSIGNMENT_BUDGET checks.  gen_prop has check_assignment verify the
+    map it emits.
+    """
+    names = aps(phi)
+    n = len(names)
+    if n > ENUM_MAX_SYMBOLS:
+        return None
+    unsat, lits = _truth_table(phi, names)
+    spent = 0
+    for c in range(n + 1):
+        for combo in itertools.combinations(range(n), c):
+            for bits in itertools.product((0, 1), repeat=c):
+                rows = unsat
+                for i, b in zip(combo, bits):
+                    rows &= lits[i][b]
+                if not rows:
+                    return {names[i]: bool(b) for i, b in zip(combo, bits)}
+                spent += 1
+                if spent >= ASSIGNMENT_BUDGET:
+                    return None
+    return None
+
+
+def _prop_target(phi):
+    a = _minimal_assignment(phi)
+    if a is None:
+        return None
+    if not check_assignment(phi, a):
+        raise ContractError("generated assignment failed its own check")
+    return format_assignment(a)
+
+
+def gen_prop(seed, ap_count, size_range, n, weights=None):
+    """Formula -> minimal forcing assignment pairs, self-checked."""
+    return _generate("prop", seed, ap_count, size_range, n, weights,
+                     _prop_target)
 
 
 def _literal_step(universe, bits):
@@ -611,14 +736,6 @@ def _literal_step(universe, bits):
     for lit in lits[-2::-1]:
         out = And(lit, out)
     return out
-
-
-# bounds of the lasso search behind gen_ltl: the longest prefix u and
-# cycle v tried, the candidates evaluated in all, and per numpy batch
-LASSO_MAX_PREFIX = 4
-LASSO_MAX_CYCLE = 3
-LASSO_BUDGET = 1 << 18
-LASSO_CHUNK = 8192
 
 
 def _first_satisfying_lasso(phi):
@@ -666,27 +783,16 @@ def _first_satisfying_lasso(phi):
     return None
 
 
+def _ltl_target(phi):
+    trace = _first_satisfying_lasso(phi)
+    if trace is None:
+        return None
+    if not eval_lasso(phi, trace) or not check_symbolic_trace(phi, trace):
+        raise ContractError("generated trace failed its own check")
+    return unparse_trace(trace)
+
+
 def gen_ltl(seed, ap_count, size_range, n, weights=None):
     """Formula -> first satisfying concrete lasso pairs, self-checked."""
-    _check_request(ap_count, n)
-    lo, hi = size_range
-    if lo < 1 or hi < lo:
-        raise ContractError("bad size range")
-    rng = np.random.default_rng(seed)
-    weights = dict(LTL_WEIGHTS, **(weights or {}))
-    pool = AP_CHARS[:ap_count]
-    pairs = []
-    attempts = 0
-    while len(pairs) < n and attempts < 50 * n:
-        attempts += 1
-        phi = _random_formula(rng, int(rng.integers(lo, hi + 1)),
-                              _LTL_GEN_UNARY, _LTL_GEN_BINARY, weights, pool)
-        trace = _first_satisfying_lasso(phi)
-        if trace is None:
-            continue
-        if not eval_lasso(phi, trace) or not check_symbolic_trace(phi, trace):
-            raise ContractError("generated trace failed its own check")
-        pairs.append((unparse(phi), unparse_trace(trace)))
-    if len(pairs) < n:
-        warnings.warn(f"generated only {len(pairs)} of {n} requested pairs")
-    return Dataset("ltl", ap_count, pairs)
+    return _generate("ltl", seed, ap_count, size_range, n, weights,
+                     _ltl_target)

@@ -29,6 +29,7 @@ aggregate and project reduce each sequence's rows to values on the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -99,16 +100,21 @@ class Vocabulary:
             return self.inter_tokens[token_id - self.base_size]
         raise VocabularyError(f"token id {token_id} out of range")
 
+    @cached_property
+    def _ids(self):
+        """Surface form -> id, built once per vocabulary; not a field, so
+        equality, hashing and the stored form are unchanged."""
+        return {s: i for i, s in
+                enumerate(chain(self.base_tokens, self.inter_tokens))}
+
     def encode(self, text):
         """Single-character tokenization of task text into ids."""
-        table = {s: i for i, s in enumerate(self.base_tokens)}
-        table.update({s: self.base_size + i for i, s in enumerate(self.inter_tokens)})
-        ids = []
-        for ch in text:
-            if ch not in table:
-                raise VocabularyError(f"character {ch!r} not in vocabulary")
-            ids.append(table[ch])
-        return ids
+        table = self._ids
+        try:
+            return [table[ch] for ch in text]
+        except KeyError as e:
+            raise VocabularyError(
+                f"character {e.args[0]!r} not in vocabulary") from None
 
     def decode(self, ids):
         return "".join(self.surface(i) for i in ids)

@@ -7,12 +7,14 @@ builds the fused attention nodes' computation out of the elementary
 autodiff ops, one graph node per step, so its gradients come from those
 ops' vjps and not from the fused nodes' hand-written ones; so do the
 composed residual norm, feed-forward block, cosine normalisation, loss
-and dropout.
+and dropout.  The generator oracles draw each operator with rng.choice
+and ask the exact checker about each candidate assignment.
 """
 import itertools
 
 import numpy as np
 
+from streamformer import logic as L
 from streamformer import tensor as T
 from streamformer.errors import ContractError
 
@@ -296,6 +298,71 @@ def unrolled_ltl_eval(phi, prefix_vals, cycle_vals):
         raise AssertionError("oracle horizon too small")
     certify(arr, n_steps - tail)
     return bool(arr[0])
+
+
+def choice_random_formula(rng, target_size, unary, binary, weights, ap_pool,
+                          p_true=0.1):
+    """A random formula drawing each operator with rng.choice over the
+    feasible operators' normalised weights; the library's cached
+    distributions must pick the same operator at every draw."""
+    if target_size <= 1:
+        if rng.random() < p_true:
+            return L.TRUE
+        return L.Ap(ap_pool[int(rng.integers(len(ap_pool)))])
+    feasible = [(k, f, 1) for k, f in unary.items()]
+    if target_size >= 3:
+        feasible += [(k, f, 2) for k, f in binary.items()]
+    w = np.array([weights[k] for k, _, _ in feasible], dtype=float)
+    pick = int(rng.choice(len(feasible), p=w / w.sum()))
+    _, ctor, arity = feasible[pick]
+    if arity == 1:
+        return ctor(choice_random_formula(rng, target_size - 1, unary, binary,
+                                          weights, ap_pool, p_true))
+    left = int(rng.integers(1, target_size - 1))
+    return ctor(choice_random_formula(rng, left, unary, binary, weights,
+                                      ap_pool, p_true),
+                choice_random_formula(rng, target_size - 1 - left, unary,
+                                      binary, weights, ap_pool, p_true))
+
+
+def checker_minimal_assignment(phi):
+    """Smallest partial map forcing phi, asking logic.check_assignment
+    about every candidate: by cardinality, then symbols
+    lexicographically, then values counting up from all-false."""
+    names = L.aps(phi)
+    for c in range(len(names) + 1):
+        for combo in itertools.combinations(names, c):
+            for bits in itertools.product((False, True), repeat=c):
+                a = dict(zip(combo, bits))
+                if L.check_assignment(phi, a):
+                    return a
+    return None
+
+
+def oracle_generate(task, seed, ap_count, size_range, n, weights=None):
+    """The pairs gen_prop or gen_ltl make, from choice_random_formula and,
+    for prop, checker_minimal_assignment (ltl keeps the library's lasso
+    search, which the oracle does not replace)."""
+    unary, binary, defaults = L._DIALECTS[task]
+    weights = dict(defaults, **(weights or {}))
+    rng = np.random.default_rng(seed)
+    pool = L.AP_CHARS[:ap_count]
+    pairs = []
+    attempts = 0
+    while len(pairs) < n and attempts < 50 * n:
+        attempts += 1
+        phi = choice_random_formula(
+            rng, int(rng.integers(size_range[0], size_range[1] + 1)),
+            unary, binary, weights, pool)
+        if task == "prop":
+            a = checker_minimal_assignment(phi)
+            target = None if a is None else L.format_assignment(a)
+        else:
+            trace = L._first_satisfying_lasso(phi)
+            target = None if trace is None else L.unparse_trace(trace)
+        if target is not None:
+            pairs.append((L.unparse(phi), target))
+    return pairs
 
 
 def naive_edit_distance(a, b):

@@ -5,6 +5,7 @@ import pytest
 
 import streamformer.cli as cli
 from streamformer.errors import ContractError, ResourceError
+from streamformer.logic import Dataset
 from streamformer.model import load_model
 
 TINY_CFG = ("d_model=16\nheads=2\nffn_dim=32\n"
@@ -34,6 +35,14 @@ def test_gen_data_default_output_name(workdir):
     assert run("gen-data", "--task", "copying", "--aps", "4",
                "--n", "5") == 0
     assert (workdir / "copying.tsv").exists()
+
+
+def test_gen_data_long_formulas_over_every_symbol(workdir):
+    # the assignment search skips formulas of more than 20 symbols and
+    # stops after its budget of candidates, so this call finishes
+    assert run("gen-data", "--task", "prop", "--aps", "26", "--n", "1",
+               "--min-size", "120", "--max-size", "120") == 0
+    assert len(Dataset.load(workdir / "prop.tsv")) == 1
 
 
 def test_train_eval_topn_alpha_cov_pipeline(workdir, capsys):

@@ -1,5 +1,7 @@
 """Logic layer: parsers, checkers against independent oracles, generators."""
+import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from streamformer.errors import (ContractError, InvalidTraceError, ParseError,
                                  ResourceError)
 from streamformer.evaluation import prediction_correct
 
-from oracles import truth_table_check, unrolled_ltl_eval
+from oracles import (checker_minimal_assignment, choice_random_formula,
+                     oracle_generate, truth_table_check, unrolled_ltl_eval)
 
 
 def oracle_eval(phi, val):
@@ -32,12 +35,9 @@ def rename_text(text, mapping):
 
 def random_formulas(seed, count, kind, ap_count=3, sizes=(1, 9)):
     rng = np.random.default_rng(seed)
-    unary = L._LTL_GEN_UNARY if kind == "ltl" else L._PROP_GEN_UNARY
-    binary = L._LTL_GEN_BINARY if kind == "ltl" else L._PROP_GEN_BINARY
-    weights = L.LTL_WEIGHTS if kind == "ltl" else L.PROP_WEIGHTS
     pool = L.AP_CHARS[:ap_count]
-    return [L._random_formula(rng, int(rng.integers(sizes[0], sizes[1] + 1)),
-                              unary, binary, weights, pool)
+    return [L.random_formula(rng, kind, int(rng.integers(sizes[0],
+                                                         sizes[1] + 1)), pool)
             for _ in range(count)]
 
 
@@ -356,6 +356,134 @@ def test_operator_frequencies_follow_weights():
                                      weights={"xor": 2.0}))
     ratio = heavy["xor"] / max(1, heavy["and"])
     assert 1.6 <= ratio <= 2.4, ratio
+
+
+ORACLE_GRID = list(itertools.product(range(10), (1, 3, 4, 6),
+                                     ((3, 10), (3, 12), (6, 12))))
+
+
+@pytest.mark.parametrize("task, gen, n, heavy", [
+    ("prop", L.gen_prop, 12, {"xor": 3.0}),
+    ("ltl", L.gen_ltl, 4, {"until": 3.0}),
+], ids=["prop", "ltl"])
+def test_generators_match_choice_and_checker_oracle(task, gen, n, heavy):
+    # the cached operator distributions pick what rng.choice picks, and the
+    # truth-table search finds what asking the checker about each candidate
+    # finds; ltl has no xor, so its heavy binary operator is until
+    for (seed, aps, sizes), weights in itertools.product(
+            ORACLE_GRID, (None, heavy, {"not": 0.2, "and": 3.0})):
+        want = oracle_generate(task, seed, aps, sizes, n, weights)
+        assert gen(seed, aps, sizes, n, weights=weights).pairs == want, \
+            (seed, aps, sizes, weights)
+
+
+def test_random_formula_matches_choice_oracle():
+    for (seed, aps, (lo, hi)), task in itertools.product(ORACLE_GRID,
+                                                         ("prop", "ltl")):
+        unary, binary, weights = L._DIALECTS[task]
+        pool = L.AP_CHARS[:aps]
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        for _ in range(5):
+            size = int(ours.integers(lo, hi + 1))
+            assert size == int(theirs.integers(lo, hi + 1))
+            assert L.random_formula(ours, task, size, pool) == \
+                choice_random_formula(theirs, size, unary, binary, weights,
+                                      pool)
+
+
+def pairs_digest(dataset):
+    text = "".join(f"{s}\t{t}\n" for s, t in dataset.pairs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_generated_data_is_pinned():
+    assert pairs_digest(L.gen_prop(0, 4, (3, 10), 2000)) == "b623ba54d73bde31"
+    assert pairs_digest(L.gen_ltl(0, 3, (3, 8), 200)) == "4f92db6df6685d56"
+
+
+def test_minimal_assignment_matches_checker_search_on_wide_formulas():
+    for phi in random_formulas(3, 60, "prop", ap_count=8, sizes=(6, 24)):
+        assert L._minimal_assignment(phi) == checker_minimal_assignment(phi)
+
+
+def test_assignment_search_budget(monkeypatch):
+    # &a&b&cd is forced only by a1b1c1d1, the 81st and last candidate (3^4)
+    phi = L.parse_prop("&a&b&cd")
+    monkeypatch.setattr(L, "ASSIGNMENT_BUDGET", 81)
+    assert L._minimal_assignment(phi) == dict.fromkeys("abcd", True)
+    monkeypatch.setattr(L, "ASSIGNMENT_BUDGET", 80)
+    assert L._minimal_assignment(phi) is None
+
+
+def test_formulas_past_the_enumeration_bound_are_skipped():
+    wide = L.Ap("a")
+    for c in L.AP_CHARS[1:21]:          # 21 distinct propositions
+        wide = L.Or(wide, L.Ap(c))
+    assert L._minimal_assignment(wide) is None
+    # long formulas over all 26 symbols: most have too many symbols, the
+    # rest run into the budget or succeed, and none hangs the call
+    d = L.gen_prop(0, 26, (120, 120), 1)
+    assert len(d) == 1
+    phi = L.parse_prop(d.pairs[0][0])
+    assert L.size(phi) == 120
+    assert L.check_assignment(phi, L.parse_assignment(d.pairs[0][1]))
+
+
+class CountingRng:
+    """A Generator whose method lookups are counted by name."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+def test_gen_prop_call_counts(monkeypatch):
+    rngs, checks = [], []
+    make_rng = np.random.default_rng
+    check = L.check_assignment
+
+    def counting_rng(seed):
+        rngs.append(CountingRng(make_rng(seed)))
+        return rngs[-1]
+
+    def counting_check(phi, a):
+        checks.append(a)
+        return check(phi, a)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(L, "check_assignment", counting_check)
+    d = L.gen_prop(0, 4, (3, 10), 200)
+    assert len(d) == 200 and len(rngs) == 1
+    assert rngs[0].calls["choice"] == 0 and rngs[0].calls["random"] > 200
+    assert checks == [L.parse_assignment(t) for _, t in d.pairs]
+
+
+@pytest.mark.parametrize("task, weights", [
+    ("prop", {"and": -1.0}),
+    ("prop", dict.fromkeys(L.PROP_WEIGHTS, 0.0)),
+    ("prop", {"until": 1.0}),
+    ("ltl", {"xor": 1.0}),
+    ("ltl", {"next": float("nan")}),
+    ("ltl", {"and": "heavy"}),
+], ids=["negative", "all-zero", "prop-unknown", "ltl-unknown", "nan",
+        "not-a-number"])
+def test_bad_generator_weights_are_contract_errors(task, weights):
+    gen = {"prop": L.gen_prop, "ltl": L.gen_ltl}[task]
+    with pytest.raises(ContractError):
+        gen(0, 3, (3, 8), 5, weights=weights)
+
+
+def test_zero_unary_weight_refuses_only_size_two_nodes():
+    # with no negation, a size-3 formula is one binary node over two
+    # leaves; a size-2 formula has no operator left to draw
+    d = L.gen_prop(0, 3, (3, 3), 20, weights={"not": 0.0})
+    assert all(s[0] in "&|=^" and len(s) == 3 for s, _ in d.pairs)
+    with pytest.raises(ContractError):
+        L.gen_prop(0, 3, (2, 2), 5, weights={"not": 0.0})
 
 
 def test_generation_exhaustion_warns(monkeypatch):

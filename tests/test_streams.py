@@ -26,6 +26,10 @@ def test_vocabulary_layout():
     assert v.decode([3, 4, 5]) == "abc"
     with pytest.raises(VocabularyError):
         v.encode("z")
+    # the surface -> id table is built once and is not part of the value
+    table = v._ids
+    assert v.encode("ba") == [4, 3] and v._ids is table
+    assert v == bare_vocab(3) and hash(v) == hash(bare_vocab(3))
 
 
 def test_vocabulary_requires_reserved_prefix():
