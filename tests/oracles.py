@@ -8,7 +8,7 @@ autodiff ops, one graph node per step, so its gradients come from those
 ops' vjps and not from the fused nodes' hand-written ones; so do the
 composed residual norm, feed-forward block, cosine normalisation, loss
 and dropout.  The generator oracles draw each operator with rng.choice
-and ask the exact checker about each candidate assignment.
+and judge each candidate assignment with a truth table of oracle_eval.
 """
 import itertools
 
@@ -206,6 +206,21 @@ def finite_difference(loss_fn, array, h=1e-4):
 # logic oracles
 
 
+def oracle_eval(phi, val):
+    """Truth value of a propositional formula under a valuation, unlisted
+    symbols false; recursive, with python's own operators."""
+    k = phi.kind
+    if k == "true":
+        return True
+    if k == "ap":
+        return bool(val.get(phi.name, False))
+    if k == "not":
+        return not oracle_eval(phi.a, val)
+    x = oracle_eval(phi.a, val)
+    y = oracle_eval(phi.b, val)
+    return {"and": x and y, "or": x or y, "iff": x == y, "xor": x != y}[k]
+
+
 def truth_table_check(phi_eval, aps, partial):
     """Does phi hold under every completion of the partial assignment?
 
@@ -300,6 +315,22 @@ def unrolled_ltl_eval(phi, prefix_vals, cycle_vals):
     return bool(arr[0])
 
 
+def brute_force_symbolic_check(phi, trace):
+    """Does every concretization satisfy phi?  Each step admits the
+    valuations of the universe that oracle_eval accepts, and each
+    concretization is decided by unrolling; None if a step admits none."""
+    steps = trace.steps
+    universe = sorted(set(L.aps(phi)).union(*(L.aps(s) for s in steps)))
+    vals = [dict(zip(universe, bits))
+            for bits in itertools.product((False, True), repeat=len(universe))]
+    admitted = [[v for v in vals if oracle_eval(s, v)] for s in steps]
+    if not all(admitted):
+        return None
+    u = len(trace.prefix)
+    return all(unrolled_ltl_eval(phi, list(c[:u]), list(c[u:]))
+               for c in itertools.product(*admitted))
+
+
 def choice_random_formula(rng, target_size, unary, binary, weights, ap_pool,
                           p_true=0.1):
     """A random formula drawing each operator with rng.choice over the
@@ -326,15 +357,16 @@ def choice_random_formula(rng, target_size, unary, binary, weights, ap_pool,
 
 
 def checker_minimal_assignment(phi):
-    """Smallest partial map forcing phi, asking logic.check_assignment
-    about every candidate: by cardinality, then symbols
+    """Smallest partial map forcing phi, judging every candidate with a
+    truth table of oracle_eval: by cardinality, then symbols
     lexicographically, then values counting up from all-false."""
     names = L.aps(phi)
     for c in range(len(names) + 1):
         for combo in itertools.combinations(names, c):
             for bits in itertools.product((False, True), repeat=c):
                 a = dict(zip(combo, bits))
-                if L.check_assignment(phi, a):
+                if truth_table_check(lambda tv: oracle_eval(phi, tv),
+                                     names, a):
                     return a
     return None
 

@@ -23,7 +23,7 @@ from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
 from helpers import dense, gradient_check, mul, permuted, rows_batch, tsum
-from oracles import truth_table_check, unrolled_ltl_eval
+from oracles import oracle_eval, truth_table_check, unrolled_ltl_eval
 
 
 def _report(num, label, ok, detail=""):
@@ -124,18 +124,6 @@ def test_criterion_3_copying_edit_distance(copying_model):
             f"in-dist {in_dist:.3f}, unseen {out_dist:.3f}")
 
 
-def _oracle_eval(phi, val):
-    k = phi.kind
-    if k == "true":
-        return True
-    if k == "ap":
-        return bool(val.get(phi.name, False))
-    if k == "not":
-        return not _oracle_eval(phi.a, val)
-    x, y = _oracle_eval(phi.a, val), _oracle_eval(phi.b, val)
-    return {"and": x and y, "or": x or y, "iff": x == y, "xor": x != y}[k]
-
-
 def _all_ltl_formulas(max_size):
     by_size = {1: [L.TRUE, L.Ap("a"), L.Ap("b")]}
     for s in range(2, max_size + 1):
@@ -195,7 +183,7 @@ def test_criterion_4_oracle_equivalence():
                     prop_checked += 1
                     lib = L.check_assignment(phi, a)
                     orc = truth_table_check(
-                        lambda tv: _oracle_eval(phi, tv), names, a)
+                        lambda tv: oracle_eval(phi, tv), names, a)
                     if lib != orc:
                         bad += 1
     ok = bad == 0

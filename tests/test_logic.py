@@ -1,6 +1,7 @@
 """Logic layer: parsers, checkers against independent oracles, generators."""
 import hashlib
 import itertools
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,22 +12,9 @@ from streamformer.errors import (ContractError, InvalidTraceError, ParseError,
                                  ResourceError)
 from streamformer.evaluation import prediction_correct
 
-from oracles import (checker_minimal_assignment, choice_random_formula,
-                     oracle_generate, truth_table_check, unrolled_ltl_eval)
-
-
-def oracle_eval(phi, val):
-    """Independent recursive evaluator using python operators directly."""
-    k = phi.kind
-    if k == "true":
-        return True
-    if k == "ap":
-        return bool(val.get(phi.name, False))
-    if k == "not":
-        return not oracle_eval(phi.a, val)
-    x = oracle_eval(phi.a, val)
-    y = oracle_eval(phi.b, val)
-    return {"and": x and y, "or": x or y, "iff": x == y, "xor": x != y}[k]
+from oracles import (brute_force_symbolic_check, checker_minimal_assignment,
+                     choice_random_formula, oracle_eval, oracle_generate,
+                     truth_table_check, unrolled_ltl_eval)
 
 
 def rename_text(text, mapping):
@@ -72,7 +60,7 @@ def test_deep_nesting_is_a_parse_error():
     n = L.MAX_NESTING
     deep = L.parse_prop("!" * n + "a")
     assert L.unparse(deep) == "!" * n + "a"
-    assert L.eval_total(deep, {"a": True}) is (n % 2 == 0)
+    assert L.check_assignment(deep, {"a": True}) is (n % 2 == 0)
     assert L.depth(deep) == n
     for text, parse in (("!" * 5000 + "a", L.parse_prop),
                         ("!" * (n + 1) + "a", L.parse_prop),
@@ -167,6 +155,28 @@ def test_check_assignment_agrees_with_truth_table_oracle():
             assert L.check_assignment(phi, partial) == want
 
 
+def test_check_assignment_on_a_wide_formula_forced_by_one_literal():
+    # |X a with X the parity of the other 19 symbols: {a: 1} forces it,
+    # and under {a: 0} half of the 2^19 completions falsify it
+    rest = L.Ap("b")
+    for c in L.AP_CHARS[2:20]:
+        rest = L.Xor(rest, L.Ap(c))
+    phi = L.Or(rest, L.Ap("a"))
+    assert len(L.aps(phi)) == 20
+    t0 = time.perf_counter()
+    assert L.check_assignment(phi, {"a": True}) is True
+    assert L.check_assignment(phi, {"a": False}) is False
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_check_assignment_refuses_temporal_operators():
+    # the whole formula is evaluated, so an operator past a deciding
+    # conjunct is refused as well
+    for text in ("Xa", "Uab", "&aXa", "&!1Ua1"):
+        with pytest.raises(ContractError):
+            L.check_assignment(L.parse_ltl(text), {"a": False})
+
+
 def test_check_assignment_resource_bound():
     wide = L.Ap("a")
     for c in L.AP_CHARS[1:22]:          # 22 distinct propositions
@@ -222,6 +232,41 @@ def test_symbolic_check_on_concrete_traces_reduces_to_eval():
         assert L.check_symbolic_trace(phi, trace) == L.eval_lasso(phi, trace)
 
 
+def random_step_text(rng, size, pool):
+    """A random step constraint over ! & | 1 0 and the pool's letters."""
+    if size <= 1:
+        leaves = pool + "10"
+        return leaves[int(rng.integers(len(leaves)))]
+    if size == 2 or rng.random() < 0.3:
+        return "!" + random_step_text(rng, size - 1, pool)
+    left = int(rng.integers(1, size - 1))
+    return ("&|"[int(rng.integers(2))] + random_step_text(rng, left, pool)
+            + random_step_text(rng, size - 1 - left, pool))
+
+
+def test_symbolic_check_agrees_with_brute_force_oracle():
+    rng = np.random.default_rng(21)
+    seen = Counter()
+    for _ in range(300):
+        pool = L.AP_CHARS[:int(rng.integers(2, 5))]
+        phi = L.random_formula(rng, "ltl", int(rng.integers(1, 7)), pool)
+        steps = [random_step_text(rng, int(rng.integers(1, 6)), pool)
+                 for _ in range(int(rng.integers(1, 4)))]
+        u = int(rng.integers(0, len(steps)))
+        text = "".join(s + ";" for s in steps[:u]) + \
+            "{" + ";".join(steps[u:]) + "}"
+        trace = L.parse_trace(text)
+        want = brute_force_symbolic_check(phi, trace)
+        seen[want] += 1
+        if want is None:
+            with pytest.raises(InvalidTraceError):
+                L.check_symbolic_trace(phi, trace)
+        else:
+            assert L.check_symbolic_trace(phi, trace) is want, \
+                (L.unparse(phi), text)
+    assert min(seen[True], seen[False], seen[None]) >= 20, seen
+
+
 def test_symbolic_check_quantifies_over_unconstrained_symbols():
     # step "a" allows b either way, so "not b" is not guaranteed
     assert not L.check_symbolic_trace(L.parse_ltl("!b"), L.parse_trace("{a}"))
@@ -235,7 +280,7 @@ def test_symbolic_check_quantifies_over_unconstrained_symbols():
                                   L.parse_trace("|ab;{b}"))
 
 
-def test_symbolic_check_errors():
+def test_symbolic_check_errors(monkeypatch):
     with pytest.raises(InvalidTraceError):
         L.check_symbolic_trace(L.TRUE, L.parse_trace("&a!a;{b}"))
     with pytest.raises(InvalidTraceError):
@@ -246,9 +291,9 @@ def test_symbolic_check_errors():
     eleven = "&" * 10 + L.AP_CHARS[:11]
     with pytest.raises(ResourceError):
         L.check_symbolic_trace(L.TRUE, L.parse_trace(eleven + ";{a}"))
+    monkeypatch.setattr(L, "MAX_CONCRETIZATIONS", 10)
     with pytest.raises(ResourceError):
-        L.check_symbolic_trace(L.parse_ltl("&a&b!c"), L.parse_trace("1;1;{1}"),
-                               max_concretizations=10)
+        L.check_symbolic_trace(L.parse_ltl("&a&b!c"), L.parse_trace("1;1;{1}"))
 
 
 def test_gen_ltl_four_to_six_propositions():

@@ -288,6 +288,10 @@ def test_renaming_roundtrip_and_validation():
         assert f.inverse()(f(seq)) == seq
     with pytest.raises(ContractError):
         S.AlphaRenaming(v, {3: 4, 4: 4})
+    # a key outside the interchangeable tier is refused, not dropped
+    for stray in ({0: 5, 3: 4, 4: 3}, {99: 1, 3: 4, 4: 3}, {"a": 3}):
+        with pytest.raises(ContractError):
+            S.AlphaRenaming(v, stray)
     with pytest.raises(VocabularyError):
         S.AlphaRenaming.identity(v)([99])
 
