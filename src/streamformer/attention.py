@@ -130,28 +130,25 @@ class MultiHeadAttention:
                                hd=self.cfg.head_dim, phase=phase, grid=grid),
                        x, w.tensor)
 
-    def project_kv(self, k_in, v_in, k_positions, *, phase=None, grid=None):
-        """Keys and values split into heads, keys rotated by k_positions.
+    def project_kv(self, k_in, v_in, phase, *, grid=None):
+        """Keys and values split into heads, keys rotated by phase, the
+        rotation() table of their positions (None leaves them unrotated).
 
         k_in/v_in (...,Lk,d), or the (P, d) cells of a grid (N, Lk), give
         (...,h,Lk,hd) each, (N,h,Lk,hd) for cells: the form attend() reads
-        and a decode cache stores.  A caller that holds the positions'
-        rotation() table passes it as phase instead.
+        and a decode cache stores.
         """
-        if phase is None:
-            phase = rotation(self.cfg, k_positions)
         if grid is None:
             grid = Grid(k_in.shape[:-1])
         return (self._heads(k_in, self.wk, phase, grid),
                 self._heads(v_in, self.wv, None, grid))
 
-    def attend(self, q_in, k, v, mask, q_positions, *, phase=None,
-               grid=None):
+    def attend(self, q_in, k, v, mask, phase, *, grid=None):
         """Attention of q_in (...,Lq,d), or the (P, d) cells of a grid
         (N, Lq), over heads k, v from project_kv; returns the output in
         q_in's shape.  The mask's rows go with the entries of the first
-        leading axis.  phase, when given, is the rotation() table of
-        q_positions.
+        leading axis.  phase is the rotation() table of the queries'
+        positions (None leaves them unrotated).
 
         One node: the query projection and its rotation, scaled scores,
         mask, softmax, value mixing, head merge and output projection.
@@ -159,8 +156,6 @@ class MultiHeadAttention:
         rowsum(dP * P)) * scale, and hands dQ to the query projection's
         own vjp.
         """
-        if phase is None:
-            phase = rotation(self.cfg, q_positions)
         h, hd = self.cfg.heads, self.cfg.head_dim
         scale = 1.0 / np.sqrt(hd)
         if grid is None:
@@ -205,10 +200,7 @@ class MultiHeadAttention:
 
 def rotation(cfg, positions):
     """Rotary phase table of positions for cfg's heads, (L, 1, hd/2): what
-    a projection's (...,L,h,hd/2) pairs are multiplied by.  None gives
-    None, no rotation."""
-    if positions is None:
-        return None
+    a projection's (...,L,h,hd/2) pairs are multiplied by."""
     return T.rope_phases(positions, cfg.head_dim, cfg.rope_base)[:, None]
 
 
@@ -308,7 +300,7 @@ def _kv(mha, kv_in, phase, seq=None, cache=None, grid=None):
     rotated by phase; given seq, kv_in has one entry per sequence,
     gathered to row r from sequence seq[r].  A cache appends them to the
     earlier decode steps' and returns all of them."""
-    k, v = mha.project_kv(kv_in, kv_in, None, phase=phase, grid=grid)
+    k, v = mha.project_kv(kv_in, kv_in, phase, grid=grid)
     if cache is not None:
         return cache.extend(k, v, seq)
     if seq is not None:
@@ -336,8 +328,7 @@ def per_stream_attention(mha, H, mask, cache=None, phase=None):
     """
     phase = _rotation(mha, H, cache, phase)
     k, v = _kv(mha, H.hidden, phase, cache=cache, grid=H.grid)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase,
-                                    grid=H.grid))
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
 def aggregated_attention(mha, H, mask, cache=None, phase=None):
@@ -349,8 +340,7 @@ def aggregated_attention(mha, H, mask, cache=None, phase=None):
     """
     phase = _rotation(mha, H, cache, phase)
     k, v = _kv(mha, aggregate(H), phase, H.rows.seq, cache)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, None, phase=phase,
-                                    grid=H.grid))
+    return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
 def cross_kv(mha, H_enc, mode, seq):
@@ -385,6 +375,6 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, phase=None):
                 "per-stream cross attention needs aligned streams")
         kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
     k, v = kv
-    return H_dec.with_hidden(mha.attend(
-        H_dec.hidden, k, v, mask, np.arange(H_dec.length), phase=phase,
-        grid=H_dec.grid))
+    phase = _rotation(mha, H_dec, None, phase)
+    return H_dec.with_hidden(mha.attend(H_dec.hidden, k, v, mask, phase,
+                                        grid=H_dec.grid))

@@ -22,7 +22,7 @@ from .logic import (check_assignment, check_symbolic_trace, gen_copying,
                     unparse)
 from .model import ModelConfig, Seq2SeqModel, check_invariance, decode_beam, \
     decode_greedy
-from .streams import SOS_ID, AlphaRenaming
+from .streams import SOS_ID, AlphaRenaming, sequence_stream_ids
 
 
 def edit_distance(a, b) -> int:
@@ -131,7 +131,7 @@ def alpha_covariance_suite(model, dataset, seed=0, max_len=64):
     sampled = skipped = 0
     for i, (src_text, _) in enumerate(dataset.pairs):
         src = vocab.encode(src_text)
-        used = sorted({int(t) for t in src if vocab.is_inter(t)})
+        used = sequence_stream_ids(src, vocab)
         fs = renaming_set(vocab, used, seed=_cell_seed(seed, i))
         if len(fs) < 2:
             skipped += 1

@@ -98,22 +98,6 @@ def Until(a, b):
 FALSE = Not(TRUE)   # no first-class false node; canonical text is "!1"
 
 
-def size(phi):
-    if phi.kind in ("true", "ap"):
-        return 1
-    if phi.b is None:
-        return 1 + size(phi.a)
-    return 1 + size(phi.a) + size(phi.b)
-
-
-def depth(phi):
-    if phi.kind in ("true", "ap"):
-        return 0
-    if phi.b is None:
-        return 1 + depth(phi.a)
-    return 1 + max(depth(phi.a), depth(phi.b))
-
-
 def aps(phi):
     """Sorted proposition names appearing in the formula."""
     out = set()
@@ -134,7 +118,7 @@ def aps(phi):
 PROP_WEIGHTS = {"not": 1.0, "and": 1.0, "or": 1.0, "iff": 1.0, "xor": 1.0}
 LTL_WEIGHTS = {"not": 1.0, "and": 1.0, "next": 1.0, "until": 1.0}
 
-# each formula dialect's unary and binary constructors and default
+# each formula dialect's unary and binary constructors and operator
 # weights; the generators draw operators in this order
 _DIALECTS = {
     "prop": ({"not": Not}, {"and": And, "or": Or, "iff": Iff, "xor": Xor},
@@ -538,7 +522,7 @@ def task_vocabulary(task, ap_count):
 
 # ----------------------------------------------------------------- generators
 
-def _draw_table(task, weights=None):
+def _draw_table(unary, binary, weights):
     """Operator draw table of a dialect: for a size-2 node (unary
     operators only) and for a larger one (unary, then binary), the
     (constructor, arity) pairs and the cumulative distribution of their
@@ -546,61 +530,43 @@ def _draw_table(task, weights=None):
 
     The distribution is built exactly as Generator.choice builds it from
     p = w / w.sum(), so bisecting it at one rng.random() draw picks the
-    operator rng.choice(len(w), p=p) would.  `weights` overrides the
-    dialect's defaults; each must be a finite non-negative number and
-    their sum positive.  A size-2 node with no positive unary weight is
-    refused when it is drawn.
+    operator rng.choice(len(w), p=p) would.
     """
-    if task not in _DIALECTS:
-        raise ContractError(f"no formula dialect for task {task!r}")
-    unary, binary, defaults = _DIALECTS[task]
-    unknown = [k for k in weights or () if k not in defaults]
-    if unknown:
-        raise ContractError(f"no {task} operator named {unknown[0]!r}")
-    weights = dict(defaults, **(weights or {}))
     ops = [(f, 1) for f in unary.values()] + [(f, 2) for f in binary.values()]
-    try:
-        w = np.array([weights[k] for k in (*unary, *binary)], dtype=float)
-    except (TypeError, ValueError):
-        raise ContractError(f"operator weights must be numbers: "
-                            f"{weights}") from None
-    if not (np.isfinite(w).all() and (w >= 0).all()
-            and 0 < w.sum() < np.inf):
-        raise ContractError("operator weights must be finite, non-negative "
-                            f"and of positive sum: {weights}")
+    w = np.array([weights[k] for k in (*unary, *binary)], dtype=float)
     table = []
     for part in (w[:len(unary)], w):
-        if part.sum() == 0:
-            table.append((None, None))
-            continue
         cdf = (part / part.sum()).cumsum()
         cdf /= cdf[-1]
         table.append((ops[:len(part)], cdf.tolist()))
     return table
 
 
-def _random_formula(rng, target_size, table, ap_pool, p_true=0.1):
+_DRAW_TABLES = {task: _draw_table(*dialect)
+                for task, dialect in _DIALECTS.items()}
+# chance that a generated leaf is the constant 1 rather than a proposition
+P_TRUE = 0.1
+
+
+def _random_formula(rng, target_size, table, ap_pool):
     if target_size <= 1:
-        if rng.random() < p_true:
+        if rng.random() < P_TRUE:
             return TRUE
         return Ap(ap_pool[int(rng.integers(len(ap_pool)))])
     ops, cdf = table[target_size >= 3]
-    if ops is None:
-        raise ContractError("a size-2 subformula needs a unary operator of "
-                            "positive weight")
     ctor, arity = ops[bisect_right(cdf, rng.random())]
     if arity == 1:
-        return ctor(_random_formula(rng, target_size - 1, table, ap_pool,
-                                    p_true))
+        return ctor(_random_formula(rng, target_size - 1, table, ap_pool))
     left = int(rng.integers(1, target_size - 1))
-    return ctor(_random_formula(rng, left, table, ap_pool, p_true),
-                _random_formula(rng, target_size - 1 - left, table, ap_pool,
-                                p_true))
+    return ctor(_random_formula(rng, left, table, ap_pool),
+                _random_formula(rng, target_size - 1 - left, table, ap_pool))
 
 
 def random_formula(rng, task, target_size, ap_pool):
     """One random well-formed formula in the task's dialect, no filtering."""
-    return _random_formula(rng, target_size, _draw_table(task), ap_pool)
+    if task not in _DRAW_TABLES:
+        raise ContractError(f"no formula dialect for task {task!r}")
+    return _random_formula(rng, target_size, _DRAW_TABLES[task], ap_pool)
 
 
 def _check_request(ap_count, n):
@@ -629,7 +595,7 @@ def gen_copying(seed, vocab_size, len_range, n):
     return Dataset("copying", vocab_size, pairs)
 
 
-def _generate(task, seed, ap_count, size_range, n, weights, solve):
+def _generate(task, seed, ap_count, size_range, n, solve):
     """Formula -> target pairs of one task.  solve(phi) returns the
     target text, or None to skip the formula; at most 50 formulas are
     drawn per requested pair, and a shortfall is warned about."""
@@ -637,7 +603,7 @@ def _generate(task, seed, ap_count, size_range, n, weights, solve):
     lo, hi = size_range
     if lo < 1 or hi < lo:
         raise ContractError("bad size range")
-    table = _draw_table(task, weights)
+    table = _DRAW_TABLES[task]
     rng = np.random.default_rng(seed)
     pool = AP_CHARS[:ap_count]
     pairs = []
@@ -709,10 +675,9 @@ def _prop_target(phi):
     return format_assignment(a)
 
 
-def gen_prop(seed, ap_count, size_range, n, weights=None):
+def gen_prop(seed, ap_count, size_range, n):
     """Formula -> minimal forcing assignment pairs, self-checked."""
-    return _generate("prop", seed, ap_count, size_range, n, weights,
-                     _prop_target)
+    return _generate("prop", seed, ap_count, size_range, n, _prop_target)
 
 
 def _literal_step(universe, bits):
@@ -779,7 +744,6 @@ def _ltl_target(phi):
     return unparse_trace(trace)
 
 
-def gen_ltl(seed, ap_count, size_range, n, weights=None):
+def gen_ltl(seed, ap_count, size_range, n):
     """Formula -> first satisfying concrete lasso pairs, self-checked."""
-    return _generate("ltl", seed, ap_count, size_range, n, weights,
-                     _ltl_target)
+    return _generate("ltl", seed, ap_count, size_range, n, _ltl_target)

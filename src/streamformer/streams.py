@@ -135,20 +135,24 @@ class AlphaRenaming:
             raise ContractError("renaming must permute the interchangeable ids")
 
     def __call__(self, seq):
-        return apply_renaming(self, seq)
+        """Map a token id sequence through the renaming; base ids pass
+        through."""
+        out = []
+        for t in seq:
+            t = int(t)
+            if self.vocab.is_inter(t):
+                out.append(self.mapping[t])
+            elif 0 <= t < self.vocab.base_size:
+                out.append(t)
+            else:
+                raise VocabularyError(f"token id {t} out of range")
+        return out
 
     def __getitem__(self, token_id):
         return self.mapping.get(token_id, token_id)
 
     def inverse(self):
         return AlphaRenaming(self.vocab, {v: k for k, v in self.mapping.items()})
-
-    def is_identity(self):
-        return all(k == v for k, v in self.mapping.items())
-
-    @staticmethod
-    def identity(vocab):
-        return AlphaRenaming(vocab, {})
 
     @staticmethod
     def random(vocab, rng):
@@ -159,20 +163,6 @@ class AlphaRenaming:
     def __repr__(self):
         moved = {k: v for k, v in self.mapping.items() if k != v}
         return f"AlphaRenaming({moved or 'identity'})"
-
-
-def apply_renaming(renaming, seq):
-    """Map a token id sequence through a renaming; base ids pass through."""
-    out = []
-    for t in seq:
-        t = int(t)
-        if renaming.vocab.is_inter(t):
-            out.append(renaming.mapping[t])
-        elif 0 <= t < renaming.vocab.base_size:
-            out.append(t)
-        else:
-            raise VocabularyError(f"token id {t} out of range")
-    return out
 
 
 class Rows:
@@ -254,10 +244,6 @@ class StreamBatch:
     stream_ids: np.ndarray
     lengths: np.ndarray
     grid: Grid
-
-    @property
-    def batch(self):
-        return len(self.lengths)
 
     @property
     def k(self):

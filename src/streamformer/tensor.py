@@ -8,15 +8,16 @@ operands (numpy arrays, python scalars) are treated as constants and
 receive no gradient, which keeps masks and positional tables out of the
 graph.
 
-The model's nodes are few and large.  ``fused`` makes one node of a whole
-sub-computation with a hand-written vjp: attention, the feed-forward
-block, the cosine normalisation, dropout and the training loss are each
-one, and ``add_layer_norm`` is a residual sum and its layer norm as one.
-``pullback`` lets such a node run an elementary op under that op's own
-vjp.  Only a handful of elementary ops remain (``add``, ``sub``,
-``relu``, ``reshape`` and the row lookup ``gather_rows``); the products,
-sums, exponentials and logarithms that would spell a fused node out op by
-op live beside the test oracles that do so.  ``rope_phases`` and
+Every node is built by ``fused``, from a forward function that returns
+its output and a hand-written vjp.  The model's nodes are few and large:
+attention, the feed-forward block, the cosine normalisation, dropout and
+the training loss are each one, and ``add_layer_norm`` is a residual sum
+and its layer norm as one.  ``pullback`` lets such a node run an
+elementary op under that op's own vjp.  Only a handful of elementary ops
+remain, each a ``fused`` node too (``add``, ``sub``, ``relu``,
+``reshape`` and the row lookup ``gather_rows``); the products, sums,
+exponentials and logarithms that would spell a fused node out op by op
+live beside the test oracles that do so.  ``rope_phases`` and
 ``rotate_pairs`` apply rotary position encoding as one complex multiply
 per adjacent pair.
 
@@ -81,10 +82,6 @@ except ImportError:
     _einsum = np.einsum
 
 
-def _asarray(x):
-    return np.asarray(x, dtype=np.float64)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "parents", "vjp")
 
@@ -132,7 +129,7 @@ class Parameter:
 
     @data.setter
     def data(self, value):
-        self.tensor.data = _asarray(value)
+        self.tensor.data = np.asarray(value, dtype=np.float64)
 
     @property
     def grad(self):
@@ -145,30 +142,7 @@ class Parameter:
         return f"Parameter({self.name}, shape={self.tensor.shape})"
 
 
-def _data(x):
-    return x.data if isinstance(x, Tensor) else _asarray(x)
-
-
 _tensor_data = Tensor.data.__get__   # raises TypeError on a non-Tensor
-
-
-def _node(out_data, srcs, grad_fns):
-    """Build an output tensor; only Tensor operands become graph parents."""
-    if not _GRAD_ENABLED:
-        return Tensor(out_data)
-    parents = []
-    fns = []
-    for s, fn in zip(srcs, grad_fns):
-        if isinstance(s, Tensor):
-            parents.append(s)
-            fns.append(fn)
-    if not parents:
-        return Tensor(out_data)
-
-    def vjp(g):
-        return tuple(fn(g) for fn in fns)
-
-    return Tensor(out_data, tuple(parents), vjp)
 
 
 def _unbroadcast(g, shape):
@@ -189,48 +163,55 @@ def _unbroadcast(g, shape):
 
 # add, sub and relu stay because the benchmark's checks build graphs from them
 def add(a, b):
-    ad, bd = _data(a), _data(b)
-    return _node(ad + bd, (a, b),
-                 (lambda g: _unbroadcast(g, ad.shape),
-                  lambda g: _unbroadcast(g, bd.shape)))
+    def forward(ad, bd):
+        return ad + bd, lambda g: (_unbroadcast(g, ad.shape),
+                                   _unbroadcast(g, bd.shape))
+
+    return fused(forward, a, b)
 
 
 def sub(a, b):
-    ad, bd = _data(a), _data(b)
-    return _node(ad - bd, (a, b),
-                 (lambda g: _unbroadcast(g, ad.shape),
-                  lambda g: _unbroadcast(-g, bd.shape)))
+    def forward(ad, bd):
+        return ad - bd, lambda g: (_unbroadcast(g, ad.shape),
+                                   _unbroadcast(-g, bd.shape))
+
+    return fused(forward, a, b)
 
 
 def reshape(a, shape):
-    ad = _data(a)
-    return _node(ad.reshape(shape), (a,),
-                 (lambda g: g.reshape(ad.shape),))
+    def forward(ad):
+        return ad.reshape(shape), lambda g: (g.reshape(ad.shape),)
+
+    return fused(forward, a)
 
 
 def relu(a):
-    ad = _data(a)
-    keep = (ad > 0).astype(np.float64)
-    return _node(ad * keep, (a,), (lambda g: g * keep,))
+    def forward(ad):
+        keep = (ad > 0).astype(np.float64)
+        return ad * keep, lambda g: (g * keep,)
+
+    return fused(forward, a)
 
 
 def gather_rows(table, ids):
     """Row lookup table[ids]; the gradient is one GEMM of a one-hot
     (table rows x ids) matrix with the gradient's rows."""
-    td = _data(table)
     idx = np.asarray(ids)
-    if idx.size and (np.minimum.reduce(idx, axis=None) < 0
-                     or np.maximum.reduce(idx, axis=None) >= td.shape[0]):
-        raise ContractError("gather_rows: index out of range")
-    out = td[idx]
 
-    def back(g):
-        flat = idx.reshape(-1)
-        onehot = np.arange(td.shape[0])[:, None] == flat[None, :]
-        return np.matmul(onehot.astype(np.float64),
-                         g.reshape(flat.size, -1)).reshape(td.shape)
+    def forward(td):
+        if idx.size and (np.minimum.reduce(idx, axis=None) < 0
+                         or np.maximum.reduce(idx, axis=None) >= td.shape[0]):
+            raise ContractError("gather_rows: index out of range")
 
-    return _node(out, (table,), (back,))
+        def vjp(g):
+            flat = idx.reshape(-1)
+            onehot = np.arange(td.shape[0])[:, None] == flat[None, :]
+            return (np.matmul(onehot.astype(np.float64),
+                              g.reshape(flat.size, -1)).reshape(td.shape),)
+
+        return td[idx], vjp
+
+    return fused(forward, table)
 
 
 def _rowdot(a, b):
@@ -238,7 +219,10 @@ def _rowdot(a, b):
     return _einsum("...i,...i->...", a, b)[..., None]
 
 
-def add_layer_norm(x, y, gain, bias, eps=1e-5):
+LAYER_NORM_EPS = 1e-5   # added to the variance under the square root
+
+
+def add_layer_norm(x, y, gain, bias):
     """Layer norm of the sum x + y over the last axis, then scale and
     shift: a residual connection and its norm in one node.  Both summands
     get the same input gradient."""
@@ -248,7 +232,7 @@ def add_layer_norm(x, y, gain, bias, eps=1e-5):
         mean = np.add.reduce(xhat, axis=-1, keepdims=True)
         mean /= n
         xhat -= mean
-        inv = 1.0 / np.sqrt(_rowdot(xhat, xhat) / n + eps)
+        inv = 1.0 / np.sqrt(_rowdot(xhat, xhat) / n + LAYER_NORM_EPS)
         xhat *= inv
         out = xhat * gd
         out += bd
@@ -270,7 +254,7 @@ def add_layer_norm(x, y, gain, bias, eps=1e-5):
     return fused(forward, x, y, gain, bias)
 
 
-def rope_phases(positions, width, base=10000.0):
+def rope_phases(positions, width, base):
     """Unit phases of rotary position encoding, (..., L, width/2) complex.
 
     Adjacent pairs (x[2j], x[2j+1]) of a width-wide axis, read as the

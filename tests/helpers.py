@@ -1,9 +1,18 @@
 """Small helpers shared by the tests; the package itself never needs them."""
 import numpy as np
 
+import streamformer.attention as A
 import streamformer.tensor as T
 from streamformer.errors import ContractError, DimensionError, VocabularyError
-from streamformer.streams import Grid, Rows, StreamBatch
+from streamformer.streams import AlphaRenaming, Grid, Rows, StreamBatch
+
+
+def identity_renaming(vocab):
+    return AlphaRenaming(vocab, {})
+
+
+def is_identity(renaming):
+    return all(k == v for k, v in renaming.mapping.items())
 
 
 def zero_grads(params):
@@ -58,7 +67,31 @@ def gradient_check(params, loss_fn, h=1e-4):
 # elementary autodiff ops: the oracles spell the fused nodes out with them,
 # one graph node per step, and tests build small graphs from them
 
-_data, _node, _unbroadcast = T._data, T._node, T._unbroadcast
+_unbroadcast = T._unbroadcast
+
+
+def _data(x):
+    return x.data if isinstance(x, T.Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(out_data, srcs, grad_fns):
+    """Build an output tensor with one vjp per operand; only Tensor
+    operands become graph parents."""
+    if not T._GRAD_ENABLED:
+        return T.Tensor(out_data)
+    parents = []
+    fns = []
+    for s, fn in zip(srcs, grad_fns):
+        if isinstance(s, T.Tensor):
+            parents.append(s)
+            fns.append(fn)
+    if not parents:
+        return T.Tensor(out_data)
+
+    def vjp(g):
+        return tuple(fn(g) for fn in fns)
+
+    return T.Tensor(out_data, tuple(parents), vjp)
 
 
 def mul(a, b):
@@ -156,19 +189,19 @@ def take_along_last(a, idx):
 
 def index(a, key):
     """Basic slicing as a graph node; the gradient pastes into zeros."""
-    ad = T._data(a)
+    ad = _data(a)
 
     def back(g):
         buf = np.zeros_like(ad)
         buf[key] = g
         return buf
 
-    return T._node(ad[key], (a,), (back,))
+    return _node(ad[key], (a,), (back,))
 
 
 def concat(parts, axis):
     """Concatenation as a graph node; each part gets its slice back."""
-    datas = [T._data(p) for p in parts]
+    datas = [_data(p) for p in parts]
     offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
 
     def back(i):
@@ -176,8 +209,8 @@ def concat(parts, axis):
         sl[axis] = slice(offsets[i], offsets[i + 1])
         return lambda g: g[tuple(sl)]
 
-    return T._node(np.concatenate(datas, axis=axis), tuple(parts),
-                   tuple(back(i) for i in range(len(parts))))
+    return _node(np.concatenate(datas, axis=axis), tuple(parts),
+                 tuple(back(i) for i in range(len(parts))))
 
 
 def stream_lookup_ids(seq, vocab, stream_ids):
@@ -228,7 +261,7 @@ def dense(H, x=None):
     (B, k, L, ...) layout, zero in the slots and positions without a
     cell."""
     x = H.hidden.data if x is None else x
-    out = np.zeros((H.batch, H.k, H.length) + x.shape[1:])
+    out = np.zeros((len(H.lengths), H.k, H.length) + x.shape[1:])
     out[H.active > 0] = H.grid.scatter(x)
     return out
 
@@ -257,11 +290,17 @@ def shared_by_streams(x, streams):
     return T.reshape(rows, (b, streams) + x.shape[2:])
 
 
+def phases(mha, positions):
+    """The rotation() table of positions for mha's heads: what
+    project_kv and attend rotate keys and queries by."""
+    return A.rotation(mha.cfg, positions)
+
+
 def attention(mha, q_in, k_in, v_in, mask, q_positions, k_positions):
     """One MultiHeadAttention call on explicit queries, keys and values.
     Keys with a size-1 stream axis are shared by every query stream."""
-    k, v = mha.project_kv(k_in, v_in, k_positions)
+    k, v = mha.project_kv(k_in, v_in, phases(mha, k_positions))
     if k.shape[1] < q_in.shape[1]:
         k = shared_by_streams(k, q_in.shape[1])
         v = shared_by_streams(v, q_in.shape[1])
-    return mha.attend(q_in, k, v, mask, q_positions)
+    return mha.attend(q_in, k, v, mask, phases(mha, q_positions))

@@ -236,6 +236,24 @@ def truth_table_check(phi_eval, aps, partial):
     return True
 
 
+def size(phi):
+    """Nodes of a formula tree."""
+    if phi.kind in ("true", "ap"):
+        return 1
+    if phi.b is None:
+        return 1 + size(phi.a)
+    return 1 + size(phi.a) + size(phi.b)
+
+
+def depth(phi):
+    """Operators on the longest path from a formula's root."""
+    if phi.kind in ("true", "ap"):
+        return 0
+    if phi.b is None:
+        return 1 + depth(phi.a)
+    return 1 + max(depth(phi.a), depth(phi.b))
+
+
 def unrolled_ltl_eval(phi, prefix_vals, cycle_vals):
     """Finite-unrolling oracle for lasso traces.
 
@@ -251,14 +269,6 @@ def unrolled_ltl_eval(phi, prefix_vals, cycle_vals):
     (.name for aps).
     """
     u, v = len(prefix_vals), len(cycle_vals)
-
-    def depth(n):
-        if n.kind in ("true", "ap"):
-            return 0
-        if n.kind in ("not", "next"):
-            return 1 + depth(n.a)
-        return 1 + max(depth(n.a), depth(n.b))
-
     n_steps = u + 4 * (u + v) * (1 + depth(phi))
 
     def val_at(t):
@@ -371,12 +381,11 @@ def checker_minimal_assignment(phi):
     return None
 
 
-def oracle_generate(task, seed, ap_count, size_range, n, weights=None):
+def oracle_generate(task, seed, ap_count, size_range, n):
     """The pairs gen_prop or gen_ltl make, from choice_random_formula and,
     for prop, checker_minimal_assignment (ltl keeps the library's lasso
     search, which the oracle does not replace)."""
-    unary, binary, defaults = L._DIALECTS[task]
-    weights = dict(defaults, **(weights or {}))
+    unary, binary, weights = L._DIALECTS[task]
     rng = np.random.default_rng(seed)
     pool = L.AP_CHARS[:ap_count]
     pairs = []

@@ -7,7 +7,7 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import (attention, dense, gradient_check, mul, permuted,
+from helpers import (attention, dense, gradient_check, mul, permuted, phases,
                      rows_batch, shared_by_streams, tsum, zero_grads)
 from oracles import composed_attend, composed_heads, naive_attention
 
@@ -152,8 +152,9 @@ def test_aggregated_attention_uses_shared_key_buffer():
     fused = S.aggregate(H)
     kv = T.reshape(fused, (1, 1, 5, 8))
     with T.no_grad():
-        k, v = mha.project_kv(kv, kv, np.arange(5))
-        out2 = mha.attend(T.Tensor(dense(H)), k, v, None, np.arange(5))
+        k, v = mha.project_kv(kv, kv, phases(mha, np.arange(5)))
+        out2 = mha.attend(T.Tensor(dense(H)), k, v, None,
+                          phases(mha, np.arange(5)))
     assert dense(out).tobytes() == out2.data.tobytes()
 
 
@@ -264,11 +265,11 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
     keep = None if mask is None else mask.bits
 
     def fused():
-        k, v = mha.project_kv(xk.tensor, xv.tensor, k_pos)
+        k, v = mha.project_kv(xk.tensor, xv.tensor, phases(mha, k_pos))
         if kv_shape[1] < q_shape[1]:
             k = shared_by_streams(k, q_shape[1])
             v = shared_by_streams(v, q_shape[1])
-        return mha.attend(xq.tensor, k, v, mask, q_pos)
+        return mha.attend(xq.tensor, k, v, mask, phases(mha, q_pos))
 
     def composed():
         h = cfg.heads
@@ -320,11 +321,11 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     x = T.Parameter("x", rng.normal(size=(2, 3, 1, 8)))
     up = rng.normal(size=(2, 3, 1, 8))
     cache = A.KVCache()
-    cache.extend(*mha.project_kv(prefix, prefix, np.arange(4)))
-    k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, [4]))
+    cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4))))
+    k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, phases(mha, [4])))
     leaves = [x, mha.wq, mha.wo]
     zero_grads(leaves)
-    out = mha.attend(x.tensor, k, v, None, [4])
+    out = mha.attend(x.tensor, k, v, None, phases(mha, [4]))
     T.backward(tsum(mul(out, up)))
     got = {p.name: p.grad.copy() for p in leaves}
     assert mha.wk.grad is None and mha.wv.grad is None

@@ -13,6 +13,7 @@ from streamformer.model import (DecodeResult, FlatVocabTransformer,
 from streamformer.streams import AlphaRenaming
 from streamformer.training import TrainConfig, fit
 
+from helpers import identity_renaming, is_identity
 from oracles import naive_edit_distance
 
 TINY = dict(d_model=16, heads=2, ffn_dim=32, enc_layers=1, dec_layers=1)
@@ -76,7 +77,7 @@ def test_renaming_set_enumerates_small_spaces():
 def test_renaming_set_identity_for_no_symbols():
     vocab = L.task_vocabulary("prop", 3)
     fs = E.renaming_set(vocab, [])
-    assert len(fs) == 1 and fs[0].is_identity()
+    assert len(fs) == 1 and is_identity(fs[0])
 
 
 def test_renaming_set_enumerates_spaces_smaller_than_a_sample():
@@ -87,7 +88,7 @@ def test_renaming_set_enumerates_spaces_smaller_than_a_sample():
     fs = E.renaming_set(vocab, [first])
     assert sorted(f[first] for f in fs) == list(vocab.inter_ids())
     fs = E.renaming_set(vocab, [])
-    assert len(fs) == 1 and fs[0].is_identity()
+    assert len(fs) == 1 and is_identity(fs[0])
 
 
 def test_renaming_set_samples_large_spaces():
@@ -125,7 +126,7 @@ def test_alpha_covariance_all_distinct_is_zero(monkeypatch):
     a, b, c = vocab.inter_ids()
     # constant output; three inverses send it to three different symbols
     monkeypatch.setattr(E, "decode_greedy", fake_decoder(lambda s: [a]))
-    fs = [AlphaRenaming.identity(vocab),
+    fs = [identity_renaming(vocab),
           AlphaRenaming(vocab, {a: b, b: a}),
           AlphaRenaming(vocab, {a: c, c: a})]
     assert E.alpha_covariance(object(), ([a], None), fs) == 0.0

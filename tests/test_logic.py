@@ -13,8 +13,8 @@ from streamformer.errors import (ContractError, InvalidTraceError, ParseError,
 from streamformer.evaluation import prediction_correct
 
 from oracles import (brute_force_symbolic_check, checker_minimal_assignment,
-                     choice_random_formula, oracle_eval, oracle_generate,
-                     truth_table_check, unrolled_ltl_eval)
+                     choice_random_formula, depth, oracle_eval, oracle_generate,
+                     size, truth_table_check, unrolled_ltl_eval)
 
 
 def rename_text(text, mapping):
@@ -61,7 +61,7 @@ def test_deep_nesting_is_a_parse_error():
     deep = L.parse_prop("!" * n + "a")
     assert L.unparse(deep) == "!" * n + "a"
     assert L.check_assignment(deep, {"a": True}) is (n % 2 == 0)
-    assert L.depth(deep) == n
+    assert depth(deep) == n
     for text, parse in (("!" * 5000 + "a", L.parse_prop),
                         ("!" * (n + 1) + "a", L.parse_prop),
                         ("&" * (n + 1) + "a" * (n + 2), L.parse_prop),
@@ -129,8 +129,8 @@ def test_assignment_parse_and_format():
 
 def test_size_depth_aps():
     phi = L.parse_prop("&a|!bc")
-    assert L.size(phi) == 6
-    assert L.depth(phi) == 3
+    assert size(phi) == 6
+    assert depth(phi) == 3
     assert L.aps(phi) == ["a", "b", "c"]
     assert L.aps(L.TRUE) == []
 
@@ -397,29 +397,22 @@ def test_operator_frequencies_follow_weights():
     for k, s in share.items():
         assert 0.25 * 0.8 <= s <= 0.25 * 1.2, (k, s)
 
-    heavy = binary_counts(L.gen_prop(0, 3, (6, 12), 1000,
-                                     weights={"xor": 2.0}))
-    ratio = heavy["xor"] / max(1, heavy["and"])
-    assert 1.6 <= ratio <= 2.4, ratio
-
 
 ORACLE_GRID = list(itertools.product(range(10), (1, 3, 4, 6),
                                      ((3, 10), (3, 12), (6, 12))))
 
 
-@pytest.mark.parametrize("task, gen, n, heavy", [
-    ("prop", L.gen_prop, 12, {"xor": 3.0}),
-    ("ltl", L.gen_ltl, 4, {"until": 3.0}),
+@pytest.mark.parametrize("task, gen, n", [
+    ("prop", L.gen_prop, 12),
+    ("ltl", L.gen_ltl, 4),
 ], ids=["prop", "ltl"])
-def test_generators_match_choice_and_checker_oracle(task, gen, n, heavy):
+def test_generators_match_choice_and_checker_oracle(task, gen, n):
     # the cached operator distributions pick what rng.choice picks, and the
     # truth-table search finds what asking the checker about each candidate
-    # finds; ltl has no xor, so its heavy binary operator is until
-    for (seed, aps, sizes), weights in itertools.product(
-            ORACLE_GRID, (None, heavy, {"not": 0.2, "and": 3.0})):
-        want = oracle_generate(task, seed, aps, sizes, n, weights)
-        assert gen(seed, aps, sizes, n, weights=weights).pairs == want, \
-            (seed, aps, sizes, weights)
+    # finds
+    for seed, aps, sizes in ORACLE_GRID:
+        want = oracle_generate(task, seed, aps, sizes, n)
+        assert gen(seed, aps, sizes, n).pairs == want, (seed, aps, sizes)
 
 
 def test_random_formula_matches_choice_oracle():
@@ -434,6 +427,8 @@ def test_random_formula_matches_choice_oracle():
             assert L.random_formula(ours, task, size, pool) == \
                 choice_random_formula(theirs, size, unary, binary, weights,
                                       pool)
+    with pytest.raises(ContractError):     # copying has no formula dialect
+        L.random_formula(np.random.default_rng(0), "copying", 5, "abc")
 
 
 def pairs_digest(dataset):
@@ -470,7 +465,7 @@ def test_formulas_past_the_enumeration_bound_are_skipped():
     d = L.gen_prop(0, 26, (120, 120), 1)
     assert len(d) == 1
     phi = L.parse_prop(d.pairs[0][0])
-    assert L.size(phi) == 120
+    assert size(phi) == 120
     assert L.check_assignment(phi, L.parse_assignment(d.pairs[0][1]))
 
 
@@ -505,30 +500,6 @@ def test_gen_prop_call_counts(monkeypatch):
     assert len(d) == 200 and len(rngs) == 1
     assert rngs[0].calls["choice"] == 0 and rngs[0].calls["random"] > 200
     assert checks == [L.parse_assignment(t) for _, t in d.pairs]
-
-
-@pytest.mark.parametrize("task, weights", [
-    ("prop", {"and": -1.0}),
-    ("prop", dict.fromkeys(L.PROP_WEIGHTS, 0.0)),
-    ("prop", {"until": 1.0}),
-    ("ltl", {"xor": 1.0}),
-    ("ltl", {"next": float("nan")}),
-    ("ltl", {"and": "heavy"}),
-], ids=["negative", "all-zero", "prop-unknown", "ltl-unknown", "nan",
-        "not-a-number"])
-def test_bad_generator_weights_are_contract_errors(task, weights):
-    gen = {"prop": L.gen_prop, "ltl": L.gen_ltl}[task]
-    with pytest.raises(ContractError):
-        gen(0, 3, (3, 8), 5, weights=weights)
-
-
-def test_zero_unary_weight_refuses_only_size_two_nodes():
-    # with no negation, a size-3 formula is one binary node over two
-    # leaves; a size-2 formula has no operator left to draw
-    d = L.gen_prop(0, 3, (3, 3), 20, weights={"not": 0.0})
-    assert all(s[0] in "&|=^" and len(s) == 3 for s, _ in d.pairs)
-    with pytest.raises(ContractError):
-        L.gen_prop(0, 3, (2, 2), 5, weights={"not": 0.0})
 
 
 def test_generation_exhaustion_warns(monkeypatch):

@@ -19,7 +19,8 @@ from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
 from streamformer.training import sequence_loss
 
-from helpers import gradient_check, mul, tsum, zero_grads
+from helpers import (gradient_check, identity_renaming, mul, tsum,
+                     zero_grads)
 from oracles import (composed_add_layer_norm, composed_dropout,
                      composed_feed_forward, composed_l2_normalize,
                      composed_sequence_loss)
@@ -281,7 +282,7 @@ def test_invariance_without_interchangeable_tokens():
 def test_invariance_refuses_dropout():
     m = small_model(dropout=0.5)
     with pytest.raises(ContractError):
-        check_invariance(m, [A, B], AlphaRenaming.identity(VOCAB))
+        check_invariance(m, [A, B], identity_renaming(VOCAB))
 
 
 def test_cosine_head_off_still_invariant():
@@ -658,7 +659,7 @@ def test_column_table_follows_stream_order(cls):
     assert {len(set(src) & set(vocab.inter_ids()))
             for src, _ in pairs} == {0, 1, 2, 3, 4}
     m = cls(ModelConfig(**TINY), vocab, seed=1)
-    identity = AlphaRenaming.identity(vocab)
+    identity = identity_renaming(vocab)
     for src, tgt in pairs:
         col_ids = m._col_ids(src)
         for t in tgt + [EOS_ID]:

@@ -6,8 +6,8 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, VocabularyError
 
-from helpers import (dense, gradient_check, mul, permuted, rows_batch,
-                     stream_lookup_ids, tsum)
+from helpers import (dense, gradient_check, identity_renaming, mul, permuted,
+                     rows_batch, stream_lookup_ids, tsum)
 
 RNG = np.random.default_rng(11)
 
@@ -271,7 +271,7 @@ def test_pack_sequences_padding_and_activity():
     v = bare_vocab(4)
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
     H = S.pack_sequences([[1, 3, 4, 2], [1, 5, 2]], W, v)
-    assert H.batch == 2 and H.k == 2 and H.length == 4
+    assert len(H.lengths) == 2 and H.k == 2 and H.length == 4
     assert H.active.tolist() == [[1, 1], [1, 0]]
     assert H.stream_ids.tolist() == [[3, 4], [5, -1]]
     assert H.lengths.tolist() == [4, 3]
@@ -293,7 +293,7 @@ def test_renaming_roundtrip_and_validation():
         with pytest.raises(ContractError):
             S.AlphaRenaming(v, stray)
     with pytest.raises(VocabularyError):
-        S.AlphaRenaming.identity(v)([99])
+        identity_renaming(v)([99])
 
 
 def test_gradients_flow_through_aggregate_and_project():

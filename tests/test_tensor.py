@@ -8,7 +8,8 @@ from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
 from helpers import (concat, div, exp, gradient_check, index, log, matmul, mul,
-                     sqrt, take_along_last, transpose, tsum, zero_grads)
+                     phases, sqrt, take_along_last, transpose, tsum,
+                     zero_grads)
 from oracles import (finite_difference, naive_layer_norm, naive_matmul,
                      naive_rope, naive_softmax)
 
@@ -76,8 +77,8 @@ def _one_hot_attention(Lq, Lk):
 
 
 def _attention_weights(mha, v, q_in, k_in, mask, pos_q, pos_k):
-    k, _ = mha.project_kv(T.Tensor(k_in), v, pos_k)
-    return mha.attend(T.Tensor(q_in), k, v, mask, pos_q).data
+    k, _ = mha.project_kv(T.Tensor(k_in), v, phases(mha, pos_k))
+    return mha.attend(T.Tensor(q_in), k, v, mask, phases(mha, pos_q)).data
 
 
 def test_softmax_rows_matches_oracle_and_masks():
@@ -169,7 +170,7 @@ def test_rope_matches_oracle_and_shift_property():
     mha.wk.data = np.eye(16)
     x = RNG.normal(size=(2, 1, 5, 16))
     pos = np.arange(5, dtype=float)
-    k, _ = mha.project_kv(T.Tensor(x), T.Tensor(x), pos)
+    k, _ = mha.project_kv(T.Tensor(x), T.Tensor(x), phases(mha, pos))
     for h in range(2):
         want = naive_rope(x[..., h * 8:(h + 1) * 8], pos)
         assert rel(k.data[:, :, h], want) <= 1e-10
@@ -178,8 +179,8 @@ def test_rope_matches_oracle_and_shift_property():
     kk = T.Tensor(RNG.normal(size=(1, 1, 1, 16)))
 
     def dots(m, n):
-        a, _ = mha.project_kv(q, q, [m])
-        b, _ = mha.project_kv(kk, kk, [n])
+        a, _ = mha.project_kv(q, q, phases(mha, [m]))
+        b, _ = mha.project_kv(kk, kk, phases(mha, [n]))
         return (a.data * b.data).sum(axis=-1)
 
     for shift in (1, 3, 11):
@@ -212,7 +213,7 @@ def test_rope_tables_built_once_rotate_as_real_formula():
 
 def test_rope_odd_width_rejected():
     with pytest.raises(DimensionError):
-        T.rope_phases([0.0, 1.0], 3)
+        T.rope_phases([0.0, 1.0], 3, 10000.0)
 
 
 def test_gather_rows_forward_and_scatter_gradient():
@@ -353,7 +354,8 @@ def test_rope_gradient_is_inverse_rotation():
     up = RNG.normal(size=(2, 1, 1, 3, 4))
 
     def loss_fn():
-        k, _ = mha.project_kv(x.tensor, x.tensor, np.arange(3, dtype=float) + 5)
+        k, _ = mha.project_kv(x.tensor, x.tensor,
+                              phases(mha, np.arange(3, dtype=float) + 5))
         return tsum(mul(mul(k, k), 1.0 + up * up))
 
     assert gradient_check([x, mha.wk], loss_fn)["x"] <= 1e-4
@@ -367,9 +369,9 @@ def test_softmax_masked_gradient():
     mask = A.AttentionMask("padding", keep)
 
     def loss_fn():
-        k, _ = mha.project_kv(x.tensor, v, np.arange(6.0))
+        k, _ = mha.project_kv(x.tensor, v, phases(mha, np.arange(6.0)))
         y = mha.attend(index(x.tensor, (slice(None), slice(None), slice(0, 3))),
-                       k, v, mask, np.arange(3.0))
+                       k, v, mask, phases(mha, np.arange(3.0)))
         return tsum(mul(y, np.arange(6.0)))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
