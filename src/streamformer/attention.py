@@ -54,7 +54,7 @@ from .streams import Grid, aggregate
 class AttentionConfig:
     d_model: int
     heads: int
-    rope_base: float = 10000.0
+    rope_base: float
     head_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,43 +67,22 @@ class AttentionConfig:
         object.__setattr__(self, "head_dim", self.d_model // self.heads)
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """Binary keep-mask over (query, key) pairs, (rows, Lq, Lk): one row
-    of bits per row of queries, or one that all the rows share.
-
-    kind is "padding" or "look-ahead"; look-ahead masks are lower
-    triangular intersected with key padding.  Construction rejects masks
-    that would starve a query row of every key.
-    """
-
-    kind: str
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("padding", "look-ahead"):
-            raise ContractError(f"unknown mask kind {self.kind!r}")
-        if self.bits.ndim != 3:
-            raise DimensionError("mask bits must be (B, Lq, Lk)")
-        if not self.bits.any(axis=-1).all():
-            raise ContractError("every query row needs at least one unmasked key")
-
-
 def padding_mask(key_lengths, Lq, Lk):
-    """Keep only real (non-padding) key positions, for every query row."""
+    """Keep-mask (rows, Lq, Lk) of the real (non-padding) key positions,
+    the same for every query."""
     key_lengths = np.asarray(key_lengths)
     keep = np.arange(Lk)[None, :] < key_lengths[:, None]          # (B, Lk)
-    bits = np.broadcast_to(keep[:, None, :], (len(key_lengths), Lq, Lk)).copy()
-    return AttentionMask("padding", bits)
+    return np.broadcast_to(keep[:, None, :],
+                           (len(key_lengths), Lq, Lk)).copy()
 
 
 def look_ahead_mask(key_lengths, L):
-    """Causal mask: query t sees keys <= t that are also real tokens."""
+    """Causal keep-mask (rows, L, L): query t sees keys <= t that are also
+    real tokens."""
     key_lengths = np.asarray(key_lengths)
     tri = np.tril(np.ones((L, L), dtype=bool))
     keep = np.arange(L)[None, :] < key_lengths[:, None]
-    bits = tri[None, :, :] & keep[:, None, :]
-    return AttentionMask("look-ahead", bits)
+    return tri[None, :, :] & keep[:, None, :]
 
 
 class MultiHeadAttention:
@@ -146,8 +125,10 @@ class MultiHeadAttention:
     def attend(self, q_in, k, v, mask, phase, *, grid=None):
         """Attention of q_in (...,Lq,d), or the (P, d) cells of a grid
         (N, Lq), over heads k, v from project_kv; returns the output in
-        q_in's shape.  The mask's rows go with the entries of the first
-        leading axis.  phase is the rotation() table of the queries'
+        q_in's shape.  mask is a (rows, Lq, Lk) keep-mask, True where a
+        query may see a key, its rows going with the entries of the first
+        leading axis; a query row that sees no key raises ContractError.
+        phase is the rotation() table of the queries'
         positions (None leaves them unrotated).
 
         One node: the query projection and its rotation, scaled scores,
@@ -160,9 +141,8 @@ class MultiHeadAttention:
         scale = 1.0 / np.sqrt(hd)
         if grid is None:
             grid = Grid(q_in.shape[:-1])
-        drop = None if mask is None else ~mask.bits.reshape(
-            mask.bits.shape[:1] + (1,) * (len(grid.shape) - 1)
-            + mask.bits.shape[1:])
+        drop = None if mask is None else ~mask.reshape(
+            mask.shape[:1] + (1,) * (len(grid.shape) - 1) + mask.shape[1:])
 
         def forward(xd, wq, kd, vd, wo):
             qd, q_back = _split_heads(xd, wq, h, hd, phase, grid)

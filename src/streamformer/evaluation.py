@@ -190,9 +190,8 @@ def _judged(task, src_text, tokens, vocab):
 
 
 def _score(model, task, pairs, beam_width, max_len, top=1):
-    """Decode each source and judge its answers, best first, until one of
-    the first `top` is correct.  Width 1 decodes greedily, which is what
-    a beam of width 1 finds.
+    """Beam-decode each source and judge its answers, best first, until
+    one of the first `top` is correct.  Width 1 is greedy decoding.
 
     Returns counts of sources with a semantically correct answer among
     those judged, of sources whose best answer is token-exact, and of
@@ -202,10 +201,7 @@ def _score(model, task, pairs, beam_width, max_len, top=1):
     correct = exact = blown = 0
     for src_text, tgt_text in pairs:
         src = _encode_source(vocab, task, src_text)
-        if beam_width == 1:
-            preds = [decode_greedy(model, src, max_len=max_len)]
-        else:
-            preds = decode_beam(model, src, beam_width, max_len=max_len)
+        preds = decode_beam(model, src, beam_width, max_len=max_len)
         exact += list(preds[0].tokens) == vocab.encode(tgt_text)
         for pred in preds[:top]:
             ok, over = _judged(task, src_text, pred.tokens, vocab)

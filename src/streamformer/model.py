@@ -35,8 +35,10 @@ teacher-forced pass, and writes its rotated DP and DA keys and values in
 place into the caches.  This matches the teacher-forced pass up to
 rounding because every decoder sublayer is position-wise or causal: the
 DA aggregate at position t reads only position t, and rotary encoding
-rotates each key by its own absolute position.  Beam search advances its
-live hypotheses as rows of one state and re-indexes the caches by parent.
+rotates each key by its own absolute position.  There is one search loop:
+beam search advances its live hypotheses as rows of one state and
+re-indexes the caches by parent, and greedy decoding is the width-1 beam,
+whose one row keeps its place, so its caches are never re-indexed.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
@@ -106,7 +108,7 @@ class ModelConfig:
             raise ContractError("ffn_dim must be positive")
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ContractError("encoder and decoder need a layer or more")
-        AttentionConfig(self.d_model, self.heads, self.rope_base)  # validates
+        self.attention    # built once, here, so a bad width fails early
 
     @cached_property
     def attention(self):
@@ -331,9 +333,9 @@ class DecodeState:
     lookup table.  Each step_logits call then feeds one token per row,
     embeds it with one index into that table, and writes that position's
     rotated keys and values into every layer's cache.  The rows share the
-    source and the length, so none is padded; beam search keeps its live
-    hypotheses as rows and calls select() to re-index the caches by
-    parent.
+    source and the length, so none is padded; beam search, greedy
+    decoding included, keeps its live hypotheses as rows and calls
+    select() to re-index the caches by parent.
 
     col_ids  token id behind each logit column
     allowed  columns this source can emit
@@ -387,7 +389,11 @@ class DecodeState:
 
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated.  Each
-        owns one cache row per stream of the source."""
+        owns one cache row per stream of the source.  Keeping every row
+        in its place, as a width-1 beam does at each step, copies
+        nothing."""
+        if list(rows) == list(range(len(self.lengths))):
+            return
         k = len(self.lookup)
         if len(rows) != len(self.lengths):
             self._fit(len(rows))
@@ -589,52 +595,23 @@ class Seq2SeqModel:
             return self.project_logits(dec, state.table).data[:, 0]
 
 
-def _step_scores(rows, allowed, n_base):
-    """One masked row of logits per decoded row, read three ways: its
-    log-softmax over the allowed columns (-inf elsewhere), its winning
-    column and a renaming-sensitivity flag.
-
-    First-maximum tie breaking gives the lowest token id.  The flag marks
-    an exact tie between two interchangeable columns, the only place where
-    tie breaking could interact with a renaming.
-    """
-    vals = np.where(allowed, rows, -np.inf)
-    top = np.maximum.reduce(vals, axis=-1, keepdims=True)
-    tied = np.add.reduce(vals[:, n_base:] == top, axis=-1) >= 2
-    lse = top + np.log(np.add.reduce(np.exp(vals - top), axis=-1,
-                                     keepdims=True))
-    return vals - lse, vals.argmax(axis=-1), tied
-
-
 def decode_greedy(model, src, max_len=64):
-    """Argmax decoding until the end marker or the length bound."""
-    if max_len < 1:
-        raise ContractError("max_len must be at least 1")
-    state = model.begin_decode(src)
-    n_base = model.vocab.base_size
-    tok = SOS_ID
-    tokens = []
-    score = 0.0
-    tied = False
-    for _ in range(max_len):
-        logp, best, step_tied = _step_scores(model.step_logits(state, [tok]),
-                                             state.allowed, n_base)
-        best = int(best[0])
-        tied = tied or bool(step_tied[0])
-        score += float(logp[0, best])
-        tok = int(state.col_ids[best])
-        if tok == EOS_ID:
-            return DecodeResult(tokens, score, False, tied)
-        tokens.append(tok)
-    return DecodeResult(tokens, score, True, tied)
+    """Argmax decoding until the end marker or the length bound: the one
+    hypothesis of a width-1 beam search."""
+    return decode_beam(model, src, 1, max_len)[0]
 
 
 def decode_beam(model, src, width, max_len=64):
     """Beam search over summed log-probabilities.
 
     Returns up to `width` hypotheses, best first.  No length normalization,
-    so width 1 reproduces greedy decoding exactly.  The live hypotheses are
-    the rows of one decode state, advanced by one step_logits call.
+    so width 1 is greedy decoding.  The live hypotheses are the rows of one
+    decode state, advanced by one step_logits call.  Each step reads every
+    row's log-softmax over the allowed columns; among equal scores the
+    first candidate in generation order wins, which for one row is the
+    lowest token id.  A hypothesis is flagged tied once a step of its
+    prefix held an exact tie between two interchangeable columns, the only
+    place where tie breaking could interact with a renaming.
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")
@@ -649,7 +626,11 @@ def decode_beam(model, src, width, max_len=64):
     for _ in range(max_len):
         rows = model.step_logits(state, [hyp.tokens[-1] if hyp.tokens
                                          else SOS_ID for hyp in beams])
-        logp, _, step_tied = _step_scores(rows, state.allowed, n_base)
+        vals = np.where(state.allowed, rows, -np.inf)
+        top = np.maximum.reduce(vals, axis=-1, keepdims=True)
+        step_tied = np.add.reduce(vals[:, n_base:] == top, axis=-1) >= 2
+        logp = vals - (top + np.log(np.add.reduce(np.exp(vals - top),
+                                                  axis=-1, keepdims=True)))
         cand = (np.array([hyp.score for hyp in beams])[:, None]
                 + logp[:, cols]).reshape(-1)
         # candidates in generation order (hypothesis, then column); the

@@ -4,6 +4,7 @@ import numpy as np
 import streamformer.attention as A
 import streamformer.tensor as T
 from streamformer.errors import ContractError, DimensionError, VocabularyError
+from streamformer.model import ModelConfig
 from streamformer.streams import AlphaRenaming, Grid, Rows, StreamBatch
 
 
@@ -288,6 +289,11 @@ def shared_by_streams(x, streams):
     rows = T.gather_rows(T.reshape(x, (b,) + x.shape[2:]),
                          np.repeat(np.arange(b), streams))
     return T.reshape(rows, (b, streams) + x.shape[2:])
+
+
+def attention_config(d_model, heads):
+    """An AttentionConfig at ModelConfig's rotary base."""
+    return A.AttentionConfig(d_model, heads, ModelConfig.rope_base)
 
 
 def phases(mha, positions):

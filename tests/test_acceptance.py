@@ -22,7 +22,8 @@ from streamformer.model import (DecoderLayer, EncoderLayer,
 from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
-from helpers import dense, gradient_check, mul, permuted, rows_batch, tsum
+from helpers import (attention_config, dense, gradient_check, mul,
+                     permuted, rows_batch, tsum)
 from oracles import oracle_eval, truth_table_check, unrolled_ltl_eval
 
 
@@ -217,7 +218,7 @@ def test_criterion_5_gradient_correctness():
 
 
 def test_criterion_6_stream_permutation_equivariance():
-    acfg = A.AttentionConfig(d_model=8, heads=2)
+    acfg = attention_config(d_model=8, heads=2)
     mcfg = ModelConfig(d_model=8, heads=2, ffn_dim=16, enc_layers=1,
                       dec_layers=1, cross_modes=("per", "agg"))
     prng = np.random.default_rng(60)

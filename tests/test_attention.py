@@ -7,8 +7,9 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import (attention, dense, gradient_check, mul, permuted, phases,
-                     rows_batch, shared_by_streams, tsum, zero_grads)
+from helpers import (attention, attention_config, dense, gradient_check, mul,
+                     permuted, phases, rows_batch, shared_by_streams, tsum,
+                     zero_grads)
 from oracles import composed_attend, composed_heads, naive_attention
 
 RNG = np.random.default_rng(23)
@@ -27,29 +28,30 @@ def make_H(B=1, k=3, L=5, d=8, active=None, seed=0):
 
 def test_attention_config_validation():
     with pytest.raises(DimensionError):
-        A.AttentionConfig(d_model=10, heads=3)
+        attention_config(d_model=10, heads=3)
     with pytest.raises(DimensionError):
-        A.AttentionConfig(d_model=6, heads=2)  # odd head width
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+        attention_config(d_model=6, heads=2)  # odd head width
+    cfg = attention_config(d_model=8, heads=2)
     assert cfg.head_dim == 4
 
 
 def test_mask_constructors_and_validation():
     m = A.padding_mask([3, 2], Lq=4, Lk=4)
-    assert m.bits.shape == (2, 4, 4)
-    assert m.bits[1, 0].tolist() == [True, True, False, False]
+    assert m.shape == (2, 4, 4)
+    assert m[1, 0].tolist() == [True, True, False, False]
     la = A.look_ahead_mask([4, 2], 4)
-    assert la.kind == "look-ahead"
-    assert la.bits[0, 1].tolist() == [True, True, False, False]
-    assert la.bits[1, 3].tolist() == [True, True, False, False]
+    assert la[0, 1].tolist() == [True, True, False, False]
+    assert la[1, 3].tolist() == [True, True, False, False]
+    # a mask that starves a query row of every key is refused by attend
+    mha = A.MultiHeadAttention("t", attention_config(d_model=4, heads=2), RNG)
+    x = T.Tensor(np.zeros((1, 1, 2, 4)))
     with pytest.raises(ContractError):
-        A.AttentionMask("padding", np.zeros((1, 2, 2), dtype=bool))
-    with pytest.raises(ContractError):
-        A.AttentionMask("diag", np.ones((1, 2, 2), dtype=bool))
+        attention(mha, x, x, x, np.zeros((1, 2, 2), dtype=bool),
+                  np.arange(2), np.arange(2))
 
 
 def test_mha_single_head_matches_scalar_oracle():
-    cfg = A.AttentionConfig(d_model=6, heads=1)
+    cfg = attention_config(d_model=6, heads=1)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = RNG.normal(size=(1, 1, 4, 6))
     mask = A.padding_mask([4], 4, 4)
@@ -58,13 +60,13 @@ def test_mha_single_head_matches_scalar_oracle():
     q = x[0, 0] @ mha.wq.data
     k = x[0, 0] @ mha.wk.data
     v = x[0, 0] @ mha.wv.data
-    want = naive_attention(q, k, v, mask.bits[0], np.arange(4), np.arange(4))
+    want = naive_attention(q, k, v, mask[0], np.arange(4), np.arange(4))
     want = want @ mha.wo.data
     assert np.max(np.abs(out.data[0, 0] - want)) <= 1e-10
 
 
 def test_mha_multi_head_matches_per_head_oracle():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = RNG.normal(size=(1, 1, 5, 8))
     out = attention(mha, T.Tensor(x), T.Tensor(x), T.Tensor(x), None,
@@ -86,7 +88,7 @@ def test_masked_weights_are_zero_and_rows_sum_to_one():
     # checked on the output: a key a query may not see (causal or padding)
     # leaves that query's output bitwise unchanged when it changes, and
     # values equal at every key pass through the weighting unscaled
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = T.Tensor(dense(make_H(B=2, k=2, L=6)))
     pos = np.arange(6)
@@ -97,7 +99,7 @@ def test_masked_weights_are_zero_and_rows_sum_to_one():
         kv[:, :, j] += 10.0
         kv = T.Tensor(kv)
         bumped = attention(mha, x, kv, kv, mask, pos, pos).data
-        for b, t in zip(*np.nonzero(~mask.bits[:, :, j])):
+        for b, t in zip(*np.nonzero(~mask[:, :, j])):
             assert bumped[b, :, t].tobytes() == out[b, :, t].tobytes()
     row = RNG.normal(size=8)
     flat = T.Tensor(np.broadcast_to(row, x.shape).copy())
@@ -107,7 +109,7 @@ def test_masked_weights_are_zero_and_rows_sum_to_one():
 
 
 def test_per_stream_attention_k1_equals_plain_and_batches_agree():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
     out = A.per_stream_attention(mha, H, None)
@@ -119,7 +121,7 @@ def test_per_stream_attention_k1_equals_plain_and_batches_agree():
 
 
 def test_per_stream_attention_is_permutation_equivariant_bitwise():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=4, L=6, seed=3)
     out = A.per_stream_attention(mha, H, None)
@@ -129,7 +131,7 @@ def test_per_stream_attention_is_permutation_equivariant_bitwise():
 
 
 def test_duplicated_stream_gets_identical_output():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=5, seed=4)
     cells = H.hidden.data.reshape(2, 5, 8)    # (rows, positions, d)
@@ -145,7 +147,7 @@ def test_aggregated_attention_uses_shared_key_buffer():
     # stream with a size-1 stream axis they give the same bytes as the
     # gathered copies the layer attends over, so key identity across
     # streams is structural
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
     out = A.aggregated_attention(mha, H, None)
@@ -159,7 +161,7 @@ def test_aggregated_attention_uses_shared_key_buffer():
 
 
 def test_aggregated_attention_permutation_within_1e9():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=4, L=6, seed=8)
     out = A.aggregated_attention(mha, H, None)
@@ -169,7 +171,7 @@ def test_aggregated_attention_permutation_within_1e9():
 
 
 def test_cross_attention_per_requires_alignment():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     Hd = make_H(B=1, k=2, L=4, seed=1)
     He = make_H(B=1, k=3, L=6, seed=2)
@@ -182,7 +184,7 @@ def test_cross_attention_per_requires_alignment():
 
 
 def test_cross_attention_per_stream_pairs_streams():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     Hd = make_H(B=1, k=3, L=4, seed=5)
     He = make_H(B=1, k=3, L=6, seed=6)
@@ -197,7 +199,7 @@ def test_cross_attention_per_stream_pairs_streams():
 
 
 def test_causal_mask_blocks_future_bitwise():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=6, seed=7)
     mask = A.look_ahead_mask([6], 6)
@@ -211,7 +213,7 @@ def test_causal_mask_blocks_future_bitwise():
 
 def test_rope_shift_moves_into_scores():
     # scores depend on relative offsets: shifting all positions leaves them
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     x = T.Tensor(RNG.normal(size=(1, 1, 5, 8)))
     out1 = attention(mha, x, x, x, None, np.arange(5), np.arange(5))
@@ -220,7 +222,7 @@ def test_rope_shift_moves_into_scores():
 
 
 def test_attention_parameter_count_independent_of_k():
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     n_params = sum(p.data.size for p in mha.parameters())
     for k in (1, 2, 5):
@@ -230,7 +232,7 @@ def test_attention_parameter_count_independent_of_k():
 
 
 def test_gradient_check_through_all_attention_variants():
-    cfg = A.AttentionConfig(d_model=4, heads=2)
+    cfg = attention_config(d_model=4, heads=2)
     rng = np.random.default_rng(31)
     mha = A.MultiHeadAttention("t", cfg, rng)
     Hd = make_H(B=1, k=2, L=3, d=4, seed=1)
@@ -254,7 +256,7 @@ def test_gradient_check_through_all_attention_variants():
 def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
     """Output and leaf gradients of the fused nodes and of the op-by-op
     composition, on the same weights, inputs and upstream gradient."""
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     rng = np.random.default_rng(seed)
     mha = A.MultiHeadAttention("t", cfg, rng)
     xq = T.Parameter("xq", rng.normal(size=q_shape))
@@ -262,7 +264,6 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
     xv = T.Parameter("xv", rng.normal(size=kv_shape))
     up = rng.normal(size=q_shape)
     leaves = [xq, xk, xv] + mha.parameters()
-    keep = None if mask is None else mask.bits
 
     def fused():
         k, v = mha.project_kv(xk.tensor, xv.tensor, phases(mha, k_pos))
@@ -276,7 +277,7 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
         return composed_attend(composed_heads(xq.tensor, mha.wq.tensor, h, q_pos),
                                composed_heads(xk.tensor, mha.wk.tensor, h, k_pos),
                                composed_heads(xv.tensor, mha.wv.tensor, h),
-                               mha.wo.tensor, keep)
+                               mha.wo.tensor, mask)
 
     runs = []
     for build in (fused, composed):
@@ -314,7 +315,7 @@ def test_fused_nodes_match_composition(case):
 def test_fused_nodes_match_composition_on_a_cached_decode_step():
     # one new position attends over cached keys and values: those are
     # constants, so the gradients reach the query side only
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     rng = np.random.default_rng(41)
     mha = A.MultiHeadAttention("t", cfg, rng)
     prefix = T.Tensor(rng.normal(size=(2, 3, 4, 8)))
@@ -343,7 +344,7 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
 
 
 def test_gradient_check_tiny_multi_head_attention():
-    cfg = A.AttentionConfig(d_model=4, heads=2)
+    cfg = attention_config(d_model=4, heads=2)
     rng = np.random.default_rng(43)
     mha = A.MultiHeadAttention("t", cfg, rng)
     xq = T.Parameter("xq", rng.normal(size=(2, 2, 3, 4)))
@@ -363,7 +364,7 @@ def test_gradient_check_tiny_multi_head_attention():
 def test_attention_sublayer_is_three_graph_nodes():
     # projections of k and v, then one node for the query projection and
     # everything after it
-    cfg = A.AttentionConfig(d_model=8, heads=2)
+    cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=3, L=5)
     mask = A.look_ahead_mask(np.repeat([5, 4], 3), 5)
@@ -384,7 +385,7 @@ def test_attention_sublayer_is_three_graph_nodes():
 def test_fused_attention_forward_backward_deterministic_bitwise():
     def run():
         rng = np.random.default_rng(44)
-        mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=8, heads=2), rng)
+        mha = A.MultiHeadAttention("t", attention_config(d_model=8, heads=2), rng)
         x = T.Parameter("x", rng.normal(size=(2, 3, 5, 8)))
         H = rows_batch(x.tensor, np.zeros((2, 3, 5)), np.ones((2, 3)),
                        np.tile(np.arange(3, 6), (2, 1)), np.full(2, 5))

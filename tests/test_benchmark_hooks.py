@@ -1,21 +1,24 @@
-"""The benchmark's traced runs wrap the package's functions from outside.
+"""The benchmark's runs wrap the package's functions from outside.
 
-perfbench/spans.py replaces functions in the modules' namespaces by name.
-If a refactor renames a wrapped function, or calls it other than through
-its module's global, the traced run silently loses that layer's metrics.
-This test installs the spans on the live package and checks that one
-forward pass and one short greedy decode reach every wrapped layer.
+perfbench/spans.py and perfbench/workloads.py replace functions in the
+modules' namespaces by name.  If a refactor renames a wrapped function, or
+calls it other than through its module's global, the traced run silently
+loses that layer's metrics, and the decode recorder files its samples
+under the wrong metric.  These tests install both on the live package and
+check what one forward pass and a few decodes reach.
 """
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import streamformer as sf
 import streamformer.evaluation  # noqa: F401  install() wraps every module
 import streamformer.training  # noqa: F401
-from streamformer.logic import task_vocabulary
+from streamformer.logic import Dataset, task_vocabulary
 from streamformer.model import ModelConfig, Seq2SeqModel, decode_greedy
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 LAYERS = {"streams.pack", "streams.aggregate", "streams.project",
           "attention.EP", "attention.EA", "attention.DP", "attention.DA",
@@ -85,3 +88,30 @@ def test_each_decode_step_feeds_one_position_per_row():
         assert [span[6] for span in tracer.spans
                 if span[3] == i and span[0] == "model.decode_hidden"] == [
             {"rows": 1, "positions": 1}]
+
+
+def test_decode_recorder_files_greedy_and_beam_apart(monkeypatch):
+    # decode.greedy_ms and decode.tokens_per_s read the greedy samples,
+    # decode.beam_ms the beam ones; greedy decoding runs the beam search,
+    # so a greedy call must still file one greedy sample and no beam one
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    model = Seq2SeqModel(ModelConfig(d_model=8, heads=2, ffn_dim=16,
+                                     enc_layers=1, dec_layers=1),
+                         task_vocabulary("prop", 3), seed=0)
+    rec = workloads.Recorder(0, gauged=False)
+    restore = workloads.install_recorder(
+        sf, rec, SimpleNamespace(flat_models=[]))
+    try:
+        sf.model.decode_greedy(model, model.vocab.encode("&a|bc"), 3)
+        greedy = dict(rec.samples)
+        data = Dataset("prop", 3, [("&a|bc", "a1b1"), ("!a", "a0")])
+        sf.evaluation.eval_correct(model, data, beam_width=4, max_len=3)
+    finally:
+        restore()
+    focus = workloads.FOCUS
+    assert {k: len(v) for k, v in greedy.items()} == {
+        (focus, "decode.greedy"): 1}
+    assert {k: len(v) for k, v in rec.samples.items()} == {
+        (focus, "decode.greedy"): 1, (focus, "decode.beam"): 2}
+    assert sf.model.decode_greedy is decode_greedy

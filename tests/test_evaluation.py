@@ -39,6 +39,15 @@ def fake_decoder(script):
     return decode
 
 
+def fake_beam(script):
+    """decode_beam stand-in: the one hypothesis fake_decoder would give."""
+    greedy = fake_decoder(script)
+
+    def decode(model, src, width, max_len=64):
+        return [greedy(model, src, max_len)]
+    return decode
+
+
 # ------------------------------------------------------------ edit distance
 
 def test_edit_distance_known_cases():
@@ -211,7 +220,7 @@ def test_eval_correct_rigged_echo(monkeypatch):
     vocab = L.task_vocabulary("copying", 4)
     model = Seq2SeqModel(ModelConfig(**TINY), vocab, seed=0)
     data = L.gen_copying(3, 4, (3, 6), 10)
-    monkeypatch.setattr(E, "decode_greedy", fake_decoder(lambda s: s))
+    monkeypatch.setattr(E, "decode_beam", fake_beam(lambda s: s))
     r = E.eval_correct(model, data)
     assert r == {"n": 10, "correct": 1.0, "exact": 1.0,
                  "resource_exceeded": 0}
@@ -221,8 +230,8 @@ def test_eval_correct_semantic_without_exact(monkeypatch):
     vocab = L.task_vocabulary("prop", 3)
     model = Seq2SeqModel(ModelConfig(**TINY), vocab, seed=0)
     data = L.Dataset("prop", 3, [("|ab", "a1")])
-    monkeypatch.setattr(E, "decode_greedy",
-                        fake_decoder(lambda s: vocab.encode("b1")))
+    monkeypatch.setattr(E, "decode_beam",
+                        fake_beam(lambda s: vocab.encode("b1")))
     r = E.eval_correct(model, data)
     assert r["correct"] == 1.0 and r["exact"] == 0.0
 
@@ -232,7 +241,7 @@ def test_eval_correct_counts_resource_blowups(monkeypatch):
     model = Seq2SeqModel(ModelConfig(**TINY), vocab, seed=0)
     data = L.Dataset("ltl", 3, [("U1a", "{a}")])
     nine = vocab.encode(";".join(["a"] * 9) + ";{a}")
-    monkeypatch.setattr(E, "decode_greedy", fake_decoder(lambda s: nine))
+    monkeypatch.setattr(E, "decode_beam", fake_beam(lambda s: nine))
     r = E.eval_correct(model, data)
     assert r["resource_exceeded"] == 1 and r["correct"] == 0.0
 

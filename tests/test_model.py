@@ -6,8 +6,8 @@ import pytest
 
 import streamformer.model as M
 import streamformer.tensor as T
-from streamformer.attention import (FIRST_CAPACITY, aggregated_attention,
-                                    padding_mask,
+from streamformer.attention import (FIRST_CAPACITY, KVCache,
+                                    aggregated_attention, padding_mask,
                                     per_stream_attention)
 from streamformer.errors import ContractError
 from streamformer.logic import gen_prop, task_vocabulary
@@ -17,7 +17,7 @@ from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer
                                 save_model)
 from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
-from streamformer.training import sequence_loss
+from streamformer.training import TrainConfig, fit, sequence_loss
 
 from helpers import (gradient_check, identity_renaming, mul, tsum,
                      zero_grads)
@@ -316,15 +316,48 @@ def test_greedy_never_emits_absent_interchangeable():
         assert A not in r.tokens and C not in r.tokens
 
 
-def test_beam_width_one_matches_greedy():
-    for seed in (0, 3, 8):
-        m = small_model(seed=seed)
-        g = decode_greedy(m, [A, C, AMP], max_len=6)
-        b = decode_beam(m, [A, C, AMP], width=1, max_len=6)
-        assert len(b) == 1
-        assert b[0].tokens == g.tokens
-        assert abs(b[0].score - g.score) <= 1e-12
-        assert b[0].truncated == g.truncated
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_width_one_decode_is_the_teacher_forced_argmax(cls):
+    # greedy decoding is the width-1 beam, so an oracle stands in for
+    # comparing the two: every emitted token, the end marker included, is
+    # the argmax of its teacher-forced row over the columns the source
+    # can emit, and the score is the summed log-softmax of those tokens
+    trained = cls(ModelConfig(**TINY), VOCAB, seed=1)
+    fit(trained, [([A, B], [A, B]), ([B, A], [B, A]), ([A, A], [A, A])],
+        TrainConfig(steps=80, batch_size=3, learning_rate=3e-3, warmup=10,
+                    seed=0, log_every=10 ** 6))
+    ended = 0
+    for m in (cls(ModelConfig(**TINY), VOCAB, seed=5), trained):
+        for src in ([A, B], [B, A], [A, C, AMP], [B, AMP, A, BANG, C],
+                    [AMP, BANG]):
+            out = decode_greedy(m, src, max_len=6)
+            emitted = out.tokens + ([] if out.truncated else [EOS_ID])
+            ended += not out.truncated
+            forced = m.forward(src, [SOS_ID] + emitted[:-1]).data
+            score = 0.0
+            for row, col in zip(forced, m.label_columns(src, emitted)):
+                allowed = np.flatnonzero(np.isfinite(row))
+                assert allowed[np.argmax(row[allowed])] == col
+                top = row[allowed].max()
+                score += row[col] - top - np.log(
+                    np.exp(row[allowed] - top).sum())
+            assert abs(out.score - score) <= 1e-9
+    assert ended
+
+
+def test_width_one_decode_never_reindexes_a_cache(monkeypatch):
+    # a width-1 beam keeps its one row in place at every step, so no
+    # cache is copied; a width-2 beam re-indexes them
+    calls = []
+    select = KVCache.select
+    monkeypatch.setattr(KVCache, "select",
+                        lambda self, rows: calls.append(1) or select(self, rows))
+    m = small_model(cross_modes=("per", "agg"))
+    src = [B, AMP, A, BANG, C]
+    out = decode_greedy(m, src, max_len=2 * FIRST_CAPACITY + 2)
+    assert out.truncated and calls == []
+    decode_beam(m, src, width=2, max_len=3)
+    assert calls
 
 
 def test_beam_scores_sorted_and_beat_greedy():

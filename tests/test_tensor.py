@@ -7,9 +7,9 @@ from streamformer import attention as A
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
 
-from helpers import (concat, div, exp, gradient_check, index, log, matmul, mul,
-                     phases, sqrt, take_along_last, transpose, tsum,
-                     zero_grads)
+from helpers import (attention_config, concat, div, exp, gradient_check, index,
+                     log, matmul, mul, phases, sqrt, take_along_last,
+                     transpose, tsum, zero_grads)
 from oracles import (finite_difference, naive_layer_norm, naive_matmul,
                      naive_rope, naive_softmax)
 
@@ -69,7 +69,7 @@ def test_matmul_shape_error():
 def _one_hot_attention(Lq, Lk):
     """Single-head attention whose values and projections are identities,
     so each output row is that query's softmax weights over the keys."""
-    mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=Lk, heads=1), RNG)
+    mha = A.MultiHeadAttention("t", attention_config(d_model=Lk, heads=1), RNG)
     mha.wv.data = np.eye(Lk)
     mha.wo.data = np.eye(Lk)
     v = T.Tensor(np.eye(Lk)[None, None])
@@ -89,9 +89,8 @@ def test_softmax_rows_matches_oracle_and_masks():
     k_in = RNG.normal(size=(1, 1, 8, 8)) * 3
     keep = RNG.random((1, 6, 8)) > 0.3
     keep[:, :, 0] = True
-    mask = A.AttentionMask("padding", keep)
     pos_q, pos_k = np.arange(6.0), np.arange(8.0)
-    got = _attention_weights(mha, v, q_in, k_in, mask, pos_q, pos_k)[0, 0]
+    got = _attention_weights(mha, v, q_in, k_in, keep, pos_q, pos_k)[0, 0]
     q = naive_rope(q_in[0, 0] @ mha.wq.data, pos_q)
     k = naive_rope(k_in[0, 0] @ mha.wk.data, pos_k)
     for i in range(6):
@@ -102,11 +101,10 @@ def test_softmax_rows_matches_oracle_and_masks():
 
 
 def test_softmax_all_masked_row_raises():
-    # masks are checked when built; one changed afterwards still cannot
-    # reach the softmax with a row that sees no key
+    # a row that sees no key never reaches the softmax
     mha, v = _one_hot_attention(2, 4)
     mask = A.padding_mask([4], 2, 4)
-    mask.bits[0, 1] = False
+    mask[0, 1] = False
     x = np.zeros((1, 1, 4, 4))
     with pytest.raises(ContractError):
         _attention_weights(mha, v, x[:, :, :2], x, mask, np.arange(2), np.arange(4))
@@ -166,7 +164,7 @@ def test_layer_norm_constant_vector_yields_bias():
 def test_rope_matches_oracle_and_shift_property():
     # keys from project_kv are rotated heads; with an identity weight they
     # are the input rotated pair by pair in each head
-    mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=16, heads=2), RNG)
+    mha = A.MultiHeadAttention("t", attention_config(d_model=16, heads=2), RNG)
     mha.wk.data = np.eye(16)
     x = RNG.normal(size=(2, 1, 5, 16))
     pos = np.arange(5, dtype=float)
@@ -349,7 +347,7 @@ def test_exp_log_sqrt_grads():
 def test_rope_gradient_is_inverse_rotation():
     # rotation keeps norms, so the loss below reads only the rotated keys'
     # lengths; its gradient must undo the rotation exactly
-    mha = A.MultiHeadAttention("t", A.AttentionConfig(d_model=4, heads=1), RNG)
+    mha = A.MultiHeadAttention("t", attention_config(d_model=4, heads=1), RNG)
     x = T.Parameter("x", RNG.normal(size=(2, 1, 3, 4)))
     up = RNG.normal(size=(2, 1, 1, 3, 4))
 
@@ -366,12 +364,11 @@ def test_softmax_masked_gradient():
     x = T.Parameter("x", RNG.normal(size=(1, 1, 6, 6)))
     keep = RNG.random((1, 3, 6)) > 0.3
     keep[:, :, 2] = True
-    mask = A.AttentionMask("padding", keep)
 
     def loss_fn():
         k, _ = mha.project_kv(x.tensor, v, phases(mha, np.arange(6.0)))
         y = mha.attend(index(x.tensor, (slice(None), slice(None), slice(0, 3))),
-                       k, v, mask, phases(mha, np.arange(3.0)))
+                       k, v, keep, phases(mha, np.arange(3.0)))
         return tsum(mul(y, np.arange(6.0)))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
