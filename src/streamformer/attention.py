@@ -128,8 +128,8 @@ class MultiHeadAttention:
         q_in's shape.  mask is a (rows, Lq, Lk) keep-mask, True where a
         query may see a key, its rows going with the entries of the first
         leading axis; a query row that sees no key raises ContractError.
-        phase is the rotation() table of the queries'
-        positions (None leaves them unrotated).
+        phase is the rotation() table of the queries' positions (None
+        leaves them unrotated).
 
         One node: the query projection and its rotation, scaled scores,
         mask, softmax, value mixing, head merge and output projection.

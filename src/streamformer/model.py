@@ -606,12 +606,11 @@ def decode_beam(model, src, width, max_len=64):
 
     Returns up to `width` hypotheses, best first.  No length normalization,
     so width 1 is greedy decoding.  The live hypotheses are the rows of one
-    decode state, advanced by one step_logits call.  Each step reads every
-    row's log-softmax over the allowed columns; among equal scores the
-    first candidate in generation order wins, which for one row is the
-    lowest token id.  A hypothesis is flagged tied once a step of its
-    prefix held an exact tie between two interchangeable columns, the only
-    place where tie breaking could interact with a renaming.
+    decode state, advanced by one step_logits call.  Among equal scores
+    the first candidate in generation order wins: for one row, the lowest
+    token id.  A hypothesis is flagged tied once a step's top score was an
+    exact tie between two interchangeable columns, the only place where
+    tie breaking could interact with a renaming.
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")

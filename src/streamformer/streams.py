@@ -368,6 +368,11 @@ def project(H, W):
     Past a sequence's end the base columns read 0.0 and the others -inf.
     Pure dot products, in one node; any normalization of the inputs
     happens before this call.
+
+    The own columns are one dot product per cell, a per-row reduction
+    whose rounding does not depend on where the cell sits.  A GEMV over
+    the cells would give a row different bits at a different place, so a
+    renaming, which only moves rows, would move the own scores by an ulp.
     """
     rows, sids, grid = H.rows, H.stream_ids, H.grid
     n = W.shape[0] - 2
@@ -377,7 +382,7 @@ def project(H, W):
     def forward(h, w):
         mean = rows.sum(grid.scatter(h)) * inv              # (B, L, d)
         own = np.full(sids.shape + grid.shape[1:], -np.inf)
-        own[have] = grid.scatter(np.matmul(h, w[n]), -np.inf)
+        own[have] = grid.scatter(T._einsum("pd,d->p", h, w[n]), -np.inf)
         own[sids < 0] = -np.inf
         out = np.concatenate([np.matmul(mean, w[:n].T),
                               own.transpose(0, 2, 1)], axis=-1)

@@ -292,6 +292,67 @@ def test_cosine_head_off_still_invariant():
     assert rep.passed
 
 
+def _ragged_renamed_batch(vocab, rng):
+    """2-3 sources of 2-6 symbols each, decoder inputs over their
+    symbols, the same under one random renaming, and per source the
+    order that maps its streams onto the renamed source's."""
+    syms, ops = list(vocab.inter_ids()), list(range(3, vocab.base_size))
+    f = AlphaRenaming.random(vocab, rng)
+    srcs, tgts, orders = [], [], []
+    for _ in range(int(rng.integers(2, 4))):
+        own = sorted(rng.choice(syms, int(rng.integers(2, 7)), replace=False))
+        pool = own + ops
+        src = own + [pool[i] for i in rng.integers(0, len(pool),
+                                                   rng.integers(0, 6))]
+        srcs.append([int(t) for t in rng.permutation(src)])
+        tgts.append([SOS_ID] + [int(pool[i]) for i in rng.integers(
+            0, len(pool), rng.integers(1, 7))])
+        orders.append(np.argsort([f[int(t)] for t in own]))
+    return srcs, tgts, [f(s) for s in srcs], [f(t) for t in tgts], orders
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_per_stream_path_is_bitwise_permutation_equivariant(d):
+    # a renaming only permutes each source's streams, so every per-stream
+    # piece permutes its rows bit for bit: the embedding, EP, DP, CP, the
+    # feed-forward blocks and norms, l2_normalize, project's own columns
+    # and a cached decode step.  The aggregate and project's base columns
+    # sum over the streams, whose order then matters; they are left out
+    vocab = task_vocabulary("prop", 6)
+    m = Seq2SeqModel(ModelConfig(d_model=d, heads=2, ffn_dim=2 * d,
+                                 use_ea=False, use_da=False), vocab, seed=d)
+    nb = vocab.base_size
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        srcs, tgts, rsrcs, rtgts, orders = _ragged_renamed_batch(vocab, rng)
+        H, Hr = m._embed(srcs), m._embed(rsrcs)
+        starts = np.cumsum(H.rows.counts) - H.rows.counts
+        rows = np.concatenate([s + o for s, o in zip(starts, orders)])
+
+        def same(grid, x, xr):
+            x, xr = grid.scatter(x), grid.scatter(xr)
+            assert x[rows].tobytes() == xr.tobytes()
+
+        same(H.grid, H.hidden.data, Hr.hidden.data)
+        enc, encr = m.encode(srcs), m.encode(rsrcs)
+        same(H.grid, enc.hidden.data, encr.hidden.data)
+        dec, decr = m.decode_hidden(tgts, enc), m.decode_hidden(rtgts, encr)
+        same(dec.grid, dec.hidden.data, decr.hidden.data)
+        same(dec.grid, M.l2_normalize(dec.hidden).data,
+             M.l2_normalize(decr.hidden).data)
+        own = m.project_logits(dec).data[..., nb:]
+        own_r = m.project_logits(decr).data[..., nb:]
+        for b, order in enumerate(orders):
+            assert (own[b][:, order].tobytes()
+                    == own_r[b][:, :len(order)].tobytes())
+        steps = []
+        for src, tgt in ((srcs[0], tgts[0]), (rsrcs[0], rtgts[0])):
+            state = m.begin_decode(src)
+            m.step_logits(state, [SOS_ID])
+            steps.append(m.step_logits(state, tgt[1:2])[0, nb:])
+        assert steps[0][orders[0]].tobytes() == steps[1].tobytes()
+
+
 # ----------------------------------------------------------------- decoding
 
 def test_greedy_emits_valid_tokens_and_respects_max_len():
