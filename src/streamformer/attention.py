@@ -11,9 +11,10 @@ score logits depend on relative offsets only.  A projection's head pairs
 are read as complex numbers and rotated by one multiply with a cached
 phase table (rotation(), over tensor.rope_phases); the multiply is
 elementwise, so each stream's result depends on that stream alone, bit
-for bit.  A sublayer looks its table up once for its query and key
-projections, and a caller that holds it already (the decoder, once per
-step) passes it in.
+for bit.  No sublayer looks up its own queries' table: the encoder and
+the decoder each look theirs up once per pass, or once per cached decode
+step, and hand it to every sublayer.  Only cross_kv looks one up, for
+the encoder positions that are its own input.
 
 An attention call is three graph nodes, each with a hand-written vjp: the
 k and v projections (product, rotation, head split), then one node for
@@ -260,6 +261,8 @@ class KVCache:
         return self.k[..., :end, :], self.v[..., :end, :]
 
     def select(self, rows):
+        if self.k is None:     # no step written yet: nothing to re-index
+            return
         n, cap = self.length, self.k.shape[-2]
         self.k = _buffer(self.k[rows, ..., :n, :], cap)
         self.v = _buffer(self.v[rows, ..., :n, :], cap)
@@ -288,37 +291,27 @@ def _kv(mha, kv_in, phase, seq=None, cache=None, grid=None):
     return k, v
 
 
-def _rotation(mha, H, cache, phase):
-    """phase if given, else the rotation() table of H's absolute positions:
-    a cached decode step continues after the positions its cache already
-    holds."""
-    if phase is not None:
-        return phase
-    pos = np.arange(H.length)
-    return rotation(mha.cfg, pos if cache is None else pos + cache.length)
-
-
-def per_stream_attention(mha, H, mask, cache=None, phase=None):
+def per_stream_attention(mha, H, mask, phase, cache=None):
     """Self-attention run independently inside each stream.
 
     With k=1 this is plain self-attention.  With a KVCache, H holds only
     the new positions and attends over every cached one as well.  phase
-    is the rotation() table of H's positions when the caller holds it.
-    Returns the StreamBatch of raw attention outputs.
+    is the rotation() table of H's absolute positions, which rotates both
+    the queries and the keys.  Returns the StreamBatch of raw attention
+    outputs.
     """
-    phase = _rotation(mha, H, cache, phase)
     k, v = _kv(mha, H.hidden, phase, cache=cache, grid=H.grid)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
-def aggregated_attention(mha, H, mask, cache=None, phase=None):
+def aggregated_attention(mha, H, mask, phase, cache=None):
     """Queries stay per-stream; keys and values are the fused aggregate.
 
     The aggregate is computed and projected once per sequence, so every
     stream of a sequence attends over identical keys.  It is
     position-wise, so a cached decode step fuses only its new positions.
+    phase is as for per_stream_attention.
     """
-    phase = _rotation(mha, H, cache, phase)
     k, v = _kv(mha, aggregate(H), phase, H.rows.seq, cache)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
@@ -339,13 +332,14 @@ def cross_kv(mha, H_enc, mode, seq):
     raise ContractError(f"unknown cross attention mode {mode!r}")
 
 
-def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, phase=None):
+def cross_attention(mha, H_dec, H_enc, mode, mask, phase, kv=None):
     """Decoder-to-encoder attention in one of two modes (see cross_kv).
 
     "per" needs aligned streams, which holds because the decoder reuses
-    the encoder's stream ids.  Decoding passes the keys and values it
-    holds for its rows as kv, and the rotation() table of its query's
-    position as phase; its rows' streams are the encoder's by
+    the encoder's stream ids.  phase is the rotation() table of H_dec's
+    absolute positions, which rotates the queries; cross_kv rotates the
+    keys by the encoder's.  Decoding passes the keys and values it holds
+    for its rows as kv; its rows' streams are the encoder's by
     construction, so only a call without kv checks them.
     """
     if kv is None:
@@ -355,6 +349,5 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, kv=None, phase=None):
                 "per-stream cross attention needs aligned streams")
         kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
     k, v = kv
-    phase = _rotation(mha, H_dec, None, phase)
     return H_dec.with_hidden(mha.attend(H_dec.hidden, k, v, mask, phase,
                                         grid=H_dec.grid))

@@ -16,6 +16,11 @@ feed-forward block, each wrapped as norm(x + dropout(sub(x))):
            CA aggregated) ffn
 
 Disabling a toggle removes the sublayer and its norm parameters entirely.
+A pass decides its rotary phases and its dropout once: encode and
+decode_hidden build the masks and the rotation() table of the positions
+they feed and hand them to every layer, with the dropout generator (None
+outside training); each layer reads its dropout rate from the config it
+was built with.
 Every attention sublayer is three graph nodes (see attention.py); the
 residual sum and its norm are one node, and so are the feed-forward block
 and the cosine head's normalisation.  Every stream-wise piece runs on the
@@ -226,24 +231,6 @@ class FeedForward:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
-class _TrainCtx:
-    """Dropout settings for one forward pass."""
-
-    def __init__(self, rate=0.0, rng=None):
-        self.rate = rate
-        self.rng = rng
-
-
-_EVAL = _TrainCtx()
-
-
-def _residual_norm(H, sub, norm, ctx):
-    """norm(x + dropout(sub(x))) on every stored row."""
-    if ctx.rate:
-        sub = T.dropout(sub, ctx.rate, ctx.rng)
-    return H.with_hidden(norm(H.hidden, sub))
-
-
 class _Layer:
     """An ordered list of residual-and-norm-wrapped attention sublayers,
     then the feed-forward block.
@@ -255,6 +242,7 @@ class _Layer:
 
     def __init__(self, cfg: ModelConfig, prefix, rng):
         a = cfg.attention
+        self.rate = cfg.dropout
         self.subs = [(kind, MultiHeadAttention(f"{prefix}.{kind}", a, rng),
                       Norm(f"{prefix}.{kind}.norm", cfg.d_model))
                      for kind in self.kinds(cfg)]
@@ -267,18 +255,25 @@ class _Layer:
             out += mha.parameters() + norm.parameters()
         return out + self.ffn.parameters() + self.ffn_norm.parameters()
 
+    def _residual_norm(self, H, sub, norm, rng):
+        """norm(x + dropout(sub(x))) on every stored row."""
+        if rng is not None:
+            sub = T.dropout(sub, self.rate, rng)
+        return H.with_hidden(norm(H.hidden, sub))
+
 
 class EncoderLayer(_Layer):
     @staticmethod
     def kinds(cfg):
         return ["self"] * cfg.use_ep + ["agg"] * cfg.use_ea
 
-    def __call__(self, H, mask, ctx=_EVAL):
+    def __call__(self, H, mask, phase, rng):
         for kind, mha, norm in self.subs:
             attn = per_stream_attention if kind == "self" \
                 else aggregated_attention
-            H = _residual_norm(H, attn(mha, H, mask).hidden, norm, ctx)
-        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
+            H = self._residual_norm(H, attn(mha, H, mask, phase).hidden,
+                                    norm, rng)
+        return self._residual_norm(H, self.ffn(H.hidden), self.ffn_norm, rng)
 
 
 class DecoderLayer(_Layer):
@@ -287,28 +282,22 @@ class DecoderLayer(_Layer):
         return (["self"] * cfg.use_dp + ["agg"] * cfg.use_da
                 + [f"cross.{mode}" for mode in cfg.cross_modes])
 
-    def __call__(self, H, enc, m_la, m_pad, ctx=_EVAL, caches=None,
-                 phase=None):
-        """One decoder layer; with its caches(), H holds one new position.
-        phase is the rotation() table of H's positions, if the caller
-        holds it."""
+    def __call__(self, H, enc, m_la, m_pad, phase, rng, caches=None):
+        """One decoder layer; with its caches(), H holds one new position,
+        and phase is the rotation() table of that position."""
         if caches is None:
-            caches, start = [None] * len(self.subs), 0
-        else:
-            start = caches[0].length
-        if phase is None:
-            phase = rotation(self.subs[0][1].cfg, start + np.arange(H.length))
+            caches = [None] * len(self.subs)
         for (kind, mha, norm), cache in zip(self.subs, caches):
             if kind == "self":
-                sub = per_stream_attention(mha, H, m_la, cache, phase)
+                sub = per_stream_attention(mha, H, m_la, phase, cache)
             elif kind == "agg":
                 # the look-ahead mask keeps the fused keys causal too
-                sub = aggregated_attention(mha, H, m_la, cache, phase)
+                sub = aggregated_attention(mha, H, m_la, phase, cache)
             else:
                 sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
-                                      cache, phase=phase)
-            H = _residual_norm(H, sub.hidden, norm, ctx)
-        return _residual_norm(H, self.ffn(H.hidden), self.ffn_norm, ctx)
+                                      phase, cache)
+            H = self._residual_norm(H, sub.hidden, norm, rng)
+        return self._residual_norm(H, self.ffn(H.hidden), self.ffn_norm, rng)
 
     def caches(self, enc):
         """Decode-time state, one entry per sublayer: a KVCache for masked
@@ -388,14 +377,18 @@ class DecodeState:
                            self.stream_ids, self.lengths, self.grid)
 
     def select(self, rows):
-        """Keep the given rows, in order; a row may be repeated.  Each
-        owns one cache row per stream of the source.  Keeping every row
-        in its place, as a width-1 beam does at each step, copies
-        nothing."""
-        if list(rows) == list(range(len(self.lengths))):
+        """Keep the given rows, in order; a row may be repeated, and at
+        least one must be kept.  Each owns one cache row per stream of
+        the source.  Keeping every row in its place, as a width-1 beam
+        does at each step, copies nothing."""
+        rows, n = list(rows), len(self.lengths)
+        if not rows or not all(0 <= r < n for r in rows):
+            raise ContractError(f"select keeps one or more of the {n} "
+                                f"current rows, not {rows}")
+        if rows == list(range(n)):
             return
         k = len(self.lookup)
-        if len(rows) != len(self.lengths):
+        if len(rows) != n:
             self._fit(len(rows))
         rows = (np.asarray(rows)[:, None] * k + np.arange(k)).reshape(-1)
         for caches in self.layers:
@@ -504,15 +497,18 @@ class Seq2SeqModel:
 
     # ----------------------------------------------------------------- forward
 
-    def encode(self, srcs, ctx=_EVAL):
-        """Run the encoder stack over a batch of source id sequences."""
+    def encode(self, srcs, rng=None):
+        """Run the encoder stack over a batch of source id sequences; every
+        layer shares one padding mask and one rotary phase table.  rng is
+        the dropout generator, None outside training."""
         H = self._embed(srcs)
         mask = padding_mask(H.lengths[H.rows.seq], H.length, H.length)
+        phase = rotation(self.cfg.attention, np.arange(H.length))
         for layer in self.enc_layers:
-            H = layer(H, mask, ctx)
+            H = layer(H, mask, phase, rng)
         return H
 
-    def decode_hidden(self, tgt_inputs, enc, ctx=_EVAL, state=None):
+    def decode_hidden(self, tgt_inputs, enc, rng=None, state=None):
         """Run the decoder stack; streams are pinned to the encoder's.
 
         With a DecodeState, each row of tgt_inputs is the one next token of
@@ -520,7 +516,7 @@ class Seq2SeqModel:
         layers read the earlier positions from the state's caches and
         append this one.  The new position may see every cached one and
         the source is unpadded, so nothing is masked.  Every layer shares
-        one rotary phase table.
+        the masks and one rotary phase table; rng is as for encode.
         """
         if state is None:
             H = self._embed(tgt_inputs, enc)
@@ -535,7 +531,7 @@ class Seq2SeqModel:
             pos = np.arange(state.length, state.length + 1)
         phase = rotation(self.cfg.attention, pos)
         for layer, layer_caches in zip(self.dec_layers, caches):
-            H = layer(H, enc, m_la, m_pad, ctx, layer_caches, phase)
+            H = layer(H, enc, m_la, m_pad, phase, rng, layer_caches)
         return H
 
     def _output_table(self):
@@ -551,10 +547,11 @@ class Seq2SeqModel:
             H = H.with_hidden(l2_normalize(H.hidden))
         return self._project(H, table)
 
-    def forward_batch(self, srcs, tgt_inputs, ctx=_EVAL):
-        """Teacher-forced logits (B, Lt, columns) plus the stream ids."""
-        enc = self.encode(srcs, ctx)
-        dec = self.decode_hidden(tgt_inputs, enc, ctx)
+    def forward_batch(self, srcs, tgt_inputs, rng=None):
+        """Teacher-forced logits (B, Lt, columns) plus the stream ids; rng
+        is the dropout generator, None outside training."""
+        enc = self.encode(srcs, rng)
+        dec = self.decode_hidden(tgt_inputs, enc, rng)
         return self.project_logits(dec), enc.stream_ids
 
     def forward(self, src, tgt_input):

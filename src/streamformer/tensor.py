@@ -318,15 +318,13 @@ def fused(forward, *operands):
     return Tensor(out, tuple(operands[i] for i in live), live_vjp)
 
 
-def dropout(x, rate, rng=None):
-    """Inverted dropout as one node; rate 0 is the identity and adds no
-    node."""
+def dropout(x, rate, rng):
+    """Inverted dropout as one node, its keep mask drawn from rng; rate 0
+    is the identity and adds no node."""
     if rate < 0 or rate >= 1:
         raise ContractError("dropout rate must lie in [0, 1)")
     if rate == 0.0:
         return x
-    if rng is None:
-        raise ContractError("dropout with rate > 0 needs an rng")
 
     def forward(xd):
         keep = (rng.random(xd.shape) >= rate) / (1.0 - rate)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError
-from .model import _EVAL, _TrainCtx, save_model
+from .model import save_model
 from .streams import EOS_ID, SOS_ID
 
 SCALE_MIN = 1.0
@@ -180,18 +180,17 @@ def _label_arrays(model, batch):
 
 
 def train_step(model, batch, opt, dropout_rng=None):
-    """One optimization step over a batch of (src, tgt) id pairs."""
+    """One optimization step over a batch of (src, tgt) id pairs; a model
+    with dropout needs dropout_rng."""
     if not batch:
         raise ContractError("empty batch")
+    if model.cfg.dropout > 0 and dropout_rng is None:
+        raise ContractError("dropout with rate > 0 needs an rng")
     opt.zero_grad()
     srcs = [list(s) for s, _ in batch]
     dec_in = [[SOS_ID] + list(t) for _, t in batch]
     cols, mask = _label_arrays(model, batch)
-    if model.cfg.dropout > 0:
-        ctx = _TrainCtx(model.cfg.dropout, dropout_rng)
-    else:
-        ctx = _EVAL
-    logits, _ = model.forward_batch(srcs, dec_in, ctx)
+    logits, _ = model.forward_batch(srcs, dec_in, dropout_rng)
     if model.cfg.cosine_head:
         if model.adacos is None:
             model.adacos = AdaCosState.initial(model.vocab.total_size)

@@ -23,7 +23,7 @@ from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
 from helpers import (attention_config, dense, gradient_check, mul,
-                     permuted, rows_batch, tsum)
+                     permuted, phases, rows_batch, tsum)
 from oracles import oracle_eval, truth_table_check, unrolled_ltl_eval
 
 
@@ -244,9 +244,10 @@ def test_criterion_6_stream_permutation_equivariance():
 
         H = rand_H(Lq)
         mask = A.padding_mask(H.lengths, Lq, Lq)
+        phase = phases(mha, np.arange(Lq))
 
-        out = A.per_stream_attention(mha, H, mask)
-        out_p = A.per_stream_attention(mha, permuted(H, perm), mask)
+        out = A.per_stream_attention(mha, H, mask, phase)
+        out_p = A.per_stream_attention(mha, permuted(H, perm), mask, phase)
         assert dense(out)[:, perm].tobytes() == dense(out_p).tobytes()
 
         fused = S.aggregate(H).data
@@ -260,22 +261,22 @@ def test_criterion_6_stream_permutation_equivariance():
                         float(np.max(np.abs(logits[..., :3] -
                                             logits_p[..., :3]))))
 
-        out = A.aggregated_attention(mha, H, mask)
-        out_p = A.aggregated_attention(mha, permuted(H, perm), mask)
+        out = A.aggregated_attention(mha, H, mask, phase)
+        out_p = A.aggregated_attention(mha, permuted(H, perm), mask, phase)
         worst_agg = max(worst_agg, float(np.max(np.abs(
             dense(out)[:, perm] - dense(out_p)))))
 
-        out = enc_layer(H, mask)
-        out_p = enc_layer(permuted(H, perm), mask)
+        out = enc_layer(H, mask, phase, None)
+        out_p = enc_layer(permuted(H, perm), mask, phase, None)
         worst_agg = max(worst_agg, float(np.max(np.abs(
             dense(out)[:, perm] - dense(out_p)))))
 
         He = rand_H(Lq + 2)
         m_la = A.look_ahead_mask(H.lengths, Lq)
         m_pad = A.padding_mask(He.lengths, Lq, Lq + 2)
-        out = dec_layer(H, He, m_la, m_pad)
+        out = dec_layer(H, He, m_la, m_pad, phase, None)
         out_p = dec_layer(permuted(H, perm), permuted(He, perm), m_la,
-                          m_pad)
+                          m_pad, phase, None)
         worst_agg = max(worst_agg, float(np.max(np.abs(
             dense(out)[:, perm] - dense(out_p)))))
     ok = worst_agg <= 1e-9

@@ -112,11 +112,12 @@ def test_per_stream_attention_k1_equals_plain_and_batches_agree():
     cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
-    out = A.per_stream_attention(mha, H, None)
+    phase = phases(mha, np.arange(5))
+    out = A.per_stream_attention(mha, H, None, phase)
     for i in range(3):
         solo = rows_batch(dense(H)[:, i:i + 1], dense(H, H.occupancy)[:, i:i + 1],
                           np.ones((1, 1)), H.stream_ids[:, i:i + 1], H.lengths)
-        alone = A.per_stream_attention(mha, solo, None)
+        alone = A.per_stream_attention(mha, solo, None, phase)
         assert np.max(np.abs(dense(alone)[0, 0] - dense(out)[0, i])) == 0.0
 
 
@@ -124,9 +125,10 @@ def test_per_stream_attention_is_permutation_equivariant_bitwise():
     cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=4, L=6, seed=3)
-    out = A.per_stream_attention(mha, H, None)
+    phase = phases(mha, np.arange(6))
+    out = A.per_stream_attention(mha, H, None, phase)
     perm = [3, 1, 0, 2]
-    out_p = A.per_stream_attention(mha, permuted(H, perm), None)
+    out_p = A.per_stream_attention(mha, permuted(H, perm), None, phase)
     assert dense(out)[:, perm].tobytes() == dense(out_p).tobytes()
 
 
@@ -136,9 +138,10 @@ def test_duplicated_stream_gets_identical_output():
     H = make_H(B=1, k=2, L=5, seed=4)
     cells = H.hidden.data.reshape(2, 5, 8)    # (rows, positions, d)
     cells[1] = cells[0]
-    out = dense(A.per_stream_attention(mha, H, None))
+    phase = phases(mha, np.arange(5))
+    out = dense(A.per_stream_attention(mha, H, None, phase))
     assert np.max(np.abs(out[0, 0] - out[0, 1])) <= 1e-12
-    out_a = dense(A.aggregated_attention(mha, H, None))
+    out_a = dense(A.aggregated_attention(mha, H, None, phase))
     assert np.max(np.abs(out_a[0, 0] - out_a[0, 1])) <= 1e-12
 
 
@@ -150,7 +153,7 @@ def test_aggregated_attention_uses_shared_key_buffer():
     cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=3, L=5)
-    out = A.aggregated_attention(mha, H, None)
+    out = A.aggregated_attention(mha, H, None, phases(mha, np.arange(5)))
     fused = S.aggregate(H)
     kv = T.reshape(fused, (1, 1, 5, 8))
     with T.no_grad():
@@ -164,9 +167,10 @@ def test_aggregated_attention_permutation_within_1e9():
     cfg = attention_config(d_model=8, heads=2)
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=4, L=6, seed=8)
-    out = A.aggregated_attention(mha, H, None)
+    phase = phases(mha, np.arange(6))
+    out = A.aggregated_attention(mha, H, None, phase)
     perm = [2, 3, 1, 0]
-    out_p = A.aggregated_attention(mha, permuted(H, perm), None)
+    out_p = A.aggregated_attention(mha, permuted(H, perm), None, phase)
     assert np.max(np.abs(dense(out)[:, perm] - dense(out_p))) <= 1e-9
 
 
@@ -175,11 +179,12 @@ def test_cross_attention_per_requires_alignment():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     Hd = make_H(B=1, k=2, L=4, seed=1)
     He = make_H(B=1, k=3, L=6, seed=2)
+    phase = phases(mha, np.arange(4))
     with pytest.raises(ContractError):
-        A.cross_attention(mha, Hd, He, "per", None)
+        A.cross_attention(mha, Hd, He, "per", None, phase)
     with pytest.raises(ContractError):
-        A.cross_attention(mha, Hd, He, "sideways", None)
-    out = A.cross_attention(mha, Hd, He, "agg", None)
+        A.cross_attention(mha, Hd, He, "sideways", None, phase)
+    out = A.cross_attention(mha, Hd, He, "agg", None, phase)
     assert dense(out).shape == (1, 2, 4, 8)
 
 
@@ -188,13 +193,14 @@ def test_cross_attention_per_stream_pairs_streams():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     Hd = make_H(B=1, k=3, L=4, seed=5)
     He = make_H(B=1, k=3, L=6, seed=6)
-    out = A.cross_attention(mha, Hd, He, "per", None)
+    phase = phases(mha, np.arange(4))
+    out = A.cross_attention(mha, Hd, He, "per", None, phase)
     for i in range(3):
         qd = rows_batch(dense(Hd)[:, i:i + 1], dense(Hd, Hd.occupancy)[:, i:i + 1],
                         np.ones((1, 1)), Hd.stream_ids[:, i:i + 1], Hd.lengths)
         ke = rows_batch(dense(He)[:, i:i + 1], dense(He, He.occupancy)[:, i:i + 1],
                         np.ones((1, 1)), He.stream_ids[:, i:i + 1], He.lengths)
-        alone = A.cross_attention(mha, qd, ke, "per", None)
+        alone = A.cross_attention(mha, qd, ke, "per", None, phase)
         assert np.array_equal(dense(alone)[0, 0], dense(out)[0, i])
 
 
@@ -203,11 +209,12 @@ def test_causal_mask_blocks_future_bitwise():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=1, k=2, L=6, seed=7)
     mask = A.look_ahead_mask([6], 6)
-    out = A.per_stream_attention(mha, H, mask)
+    phase = phases(mha, np.arange(6))
+    out = A.per_stream_attention(mha, H, mask, phase)
     bumped = H.hidden.data.copy()
     bumped.reshape(2, 6, 8)[:, 4] += 10.0  # perturb position 4
     H2 = H.with_hidden(T.Tensor(bumped))
-    out2 = A.per_stream_attention(mha, H2, mask)
+    out2 = A.per_stream_attention(mha, H2, mask, phase)
     assert dense(out)[:, :, :4].tobytes() == dense(out2)[:, :, :4].tobytes()
 
 
@@ -227,7 +234,7 @@ def test_attention_parameter_count_independent_of_k():
     n_params = sum(p.data.size for p in mha.parameters())
     for k in (1, 2, 5):
         H = make_H(B=1, k=k, L=4, seed=k)
-        A.per_stream_attention(mha, H, None)
+        A.per_stream_attention(mha, H, None, phases(mha, np.arange(4)))
         assert sum(p.data.size for p in mha.parameters()) == n_params
 
 
@@ -239,12 +246,13 @@ def test_gradient_check_through_all_attention_variants():
     He = make_H(B=1, k=2, L=4, d=4, seed=2)
     weight = rng.normal(size=(1, 2, 3, 4)).reshape(6, 4)   # per cell
     mask = A.look_ahead_mask([3], 3)
+    phase = phases(mha, np.arange(3))
 
     def loss_fn():
-        a = A.per_stream_attention(mha, Hd, mask)
-        b = A.aggregated_attention(mha, a, mask)
-        c = A.cross_attention(mha, b, He, "per", None)
-        d = A.cross_attention(mha, c, He, "agg", None)
+        a = A.per_stream_attention(mha, Hd, mask, phase)
+        b = A.aggregated_attention(mha, a, mask, phase)
+        c = A.cross_attention(mha, b, He, "per", None, phase)
+        d = A.cross_attention(mha, c, He, "agg", None, phase)
         return tsum(mul(d.hidden, weight))
 
     report = gradient_check(mha.parameters(), loss_fn)
@@ -368,7 +376,8 @@ def test_attention_sublayer_is_three_graph_nodes():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=3, L=5)
     mask = A.look_ahead_mask(np.repeat([5, 4], 3), 5)
-    out = A.per_stream_attention(mha, H, mask).hidden
+    out = A.per_stream_attention(mha, H, mask,
+                                 phases(mha, np.arange(5))).hidden
     inputs = {id(H.hidden)} | {id(p.tensor) for p in mha.parameters()}
     nodes, todo = set(), [out]
     while todo:
@@ -390,8 +399,9 @@ def test_fused_attention_forward_backward_deterministic_bitwise():
         H = rows_batch(x.tensor, np.zeros((2, 3, 5)), np.ones((2, 3)),
                        np.tile(np.arange(3, 6), (2, 1)), np.full(2, 5))
         mask = A.look_ahead_mask(np.repeat([5, 3], 3), 5)
-        a = A.per_stream_attention(mha, H, mask)
-        b = A.aggregated_attention(mha, a, mask)
+        phase = phases(mha, np.arange(5))
+        a = A.per_stream_attention(mha, H, mask, phase)
+        b = A.aggregated_attention(mha, a, mask, phase)
         loss = tsum(mul(b.hidden, b.hidden))
         T.backward(loss)
         return [loss.data.tobytes(), x.grad.tobytes()] + \

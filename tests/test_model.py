@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import streamformer.attention as At
 import streamformer.model as M
 import streamformer.tensor as T
 from streamformer.attention import (FIRST_CAPACITY, KVCache,
@@ -160,8 +161,9 @@ def test_encoder_layer_wiring_matches_manual_composition():
     m = small_model()
     H = pack_sequences([[A, AMP, B], [B, BANG, B, A]], m.embedding.tensor, VOCAB)
     mask = padding_mask(H.lengths[H.rows.seq], H.length, H.length)
+    phase = At.rotation(cfg.attention, np.arange(H.length))
 
-    out = layer(H, mask)
+    out = layer(H, mask, phase, None)
 
     def wrap(Hc, sub, norm):
         return Hc.with_hidden(T.add_layer_norm(
@@ -169,9 +171,9 @@ def test_encoder_layer_wiring_matches_manual_composition():
 
     (_, self_attn, self_norm), (_, agg_attn, agg_norm) = layer.subs
     Hm = H
-    s = per_stream_attention(self_attn, Hm, mask)
+    s = per_stream_attention(self_attn, Hm, mask, phase)
     Hm = wrap(Hm, s.hidden, self_norm)
-    s = aggregated_attention(agg_attn, Hm, mask)
+    s = aggregated_attention(agg_attn, Hm, mask, phase)
     Hm = wrap(Hm, s.hidden, agg_norm)
     Hm = wrap(Hm, layer.ffn(Hm.hidden), layer.ffn_norm)
     assert out.hidden.data.tobytes() == Hm.hidden.data.tobytes()
@@ -580,6 +582,50 @@ def test_cached_rows_follow_their_parents_after_select(cls):
     for row, prefix in zip(rows, ([C, AMP], [A, A], [C, BANG])):
         forced = m.forward(src, [SOS_ID] + prefix).data
         finite_close(row, forced[-1], 1e-12)
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_select_keeps_only_rows_the_state_holds(cls):
+    # before the first step the self-attention caches hold nothing, so two
+    # start rows step exactly as the one row would; an empty selection or
+    # a row outside the current ones is refused
+    m = cls(ModelConfig(cross_modes=("per", "agg"), **TINY), VOCAB, seed=4)
+    src = [B, AMP, A, BANG, C]
+    state = m.begin_decode(src)
+    one = m.step_logits(state, [SOS_ID])
+    pair = m.begin_decode(src)
+    pair.select([0, 0])
+    two = m.step_logits(pair, [SOS_ID, SOS_ID])
+    assert two[0].tobytes() == two[1].tobytes()
+    # the flat projection scores one row as a GEMV and two as a GEMM
+    finite_close(two[0], one[0], 0.0 if cls is Seq2SeqModel else 1e-15)
+    for rows in ([], [5], [-1], [0, 1]):
+        with pytest.raises(ContractError):
+            state.select(rows)
+    assert m.step_logits(state, [A]).shape == one.shape
+
+
+def test_one_rotary_table_per_pass(monkeypatch):
+    # the encoder and the decoder each look one table up and share it
+    # with every layer; cross_kv adds one per cross sublayer for the
+    # encoder positions, and a cached step needs only its own position's
+    vocab = task_vocabulary("prop", 4)
+    m = Seq2SeqModel(ModelConfig(), vocab, seed=0)
+    calls = []
+    for module in (At, M):
+        real = module.rotation
+        monkeypatch.setattr(module, "rotation", lambda cfg, pos, real=real:
+                            calls.append(1) or real(cfg, pos))
+    srcs = [vocab.encode("&a|b!c"), vocab.encode("|ad")]
+    m.forward_batch(srcs, [[SOS_ID] + s for s in srcs])
+    assert len(calls) == 4
+    del calls[:]
+    state = m.begin_decode(srcs[0])
+    assert len(calls) == 3
+    for tok in (SOS_ID, vocab.encode("a")[0]):
+        del calls[:]
+        m.step_logits(state, [tok])
+        assert len(calls) == 1
 
 
 def test_beam_rejects_zero_width():

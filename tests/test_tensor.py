@@ -500,8 +500,8 @@ def test_backward_frees_interior_gradients():
 
 def test_dropout_identity_at_zero_and_scaling():
     x = T.Tensor(np.ones((4, 4)))
-    assert T.dropout(x, 0.0) is x
     rng = np.random.default_rng(0)
+    assert T.dropout(x, 0.0, rng) is x
     y = T.dropout(x, 0.5, rng)
     vals = np.unique(y.data)
     assert set(vals).issubset({0.0, 2.0})

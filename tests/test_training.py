@@ -8,7 +8,7 @@ import streamformer.tensor as T
 from streamformer.errors import ContractError, VocabularyError
 from streamformer.logic import gen_prop, task_vocabulary
 from streamformer.model import ModelConfig, Seq2SeqModel, decode_greedy, load_model
-from streamformer.streams import EOS_ID, RESERVED, Vocabulary
+from streamformer.streams import EOS_ID, RESERVED, SOS_ID, Vocabulary
 from streamformer.training import (Adam, AdaCosState, TrainConfig,
                                    adacos_update, fit, sequence_loss,
                                    train_step)
@@ -243,7 +243,7 @@ def test_train_step_aborts_on_non_finite_loss():
         def label_columns(self, src, tgt):
             return [0] * len(tgt)
 
-        def forward_batch(self, srcs, dec_in, ctx):
+        def forward_batch(self, srcs, dec_in, rng):
             bad = np.zeros((1, len(dec_in[0]), 3))
             bad[0, 0, 1] = np.nan    # one poisoned competitor column
             return mul(index(self.p.tensor, 0), bad), None
@@ -261,3 +261,17 @@ def test_dropout_training_still_deterministic(tmp_path):
         metrics = fit(m, [([A, B], [A, B]), ([B, C], [B, C])], cfg)
         outs.append([x["loss"] for x in metrics])
     assert outs[0] == outs[1]
+
+
+def test_dropout_needs_its_generator_only_in_training():
+    # without a generator, a dropout model refuses to train and changes
+    # nothing; outside training it drops nothing, so its logits repeat
+    m = Seq2SeqModel(ModelConfig(dropout=0.2, **TINY), VOCAB, seed=4)
+    before = [p.data.tobytes() for p in m.parameters()]
+    with pytest.raises(ContractError):
+        train_step(m, [([A, B], [A, B])], Adam(m.parameters(), warmup=0))
+    assert [p.data.tobytes() for p in m.parameters()] == before
+    assert m.adacos is None
+    srcs, dec_in = [[A, AMP, B], [B, C]], [[SOS_ID, A, B], [SOS_ID, C]]
+    first = m.forward_batch(srcs, dec_in)[0].data
+    assert m.forward_batch(srcs, dec_in)[0].data.tobytes() == first.tobytes()
