@@ -123,12 +123,13 @@ class MultiHeadAttention:
         return (self._heads(k_in, self.wk, phase, grid),
                 self._heads(v_in, self.wv, None, grid))
 
-    def attend(self, q_in, k, v, mask, phase, *, grid=None):
-        """Attention of q_in (...,Lq,d), or the (P, d) cells of a grid
-        (N, Lq), over heads k, v from project_kv; returns the output in
-        q_in's shape.  mask is a (rows, Lq, Lk) keep-mask, True where a
-        query may see a key, its rows going with the entries of the first
-        leading axis; a query row that sees no key raises ContractError.
+    def attend(self, q_in, k, v, mask, phase, *, grid):
+        """Attention of q_in, the (P, d) cells of grid (N, Lq), over heads
+        k, v from project_kv; returns the output in q_in's shape.  A grid
+        with no index, Grid(q_in.shape[:-1]), takes q_in (...,Lq,d) as it
+        is.  mask is a (rows, Lq, Lk) keep-mask, True where a query may see
+        a key, its rows going with the entries of the first leading axis;
+        a query row that sees no key raises ContractError.
         phase is the rotation() table of the queries' positions (None
         leaves them unrotated).
 
@@ -140,8 +141,6 @@ class MultiHeadAttention:
         """
         h, hd = self.cfg.heads, self.cfg.head_dim
         scale = 1.0 / np.sqrt(hd)
-        if grid is None:
-            grid = Grid(q_in.shape[:-1])
         drop = None if mask is None else ~mask.reshape(
             mask.shape[:1] + (1,) * (len(grid.shape) - 1) + mask.shape[1:])
 

@@ -356,9 +356,10 @@ def certify_invariance(model=None, n_trials=500, seed=0, task=None,
     """Randomized renaming-invariance certification.
 
     With no model given, a fresh untrained model is built per task and the
-    trials are split across all three; the property is architectural, so
-    arbitrary weights are the honest default.  A supplied model is
-    certified on its own task (which must be named) with all trials.
+    trials are split across all three, at least one each; the property is
+    architectural, so arbitrary weights are the honest default.  A
+    supplied model is certified on its own task (which must be named) with
+    all trials.
     Pass requires every trial to decode token-identically under renaming
     with aligned teacher-forced logits within 1e-6.
     """
@@ -372,6 +373,9 @@ def certify_invariance(model=None, n_trials=500, seed=0, task=None,
         if task is not None and task not in _CERT_TASKS:
             raise ContractError(f"unknown task {task!r}")
         tasks = (task,) if task else _CERT_TASKS
+        if n_trials < len(tasks):
+            raise ContractError(f"n_trials must be at least {len(tasks)}, "
+                                f"one per task certified")
         share = n_trials // len(tasks)
         counts = [share + (1 if i < n_trials % len(tasks) else 0)
                   for i in range(len(tasks))]

@@ -119,15 +119,6 @@ class ModelConfig:
     def attention(self):
         return AttentionConfig(self.d_model, self.heads, self.rope_base)
 
-    @property
-    def code(self):
-        """Ablation code, e.g. "EP-DP-EA-DA-CP"."""
-        parts = [tok for tok, use in _SUBLAYER_CODES.items()
-                 if getattr(self, use)]
-        parts += [tok for mode in self.cross_modes
-                  for tok, m in _CROSS_CODES.items() if m == mode]
-        return "-".join(parts)
-
     @staticmethod
     def from_code(code, **overrides):
         """Build a config from an ablation code like "EP-DP-EA-CP"; the
@@ -759,11 +750,16 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint written by save_model."""
+    """Rebuild a model from a checkpoint written by save_model; a kind
+    that names neither model class raises ContractError."""
     arrays, meta = T.load_checkpoint(path)
     if meta.get("format") != "streamformer-model v1":
         raise ContractError("checkpoint does not hold a model")
-    cls = FlatVocabTransformer if meta.get("kind") == "FlatVocabTransformer" else Seq2SeqModel
+    kind = meta.get("kind")
+    cls = next((c for c in (Seq2SeqModel, FlatVocabTransformer)
+                if c.__name__ == kind), None)
+    if cls is None:
+        raise ContractError(f"checkpoint holds an unknown model kind {kind!r}")
     try:
         cfg = ModelConfig.from_dict(meta["config"])
         vocab = Vocabulary(tuple(meta["vocab"]["base"]),

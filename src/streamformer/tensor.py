@@ -3,10 +3,11 @@
 Every operation builds a node in an implicit computation graph: the output
 tensor remembers its parent tensors and a vector-Jacobian closure.  Calling
 ``backward`` on a scalar walks the graph once in reverse topological order
-and sums the gradients reaching each node into its ``.grad``.  Non-Tensor
-operands (numpy arrays, python scalars) are treated as constants and
-receive no gradient, which keeps masks and positional tables out of the
-graph.
+and sums the gradients reaching each node into its ``.grad``.  While a
+graph is recorded every operand of a node is a Tensor; a node's constants
+(masks, phase tables) live inside its forward function instead.  Under
+``no_grad`` an operand may also be a plain array, such as a decode step's
+cached keys and values.
 
 Every node is built by ``fused``, from a forward function that returns
 its output and a hand-written vjp.  The model's nodes are few and large:
@@ -103,13 +104,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
@@ -146,23 +140,20 @@ _tensor_data = Tensor.data.__get__   # raises TypeError on a non-Tensor
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to the operand's shape."""
+    """Sum a gradient back to its operand's shape: g's own shape, or g's
+    trailing shape (a gain or a bias), summed over the leading axes.  Any
+    other broadcast raises DimensionError."""
     if g.shape == shape:
         return g
     if g.shape[g.ndim - len(shape):] == shape:
-        # the operand is g's trailing shape (a gain or a bias): one sum
         return g.reshape(-1, *shape).sum(axis=0)
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    raise DimensionError(f"cannot sum a {g.shape} gradient to shape {shape}")
 
 
 # add, sub and relu stay because the benchmark's checks build graphs from them
 def add(a, b):
+    """a + b, where the shapes are equal or one is the other's trailing
+    shape; the gradient is summed back to each over the leading axes."""
     def forward(ad, bd):
         return ad + bd, lambda g: (_unbroadcast(g, ad.shape),
                                    _unbroadcast(g, bd.shape))
@@ -171,6 +162,8 @@ def add(a, b):
 
 
 def sub(a, b):
+    """a - b, on the shapes add takes, with the gradient summed the same
+    way."""
     def forward(ad, bd):
         return ad - bd, lambda g: (_unbroadcast(g, ad.shape),
                                    _unbroadcast(-g, bd.shape))
@@ -294,28 +287,20 @@ def fused(forward, *operands):
 
     forward(*arrays) receives the operands' data and returns (output, vjp),
     where vjp(g) gives a gradient for every operand at once, so they can
-    share intermediate results.  Operands that are not Tensors are
-    constants: their gradients are dropped.
+    share intermediate results.  While a graph is recorded every operand
+    must be a Tensor, or ContractError is raised; under no_grad an operand
+    may be a constant array.
     """
     try:
         arrays = tuple(map(_tensor_data, operands))
     except TypeError:   # a constant among them
+        if _GRAD_ENABLED:
+            raise ContractError("fused: a constant operand while a graph "
+                                "is recorded") from None
         arrays = [o.data if type(o) is Tensor
                   else np.asarray(o, dtype=np.float64) for o in operands]
     out, vjp = forward(*arrays)
-    if not _GRAD_ENABLED:
-        return Tensor(out)
-    live = [i for i, o in enumerate(operands) if isinstance(o, Tensor)]
-    if not live:
-        return Tensor(out)
-    if len(live) == len(operands):
-        return Tensor(out, operands, vjp)
-
-    def live_vjp(g):
-        grads = vjp(g)
-        return [grads[i] for i in live]
-
-    return Tensor(out, tuple(operands[i] for i in live), live_vjp)
+    return Tensor(out, operands, vjp)
 
 
 def dropout(x, rate, rng):

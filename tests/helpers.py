@@ -4,7 +4,7 @@ import numpy as np
 import streamformer.attention as A
 import streamformer.tensor as T
 from streamformer.errors import ContractError, DimensionError, VocabularyError
-from streamformer.model import ModelConfig
+from streamformer.model import _CROSS_CODES, _SUBLAYER_CODES, ModelConfig
 from streamformer.streams import AlphaRenaming, Grid, Rows, StreamBatch
 
 
@@ -50,10 +50,10 @@ def gradient_check(params, loss_fn, h=1e-4):
             orig = flat[i]
             flat[i] = orig + h
             with T.no_grad():
-                lp = loss_fn().item()
+                lp = float(loss_fn().data)
             flat[i] = orig - h
             with T.no_grad():
-                lm = loss_fn().item()
+                lm = float(loss_fn().data)
             flat[i] = orig
             fd = (lp - lm) / (2.0 * h)
             rel = abs(ga[i] - fd) / max(1e-3, abs(ga[i]) + abs(fd))
@@ -68,7 +68,19 @@ def gradient_check(params, loss_fn, h=1e-4):
 # elementary autodiff ops: the oracles spell the fused nodes out with them,
 # one graph node per step, and tests build small graphs from them
 
-_unbroadcast = T._unbroadcast
+def _unbroadcast(g, shape):
+    """Sum a broadcast gradient back down to the operand's shape: the
+    package's equal and trailing-shape cases, then any leading axes and
+    size-1 axes it broadcast along."""
+    if g.shape == shape or g.shape[g.ndim - len(shape):] == shape:
+        return T._unbroadcast(g, shape)
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
 
 
 def _data(x):
@@ -93,6 +105,20 @@ def _node(out_data, srcs, grad_fns):
         return tuple(fn(g) for fn in fns)
 
     return T.Tensor(out_data, tuple(parents), vjp)
+
+
+def add(a, b):
+    ad, bd = _data(a), _data(b)
+    return _node(ad + bd, (a, b),
+                 (lambda g: _unbroadcast(g, ad.shape),
+                  lambda g: _unbroadcast(g, bd.shape)))
+
+
+def sub(a, b):
+    ad, bd = _data(a), _data(b)
+    return _node(ad - bd, (a, b),
+                 (lambda g: _unbroadcast(g, ad.shape),
+                  lambda g: _unbroadcast(-g, bd.shape)))
 
 
 def mul(a, b):
@@ -249,6 +275,8 @@ def rows_batch(hidden, occupancy, active, stream_ids, lengths):
     rows = Rows(active.sum(axis=1))
     cells = active[:, :, None] & (np.arange(L) < lengths[:, None, None])
     keep = np.flatnonzero(cells)
+    if not isinstance(hidden, T.Tensor):
+        hidden = T.Tensor(hidden)
     h = T.reshape(hidden, (B * k * L, hidden.shape[-1]))
     if len(keep) < B * k * L:
         h = T.gather_rows(h, keep)
@@ -291,6 +319,16 @@ def shared_by_streams(x, streams):
     return T.reshape(rows, (b, streams) + x.shape[2:])
 
 
+def ablation_code(cfg):
+    """The ablation code of a ModelConfig, e.g. "EP-DP-EA-DA-CP": the
+    inverse of ModelConfig.from_code."""
+    parts = [tok for tok, use in _SUBLAYER_CODES.items()
+             if getattr(cfg, use)]
+    parts += [tok for mode in cfg.cross_modes
+              for tok, m in _CROSS_CODES.items() if m == mode]
+    return "-".join(parts)
+
+
 def attention_config(d_model, heads):
     """An AttentionConfig at ModelConfig's rotary base."""
     return A.AttentionConfig(d_model, heads, ModelConfig.rope_base)
@@ -309,4 +347,5 @@ def attention(mha, q_in, k_in, v_in, mask, q_positions, k_positions):
     if k.shape[1] < q_in.shape[1]:
         k = shared_by_streams(k, q_in.shape[1])
         v = shared_by_streams(v, q_in.shape[1])
-    return mha.attend(q_in, k, v, mask, phases(mha, q_positions))
+    return mha.attend(q_in, k, v, mask, phases(mha, q_positions),
+                      grid=Grid(q_in.shape[:-1]))

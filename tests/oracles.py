@@ -18,8 +18,8 @@ from streamformer import logic as L
 from streamformer import tensor as T
 from streamformer.errors import ContractError
 
-from helpers import (concat, div, exp, index, log, matmul, mul, sqrt,
-                     take_along_last, transpose, tsum)
+from helpers import (add, concat, div, exp, index, log, matmul, mul, sqrt,
+                     sub, take_along_last, transpose, tsum)
 
 
 def naive_matmul(a, b):
@@ -113,8 +113,8 @@ def composed_heads(x, w, heads, positions=None, base=10000.0):
         cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
         ev = index(y, (Ellipsis, slice(0, None, 2)))
         od = index(y, (Ellipsis, slice(1, None, 2)))
-        re = T.sub(mul(ev, cos), mul(od, sin))
-        im = T.add(mul(ev, sin), mul(od, cos))
+        re = sub(mul(ev, cos), mul(od, sin))
+        im = add(mul(ev, sin), mul(od, cos))
         pair = (b, k, L, heads, hd // 2, 1)
         y = T.reshape(concat([T.reshape(re, pair), T.reshape(im, pair)],
                                axis=-1), (b, k, L, heads, hd))
@@ -128,8 +128,8 @@ def composed_attend(q, k, v, wo, keep=None):
     hd = q.shape[-1]
     s = mul(matmul(q, transpose(k, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(hd))
     if keep is not None:
-        s = T.add(s, np.where(keep[:, None, None], 0.0, -np.inf))
-    e = exp(T.sub(s, s.data.max(axis=-1, keepdims=True)))
+        s = add(s, np.where(keep[:, None, None], 0.0, -np.inf))
+    e = exp(sub(s, s.data.max(axis=-1, keepdims=True)))
     p = div(e, tsum(e, axis=-1, keepdims=True))
     ctx = matmul(p, v)
     b, kk, h, Lq, _ = ctx.shape
@@ -141,22 +141,22 @@ def composed_add_layer_norm(x, y, gain, bias, eps=1e-5):
     """Layer norm of x + y over the last axis, scaled and shifted; one
     elementary op per step."""
     n = x.shape[-1]
-    s = T.add(x, y)
-    c = T.sub(s, mul(tsum(s, axis=-1, keepdims=True), 1.0 / n))
+    s = add(x, y)
+    c = sub(s, mul(tsum(s, axis=-1, keepdims=True), 1.0 / n))
     var = mul(tsum(mul(c, c), axis=-1, keepdims=True), 1.0 / n)
-    return T.add(mul(div(c, sqrt(T.add(var, eps))), gain), bias)
+    return add(mul(div(c, sqrt(add(var, eps))), gain), bias)
 
 
 def composed_feed_forward(x, w1, b1, w2, b2):
     """relu(x @ w1 + b1) @ w2 + b2; elementary ops only."""
-    h = T.relu(T.add(matmul(x, w1), b1))
-    return T.add(matmul(h, w2), b2)
+    h = T.relu(add(matmul(x, w1), b1))
+    return add(matmul(h, w2), b2)
 
 
 def composed_l2_normalize(x):
     """x over its row norm, sqrt(|x|^2 + 1e-12); elementary ops only."""
     s = tsum(mul(x, x), axis=-1, keepdims=True)
-    return div(x, sqrt(T.add(s, 1e-12)))
+    return div(x, sqrt(add(s, 1e-12)))
 
 
 def composed_sequence_loss(logits, labels, mask, scale):
@@ -171,10 +171,10 @@ def composed_sequence_loss(logits, labels, mask, scale):
     m = np.max(np.where(np.isfinite(zd), zd, -np.inf), axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise ContractError("every position needs at least one finite logit")
-    e = exp(T.sub(z, m))
-    lse = T.add(log(tsum(e, axis=-1)), m[..., 0])
+    e = exp(sub(z, m))
+    lse = add(log(tsum(e, axis=-1)), m[..., 0])
     picked = take_along_last(z, labels)
-    nll = T.sub(lse, picked)
+    nll = sub(lse, picked)
     return div(tsum(mul(nll, np.asarray(mask, dtype=np.float64))),
                float(np.asarray(mask).sum()))
 

@@ -22,8 +22,8 @@ from streamformer.model import (DecoderLayer, EncoderLayer,
 from streamformer.streams import EOS_ID, SOS_ID
 from streamformer.training import TrainConfig, fit
 
-from helpers import (attention_config, dense, gradient_check, mul,
-                     permuted, phases, rows_batch, tsum)
+from helpers import (ablation_code, attention_config, dense, gradient_check,
+                     mul, permuted, phases, rows_batch, tsum)
 from oracles import oracle_eval, truth_table_check, unrolled_ltl_eval
 
 
@@ -308,11 +308,11 @@ def test_criterion_7_ablation_plumbing():
         }
         for prefix, expected in wired.items():
             present = any(n.startswith(prefix) for n in names)
-            assert present == expected, (cfg.code, prefix)
+            assert present == expected, (ablation_code(cfg), prefix)
         hist = fit(m, pairs, tc)
         assert len(hist) == 100
         assert all(np.isfinite(h["loss"]) and np.isfinite(h["grad_norm"])
-                   for h in hist), cfg.code
+                   for h in hist), ablation_code(cfg)
         trained += 1
     _report(7, "all 27 sublayer configurations wire the right parameters "
             "and train 100 steps", trained == 27, f"{trained} configs")

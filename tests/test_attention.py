@@ -159,7 +159,7 @@ def test_aggregated_attention_uses_shared_key_buffer():
     with T.no_grad():
         k, v = mha.project_kv(kv, kv, phases(mha, np.arange(5)))
         out2 = mha.attend(T.Tensor(dense(H)), k, v, None,
-                          phases(mha, np.arange(5)))
+                          phases(mha, np.arange(5)), grid=S.Grid((1, 3, 5)))
     assert dense(out).tobytes() == out2.data.tobytes()
 
 
@@ -278,7 +278,8 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
         if kv_shape[1] < q_shape[1]:
             k = shared_by_streams(k, q_shape[1])
             v = shared_by_streams(v, q_shape[1])
-        return mha.attend(xq.tensor, k, v, mask, phases(mha, q_pos))
+        return mha.attend(xq.tensor, k, v, mask, phases(mha, q_pos),
+                          grid=S.Grid(q_shape[:-1]))
 
     def composed():
         h = cfg.heads
@@ -322,7 +323,7 @@ def test_fused_nodes_match_composition(case):
 
 def test_fused_nodes_match_composition_on_a_cached_decode_step():
     # one new position attends over cached keys and values: those are
-    # constants, so the gradients reach the query side only
+    # leaves of their own, so the gradients reach the query side only
     cfg = attention_config(d_model=8, heads=2)
     rng = np.random.default_rng(41)
     mha = A.MultiHeadAttention("t", cfg, rng)
@@ -334,7 +335,8 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, phases(mha, [4])))
     leaves = [x, mha.wq, mha.wo]
     zero_grads(leaves)
-    out = mha.attend(x.tensor, k, v, None, phases(mha, [4]))
+    out = mha.attend(x.tensor, T.Tensor(k), T.Tensor(v), None,
+                     phases(mha, [4]), grid=S.Grid((2, 3, 1)))
     T.backward(tsum(mul(out, up)))
     got = {p.name: p.grad.copy() for p in leaves}
     assert mha.wk.grad is None and mha.wv.grad is None

@@ -8,6 +8,8 @@ from streamformer.errors import ContractError, ResourceError
 from streamformer.logic import Dataset
 from streamformer.model import load_model
 
+from helpers import ablation_code
+
 TINY_CFG = ("d_model=16\nheads=2\nffn_dim=32\n"
             "enc_layers=1\ndec_layers=1\n"
             "steps=25\nbatch_size=4\nlog_every=100\n")
@@ -203,6 +205,21 @@ def test_checkpoint_claiming_more_bytes_than_it_holds_exits_2(workdir, capsys):
     fails_with_one_line(capsys, "certify", "--model", "big.ckpt")
 
 
+def test_checkpoint_of_unknown_model_kind_exits_2(workdir, capsys):
+    # a flat model relabelled with a misspelt kind; at 2 symbols it would
+    # load as a stream model with every name and shape matching
+    from streamformer.logic import task_vocabulary
+    from streamformer.model import FlatVocabTransformer, ModelConfig, save_model
+    from streamformer.tensor import load_checkpoint, save_checkpoint
+    save_model(FlatVocabTransformer(ModelConfig(d_model=16, heads=2, ffn_dim=8,
+                                                enc_layers=1, dec_layers=1),
+                                    task_vocabulary("prop", 2)), "flat.ckpt")
+    arrays, meta = load_checkpoint("flat.ckpt")
+    save_checkpoint("m.ckpt", arrays, dict(meta, kind="FlatVocabTransformr"))
+    fails_with_one_line(capsys, "certify", "--model", "m.ckpt", "--task",
+                        "prop", "--trials", "1", "--max-len", "4")
+
+
 def test_dataset_not_utf8_exits_2(workdir, capsys):
     (workdir / "bad.tsv").write_bytes(b"#task=prop aps=3\n\xff\xfe\ta\n")
     fails_with_one_line(capsys, "train", "--data", "bad.tsv")
@@ -235,6 +252,7 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
     ("heatmap", "--model", "m.ckpt", "--task", "prop", "--aps", "2",
      "--lengths", "3,y"),
     ("certify", "--trials", "1", "--max-len", "-3"),
+    ("certify", "--trials", "2", "--max-len", "4"),
     ("eval", "--model", "m.ckpt", "--data", "p.tsv", "--max-len", "0"),
     ("eval", "--model", "m.ckpt", "--data", "p.tsv", "--beam", "2",
      "--max-len", "0"),
@@ -256,6 +274,7 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
         "negative-pair-count", "time-list-not-integers",
         "time-repeated-counts", "heatmap-aps-not-integers",
         "heatmap-lengths-not-integers", "certify-negative-max-len",
+        "certify-fewer-trials-than-tasks",
         "eval-zero-max-len", "eval-beam-zero-max-len",
         "alpha-cov-zero-max-len", "topn-zero-max-len", "eval-zero-beam",
         "eval-negative-beam", "heatmap-negative-beam",
@@ -304,7 +323,7 @@ def test_config_parsing_and_model_mapping(workdir):
 
     (workdir / "code.cfg").write_text("code=EP-DP-CA\nd_model=24\n")
     mc = cli._model_config(cli.load_config(workdir / "code.cfg"))
-    assert mc.code == "EP-DP-CA" and mc.d_model == 24
+    assert ablation_code(mc) == "EP-DP-CA" and mc.d_model == 24
 
     (workdir / "one.cfg").write_text("cross_modes=agg\n")
     assert cli._model_config(

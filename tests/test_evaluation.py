@@ -329,6 +329,8 @@ def test_certify_single_task_and_argument_checks():
     assert rep.per_task[0].trials == 4
     with pytest.raises(ContractError):
         E.certify_invariance(n_trials=0)
+    with pytest.raises(ContractError):     # fresh models: one trial per task
+        E.certify_invariance(n_trials=2)
     with pytest.raises(ContractError):
         E.certify_invariance(task="sorting", n_trials=2)
     vocab = L.task_vocabulary("prop", 3)

@@ -20,8 +20,8 @@ from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
                                   Vocabulary, pack_sequences)
 from streamformer.training import TrainConfig, fit, sequence_loss
 
-from helpers import (gradient_check, identity_renaming, mul, tsum,
-                     zero_grads)
+from helpers import (ablation_code, gradient_check, identity_renaming, mul,
+                     tsum, zero_grads)
 from oracles import (composed_add_layer_norm, composed_dropout,
                      composed_feed_forward, composed_l2_normalize,
                      composed_sequence_loss)
@@ -51,11 +51,11 @@ def test_config_code_round_trip():
     cfg = ModelConfig.from_code("EP-DP-EA-DA-CP")
     assert cfg.use_ep and cfg.use_ea and cfg.use_dp and cfg.use_da
     assert cfg.cross_modes == ("per",)
-    assert cfg.code == "EP-DP-EA-DA-CP"
+    assert ablation_code(cfg) == "EP-DP-EA-DA-CP"
     cfg2 = ModelConfig.from_code("EA-DP-CA-CP")
     assert not cfg2.use_ep and not cfg2.use_da
     assert cfg2.cross_modes == ("agg", "per")
-    assert cfg2.code == "DP-EA-CA-CP"
+    assert ablation_code(cfg2) == "DP-EA-CA-CP"
 
 
 def test_config_validation():
@@ -556,7 +556,7 @@ def ablation_configs():
 def test_cached_steps_match_teacher_forcing_for_every_ablation(cls):
     src, tgt = [A, AMP, C, BANG, A], [C, AMP, A, A, BANG]
     configs = ablation_configs()
-    assert len({cfg.code for cfg in configs}) == 27
+    assert len({ablation_code(cfg) for cfg in configs}) == 27
     for cfg in configs:
         m = cls(cfg, VOCAB, seed=3)
         forced = m.forward(src, [SOS_ID] + tgt).data
@@ -845,5 +845,13 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
                       {"format": "streamformer-model v1", "config": cfg,
                        "vocab": {"base": list(VOCAB.base_tokens),
                                  "inter": list(VOCAB.inter_tokens)}})
+    with pytest.raises(ContractError):
+        load_model(p)
+    # a flat model's checkpoint under a misspelt kind: at 2 symbols its
+    # parameters have the stream model's names and shapes
+    save_model(FlatVocabTransformer(ModelConfig(**TINY),
+                                    task_vocabulary("prop", 2)), p)
+    arrays, meta = T.load_checkpoint(p)
+    T.save_checkpoint(p, arrays, dict(meta, kind="FlatVocabTransformr"))
     with pytest.raises(ContractError):
         load_model(p)

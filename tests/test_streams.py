@@ -6,8 +6,8 @@ from streamformer import streams as S
 from streamformer import tensor as T
 from streamformer.errors import ContractError, VocabularyError
 
-from helpers import (dense, gradient_check, identity_renaming, mul, permuted,
-                     rows_batch, stream_lookup_ids, tsum)
+from helpers import (add, dense, gradient_check, identity_renaming, mul,
+                     permuted, rows_batch, stream_lookup_ids, tsum)
 
 RNG = np.random.default_rng(11)
 
@@ -305,8 +305,8 @@ def test_gradients_flow_through_aggregate_and_project():
         H = S.pack_sequences([[1, 3, 4, 2]], Wp.tensor, v)
         g = S.aggregate(H)
         # the sequence's two rows of four cells each add the aggregate
-        hidden = T.reshape(T.add(T.reshape(H.hidden, (2, 4, 6)),
-                                 T.reshape(g, (1, 4, 6))), (8, 6))
+        hidden = T.reshape(add(T.reshape(H.hidden, (2, 4, 6)),
+                               T.reshape(g, (1, 4, 6))), (8, 6))
         logits = S.project(H.with_hidden(hidden), Wp.tensor)
         return tsum(mul(logits, weight))
 

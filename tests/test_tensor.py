@@ -6,10 +6,11 @@ import pytest
 from streamformer import attention as A
 from streamformer import tensor as T
 from streamformer.errors import ContractError, DimensionError
+from streamformer.streams import Grid
 
-from helpers import (attention_config, concat, div, exp, gradient_check, index,
-                     log, matmul, mul, phases, sqrt, take_along_last,
-                     transpose, tsum, zero_grads)
+from helpers import (add, attention_config, concat, div, exp, gradient_check,
+                     index, log, matmul, mul, phases, sqrt, sub,
+                     take_along_last, transpose, tsum, zero_grads)
 from oracles import (finite_difference, naive_layer_norm, naive_matmul,
                      naive_rope, naive_softmax)
 
@@ -78,7 +79,8 @@ def _one_hot_attention(Lq, Lk):
 
 def _attention_weights(mha, v, q_in, k_in, mask, pos_q, pos_k):
     k, _ = mha.project_kv(T.Tensor(k_in), v, phases(mha, pos_k))
-    return mha.attend(T.Tensor(q_in), k, v, mask, phases(mha, pos_q)).data
+    return mha.attend(T.Tensor(q_in), k, v, mask, phases(mha, pos_q),
+                      grid=Grid(q_in.shape[:-1])).data
 
 
 def test_softmax_rows_matches_oracle_and_masks():
@@ -156,7 +158,7 @@ def test_layer_norm_constant_vector_yields_bias():
     x = np.full((1, 8), 3.25)
     gain = np.ones(8)
     bias = RNG.normal(size=8)
-    got = T.add_layer_norm(T.Tensor(x), 0.0, T.Tensor(gain),
+    got = T.add_layer_norm(T.Tensor(x), T.Tensor(0.0), T.Tensor(gain),
                            T.Tensor(bias)).data
     assert np.allclose(got[0], bias, atol=1e-12)
 
@@ -255,10 +257,10 @@ def test_backward_composite_matches_finite_differences():
 
     def loss_fn():
         y = matmul(a.tensor, b.tensor)
-        y = T.add_layer_norm(y, 0.0, g.tensor, c.tensor)
+        y = T.add_layer_norm(y, T.Tensor(0.0), g.tensor, c.tensor)
         y = exp(y)
         y = div(y, tsum(y, axis=-1, keepdims=True))
-        y = T.relu(T.sub(y, 0.1))
+        y = T.relu(sub(y, 0.1))
         return tsum(mul(y, y))
 
     report = gradient_check([a, b, g, c], loss_fn)
@@ -329,7 +331,7 @@ def test_mean_sum_div_grads():
 
     def loss_fn():
         m = mul(tsum(x.tensor, axis=1, keepdims=True), 1.0 / 3)
-        return tsum(div(x.tensor, T.add(m, 1.0)))
+        return tsum(div(x.tensor, add(m, 1.0)))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
 
@@ -368,10 +370,52 @@ def test_softmax_masked_gradient():
     def loss_fn():
         k, _ = mha.project_kv(x.tensor, v, phases(mha, np.arange(6.0)))
         y = mha.attend(index(x.tensor, (slice(None), slice(None), slice(0, 3))),
-                       k, v, keep, phases(mha, np.arange(3.0)))
+                       k, v, keep, phases(mha, np.arange(3.0)),
+                       grid=Grid((1, 1, 3)))
         return tsum(mul(y, np.arange(6.0)))
 
     assert gradient_check([x], loss_fn)["x"] <= 1e-4
+
+
+def test_add_and_sub_reduce_equal_and_trailing_shapes_only():
+    rng = np.random.default_rng(20)
+    a = T.Parameter("a", rng.normal(size=(3, 4)))
+    b = T.Parameter("b", rng.normal(size=(3, 4)))
+    c = T.Parameter("c", rng.normal(size=4))
+    up = rng.normal(size=(3, 4))
+    zero_grads([a, b, c])
+    T.backward(tsum(mul(T.sub(T.add(a.tensor, c.tensor), b.tensor), up)))
+    assert np.array_equal(a.grad, up) and np.array_equal(b.grad, -up)
+    assert np.allclose(c.grad, up.sum(axis=0), rtol=0, atol=1e-14)
+    # a size-1 axis that broadcast is not a trailing shape
+    row = T.Parameter("row", rng.normal(size=(1, 4)))
+    loss = tsum(T.add(a.tensor, row.tensor))
+    with pytest.raises(DimensionError):
+        T.backward(loss)
+
+
+def test_fused_takes_a_constant_operand_only_under_no_grad():
+    # a cached decode step's keys and values are arrays: attending over
+    # them is refused while a graph is recorded, and under no_grad gives
+    # what attending over them as Tensors gives
+    rng = np.random.default_rng(21)
+    mha = A.MultiHeadAttention("t", attention_config(d_model=8, heads=2), rng)
+    prefix = T.Tensor(rng.normal(size=(1, 2, 4, 8)))
+    x = T.Tensor(rng.normal(size=(1, 2, 1, 8)))
+    cache = A.KVCache()
+    with T.no_grad():
+        cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4))))
+        k, v = cache.extend(*mha.project_kv(x, x, phases(mha, [4])))
+
+    def step(k, v):
+        return mha.attend(x, k, v, None, phases(mha, [4]), grid=Grid((1, 2, 1)))
+
+    with pytest.raises(ContractError):
+        step(k, v)
+    with T.no_grad():
+        got = step(k, v)
+    assert got.parents == () and got.vjp is None
+    assert got.data.tobytes() == step(T.Tensor(k), T.Tensor(v)).data.tobytes()
 
 
 def test_no_grad_suppresses_graph():
