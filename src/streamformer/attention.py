@@ -158,7 +158,7 @@ class MultiHeadAttention:
             p /= np.add.reduce(p, axis=-1, keepdims=True)
             ctx = np.matmul(p, vd)                           # (...,h,Lq,hd)
             merged = grid.gather(ctx.swapaxes(-2, -3)).reshape(-1, h * hd)
-            out = np.matmul(merged, wo).reshape(xd.shape)
+            out = grid.matmul(merged, wo).reshape(xd.shape)
 
             def vjp(g):
                 g2 = g.reshape(-1, wo.shape[1])
@@ -198,7 +198,7 @@ def _split_heads(xd, wd, h, hd, phase, grid):
     over every cell.
     """
     d = xd.shape[-1]
-    y = np.matmul(xd.reshape(-1, d), wd)
+    y = grid.matmul(xd.reshape(-1, d), wd)
     if grid.index is None:
         y = y.reshape(grid.shape + (h, hd))
     else:
@@ -277,17 +277,24 @@ def _buffer(filled, cap):
     return out
 
 
-def _kv(mha, kv_in, phase, seq=None, cache=None, grid=None):
-    """Keys and values of kv_in, the cells of grid if it is given, keys
-    rotated by phase; given seq, kv_in has one entry per sequence,
-    gathered to row r from sequence seq[r].  A cache appends them to the
-    earlier decode steps' and returns all of them."""
+def _kv(mha, kv_in, grid, phase, seq=None, cache=None):
+    """Keys and values of kv_in, the cells of grid, keys rotated by phase;
+    given seq, kv_in has one entry per sequence, gathered to row r from
+    sequence seq[r].  A cache appends them to the earlier decode steps'
+    and returns all of them."""
     k, v = mha.project_kv(kv_in, kv_in, phase, grid=grid)
     if cache is not None:
         return cache.extend(k, v, seq)
     if seq is not None:
         k, v = T.gather_rows(k, seq), T.gather_rows(v, seq)
     return k, v
+
+
+def _fused(H):
+    """The aggregate of H and its (sequences, longest length) grid, which
+    splits into H's runs."""
+    fused = aggregate(H)
+    return fused, Grid(fused.shape[:-1], blocks=H.grid.blocks)
 
 
 def per_stream_attention(mha, H, mask, phase, cache=None):
@@ -299,7 +306,7 @@ def per_stream_attention(mha, H, mask, phase, cache=None):
     the queries and the keys.  Returns the StreamBatch of raw attention
     outputs.
     """
-    k, v = _kv(mha, H.hidden, phase, cache=cache, grid=H.grid)
+    k, v = _kv(mha, H.hidden, H.grid, phase, cache=cache)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
@@ -311,7 +318,7 @@ def aggregated_attention(mha, H, mask, phase, cache=None):
     position-wise, so a cached decode step fuses only its new positions.
     phase is as for per_stream_attention.
     """
-    k, v = _kv(mha, aggregate(H), phase, H.rows.seq, cache)
+    k, v = _kv(mha, *_fused(H), phase, H.rows.seq, cache)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
@@ -325,9 +332,9 @@ def cross_kv(mha, H_enc, mode, seq):
     """
     phase = rotation(mha.cfg, np.arange(H_enc.length))
     if mode == "per":
-        return _kv(mha, H_enc.hidden, phase, grid=H_enc.grid)
+        return _kv(mha, H_enc.hidden, H_enc.grid, phase)
     if mode == "agg":
-        return _kv(mha, aggregate(H_enc), phase, seq)
+        return _kv(mha, *_fused(H_enc), phase, seq)
     raise ContractError(f"unknown cross attention mode {mode!r}")
 
 

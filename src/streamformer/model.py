@@ -30,20 +30,25 @@ embedding, the norms, the feed-forward block, dropout, the cosine
 normalisation and the projections see only the cells, and attention
 alone lays them out on the padded grid, inside its nodes.
 
-Decoding runs on a DecodeState.  begin_decode encodes the source once,
-opens one cache per decoder sublayer (a KVCache for self-attention, the
-cross-attention keys and values, projected once) and builds a lookup
-table from every token id to its embedding row in each of the source's
-streams; every step_logits call then embeds one token per row with one
-index into that table, feeds it through the same decoder layers as the
-teacher-forced pass, and writes its rotated DP and DA keys and values in
-place into the caches.  This matches the teacher-forced pass up to
-rounding because every decoder sublayer is position-wise or causal: the
-DA aggregate at position t reads only position t, and rotary encoding
-rotates each key by its own absolute position.  There is one search loop:
-beam search advances its live hypotheses as rows of one state and
-re-indexes the caches by parent, and greedy decoding is the width-1 beam,
-whose one row keeps its place, so its caches are never re-indexed.
+Decoding runs on a DecodeState.  begin_decode encodes one or more
+sources of one length and one stream count as one batch, opens one cache
+per decoder sublayer (a KVCache for self-attention, the cross-attention
+keys and values, projected once) and builds a lookup table from every
+token id to its embedding row in each stream of each source; every
+step_logits call then embeds one token per row with one index into that
+table, feeds it through the same decoder layers as the teacher-forced
+pass, and writes its rotated DP and DA keys and values in place into the
+caches.  This matches the teacher-forced pass up to rounding because every
+decoder sublayer is position-wise or causal: the DA aggregate at position
+t reads only position t, and rotary encoding rotates each key by its own
+absolute position.  The sources' rows run as separate blocks of every
+product (streams.Grid), so a row's bits are the ones it gets decoded
+alone.  There is one search loop: beam search advances the live
+hypotheses of every source as rows of one state, held in arrays, and
+re-indexes the caches by parent; greedy decoding is the width-1 beam,
+whose rows keep their places, so its caches are re-indexed only when a
+source ends before the others.  check_invariance decodes a source and its
+renamed image as the two rows of one such search.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
@@ -189,17 +194,18 @@ class FeedForward:
         self.w2 = T.Parameter(f"{prefix}.w2", rng.uniform(-b2, b2, (f, d)))
         self.b2 = T.Parameter(f"{prefix}.b2", np.zeros(d))
 
-    def __call__(self, x):
-        """relu(x @ w1 + b1) @ w2 + b2 as one node.
+    def __call__(self, x, grid):
+        """relu(x @ w1 + b1) @ w2 + b2 as one node; x holds the cells of
+        grid, whose runs (Grid.matmul) each product keeps apart.
 
         The ReLU runs as tensor.relu under its own vjp (tensor.pullback);
         each weight gradient is one GEMM over every row of x.
         """
         def forward(xd, w1, b1, w2, b2):
-            pre = np.matmul(xd, w1)
+            pre = grid.matmul(xd, w1)
             pre += b1
             h, relu_back = T.pullback(T.relu, pre)
-            out = np.matmul(h, w2)
+            out = grid.matmul(h, w2)
             out += b2
 
             def vjp(g):
@@ -264,7 +270,8 @@ class EncoderLayer(_Layer):
                 else aggregated_attention
             H = self._residual_norm(H, attn(mha, H, mask, phase).hidden,
                                     norm, rng)
-        return self._residual_norm(H, self.ffn(H.hidden), self.ffn_norm, rng)
+        return self._residual_norm(H, self.ffn(H.hidden, H.grid),
+                                   self.ffn_norm, rng)
 
 
 class DecoderLayer(_Layer):
@@ -288,7 +295,8 @@ class DecoderLayer(_Layer):
                 sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
                                       phase, cache)
             H = self._residual_norm(H, sub.hidden, norm, rng)
-        return self._residual_norm(H, self.ffn(H.hidden), self.ffn_norm, rng)
+        return self._residual_norm(H, self.ffn(H.hidden, H.grid),
+                                   self.ffn_norm, rng)
 
     def caches(self, enc):
         """Decode-time state, one entry per sublayer: a KVCache for masked
@@ -305,23 +313,30 @@ def _cross_mode(kind):
 
 
 class DecodeState:
-    """One encoded source and the decoder caches of the rows decoding it.
+    """Encoded sources and the decoder caches of the rows decoding them.
 
-    begin_decode builds it: the encoder runs once, each decoder layer's
-    cross-attention keys and values are projected once, and so are the
-    output table (normalised for the cosine head) and the step embedding's
-    lookup table.  Each step_logits call then feeds one token per row,
-    embeds it with one index into that table, and writes that position's
-    rotated keys and values into every layer's cache.  The rows share the
-    source and the length, so none is padded; beam search, greedy
-    decoding included, keeps its live hypotheses as rows and calls
+    begin_decode builds it from one or more sources of one length and one
+    stream count: the encoder runs once over all of them, each decoder
+    layer's cross-attention keys and values are projected once, and so
+    are the output table (normalised for the cosine head) and the step
+    embedding's lookup table.  Each step_logits call then feeds one token
+    per row, embeds it with one index into that table, and writes that
+    position's rotated keys and values into every layer's cache.  Each row
+    decodes one source, src_of says which; the rows share the length and
+    the stream count, so none is padded, and while each source holds as
+    many rows as the others, grouped in source order, every product runs
+    source by source (the grid's blocks), as it would for that source
+    alone.  The search keeps its live hypotheses as rows and calls
     select() to re-index the caches by parent.
 
-    col_ids  token id behind each logit column
-    allowed  columns this source can emit
-    lookup   (k, V) embedding row of every token id in each source stream
-    own      (k, V) 1.0 where the token id is the stream's own symbol
-    layers   per decoder layer, its caches(): one entry per sublayer
+    col_ids  (sources, columns) token id behind each logit column
+    allowed  (sources, columns) columns each source can emit
+    lookup   (sources, k, V) embedding row of every token id in each stream
+    own      (sources, k, V) 1.0 where the token id is the stream's own
+             symbol
+    layers   per decoder layer, its caches(): one entry per sublayer, a
+             cache row per stream of each row
+    src_of   (rows,) the source each row decodes
     rows, stream_ids, lengths, grid  the StreamBatch fields of the
                                      current rows
     """
@@ -334,15 +349,24 @@ class DecodeState:
         self.layers = layers
         self.lookup = lookup
         self.own = own
-        self._fit(1)
+        self._fit(np.arange(len(lookup)))
 
-    def _fit(self, n):
-        """Row bookkeeping for n decoded rows, each with the source's
-        streams."""
-        self.rows = Rows(np.full(n, len(self.lookup)))
-        self.stream_ids = np.repeat(self.enc.stream_ids, n, axis=0)
+    def _fit(self, src_of):
+        """Row bookkeeping for rows decoding src_of, each row with its
+        source's streams.  Rows grouped by source in source order, the
+        same number for each, are one run per source (see Grid), so each
+        source's rows get the bits they would get decoded alone."""
+        n, k = len(src_of), self.lookup.shape[1]
+        ids = src_of.tolist()
+        sources = sorted(set(ids))
+        runs = len(sources)
+        if ids != [s for s in sources for _ in range(n // runs)]:
+            runs = 1
+        self.src_of = src_of
+        self.rows = Rows(np.full(n, k))
+        self.stream_ids = self.enc.stream_ids[src_of]
         self.lengths = np.ones(n, dtype=np.int64)
-        self.grid = Grid((n * len(self.lookup), 1))
+        self.grid = Grid((n * k, 1), blocks=runs)
 
     @property
     def length(self):
@@ -352,35 +376,37 @@ class DecodeState:
 
     def embed(self, tgt_inputs, W):
         """StreamBatch of the next token of every row, tgt_inputs (rows, 1):
-        each stream row reads its embedding row through the lookup table."""
+        each stream row reads its embedding row through its source's
+        lookup table."""
         tokens = np.asarray(tgt_inputs)
-        if tokens.shape != (len(self.lengths), 1):
+        if tokens.shape != (len(self.src_of), 1):
             raise ContractError(f"a cached decode step feeds one token to each "
-                                f"of {len(self.lengths)} decoded rows, not "
+                                f"of {len(self.src_of)} decoded rows, not "
                                 f"{tokens.shape}")
         tokens = tokens[:, 0]
         if not (0 <= np.minimum.reduce(tokens)
-                and np.maximum.reduce(tokens) < self.lookup.shape[1]):
+                and np.maximum.reduce(tokens) < self.lookup.shape[2]):
             raise VocabularyError("decode step fed an out-of-range token id")
-        ids = self.lookup[:, tokens].T.reshape(-1)
+        ids = self.lookup[self.src_of, :, tokens].reshape(-1)
         return StreamBatch(T.gather_rows(W, ids),
-                           self.own[:, tokens].T.reshape(-1), self.rows,
-                           self.stream_ids, self.lengths, self.grid)
+                           self.own[self.src_of, :, tokens].reshape(-1),
+                           self.rows, self.stream_ids, self.lengths,
+                           self.grid)
 
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated, and at
         least one must be kept.  Each owns one cache row per stream of
-        the source.  Keeping every row in its place, as a width-1 beam
+        its source.  Keeping every row in its place, as a width-1 search
         does at each step, copies nothing."""
-        rows, n = list(rows), len(self.lengths)
+        rows, n = list(rows), len(self.src_of)
+        if rows == list(range(n)):
+            return
         if not rows or not all(0 <= r < n for r in rows):
             raise ContractError(f"select keeps one or more of the {n} "
                                 f"current rows, not {rows}")
-        if rows == list(range(n)):
-            return
-        k = len(self.lookup)
-        if len(rows) != n:
-            self._fit(len(rows))
+        k, src_of = self.lookup.shape[1], self.src_of[rows]
+        if len(rows) != n or (src_of != self.src_of).any():
+            self._fit(src_of)
         rows = (np.asarray(rows)[:, None] * k + np.arange(k)).reshape(-1)
         for caches in self.layers:
             for i, c in enumerate(caches):
@@ -468,13 +494,13 @@ class Seq2SeqModel:
 
     def _step_lookup(self, enc):
         """Embedding row and occupancy of every token id in each stream of
-        the one source enc holds, (k, V) each: what _embed gives a token
-        at any position of a decoder row."""
-        own_id = enc.stream_ids[0]
-        ids = np.broadcast_to(np.arange(self.vocab.total_size),
-                              (len(own_id), self.vocab.total_size))
-        lookup, own = _stream_rows(ids, own_id, self.vocab)
-        return lookup, own.astype(np.float64)
+        each source enc holds, (sources, k, V) each: what _embed gives a
+        token at any position of a decoder row."""
+        own_id = enc.stream_ids
+        shape = own_id.shape + (self.vocab.total_size,)
+        ids = np.broadcast_to(np.arange(shape[-1]), (own_id.size, shape[-1]))
+        lookup, own = _stream_rows(ids, own_id.reshape(-1), self.vocab)
+        return lookup.reshape(shape), own.reshape(shape).astype(np.float64)
 
     def _project(self, H, W):
         return project(H, W)
@@ -488,11 +514,15 @@ class Seq2SeqModel:
 
     # ----------------------------------------------------------------- forward
 
-    def encode(self, srcs, rng=None):
+    def encode(self, srcs, rng=None, blocks=1):
         """Run the encoder stack over a batch of source id sequences; every
         layer shares one padding mask and one rotary phase table.  rng is
-        the dropout generator, None outside training."""
+        the dropout generator, None outside training.  blocks > 1 splits
+        the batch into that many equal runs of sources, each encoded bit
+        for bit as if alone (see streams.Grid)."""
         H = self._embed(srcs)
+        if blocks > 1:
+            H.grid = Grid(H.grid.shape, H.grid.index, blocks)
         mask = padding_mask(H.lengths[H.rows.seq], H.length, H.length)
         phase = rotation(self.cfg.attention, np.arange(H.length))
         for layer in self.enc_layers:
@@ -561,13 +591,20 @@ class Seq2SeqModel:
 
     # ----------------------------------------------------------------- decode
 
-    def begin_decode(self, src):
-        """Encode src and open a DecodeState for it, with no rows fed yet."""
+    def begin_decode(self, *srcs):
+        """Encode one or more sources as one batch and open a DecodeState
+        with one row per source, no token fed yet.  The sources must share
+        their length and their stream count, so no row is padded."""
+        srcs = [list(src) for src in srcs]
+        col_ids = [self._col_ids(src) for src in srcs]
+        if len({(len(src), len(c)) for src, c in zip(srcs, col_ids)}) != 1:
+            raise ContractError("a decode state takes one or more sources "
+                                "of one length and one stream count")
         with T.no_grad():
-            enc = self.encode([list(src)])
+            enc = self.encode(srcs, blocks=len(srcs))
             table = self._output_table()
             layers = [layer.caches(enc) for layer in self.dec_layers]
-        col_ids = np.array(self._col_ids(src))
+        col_ids = np.array(col_ids)
         return DecodeState(enc, col_ids, col_ids >= 0, table, layers,
                            *self._step_lookup(enc))
 
@@ -593,87 +630,138 @@ def decode_beam(model, src, width, max_len=64):
     """Beam search over summed log-probabilities.
 
     Returns up to `width` hypotheses, best first.  No length normalization,
-    so width 1 is greedy decoding.  The live hypotheses are the rows of one
-    decode state, advanced by one step_logits call.  Among equal scores
-    the first candidate in generation order wins: for one row, the lowest
-    token id.  A hypothesis is flagged tied once a step's top score was an
-    exact tie between two interchangeable columns, the only place where
-    tie breaking could interact with a renaming.
+    so width 1 is greedy decoding.  Among equal scores the first candidate
+    in generation order wins: for one row, the lowest token id.  A
+    hypothesis is flagged tied once a step's top score was an exact tie
+    between two interchangeable columns, the only place where tie breaking
+    could interact with a renaming.  See _search for how the search runs.
+    """
+    return _search(model, [src], width, max_len)[0]
+
+
+def _search(model, srcs, width, max_len):
+    """decode_beam of every source in srcs at once, one list of hypotheses
+    per source; the sources must share their length and stream count.
+
+    The live hypotheses of every source are the rows of one decode state,
+    grouped by source in source order, and one step_logits call advances
+    them all.  The search is held in arrays: tokens (rows, 1 + max_len),
+    the start marker then the emitted ids, scores, tie flags and the
+    state's source index.  Each step walks each source's candidates (row,
+    then column, in generation order) from the best, with a stable sort,
+    until it holds `width` that do not end; the ended ones met on the way
+    join the source's ended hypotheses, and columns the source cannot
+    emit are passed over.  A source stops at the length bound, or once
+    its `width` best ended hypotheses beat its best live one: log-probs
+    only shrink scores, so nothing can displace them.  Its rows then leave
+    the state, and only then do its hypotheses become DecodeResults.
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")
     if max_len < 1:
         raise ContractError("max_len must be at least 1")
-    state = model.begin_decode(src)
+    state = model.begin_decode(*srcs)
     n_base = model.vocab.base_size
-    cols = np.flatnonzero(state.allowed)
-    col_tokens = state.col_ids[cols]
-    beams = [DecodeResult([], 0.0, False, False)]
-    done = []
-    for _ in range(max_len):
-        rows = model.step_logits(state, [hyp.tokens[-1] if hyp.tokens
-                                         else SOS_ID for hyp in beams])
-        vals = np.where(state.allowed, rows, -np.inf)
+    n_col = state.col_ids.shape[1]
+    col_tokens, allowed = state.col_ids.tolist(), state.allowed.tolist()
+    tokens = np.full((len(srcs), 1 + max_len), SOS_ID)
+    scores = np.zeros(len(srcs))
+    tied = np.zeros(len(srcs), dtype=bool)
+    groups = [(s, 1) for s in range(len(srcs))]   # (source, its rows)
+    done = [[] for _ in srcs]          # (score, tokens, tied), best first
+    out = [None] * len(srcs)
+    for step in range(max_len):
+        vals = np.where(state.allowed[state.src_of],
+                        model.step_logits(state, tokens[:, step]), -np.inf)
         top = np.maximum.reduce(vals, axis=-1, keepdims=True)
         step_tied = np.add.reduce(vals[:, n_base:] == top, axis=-1) >= 2
         logp = vals - (top + np.log(np.add.reduce(np.exp(vals - top),
                                                   axis=-1, keepdims=True)))
-        cand = (np.array([hyp.score for hyp in beams])[:, None]
-                + logp[:, cols]).reshape(-1)
-        # candidates in generation order (hypothesis, then column); the
-        # stable sort keeps that order among equal scores
-        parents, live = [], []
-        for i in np.argsort(-cand, kind="stable"):
-            r, c = divmod(int(i), len(cols))
-            hyp = beams[r]
-            tied = bool(hyp.tied or step_tied[r])
-            if col_tokens[c] == EOS_ID:
-                done.append(DecodeResult(hyp.tokens, float(cand[i]),
-                                         False, tied))
-                continue
-            parents.append(r)
-            live.append(DecodeResult(hyp.tokens + [int(col_tokens[c])],
-                                     float(cand[i]), False, tied))
-            if len(live) >= width:
-                break
-        beams = live
-        done.sort(key=lambda c: -c.score)
-        done = done[:width]
-        if not beams:
+        cand = scores[:, None] + logp
+        parents, emitted, best, counts = [], [], [], []
+        lo = 0
+        for s, n in groups:
+            block = cand[lo:lo + n].reshape(-1)
+            kept, ended = 0, len(done[s])
+            for i in (-block).argsort(kind="stable"):
+                r, c = divmod(int(i), n_col)
+                if not allowed[s][c]:      # a column src cannot emit
+                    continue
+                if col_tokens[s][c] == EOS_ID:
+                    done[s].append((block[i], tokens[lo + r, 1:step + 1],
+                                    tied[lo + r] | step_tied[lo + r]))
+                    continue
+                parents.append(lo + r)
+                emitted.append(col_tokens[s][c])
+                best.append(block[i])
+                kept += 1
+                if kept == width:
+                    break
+            if len(done[s]) > ended:
+                done[s].sort(key=lambda d: -d[0])
+                del done[s][width:]
+            counts.append(kept)
+            lo += n
+        rows = np.array(parents, dtype=np.intp)
+        tokens = tokens[rows]
+        tokens[:, step + 1] = emitted
+        scores = np.array(best)
+        tied = (tied | step_tied)[rows]
+        going, lo = [], 0
+        for (s, _), n in zip(groups, counts):
+            hi = lo + n
+            if (step == max_len - 1 or not n or len(done[s]) == width
+                    and done[s][-1][0] >= scores[lo]):
+                out[s] = _ranked(done[s], tokens[lo:hi, 1:step + 2],
+                                 scores[lo:hi], tied[lo:hi], width)
+            else:
+                going.append((s, lo, hi))
+            lo = hi
+        if not going:
             break
-        # log-probs only shrink scores, so a full done set that already
-        # beats the best live hypothesis cannot be displaced
-        if len(done) >= width and done[-1].score >= beams[0].score:
-            break
+        if len(going) < len(groups):
+            keep = np.concatenate([np.arange(lo, hi) for _, lo, hi in going])
+            parents = rows[keep].tolist()
+            tokens, scores, tied = tokens[keep], scores[keep], tied[keep]
+        groups = [(s, hi - lo) for s, lo, hi in going]
         state.select(parents)
-    for hyp in beams:
-        done.append(DecodeResult(hyp.tokens, hyp.score, True, hyp.tied))
-    done.sort(key=lambda c: -c.score)
-    return done[:width]
+    return out
+
+
+def _ranked(done, tokens, scores, tied, width):
+    """A stopped source's `width` best hypotheses: its ended ones, best
+    first, then its live rows, cut off by the length bound or outranked;
+    equal scores keep that order."""
+    hyps = [DecodeResult(t.tolist(), float(s), False, bool(d))
+            for s, t, d in done]
+    hyps += [DecodeResult(t.tolist(), float(s), True, bool(d))
+             for t, s, d in zip(tokens, scores, tied)]
+    hyps.sort(key=lambda h: -h.score)
+    return hyps[:width]
 
 
 def check_invariance(model, src, f, max_len=64):
     """Certify one source against one renaming.
 
-    Decodes both the source and its renamed image, checks that un-renaming
-    the second decode reproduces the first token for token, and compares
-    teacher-forced logits with the interchangeable columns matched up
-    through the renaming.
+    Decodes the source and its renamed image as the two rows of one
+    width-1 search, checks that un-renaming the second decode reproduces
+    the first token for token, and compares the teacher-forced logits of
+    both, from one two-sequence forward_batch, with the interchangeable
+    columns matched up through the renaming.
     """
     if model.cfg.dropout != 0.0:
         raise ContractError("invariance checks require dropout 0")
     src = [int(t) for t in src]
-    base = decode_greedy(model, src, max_len)
     renamed_src = f(src)
-    ren = decode_greedy(model, renamed_src, max_len)
-    finv = f.inverse()
-    round_trip = finv(ren.tokens)
+    (base,), (ren,) = _search(model, [src, renamed_src], 1, max_len)
+    round_trip = f.inverse()(ren.tokens)
     decode_match = round_trip == base.tokens
 
     y = base.tokens
     with T.no_grad():
-        logits1 = model.forward(src, [SOS_ID] + y).data
-        logits2 = model.forward(renamed_src, [SOS_ID] + f(y)).data
+        logits, _ = model.forward_batch([src, renamed_src],
+                                        [[SOS_ID] + y, [SOS_ID] + f(y)])
+    logits1, logits2 = logits.data
     aligned = model.align_renamed_logits(logits2, src, renamed_src, f)
     fin1, fin2 = np.isfinite(logits1), np.isfinite(aligned)
     if not np.array_equal(fin1, fin2):
@@ -711,8 +799,8 @@ class FlatVocabTransformer(Seq2SeqModel):
                                    < lengths[:, None]))
 
     def _step_lookup(self, enc):
-        n = self.vocab.total_size
-        return np.arange(n)[None], np.zeros((1, n))
+        shape = (len(enc.lengths), 1, self.vocab.total_size)
+        return np.broadcast_to(np.arange(shape[-1]), shape), np.zeros(shape)
 
     def _project(self, H, W):
         """Every cell scored against every table row, one node, on the
@@ -724,7 +812,7 @@ class FlatVocabTransformer(Seq2SeqModel):
                 gc = grid.gather(g)
                 return np.matmul(gc, w), np.matmul(gc.T, h)
 
-            return grid.scatter(np.matmul(h, w.T)), vjp
+            return grid.scatter(grid.matmul(h, w.T)), vjp
 
         return T.fused(forward, H.hidden, W)
 

@@ -29,7 +29,7 @@ aggregate and project reduce each sequence's rows to values on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -180,11 +180,17 @@ class Rows:
         self._onehot = (np.arange(len(self.counts))[:, None]
                         == self.seq[None, :]).astype(np.float64)
 
-    def sum(self, x):
+    def sum(self, x, blocks):
         """x (N, ...) summed over each sequence's rows, (B, ...): one GEMM
-        with a one-hot (sequences x rows) matrix."""
-        return np.matmul(self._onehot, x.reshape(len(self.seq), -1)).reshape(
-            (len(self.counts),) + x.shape[1:])
+        with a one-hot (sequences x rows) matrix, one per run when the
+        sequences split into `blocks` equal runs (see Grid)."""
+        B, N = self._onehot.shape
+        if blocks == 1:
+            out = np.matmul(self._onehot, x.reshape(N, -1))
+        else:
+            out = np.matmul(self._onehot[:B // blocks, :N // blocks],
+                            x.reshape(blocks, N // blocks, -1))
+        return out.reshape((B,) + x.shape[1:])
 
 
 class Grid:
@@ -195,13 +201,25 @@ class Grid:
     None when every row fills the grid: the grid is then the cells
     reshaped.  Otherwise it is the (rows, positions) pair of every cell,
     and scatter fills the grid's other entries.
+
+    blocks > 1 says that the sequences, their rows and their cells split
+    into that many equal runs, one per source decoded together, and that
+    no run may change another's bits: a product over the cells,
+    matmul(x, w) for x with one row per cell, or over the rows (Rows.sum)
+    runs run by run, as it would for that source alone.  A GEMM's
+    rounding can depend on how many rows it has, and one row goes through
+    a GEMV, so one product over every run would give a source different
+    bits than decoding it alone.  With one run, matmul is np.matmul.
     """
 
-    __slots__ = ("shape", "index")
+    __slots__ = ("shape", "index", "blocks", "matmul")
 
-    def __init__(self, shape, index=None):
+    def __init__(self, shape, index=None, blocks=1):
         self.shape = tuple(shape)
         self.index = index
+        self.blocks = blocks
+        self.matmul = (np.matmul if blocks == 1
+                       else partial(_matmul_runs, blocks))
 
     @staticmethod
     def of(valid):
@@ -222,6 +240,12 @@ class Grid:
         if self.index is None:
             return x.reshape((-1,) + x.shape[len(self.shape):])
         return x[self.index]
+
+
+def _matmul_runs(runs, x, w):
+    """x (P, d) times w, one product per run of P / runs rows."""
+    return np.matmul(x.reshape(runs, -1, x.shape[-1]),
+                     w).reshape(-1, w.shape[-1])
 
 
 @dataclass
@@ -347,11 +371,11 @@ def aggregate(H):
     """
     rows, grid = H.rows, H.grid
     occ = grid.scatter(H.occupancy)                       # (N, L)
-    share = (1.0 - rows.sum(occ)) / rows.counts[:, None]
+    share = (1.0 - rows.sum(occ, grid.blocks)) / rows.counts[:, None]
     weight = grid.gather(share[rows.seq] + occ)[:, None]  # (P, 1)
 
     def forward(h):
-        return (rows.sum(grid.scatter(h * weight)),
+        return (rows.sum(grid.scatter(h * weight), grid.blocks),
                 lambda g: (grid.gather(g[rows.seq]) * weight,))
 
     return T.fused(forward, H.hidden)
@@ -380,7 +404,7 @@ def project(H, W):
     have = np.arange(sids.shape[1]) < rows.counts[:, None]  # (B, k)
 
     def forward(h, w):
-        mean = rows.sum(grid.scatter(h)) * inv              # (B, L, d)
+        mean = rows.sum(grid.scatter(h), grid.blocks) * inv  # (B, L, d)
         own = np.full(sids.shape + grid.shape[1:], -np.inf)
         own[have] = grid.scatter(T._einsum("pd,d->p", h, w[n]), -np.inf)
         own[sids < 0] = -np.inf

@@ -4,8 +4,10 @@ import numpy as np
 import streamformer.attention as A
 import streamformer.tensor as T
 from streamformer.errors import ContractError, DimensionError, VocabularyError
-from streamformer.model import _CROSS_CODES, _SUBLAYER_CODES, ModelConfig
-from streamformer.streams import AlphaRenaming, Grid, Rows, StreamBatch
+from streamformer.model import (_CROSS_CODES, _SUBLAYER_CODES,
+                                InvarianceReport, ModelConfig, decode_greedy)
+from streamformer.streams import (SOS_ID, AlphaRenaming, Grid, Rows,
+                                  StreamBatch)
 
 
 def identity_renaming(vocab):
@@ -349,3 +351,28 @@ def attention(mha, q_in, k_in, v_in, mask, q_positions, k_positions):
         v = shared_by_streams(v, q_in.shape[1])
     return mha.attend(q_in, k, v, mask, phases(mha, q_positions),
                       grid=Grid(q_in.shape[:-1]))
+
+
+def check_invariance_two_calls(model, src, f, max_len=64):
+    """check_invariance the long way, the oracle for the batched one: two
+    one-row greedy decodes, of the source and of its renamed image, and
+    two one-sequence teacher-forced passes."""
+    src = [int(t) for t in src]
+    renamed_src = f(src)
+    base = decode_greedy(model, src, max_len)
+    ren = decode_greedy(model, renamed_src, max_len)
+    round_trip = f.inverse()(ren.tokens)
+    y = base.tokens
+    with T.no_grad():
+        logits1 = model.forward(src, [SOS_ID] + y).data
+        logits2 = model.forward(renamed_src, [SOS_ID] + f(y)).data
+    aligned = model.align_renamed_logits(logits2, src, renamed_src, f)
+    fin1, fin2 = np.isfinite(logits1), np.isfinite(aligned)
+    if not np.array_equal(fin1, fin2):
+        disc = float("inf")
+    elif fin1.any():
+        disc = float(np.max(np.abs(logits1[fin1] - aligned[fin2])))
+    else:
+        disc = 0.0
+    return InvarianceReport(disc, round_trip == base.tokens,
+                            base.tied or ren.tied, base.tokens, round_trip)

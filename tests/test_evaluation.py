@@ -13,7 +13,7 @@ from streamformer.model import (DecodeResult, FlatVocabTransformer,
 from streamformer.streams import AlphaRenaming
 from streamformer.training import TrainConfig, fit
 
-from helpers import identity_renaming, is_identity
+from helpers import check_invariance_two_calls, identity_renaming, is_identity
 from oracles import naive_edit_distance
 
 TINY = dict(d_model=16, heads=2, ffn_dim=32, enc_layers=1, dec_layers=1)
@@ -346,6 +346,50 @@ def test_certify_flags_the_flat_baseline():
                                max_len=16)
     assert not rep.passed
     assert rep.failures >= 1
+
+
+def test_certification_matches_the_two_call_oracle(monkeypatch):
+    # certify_invariance decodes each trial's source and renamed image as
+    # two rows of one search and takes both teacher-forced passes from one
+    # batch; trial by trial it must give what two one-row decodes and two
+    # one-sequence passes give, on fresh models of the three tasks and on
+    # a supplied flat model that fails some trials.  The discrepancy may
+    # differ by rounding, at most 1e-15, and each difference is reported
+    trials = []
+    real = E.check_invariance
+
+    def both(model, src, f, max_len):
+        rep = real(model, src, f, max_len=max_len)
+        trials.append((rep, check_invariance_two_calls(model, src, f,
+                                                       max_len)))
+        return rep
+
+    monkeypatch.setattr(E, "check_invariance", both)
+    flat = FlatVocabTransformer(ModelConfig(**TINY),
+                                L.task_vocabulary("prop", 3), seed=3)
+    reports = [E.certify_invariance(n_trials=45, seed=0),
+               E.certify_invariance(flat, n_trials=12, seed=0, task="prop",
+                                    max_len=16)]
+    runs = [trials[:45], trials[45:]]
+    assert [len(run) for run in runs] == [45, 12]
+    gaps = []
+    for report, run in zip(reports, runs):
+        assert report.trials == len(run)
+        assert report.failures == sum(not want.passed for _, want in run)
+        assert report.ties_flagged == sum(want.ties_flagged
+                                          for _, want in run)
+        for rep, want in run:
+            assert rep.decoded == want.decoded
+            assert rep.round_trip == want.round_trip
+            assert rep.ties_flagged == want.ties_flagged
+            assert rep.passed == want.passed
+            gap = abs(rep.max_logit_discrepancy - want.max_logit_discrepancy)
+            assert gap <= 1e-15, (rep, want)
+            if gap:
+                gaps.append(gap)
+    assert reports[1].failures >= 1
+    print(f"{len(trials)} trials; discrepancy off the oracle's in "
+          f"{len(gaps)}, by at most {max(gaps, default=0.0):.1e}")
 
 
 # ----------------------------------------------------------------- timing

@@ -11,13 +11,14 @@ from streamformer.attention import (FIRST_CAPACITY, KVCache,
                                     aggregated_attention, padding_mask,
                                     per_stream_attention)
 from streamformer.errors import ContractError
+from streamformer.evaluation import _random_task_input
 from streamformer.logic import gen_prop, task_vocabulary
 from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer,
                                 ModelConfig, Seq2SeqModel, check_invariance,
                                 decode_beam, decode_greedy, load_model,
                                 save_model)
 from streamformer.streams import (EOS_ID, RESERVED, SOS_ID, AlphaRenaming,
-                                  Vocabulary, pack_sequences)
+                                  Grid, Vocabulary, pack_sequences)
 from streamformer.training import TrainConfig, fit, sequence_loss
 
 from helpers import (ablation_code, gradient_check, identity_renaming, mul,
@@ -175,7 +176,7 @@ def test_encoder_layer_wiring_matches_manual_composition():
     Hm = wrap(Hm, s.hidden, self_norm)
     s = aggregated_attention(agg_attn, Hm, mask, phase)
     Hm = wrap(Hm, s.hidden, agg_norm)
-    Hm = wrap(Hm, layer.ffn(Hm.hidden), layer.ffn_norm)
+    Hm = wrap(Hm, layer.ffn(Hm.hidden, Hm.grid), layer.ffn_norm)
     assert out.hidden.data.tobytes() == Hm.hidden.data.tobytes()
 
 
@@ -410,7 +411,8 @@ def test_width_one_decode_is_the_teacher_forced_argmax(cls):
 
 def test_width_one_decode_never_reindexes_a_cache(monkeypatch):
     # a width-1 beam keeps its one row in place at every step, so no
-    # cache is copied; a width-2 beam re-indexes them
+    # cache is copied, nor are two sources' rows while neither ends; a
+    # width-2 beam re-indexes them
     calls = []
     select = KVCache.select
     monkeypatch.setattr(KVCache, "select",
@@ -419,8 +421,87 @@ def test_width_one_decode_never_reindexes_a_cache(monkeypatch):
     src = [B, AMP, A, BANG, C]
     out = decode_greedy(m, src, max_len=2 * FIRST_CAPACITY + 2)
     assert out.truncated and calls == []
+    pair = M._search(m, [src, [C, AMP, B, BANG, A]], 1, 2 * FIRST_CAPACITY + 2)
+    assert [hyps[0].truncated for hyps in pair] == [True, True]
+    assert calls == []
     decode_beam(m, src, width=2, max_len=3)
     assert calls
+
+
+def test_begin_decode_refuses_sources_that_cannot_share_rows():
+    # rows of one state share the length and the stream count, so nothing
+    # is padded; [A, AMP, B] and [C, BANG, A] share both, one row each
+    m = small_model()
+    assert m.begin_decode([A, AMP, B], [C, BANG, A]).src_of.tolist() == [0, 1]
+    for srcs in ([], [[A, AMP, B], [A, AMP, B, BANG]],
+                 [[A, AMP, B], [A, AMP, A]]):
+        with pytest.raises(ContractError) as err:
+            m.begin_decode(*srcs)
+        assert "\n" not in str(err.value)
+
+
+def _top_two_margin(m, src, result):
+    """The smallest gap between the best two emittable columns over the
+    steps of a decode of src, read off its teacher-forced logits."""
+    emitted = result.tokens + ([] if result.truncated else [EOS_ID])
+    rows = m.forward(src, [SOS_ID] + emitted[:-1]).data
+    top2 = np.sort(np.where(np.isfinite(rows), rows, -np.inf), axis=-1)
+    return float(np.min(top2[:, -1] - top2[:, -2]))
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_batched_rows_equal_per_call_decodes(cls):
+    # a source and its renamed image decoded as the two rows of one state,
+    # as check_invariance does, give each row what decoding it alone
+    # gives, score bits included: on 60 prop-4 sources and on copying and
+    # LTL certification inputs, each under a random renaming.  A row may
+    # differ only where the per-call decode's best two columns lay within
+    # 1e-9, and each such row is reported
+    rng = np.random.default_rng(0)
+    vocab = task_vocabulary("prop", 4)
+    cases = [(vocab, vocab.encode(s))
+             for s, _ in gen_prop(77, 4, (3, 12), 60).pairs]
+    for task in ("copying", "ltl"):
+        v = task_vocabulary(task, 3)
+        cases += [(v, _random_task_input(task, v, rng)) for _ in range(10)]
+    models, near = {}, []
+    for vocab, src in cases:
+        m = models.setdefault(vocab, cls(ModelConfig(), vocab, seed=2))
+        f = AlphaRenaming.random(vocab, rng)
+        pair = M._search(m, [src, f(src)], 1, 16)
+        for (got,), one in zip(pair, (src, f(src))):
+            want = decode_greedy(m, one, 16)
+            if (got.tokens, got.score.hex(), got.tied, got.truncated) != (
+                    want.tokens, want.score.hex(), want.tied, want.truncated):
+                margin = _top_two_margin(m, one, want)
+                assert margin < 1e-9, (one, got, want)
+                near.append((one, margin))
+    print(f"{cls.__name__}: {2 * len(cases)} rows, {len(near)} differ from "
+          f"their per-call decode {near}")
+
+
+@pytest.mark.parametrize("cls", [Seq2SeqModel, FlatVocabTransformer])
+def test_decode_rows_do_not_couple(cls):
+    # two unrelated sources of one length and stream count, with different
+    # tokens, share a decode state and a teacher-forced batch: each one's
+    # cached steps are bit for bit those of the source alone, and its
+    # teacher-forced logits agree within 1e-12, so no step mixes values
+    # across the batch
+    vocab = task_vocabulary("prop", 4)
+    m = cls(ModelConfig(cross_modes=("per", "agg")), vocab, seed=3)
+    srcs = [vocab.encode("&a|b!c"), vocab.encode("!d&&ca")]
+    tgts = [vocab.encode("a1b0c1"), vocab.encode("d0c0a0")]
+    state = m.begin_decode(*srcs)
+    alone = [m.begin_decode(src) for src in srcs]
+    for t in range(len(tgts[0]) + 1):
+        feed = [tgt[t - 1] if t else SOS_ID for tgt in tgts]
+        rows = m.step_logits(state, feed)
+        assert rows[0].tobytes() != rows[1].tobytes()
+        for row, solo, tok in zip(rows, alone, feed):
+            assert row.tobytes() == m.step_logits(solo, [tok])[0].tobytes()
+    logits, _ = m.forward_batch(srcs, [[SOS_ID] + tgt for tgt in tgts])
+    for row, src, tgt in zip(logits.data, srcs, tgts):
+        finite_close(row, m.forward(src, [SOS_ID] + tgt).data, 1e-12)
 
 
 def test_beam_scores_sorted_and_beat_greedy():
@@ -435,16 +516,17 @@ def test_beam_scores_sorted_and_beat_greedy():
 
 
 def _scripted(monkeypatch, m, script):
-    """Make m.step_logits return script's rows, one per step (the last one
-    from then on), the same row for every decoded row.  The real step
-    still runs, so the decode state advances as it would."""
+    """Make m.step_logits return script's entries, one per step (the last
+    one from then on): a row, the same for every decoded row, or one row
+    per decoded row.  The real step still runs, so the decode state
+    advances as it would."""
     steps = []
 
     def step_logits(state, tokens):
         type(m).step_logits(m, state, tokens)
-        row = np.asarray(script[min(len(steps), len(script) - 1)], float)
+        rows = np.asarray(script[min(len(steps), len(script) - 1)], float)
         steps.append(list(tokens))
-        return np.tile(row, (len(tokens), 1))
+        return np.broadcast_to(rows, (len(tokens), rows.shape[-1])).copy()
 
     monkeypatch.setattr(m, "step_logits", step_logits)
 
@@ -489,6 +571,29 @@ def test_tie_flag_reaches_every_beam_hypothesis(monkeypatch):
     assert [h.tokens for h in hyps] == [[A], [B]]
     assert all(h.tied for h in hyps)
     assert hyps[0].score == hyps[1].score
+
+
+def test_a_source_that_ends_leaves_the_state_once(monkeypatch):
+    # two sources decoded together: the first ends at the second step, so
+    # each self-attention cache is re-indexed once, to the second source's
+    # row, which then keeps its place; each source's result is the one a
+    # decode of it alone gives under the same logits
+    step_row = [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 3.0]    # B, column 6
+    first = [A, AMP, B]
+    m = small_model(seed=0, cross_modes=("per", "agg"))
+    calls = []
+    select = KVCache.select
+    monkeypatch.setattr(KVCache, "select",
+                        lambda self, rows: calls.append(1) or select(self, rows))
+    _scripted(monkeypatch, m, [step_row, [EOS_ROW, step_row], step_row])
+    ended, going = M._search(m, [first, [B, AMP, A]], 1, 5)
+    assert len(calls) == 2     # the DP and the DA cache of the one layer
+    assert ended[0].tokens == [B] and not ended[0].truncated
+    assert going[0].tokens == [B] * 5 and going[0].truncated
+    _scripted(monkeypatch, m, [step_row, EOS_ROW])
+    assert ended == [decode_greedy(m, first, 5)]
+    _scripted(monkeypatch, m, [step_row])
+    assert going == [decode_greedy(m, [B, AMP, A], 5)]
 
 
 def test_score_ignores_disallowed_columns(monkeypatch):
@@ -699,7 +804,7 @@ def test_fused_nodes_match_elementary_composition(node):
     elif node == "ffn":
         ffn = M.FeedForward("ffn", d, f, rng)
         leaves = [x] + ffn.parameters()
-        fused = lambda x, *_: ffn(x)    # noqa: E731
+        fused = lambda x, *_: ffn(x, Grid(x.shape[:-1]))    # noqa: E731
         composed = composed_feed_forward
     elif node == "l2_normalize":
         leaves, fused, composed = [x], M.l2_normalize, composed_l2_normalize
@@ -804,7 +909,7 @@ def test_column_table_follows_stream_order(cls):
         col_ids = m._col_ids(src)
         for t in tgt + [EOS_ID]:
             assert col_ids[m.label_columns(src, [t])[0]] == t
-        assert m.begin_decode(src).col_ids.tolist() == col_ids
+        assert m.begin_decode(src).col_ids.tolist() == [col_ids]
         if cls is Seq2SeqModel:
             assert (col_ids[vocab.base_size:]
                     == m.encode([src]).stream_ids[0].tolist())
