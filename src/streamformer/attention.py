@@ -294,7 +294,7 @@ def _fused(H):
     """The aggregate of H and its (sequences, longest length) grid, which
     splits into H's runs."""
     fused = aggregate(H)
-    return fused, Grid(fused.shape[:-1], blocks=H.grid.blocks)
+    return fused, Grid(fused.shape[:-1]).runs(H.grid.blocks)
 
 
 def per_stream_attention(mha, H, mask, phase, cache=None):

@@ -42,7 +42,7 @@ caches.  This matches the teacher-forced pass up to rounding because every
 decoder sublayer is position-wise or causal: the DA aggregate at position
 t reads only position t, and rotary encoding rotates each key by its own
 absolute position.  The sources' rows run as separate blocks of every
-product (streams.Grid), so a row's bits are the ones it gets decoded
+product (streams.Runs), so a row's bits are the ones it gets decoded
 alone.  There is one search loop: beam search advances the live
 hypotheses of every source as rows of one state, held in arrays, and
 re-indexes the caches by parent; greedy decoding is the width-1 beam,
@@ -196,7 +196,7 @@ class FeedForward:
 
     def __call__(self, x, grid):
         """relu(x @ w1 + b1) @ w2 + b2 as one node; x holds the cells of
-        grid, whose runs (Grid.matmul) each product keeps apart.
+        grid, whose runs (streams.Runs) each product keeps apart.
 
         The ReLU runs as tensor.relu under its own vjp (tensor.pullback);
         each weight gradient is one GEMM over every row of x.
@@ -325,12 +325,12 @@ class DecodeState:
     decodes one source, src_of says which; the rows share the length and
     the stream count, so none is padded, and while each source holds as
     many rows as the others, grouped in source order, every product runs
-    source by source (the grid's blocks), as it would for that source
+    source by source (the grid's runs), as it would for that source
     alone.  The search keeps its live hypotheses as rows and calls
     select() to re-index the caches by parent.
 
     col_ids  (sources, columns) token id behind each logit column
-    allowed  (sources, columns) columns each source can emit
+    allowed  (rows, columns) columns each row's source can emit
     lookup   (sources, k, V) embedding row of every token id in each stream
     own      (sources, k, V) 1.0 where the token id is the stream's own
              symbol
@@ -341,10 +341,9 @@ class DecodeState:
                                      current rows
     """
 
-    def __init__(self, enc, col_ids, allowed, table, layers, lookup, own):
+    def __init__(self, enc, col_ids, table, layers, lookup, own):
         self.enc = enc
         self.col_ids = col_ids
-        self.allowed = allowed
         self.table = table
         self.layers = layers
         self.lookup = lookup
@@ -353,9 +352,10 @@ class DecodeState:
 
     def _fit(self, src_of):
         """Row bookkeeping for rows decoding src_of, each row with its
-        source's streams.  Rows grouped by source in source order, the
-        same number for each, are one run per source (see Grid), so each
-        source's rows get the bits they would get decoded alone."""
+        source's streams and columns.  Rows grouped by source in source
+        order, the same number for each, are one run per source
+        (streams.Runs), so each source's rows get the bits they would get
+        decoded alone."""
         n, k = len(src_of), self.lookup.shape[1]
         ids = src_of.tolist()
         sources = sorted(set(ids))
@@ -363,10 +363,11 @@ class DecodeState:
         if ids != [s for s in sources for _ in range(n // runs)]:
             runs = 1
         self.src_of = src_of
+        self.allowed = self.col_ids[src_of] >= 0
         self.rows = Rows(np.full(n, k))
         self.stream_ids = self.enc.stream_ids[src_of]
         self.lengths = np.ones(n, dtype=np.int64)
-        self.grid = Grid((n * k, 1), blocks=runs)
+        self.grid = Grid((n * k, 1)).runs(runs)
 
     @property
     def length(self):
@@ -519,10 +520,9 @@ class Seq2SeqModel:
         layer shares one padding mask and one rotary phase table.  rng is
         the dropout generator, None outside training.  blocks > 1 splits
         the batch into that many equal runs of sources, each encoded bit
-        for bit as if alone (see streams.Grid)."""
+        for bit as if alone (see streams.Runs)."""
         H = self._embed(srcs)
-        if blocks > 1:
-            H.grid = Grid(H.grid.shape, H.grid.index, blocks)
+        H.grid = H.grid.runs(blocks)
         mask = padding_mask(H.lengths[H.rows.seq], H.length, H.length)
         phase = rotation(self.cfg.attention, np.arange(H.length))
         for layer in self.enc_layers:
@@ -604,14 +604,13 @@ class Seq2SeqModel:
             enc = self.encode(srcs, blocks=len(srcs))
             table = self._output_table()
             layers = [layer.caches(enc) for layer in self.dec_layers]
-        col_ids = np.array(col_ids)
-        return DecodeState(enc, col_ids, col_ids >= 0, table, layers,
+        return DecodeState(enc, np.array(col_ids), table, layers,
                            *self._step_lookup(enc))
 
     def step_logits(self, state, tokens):
         """Feed one token per row; returns the next logits, (rows, columns).
 
-        The first step feeds the start marker to the state's one row;
+        The first step feeds the start marker to each source's row;
         later steps feed as many rows as the last select() kept.
         """
         with T.no_grad():
@@ -648,13 +647,13 @@ def _search(model, srcs, width, max_len):
     them all.  The search is held in arrays: tokens (rows, 1 + max_len),
     the start marker then the emitted ids, scores, tie flags and the
     state's source index.  Each step walks each source's candidates (row,
-    then column, in generation order) from the best, with a stable sort,
-    until it holds `width` that do not end; the ended ones met on the way
-    join the source's ended hypotheses, and columns the source cannot
-    emit are passed over.  A source stops at the length bound, or once
-    its `width` best ended hypotheses beat its best live one: log-probs
-    only shrink scores, so nothing can displace them.  Its rows then leave
-    the state, and only then do its hypotheses become DecodeResults.
+    then the columns that source can emit, in generation order) from the
+    best (_best_first) until it holds `width` that do not end; the ended
+    ones met on the way join the source's ended hypotheses.  A source
+    stops at the length bound, or once its `width` best ended hypotheses
+    beat its best live one: log-probs only shrink scores, so nothing can
+    displace them.  Its rows then leave the state, and only then do its
+    hypotheses become DecodeResults.
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")
@@ -662,8 +661,11 @@ def _search(model, srcs, width, max_len):
         raise ContractError("max_len must be at least 1")
     state = model.begin_decode(*srcs)
     n_base = model.vocab.base_size
-    n_col = state.col_ids.shape[1]
-    col_tokens, allowed = state.col_ids.tolist(), state.allowed.tolist()
+    # each source's columns that it can emit: all of them (a slice, no
+    # copy) unless it is symbol-free
+    cols = [slice(None) if (ids >= 0).all() else np.flatnonzero(ids >= 0)
+            for ids in state.col_ids]
+    col_tokens = [ids[c].tolist() for ids, c in zip(state.col_ids, cols)]
     tokens = np.full((len(srcs), 1 + max_len), SOS_ID)
     scores = np.zeros(len(srcs))
     tied = np.zeros(len(srcs), dtype=bool)
@@ -671,28 +673,29 @@ def _search(model, srcs, width, max_len):
     done = [[] for _ in srcs]          # (score, tokens, tied), best first
     out = [None] * len(srcs)
     for step in range(max_len):
-        vals = np.where(state.allowed[state.src_of],
+        vals = np.where(state.allowed,
                         model.step_logits(state, tokens[:, step]), -np.inf)
         top = np.maximum.reduce(vals, axis=-1, keepdims=True)
         step_tied = np.add.reduce(vals[:, n_base:] == top, axis=-1) >= 2
         logp = vals - (top + np.log(np.add.reduce(np.exp(vals - top),
                                                   axis=-1, keepdims=True)))
-        cand = scores[:, None] + logp
+        tied = tied | step_tied
         parents, emitted, best, counts = [], [], [], []
         lo = 0
         for s, n in groups:
-            block = cand[lo:lo + n].reshape(-1)
+            ids = col_tokens[s]
+            n_col = len(ids)
+            block = (scores[lo:lo + n, None]
+                     + logp[lo:lo + n, cols[s]]).reshape(-1)
             kept, ended = 0, len(done[s])
-            for i in (-block).argsort(kind="stable"):
-                r, c = divmod(int(i), n_col)
-                if not allowed[s][c]:      # a column src cannot emit
-                    continue
-                if col_tokens[s][c] == EOS_ID:
+            for i in _best_first(block):
+                r, c = divmod(i, n_col)
+                if ids[c] == EOS_ID:
                     done[s].append((block[i], tokens[lo + r, 1:step + 1],
-                                    tied[lo + r] | step_tied[lo + r]))
+                                    tied[lo + r]))
                     continue
                 parents.append(lo + r)
-                emitted.append(col_tokens[s][c])
+                emitted.append(ids[c])
                 best.append(block[i])
                 kept += 1
                 if kept == width:
@@ -702,11 +705,12 @@ def _search(model, srcs, width, max_len):
                 del done[s][width:]
             counts.append(kept)
             lo += n
-        rows = np.array(parents, dtype=np.intp)
-        tokens = tokens[rows]
+        moved = parents != list(range(len(scores)))
+        if moved:
+            rows = np.array(parents)
+            tokens, tied = tokens[rows], tied[rows]
         tokens[:, step + 1] = emitted
         scores = np.array(best)
-        tied = (tied | step_tied)[rows]
         going, lo = [], 0
         for (s, _), n in zip(groups, counts):
             hi = lo + n
@@ -720,12 +724,24 @@ def _search(model, srcs, width, max_len):
         if not going:
             break
         if len(going) < len(groups):
-            keep = np.concatenate([np.arange(lo, hi) for _, lo, hi in going])
-            parents = rows[keep].tolist()
+            keep = [i for _, lo, hi in going for i in range(lo, hi)]
+            parents = [parents[i] for i in keep]
             tokens, scores, tied = tokens[keep], scores[keep], tied[keep]
+            moved = True
         groups = [(s, hi - lo) for s, lo, hi in going]
-        state.select(parents)
+        if moved:
+            state.select(parents)
     return out
+
+
+def _best_first(block):
+    """Indices of block from its largest value down, the first of equal
+    values first: an argmax, and a stable sort only if the walk asks for
+    a second index, as a width-1 step does only once its best ends."""
+    first = int(block.argmax())
+    yield first
+    yield from (i for i in (-block).argsort(kind="stable").tolist()
+                if i != first)
 
 
 def _ranked(done, tokens, scores, tied, width):

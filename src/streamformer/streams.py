@@ -29,7 +29,7 @@ aggregate and project reduce each sequence's rows to values on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -170,6 +170,7 @@ class Rows:
 
     counts  (B,)  streams per sequence
     seq     (N,)  sequence of each row, ascending
+    onehot  (B, N)  1.0 where the row belongs to the sequence
     """
 
     def __init__(self, counts):
@@ -177,20 +178,14 @@ class Rows:
         if (self.counts < 1).any():
             raise ContractError("every sequence needs at least one stream")
         self.seq = np.repeat(np.arange(len(self.counts)), self.counts)
-        self._onehot = (np.arange(len(self.counts))[:, None]
-                        == self.seq[None, :]).astype(np.float64)
+        self.onehot = (np.arange(len(self.counts))[:, None]
+                       == self.seq[None, :]).astype(np.float64)
 
-    def sum(self, x, blocks):
+    def sum(self, x):
         """x (N, ...) summed over each sequence's rows, (B, ...): one GEMM
-        with a one-hot (sequences x rows) matrix, one per run when the
-        sequences split into `blocks` equal runs (see Grid)."""
-        B, N = self._onehot.shape
-        if blocks == 1:
-            out = np.matmul(self._onehot, x.reshape(N, -1))
-        else:
-            out = np.matmul(self._onehot[:B // blocks, :N // blocks],
-                            x.reshape(blocks, N // blocks, -1))
-        return out.reshape((B,) + x.shape[1:])
+        with the one-hot matrix."""
+        return np.matmul(self.onehot, x.reshape(len(self.seq), -1)).reshape(
+            (len(self.counts),) + x.shape[1:])
 
 
 class Grid:
@@ -202,29 +197,31 @@ class Grid:
     reshaped.  Otherwise it is the (rows, positions) pair of every cell,
     and scatter fills the grid's other entries.
 
-    blocks > 1 says that the sequences, their rows and their cells split
-    into that many equal runs, one per source decoded together, and that
-    no run may change another's bits: a product over the cells,
-    matmul(x, w) for x with one row per cell, or over the rows (Rows.sum)
-    runs run by run, as it would for that source alone.  A GEMM's
-    rounding can depend on how many rows it has, and one row goes through
-    a GEMV, so one product over every run would give a source different
-    bits than decoding it alone.  With one run, matmul is np.matmul.
+    A grid holds one run of sequences (blocks 1), and its products are
+    plain ones: over the cells, matmul(x, w) for x with one row per cell,
+    and over the rows, row_sum(rows, x), which is rows.sum(x).  runs()
+    splits it into the runs of several sources decoded together.
     """
 
-    __slots__ = ("shape", "index", "blocks", "matmul")
+    __slots__ = ("shape", "index")
 
-    def __init__(self, shape, index=None, blocks=1):
+    blocks = 1
+    matmul = staticmethod(np.matmul)
+    row_sum = staticmethod(Rows.sum)
+
+    def __init__(self, shape, index=None):
         self.shape = tuple(shape)
         self.index = index
-        self.blocks = blocks
-        self.matmul = (np.matmul if blocks == 1
-                       else partial(_matmul_runs, blocks))
 
     @staticmethod
     def of(valid):
         """The grid of a (N, L) mask of the positions each row holds."""
         return Grid(valid.shape, None if valid.all() else np.nonzero(valid))
+
+    def runs(self, blocks):
+        """This grid with its sequences split into `blocks` equal runs
+        (Runs); one run is the grid itself."""
+        return self if blocks == 1 else Runs(self.shape, self.index, blocks)
 
     def scatter(self, x, fill=0.0):
         """Cells x (P, ...) in the grid, (N, L, ...)."""
@@ -242,10 +239,38 @@ class Grid:
         return x[self.index]
 
 
-def _matmul_runs(runs, x, w):
-    """x (P, d) times w, one product per run of P / runs rows."""
-    return np.matmul(x.reshape(runs, -1, x.shape[-1]),
-                     w).reshape(-1, w.shape[-1])
+class Runs(Grid):
+    """A grid whose sequences, their rows and their cells split into
+    `blocks` equal runs, one per source decoded together, none of which
+    may change another's bits.  A product over the cells (matmul) or over
+    the rows (row_sum) runs run by run, as it would for that source
+    alone: a GEMM's rounding can depend on how many rows it has, and one
+    row goes through a GEMV, so one product over every run would give a
+    source other bits than decoding it alone.  A one-run Grid keeps the
+    plain products, because the run axis costs two reshapes and a stacked
+    product on every call, and a decode step makes about thirty of them.
+    """
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, shape, index, blocks):
+        super().__init__(shape, index)
+        self.blocks = blocks
+
+    def matmul(self, x, w):
+        """x (P, d), one row per cell, times w: one product per run of
+        P / blocks rows."""
+        return np.matmul(x.reshape(self.blocks, -1, x.shape[-1]),
+                         w).reshape(-1, w.shape[-1])
+
+    def row_sum(self, rows, x):
+        """rows.sum(x), one GEMM per run with the first run's block of
+        the one-hot matrix."""
+        B, N = rows.onehot.shape
+        runs = self.blocks
+        return np.matmul(rows.onehot[:B // runs, :N // runs],
+                         x.reshape(runs, N // runs, -1)).reshape(
+            (B,) + x.shape[1:])
 
 
 @dataclass
@@ -371,11 +396,11 @@ def aggregate(H):
     """
     rows, grid = H.rows, H.grid
     occ = grid.scatter(H.occupancy)                       # (N, L)
-    share = (1.0 - rows.sum(occ, grid.blocks)) / rows.counts[:, None]
+    share = (1.0 - grid.row_sum(rows, occ)) / rows.counts[:, None]
     weight = grid.gather(share[rows.seq] + occ)[:, None]  # (P, 1)
 
     def forward(h):
-        return (rows.sum(grid.scatter(h * weight), grid.blocks),
+        return (grid.row_sum(rows, grid.scatter(h * weight)),
                 lambda g: (grid.gather(g[rows.seq]) * weight,))
 
     return T.fused(forward, H.hidden)
@@ -404,7 +429,7 @@ def project(H, W):
     have = np.arange(sids.shape[1]) < rows.counts[:, None]  # (B, k)
 
     def forward(h, w):
-        mean = rows.sum(grid.scatter(h), grid.blocks) * inv  # (B, L, d)
+        mean = grid.row_sum(rows, grid.scatter(h)) * inv     # (B, L, d)
         own = np.full(sids.shape + grid.shape[1:], -np.inf)
         own[have] = grid.scatter(T._einsum("pd,d->p", h, w[n]), -np.inf)
         own[sids < 0] = -np.inf
