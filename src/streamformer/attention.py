@@ -110,16 +110,15 @@ class MultiHeadAttention:
                                hd=self.cfg.head_dim, phase=phase, grid=grid),
                        x, w.tensor)
 
-    def project_kv(self, k_in, v_in, phase, *, grid=None):
+    def project_kv(self, k_in, v_in, phase, *, grid):
         """Keys and values split into heads, keys rotated by phase, the
         rotation() table of their positions (None leaves them unrotated).
 
-        k_in/v_in (...,Lk,d), or the (P, d) cells of a grid (N, Lk), give
-        (...,h,Lk,hd) each, (N,h,Lk,hd) for cells: the form attend() reads
-        and a decode cache stores.
+        k_in/v_in, the (P, d) cells of grid (N, Lk), give (N,h,Lk,hd)
+        each: the form attend() reads and a decode cache stores.  A grid
+        with no index, Grid(k_in.shape[:-1]), takes k_in (...,Lk,d) as it
+        is and gives (...,h,Lk,hd).
         """
-        if grid is None:
-            grid = Grid(k_in.shape[:-1])
         return (self._heads(k_in, self.wk, phase, grid),
                 self._heads(v_in, self.wv, None, grid))
 

@@ -258,6 +258,26 @@ class _Layer:
             sub = T.dropout(sub, self.rate, rng)
         return H.with_hidden(norm(H.hidden, sub))
 
+    def __call__(self, H, mask, phase, rng, enc, m_pad, caches):
+        """One layer: mask is the self-attention keep-mask, causal in a
+        decoder; cross-attention reads the encoder output enc under m_pad.
+        With a decoder's caches(), H holds one new position, and phase is
+        the rotation() table of that position."""
+        if caches is None:
+            caches = [None] * len(self.subs)
+        for (kind, mha, norm), cache in zip(self.subs, caches):
+            if kind == "self":
+                sub = per_stream_attention(mha, H, mask, phase, cache)
+            elif kind == "agg":
+                # a causal mask keeps the fused keys causal too
+                sub = aggregated_attention(mha, H, mask, phase, cache)
+            else:
+                sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
+                                      phase, cache)
+            H = self._residual_norm(H, sub.hidden, norm, rng)
+        return self._residual_norm(H, self.ffn(H.hidden, H.grid),
+                                   self.ffn_norm, rng)
+
 
 class EncoderLayer(_Layer):
     @staticmethod
@@ -265,13 +285,7 @@ class EncoderLayer(_Layer):
         return ["self"] * cfg.use_ep + ["agg"] * cfg.use_ea
 
     def __call__(self, H, mask, phase, rng):
-        for kind, mha, norm in self.subs:
-            attn = per_stream_attention if kind == "self" \
-                else aggregated_attention
-            H = self._residual_norm(H, attn(mha, H, mask, phase).hidden,
-                                    norm, rng)
-        return self._residual_norm(H, self.ffn(H.hidden, H.grid),
-                                   self.ffn_norm, rng)
+        return super().__call__(H, mask, phase, rng, None, None, None)
 
 
 class DecoderLayer(_Layer):
@@ -281,22 +295,7 @@ class DecoderLayer(_Layer):
                 + [f"cross.{mode}" for mode in cfg.cross_modes])
 
     def __call__(self, H, enc, m_la, m_pad, phase, rng, caches=None):
-        """One decoder layer; with its caches(), H holds one new position,
-        and phase is the rotation() table of that position."""
-        if caches is None:
-            caches = [None] * len(self.subs)
-        for (kind, mha, norm), cache in zip(self.subs, caches):
-            if kind == "self":
-                sub = per_stream_attention(mha, H, m_la, phase, cache)
-            elif kind == "agg":
-                # the look-ahead mask keeps the fused keys causal too
-                sub = aggregated_attention(mha, H, m_la, phase, cache)
-            else:
-                sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
-                                      phase, cache)
-            H = self._residual_norm(H, sub.hidden, norm, rng)
-        return self._residual_norm(H, self.ffn(H.hidden, H.grid),
-                                   self.ffn_norm, rng)
+        return super().__call__(H, m_la, phase, rng, enc, m_pad, caches)
 
     def caches(self, enc):
         """Decode-time state, one entry per sublayer: a KVCache for masked
@@ -644,8 +643,9 @@ def _search(model, srcs, width, max_len):
 
     The live hypotheses of every source are the rows of one decode state,
     grouped by source in source order, and one step_logits call advances
-    them all.  The search is held in arrays: tokens (rows, 1 + max_len),
-    the start marker then the emitted ids, scores, tie flags and the
+    them all.  The search is held in arrays: tokens, the start marker
+    then the emitted ids, one column appended per step, so that memory
+    follows the emitted length, not max_len; scores, tie flags and the
     state's source index.  Each step walks each source's candidates (row,
     then the columns that source can emit, in generation order) from the
     best (_best_first) until it holds `width` that do not end; the ended
@@ -666,7 +666,7 @@ def _search(model, srcs, width, max_len):
     cols = [slice(None) if (ids >= 0).all() else np.flatnonzero(ids >= 0)
             for ids in state.col_ids]
     col_tokens = [ids[c].tolist() for ids, c in zip(state.col_ids, cols)]
-    tokens = np.full((len(srcs), 1 + max_len), SOS_ID)
+    tokens = np.full((len(srcs), 1), SOS_ID)
     scores = np.zeros(len(srcs))
     tied = np.zeros(len(srcs), dtype=bool)
     groups = [(s, 1) for s in range(len(srcs))]   # (source, its rows)
@@ -674,7 +674,7 @@ def _search(model, srcs, width, max_len):
     out = [None] * len(srcs)
     for step in range(max_len):
         vals = np.where(state.allowed,
-                        model.step_logits(state, tokens[:, step]), -np.inf)
+                        model.step_logits(state, tokens[:, -1]), -np.inf)
         top = np.maximum.reduce(vals, axis=-1, keepdims=True)
         step_tied = np.add.reduce(vals[:, n_base:] == top, axis=-1) >= 2
         logp = vals - (top + np.log(np.add.reduce(np.exp(vals - top),
@@ -691,7 +691,7 @@ def _search(model, srcs, width, max_len):
             for i in _best_first(block):
                 r, c = divmod(i, n_col)
                 if ids[c] == EOS_ID:
-                    done[s].append((block[i], tokens[lo + r, 1:step + 1],
+                    done[s].append((block[i], tokens[lo + r, 1:],
                                     tied[lo + r]))
                     continue
                 parents.append(lo + r)
@@ -707,16 +707,15 @@ def _search(model, srcs, width, max_len):
             lo += n
         moved = parents != list(range(len(scores)))
         if moved:
-            rows = np.array(parents)
-            tokens, tied = tokens[rows], tied[rows]
-        tokens[:, step + 1] = emitted
+            tokens, tied = tokens[parents], tied[parents]
+        tokens = np.column_stack((tokens, emitted))
         scores = np.array(best)
         going, lo = [], 0
         for (s, _), n in zip(groups, counts):
             hi = lo + n
             if (step == max_len - 1 or not n or len(done[s]) == width
                     and done[s][-1][0] >= scores[lo]):
-                out[s] = _ranked(done[s], tokens[lo:hi, 1:step + 2],
+                out[s] = _ranked(done[s], tokens[lo:hi, 1:],
                                  scores[lo:hi], tied[lo:hi], width)
             else:
                 going.append((s, lo, hi))

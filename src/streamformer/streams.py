@@ -166,26 +166,38 @@ class AlphaRenaming:
 
 
 class Rows:
-    """Which sequence each stored row belongs to.
+    """Which sequence and which stream slot each stored row is.
 
     counts  (B,)  streams per sequence
+    kmax          the largest count
     seq     (N,)  sequence of each row, ascending
-    onehot  (B, N)  1.0 where the row belongs to the sequence
+    slot    (N,)  stream slot of each row in its sequence
     """
 
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
         if (self.counts < 1).any():
             raise ContractError("every sequence needs at least one stream")
+        self.kmax = int(self.counts.max())
         self.seq = np.repeat(np.arange(len(self.counts)), self.counts)
-        self.onehot = (np.arange(len(self.counts))[:, None]
-                       == self.seq[None, :]).astype(np.float64)
+        first = np.cumsum(self.counts) - self.counts
+        self.slot = np.arange(len(self.seq)) - first[self.seq]
 
     def sum(self, x):
-        """x (N, ...) summed over each sequence's rows, (B, ...): one GEMM
-        with the one-hot matrix."""
-        return np.matmul(self.onehot, x.reshape(len(self.seq), -1)).reshape(
-            (len(self.counts),) + x.shape[1:])
+        """x (N, ...) summed over each sequence's rows, (B, ...), slot by
+        slot: np.add.reduce along the slot axis of a dense (B, kmax, M)
+        view (x reshaped when every sequence has kmax rows, else scattered
+        into zeros) adds one slot after another in each column, so a
+        sequence's sum has the bits it has alone.  At M 1 numpy adds eight
+        or more slots pairwise; the model sums only 0/1 occupancies there.
+        """
+        B, k = len(self.counts), self.kmax
+        if len(self.seq) == B * k:
+            dense = x.reshape(B, k, -1)
+        else:
+            dense = np.zeros((B, k, x[0].size))
+            dense[self.seq, self.slot] = x.reshape(len(self.seq), -1)
+        return np.add.reduce(dense, axis=1).reshape((B,) + x.shape[1:])
 
 
 class Grid:
@@ -197,17 +209,15 @@ class Grid:
     reshaped.  Otherwise it is the (rows, positions) pair of every cell,
     and scatter fills the grid's other entries.
 
-    A grid holds one run of sequences (blocks 1), and its products are
-    plain ones: over the cells, matmul(x, w) for x with one row per cell,
-    and over the rows, row_sum(rows, x), which is rows.sum(x).  runs()
-    splits it into the runs of several sources decoded together.
+    A grid holds one run of sequences (blocks 1), and its product over
+    the cells, matmul(x, w) for x with one row per cell, is a plain one.
+    runs() splits it into the runs of several sources decoded together.
     """
 
     __slots__ = ("shape", "index")
 
     blocks = 1
     matmul = staticmethod(np.matmul)
-    row_sum = staticmethod(Rows.sum)
 
     def __init__(self, shape, index=None):
         self.shape = tuple(shape)
@@ -242,13 +252,13 @@ class Grid:
 class Runs(Grid):
     """A grid whose sequences, their rows and their cells split into
     `blocks` equal runs, one per source decoded together, none of which
-    may change another's bits.  A product over the cells (matmul) or over
-    the rows (row_sum) runs run by run, as it would for that source
-    alone: a GEMM's rounding can depend on how many rows it has, and one
-    row goes through a GEMV, so one product over every run would give a
-    source other bits than decoding it alone.  A one-run Grid keeps the
-    plain products, because the run axis costs two reshapes and a stacked
-    product on every call, and a decode step makes about thirty of them.
+    may change another's bits.  Its product over the cells (matmul) runs
+    run by run, as it would for that source alone: a GEMM's rounding can
+    depend on how many rows it has, and one row goes through a GEMV, so
+    one product over every run would give a source other bits than
+    decoding it alone.  A one-run Grid keeps the plain product, because
+    the run axis costs two reshapes and a stacked product on every call,
+    and a decode step makes about thirty of them.
     """
 
     __slots__ = ("blocks",)
@@ -262,15 +272,6 @@ class Runs(Grid):
         P / blocks rows."""
         return np.matmul(x.reshape(self.blocks, -1, x.shape[-1]),
                          w).reshape(-1, w.shape[-1])
-
-    def row_sum(self, rows, x):
-        """rows.sum(x), one GEMM per run with the first run's block of
-        the one-hot matrix."""
-        B, N = rows.onehot.shape
-        runs = self.blocks
-        return np.matmul(rows.onehot[:B // runs, :N // runs],
-                         x.reshape(runs, N // runs, -1)).reshape(
-            (B,) + x.shape[1:])
 
 
 @dataclass
@@ -306,8 +307,9 @@ class StreamBatch:
     @property
     def active(self):
         """(B, k) 1.0 for the stream slots that have a row, else 0.0."""
-        return (np.arange(self.k)
-                < self.rows.counts[:, None]).astype(np.float64)
+        out = np.zeros(self.stream_ids.shape)
+        out[self.rows.seq, self.rows.slot] = 1.0
+        return out
 
     def with_hidden(self, hidden):
         return StreamBatch(hidden, self.occupancy, self.rows,
@@ -356,11 +358,9 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
         counts = np.array([len(s) for s in stream_id_lists], dtype=np.int64)
         sids = _flat(stream_id_lists, counts.sum())
     rows = Rows(np.maximum(counts, 1))
-    stream_ids = np.full((len(seqs), rows.counts.max()), -1, dtype=np.int64)
+    stream_ids = np.full((len(seqs), rows.kmax), -1, dtype=np.int64)
     stream_ids[np.arange(stream_ids.shape[1]) < counts[:, None]] = sids
-    # row r is stream slot r - first[seq] of its sequence
-    first = np.cumsum(rows.counts) - rows.counts
-    own_id = stream_ids[rows.seq, np.arange(len(rows.seq)) - first[rows.seq]]
+    own_id = stream_ids[rows.seq, rows.slot]
     lookup, own = _stream_rows(ids[rows.seq], own_id, vocab)
     grid = Grid.of(valid[rows.seq])
     return StreamBatch(T.gather_rows(W, grid.gather(lookup)),
@@ -396,11 +396,11 @@ def aggregate(H):
     """
     rows, grid = H.rows, H.grid
     occ = grid.scatter(H.occupancy)                       # (N, L)
-    share = (1.0 - grid.row_sum(rows, occ)) / rows.counts[:, None]
+    share = (1.0 - rows.sum(occ)) / rows.counts[:, None]
     weight = grid.gather(share[rows.seq] + occ)[:, None]  # (P, 1)
 
     def forward(h):
-        return (grid.row_sum(rows, grid.scatter(h * weight)),
+        return (rows.sum(grid.scatter(h * weight)),
                 lambda g: (grid.gather(g[rows.seq]) * weight,))
 
     return T.fused(forward, H.hidden)
@@ -426,10 +426,10 @@ def project(H, W):
     rows, sids, grid = H.rows, H.stream_ids, H.grid
     n = W.shape[0] - 2
     inv = (1.0 / rows.counts)[:, None, None]
-    have = np.arange(sids.shape[1]) < rows.counts[:, None]  # (B, k)
+    have = rows.seq, rows.slot       # the (B, k) stream slots with a row
 
     def forward(h, w):
-        mean = grid.row_sum(rows, grid.scatter(h)) * inv     # (B, L, d)
+        mean = rows.sum(grid.scatter(h)) * inv     # (B, L, d)
         own = np.full(sids.shape + grid.shape[1:], -np.inf)
         own[have] = grid.scatter(T._einsum("pd,d->p", h, w[n]), -np.inf)
         own[sids < 0] = -np.inf

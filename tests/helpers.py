@@ -345,7 +345,8 @@ def phases(mha, positions):
 def attention(mha, q_in, k_in, v_in, mask, q_positions, k_positions):
     """One MultiHeadAttention call on explicit queries, keys and values.
     Keys with a size-1 stream axis are shared by every query stream."""
-    k, v = mha.project_kv(k_in, v_in, phases(mha, k_positions))
+    k, v = mha.project_kv(k_in, v_in, phases(mha, k_positions),
+                          grid=Grid(k_in.shape[:-1]))
     if k.shape[1] < q_in.shape[1]:
         k = shared_by_streams(k, q_in.shape[1])
         v = shared_by_streams(v, q_in.shape[1])

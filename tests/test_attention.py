@@ -157,7 +157,8 @@ def test_aggregated_attention_uses_shared_key_buffer():
     fused = S.aggregate(H)
     kv = T.reshape(fused, (1, 1, 5, 8))
     with T.no_grad():
-        k, v = mha.project_kv(kv, kv, phases(mha, np.arange(5)))
+        k, v = mha.project_kv(kv, kv, phases(mha, np.arange(5)),
+                              grid=S.Grid((1, 1, 5)))
         out2 = mha.attend(T.Tensor(dense(H)), k, v, None,
                           phases(mha, np.arange(5)), grid=S.Grid((1, 3, 5)))
     assert dense(out).tobytes() == out2.data.tobytes()
@@ -274,7 +275,8 @@ def _fused_and_composed(q_shape, kv_shape, mask, q_pos, k_pos, seed):
     leaves = [xq, xk, xv] + mha.parameters()
 
     def fused():
-        k, v = mha.project_kv(xk.tensor, xv.tensor, phases(mha, k_pos))
+        k, v = mha.project_kv(xk.tensor, xv.tensor, phases(mha, k_pos),
+                              grid=S.Grid(kv_shape[:-1]))
         if kv_shape[1] < q_shape[1]:
             k = shared_by_streams(k, q_shape[1])
             v = shared_by_streams(v, q_shape[1])
@@ -331,8 +333,10 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     x = T.Parameter("x", rng.normal(size=(2, 3, 1, 8)))
     up = rng.normal(size=(2, 3, 1, 8))
     cache = A.KVCache()
-    cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4))))
-    k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, phases(mha, [4])))
+    cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4)),
+                                  grid=S.Grid(prefix.shape[:-1])))
+    k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, phases(mha, [4]),
+                                        grid=S.Grid((2, 3, 1))))
     leaves = [x, mha.wq, mha.wo]
     zero_grads(leaves)
     out = mha.attend(x.tensor, T.Tensor(k), T.Tensor(v), None,

@@ -175,6 +175,36 @@ def test_alpha_cov_with_one_symbol_sources_in_a_wide_tier(workdir, capsys):
     assert lines[1] == "samples 12" and lines[-1] == "skipped 0"
 
 
+def test_decode_commands_take_a_huge_length_bound(workdir, monkeypatch,
+                                                  capsys):
+    # a decode's memory follows the tokens it emits, not --max-len: with
+    # every step's logits peaked on </s>, each decoding command ends
+    import streamformer.model as M
+    from streamformer.logic import task_vocabulary
+    from streamformer.streams import EOS_ID
+    M.save_model(M.Seq2SeqModel(M.ModelConfig(d_model=8, heads=2, ffn_dim=8,
+                                              enc_layers=1, dec_layers=1),
+                                task_vocabulary("prop", 3)), "m.ckpt")
+    (workdir / "p.tsv").write_text("#task=prop aps=3\n!a\ta0\n")
+    step = M.Seq2SeqModel.step_logits
+
+    def ends(self, state, tokens):
+        logits = step(self, state, tokens)
+        logits[:, EOS_ID] = logits.max() + 10.0
+        return logits
+
+    monkeypatch.setattr(M.Seq2SeqModel, "step_logits", ends)
+    bound = ("--max-len", str(10 ** 20))
+    data = ("--model", "m.ckpt", "--data", "p.tsv")
+    for argv in (("eval", *data), ("eval", *data, "--beam", "2"),
+                 ("topn", *data, "--n", "2"), ("alpha-cov", *data),
+                 ("certify", "--model", "m.ckpt", "--task", "prop",
+                  "--trials", "2"),
+                 ("certify", "--trials", "3")):
+        assert run(*argv, *bound) == 0, argv
+    assert "certification PASSED" in capsys.readouterr().out
+
+
 def fails_with_one_line(capsys, *argv):
     assert run(*argv) == 2
     err = capsys.readouterr().err

@@ -596,6 +596,24 @@ def test_a_source_that_ends_leaves_the_state_once(monkeypatch):
     assert going == [decode_greedy(m, [B, AMP, A], 5)]
 
 
+def test_a_huge_length_bound_costs_only_the_emitted_tokens(monkeypatch):
+    # the search grows its token array as it emits, so a length bound far
+    # past any array size still decodes until every source has ended
+    bound = 10 ** 20
+    step_row = [0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 3.0]    # B, column 6
+    m = small_model(seed=0)
+    _scripted(monkeypatch, m, [step_row, step_row, EOS_ROW])
+    g = decode_greedy(m, [A, AMP, B], max_len=bound)
+    assert g.tokens == [B, B] and not g.truncated
+    _scripted(monkeypatch, m, [step_row, step_row, EOS_ROW])
+    hyps = decode_beam(m, [A, AMP, B], width=2, max_len=bound)
+    assert hyps[0] == g and not hyps[1].truncated
+    _scripted(monkeypatch, m, [EOS_ROW])
+    rep = check_invariance(m, [A, AMP, B], AlphaRenaming.random(
+        VOCAB, np.random.default_rng(0)), max_len=bound)
+    assert rep.decoded == rep.round_trip == [] and rep.passed
+
+
 def test_score_ignores_disallowed_columns(monkeypatch):
     # a symbol-free source's last column is its synthetic stream: it is
     # never emitted and takes no share of the softmax

@@ -209,6 +209,31 @@ def test_aggregate_permutation_reorders_only_summation():
     assert np.max(np.abs(base - again)) <= 1e-9
 
 
+@pytest.mark.parametrize("width", [1, 3, 64, 768])
+def test_rows_sum_adds_slot_by_slot_as_if_alone(width):
+    # Rows.sum is the one reduction over a sequence's rows (aggregate's
+    # mean, project's base columns): a sequence's sum is its rows added
+    # one slot after another, bit for bit, in a batch of any counts as
+    # when the sequence is summed alone.  The values span twelve decades,
+    # so another order of the adds shows in the bits
+    rng = np.random.default_rng(width)
+    for counts in ([1], [5], [3, 3, 3], [2, 5, 1, 4], [4, 1], [1, 2, 3, 4, 5]):
+        n = sum(counts)
+        x = rng.normal(size=(n, width))
+        x *= 10.0 ** rng.integers(-6, 7, (n, width))
+        got = S.Rows(counts).sum(x)
+        assert got.shape == (len(counts), width)
+        lo = 0
+        for b, c in enumerate(counts):
+            want = 0.0
+            for r in range(lo, lo + c):
+                want = want + x[r]
+            assert got[b].tobytes() == want.tobytes()
+            alone = S.Rows([c]).sum(x[lo:lo + c])
+            assert alone.tobytes() == want.tobytes()
+            lo += c
+
+
 def test_aggregate_requires_active_stream():
     with pytest.raises(ContractError):
         S.aggregate(rows_batch(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2)),

@@ -78,7 +78,8 @@ def _one_hot_attention(Lq, Lk):
 
 
 def _attention_weights(mha, v, q_in, k_in, mask, pos_q, pos_k):
-    k, _ = mha.project_kv(T.Tensor(k_in), v, phases(mha, pos_k))
+    k, _ = mha.project_kv(T.Tensor(k_in), v, phases(mha, pos_k),
+                          grid=Grid(k_in.shape[:-1]))
     return mha.attend(T.Tensor(q_in), k, v, mask, phases(mha, pos_q),
                       grid=Grid(q_in.shape[:-1])).data
 
@@ -170,7 +171,8 @@ def test_rope_matches_oracle_and_shift_property():
     mha.wk.data = np.eye(16)
     x = RNG.normal(size=(2, 1, 5, 16))
     pos = np.arange(5, dtype=float)
-    k, _ = mha.project_kv(T.Tensor(x), T.Tensor(x), phases(mha, pos))
+    k, _ = mha.project_kv(T.Tensor(x), T.Tensor(x), phases(mha, pos),
+                          grid=Grid(x.shape[:-1]))
     for h in range(2):
         want = naive_rope(x[..., h * 8:(h + 1) * 8], pos)
         assert rel(k.data[:, :, h], want) <= 1e-10
@@ -179,8 +181,9 @@ def test_rope_matches_oracle_and_shift_property():
     kk = T.Tensor(RNG.normal(size=(1, 1, 1, 16)))
 
     def dots(m, n):
-        a, _ = mha.project_kv(q, q, phases(mha, [m]))
-        b, _ = mha.project_kv(kk, kk, phases(mha, [n]))
+        a, _ = mha.project_kv(q, q, phases(mha, [m]), grid=Grid(q.shape[:-1]))
+        b, _ = mha.project_kv(kk, kk, phases(mha, [n]),
+                              grid=Grid(kk.shape[:-1]))
         return (a.data * b.data).sum(axis=-1)
 
     for shift in (1, 3, 11):
@@ -355,7 +358,8 @@ def test_rope_gradient_is_inverse_rotation():
 
     def loss_fn():
         k, _ = mha.project_kv(x.tensor, x.tensor,
-                              phases(mha, np.arange(3, dtype=float) + 5))
+                              phases(mha, np.arange(3, dtype=float) + 5),
+                              grid=Grid(x.data.shape[:-1]))
         return tsum(mul(mul(k, k), 1.0 + up * up))
 
     assert gradient_check([x, mha.wk], loss_fn)["x"] <= 1e-4
@@ -368,7 +372,8 @@ def test_softmax_masked_gradient():
     keep[:, :, 2] = True
 
     def loss_fn():
-        k, _ = mha.project_kv(x.tensor, v, phases(mha, np.arange(6.0)))
+        k, _ = mha.project_kv(x.tensor, v, phases(mha, np.arange(6.0)),
+                              grid=Grid(x.data.shape[:-1]))
         y = mha.attend(index(x.tensor, (slice(None), slice(None), slice(0, 3))),
                        k, v, keep, phases(mha, np.arange(3.0)),
                        grid=Grid((1, 1, 3)))
@@ -404,8 +409,10 @@ def test_fused_takes_a_constant_operand_only_under_no_grad():
     x = T.Tensor(rng.normal(size=(1, 2, 1, 8)))
     cache = A.KVCache()
     with T.no_grad():
-        cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4))))
-        k, v = cache.extend(*mha.project_kv(x, x, phases(mha, [4])))
+        cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4)),
+                                      grid=Grid(prefix.shape[:-1])))
+        k, v = cache.extend(*mha.project_kv(x, x, phases(mha, [4]),
+                                            grid=Grid(x.shape[:-1])))
 
     def step(k, v):
         return mha.attend(x, k, v, None, phases(mha, [4]), grid=Grid((1, 2, 1)))
