@@ -231,8 +231,9 @@ class KVCache:
     whose first `length` positions are filled.  A step writes its
     positions in place with extend(), and a full buffer is replaced by one
     of twice the capacity, so an L-step decode copies O(L) positions, not
-    O(L^2).  select() re-indexes the rows' filled positions, as beam
-    search does when it keeps some hypotheses and drops others.
+    O(L^2).  select() takes the kept rows of each whole buffer in one
+    copy, as beam search does when it keeps some hypotheses and drops
+    others; the positions past `length` are never read.
     """
 
     def __init__(self):
@@ -259,11 +260,8 @@ class KVCache:
         return self.k[..., :end, :], self.v[..., :end, :]
 
     def select(self, rows):
-        if self.k is None:     # no step written yet: nothing to re-index
-            return
-        n, cap = self.length, self.k.shape[-2]
-        self.k = _buffer(self.k[rows, ..., :n, :], cap)
-        self.v = _buffer(self.v[rows, ..., :n, :], cap)
+        if self.k is not None:     # no step written yet: nothing to re-index
+            self.k, self.v = self.k[rows], self.v[rows]
 
 
 FIRST_CAPACITY = 8   # positions a KVCache holds before it first grows

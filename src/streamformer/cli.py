@@ -304,6 +304,8 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ContractError(f"--seed must be non-negative, not {args.seed}")
         cfg = load_config(args.config) if args.config else {}
         return args.run(args, cfg)
     except (ContractError, OSError) as e:

@@ -256,6 +256,9 @@ class GridSpec:
             raise ContractError("per_cell must be positive")
         if self.beam_width < 1:
             raise ContractError("beam width must be at least 1")
+        if min((*self.ap_counts, *self.lengths, self.seed)) < 0:
+            raise ContractError("ap counts, lengths and the seed must be "
+                                "non-negative")
 
 
 @dataclass(frozen=True)

@@ -582,11 +582,10 @@ class Seq2SeqModel:
     def align_renamed_logits(self, logits, src, renamed_src, f):
         """Permute a renamed run's columns back into the base run's order:
         the base run's column for token t lines up with the renamed run's
-        column for f[t].  A synthetic stream's column stays put."""
+        column for f[t].  A synthetic stream's id, -1, is no symbol, so f
+        maps it to itself and its column stays put."""
         renamed = self._col_ids(renamed_src)
-        order = [c if t < 0 else renamed.index(f[t])
-                 for c, t in enumerate(self._col_ids(src))]
-        return logits[:, order]
+        return logits[:, [renamed.index(f[t]) for t in self._col_ids(src)]]
 
     # ----------------------------------------------------------------- decode
 
@@ -646,14 +645,16 @@ def _search(model, srcs, width, max_len):
     them all.  The search is held in arrays: tokens, the start marker
     then the emitted ids, one column appended per step, so that memory
     follows the emitted length, not max_len; scores, tie flags and the
-    state's source index.  Each step walks each source's candidates (row,
-    then the columns that source can emit, in generation order) from the
-    best (_best_first) until it holds `width` that do not end; the ended
-    ones met on the way join the source's ended hypotheses.  A source
-    stops at the length bound, or once its `width` best ended hypotheses
-    beat its best live one: log-probs only shrink scores, so nothing can
-    displace them.  Its rows then leave the state, and only then do its
-    hypotheses become DecodeResults.
+    state's source index.  Each step makes one walk per source over its
+    candidates (row, then column, in generation order) from the best
+    (_best_first) until it holds `width` that do not end; the ended ones
+    met on the way join the source's ended hypotheses.  The walk covers
+    every column and stops at the first candidate scoring -inf: only a
+    column the source cannot emit does, as DecodeState.allowed masks it.
+    In the same pass the source stops at the length bound, or once its
+    `width` best ended hypotheses beat its best live one: log-probs only
+    shrink scores, so nothing can displace them.  A stopped source's
+    hypotheses become DecodeResults and its rows leave the state.
     """
     if width < 1:
         raise ContractError("beam width must be at least 1")
@@ -661,11 +662,6 @@ def _search(model, srcs, width, max_len):
         raise ContractError("max_len must be at least 1")
     state = model.begin_decode(*srcs)
     n_base = model.vocab.base_size
-    # each source's columns that it can emit: all of them (a slice, no
-    # copy) unless it is symbol-free
-    cols = [slice(None) if (ids >= 0).all() else np.flatnonzero(ids >= 0)
-            for ids in state.col_ids]
-    col_tokens = [ids[c].tolist() for ids, c in zip(state.col_ids, cols)]
     tokens = np.full((len(srcs), 1), SOS_ID)
     scores = np.zeros(len(srcs))
     tied = np.zeros(len(srcs), dtype=bool)
@@ -680,16 +676,15 @@ def _search(model, srcs, width, max_len):
         logp = vals - (top + np.log(np.add.reduce(np.exp(vals - top),
                                                   axis=-1, keepdims=True)))
         tied = tied | step_tied
-        parents, emitted, best, counts = [], [], [], []
+        parents, emitted, best, going = [], [], [], []
         lo = 0
         for s, n in groups:
-            ids = col_tokens[s]
-            n_col = len(ids)
-            block = (scores[lo:lo + n, None]
-                     + logp[lo:lo + n, cols[s]]).reshape(-1)
-            kept, ended = 0, len(done[s])
+            ids, first, ended = state.col_ids[s], len(parents), len(done[s])
+            block = (scores[lo:lo + n, None] + logp[lo:lo + n]).reshape(-1)
             for i in _best_first(block):
-                r, c = divmod(i, n_col)
+                if block[i] == -np.inf:
+                    break
+                r, c = divmod(i, len(ids))
                 if ids[c] == EOS_ID:
                     done[s].append((block[i], tokens[lo + r, 1:],
                                     tied[lo + r]))
@@ -697,39 +692,26 @@ def _search(model, srcs, width, max_len):
                 parents.append(lo + r)
                 emitted.append(ids[c])
                 best.append(block[i])
-                kept += 1
-                if kept == width:
+                if len(parents) - first == width:
                     break
+            lo += n
             if len(done[s]) > ended:
                 done[s].sort(key=lambda d: -d[0])
                 del done[s][width:]
-            counts.append(kept)
-            lo += n
-        moved = parents != list(range(len(scores)))
-        if moved:
-            tokens, tied = tokens[parents], tied[parents]
-        tokens = np.column_stack((tokens, emitted))
-        scores = np.array(best)
-        going, lo = [], 0
-        for (s, _), n in zip(groups, counts):
-            hi = lo + n
-            if (step == max_len - 1 or not n or len(done[s]) == width
-                    and done[s][-1][0] >= scores[lo]):
-                out[s] = _ranked(done[s], tokens[lo:hi, 1:],
-                                 scores[lo:hi], tied[lo:hi], width)
-            else:
-                going.append((s, lo, hi))
-            lo = hi
+            if step < max_len - 1 and len(parents) > first and not (
+                    len(done[s]) == width and done[s][-1][0] >= best[first]):
+                going.append((s, len(parents) - first))
+                continue
+            rows = parents[first:]
+            out[s] = _ranked(done[s], np.column_stack(
+                (tokens[rows, 1:], emitted[first:])), best[first:],
+                tied[rows], width)
+            del parents[first:], emitted[first:], best[first:]
         if not going:
             break
-        if len(going) < len(groups):
-            keep = [i for _, lo, hi in going for i in range(lo, hi)]
-            parents = [parents[i] for i in keep]
-            tokens, scores, tied = tokens[keep], scores[keep], tied[keep]
-            moved = True
-        groups = [(s, hi - lo) for s, lo, hi in going]
-        if moved:
-            state.select(parents)
+        state.select(parents)
+        tokens = np.column_stack((tokens[parents], emitted))
+        scores, tied, groups = np.array(best), tied[parents], going
     return out
 
 
@@ -779,12 +761,8 @@ def check_invariance(model, src, f, max_len=64):
     logits1, logits2 = logits.data
     aligned = model.align_renamed_logits(logits2, src, renamed_src, f)
     fin1, fin2 = np.isfinite(logits1), np.isfinite(aligned)
-    if not np.array_equal(fin1, fin2):
-        disc = float("inf")
-    elif fin1.any():
-        disc = float(np.max(np.abs(logits1[fin1] - aligned[fin2])))
-    else:
-        disc = 0.0
+    disc = float(np.max(np.abs(logits1[fin1] - aligned[fin2]), initial=0.0)
+                 if np.array_equal(fin1, fin2) else np.inf)
     return InvarianceReport(disc, decode_match, base.tied or ren.tied,
                             base.tokens, round_trip)
 

@@ -162,7 +162,7 @@ class TrainConfig:
             raise ContractError("bad training configuration")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractError("learning_rate must be positive and finite")
-        if self.warmup < 0 or self.checkpoint_every < 0:
+        if self.warmup < 0 or self.checkpoint_every < 0 or self.seed < 0:
             raise ContractError("bad training configuration")
 
 
@@ -215,7 +215,7 @@ def fit(model, pairs, cfg: TrainConfig, checkpoint_path=None, log=None):
 
     Batches are drawn from a seeded shuffle, reshuffled each epoch.  With
     a checkpoint path the model is saved every checkpoint_every steps (if
-    nonzero) and always at the end, even when no step ran.  Same seed,
+    nonzero) and once at the end, even when no step ran.  Same seed,
     same data, same model init: byte-identical checkpoints.
     """
     pairs = list(pairs)
@@ -238,7 +238,7 @@ def fit(model, pairs, cfg: TrainConfig, checkpoint_path=None, log=None):
             log(f"step {step} loss {mets['loss']:.4f} s {mets['scale']:.2f} "
                 f"grad_norm {mets['grad_norm']:.4f} wall {mets['wall']:.1f}s")
         if (checkpoint_path is not None and cfg.checkpoint_every
-                and step % cfg.checkpoint_every == 0):
+                and step % cfg.checkpoint_every == 0 and step < steps):
             save_model(model, checkpoint_path)
     if checkpoint_path is not None:
         save_model(model, checkpoint_path)

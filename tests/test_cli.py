@@ -300,6 +300,21 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
     ("--out", "e.ckpt", "train", "--data", "e.tsv"),
     ("--out", "n.ckpt", "train", "--data", "p.tsv", "--learning-rate", "nan"),
     ("--out", "n.ckpt", "train", "--data", "p.tsv", "--learning-rate", "inf"),
+    ("--seed", "-1", "gen-data", "--task", "prop", "--aps", "3", "--n", "2"),
+    ("--seed", "-1", "--out", "s.ckpt", "train", "--data", "p.tsv",
+     "--steps", "1"),
+    ("--seed", "-1", "--out", "c.txt", "certify", "--trials", "3",
+     "--max-len", "2"),
+    ("--seed", "-1", "--out", "a.txt", "alpha-cov", "--model", "m.ckpt",
+     "--data", "p.tsv", "--max-len", "2"),
+    ("--seed", "-1", "--out", "h.csv", "heatmap", "--model", "m.ckpt",
+     "--task", "prop", "--aps", "2", "--lengths", "3", "--per-cell", "1"),
+    ("--seed", "-1", "--out", "t.txt", "time", "--aps", "1,2", "--samples",
+     "1", "--length", "4"),
+    ("--out", "h.csv", "heatmap", "--model", "m.ckpt", "--task", "prop",
+     "--aps", "-2", "--lengths", "3", "--per-cell", "1"),
+    ("--out", "h.csv", "heatmap", "--model", "m.ckpt", "--task", "prop",
+     "--aps", "2", "--lengths", "-3", "--per-cell", "1"),
 ], ids=["prop-no-symbols", "copying-too-many-symbols", "ltl-too-many-symbols",
         "negative-pair-count", "time-list-not-integers",
         "time-repeated-counts", "heatmap-aps-not-integers",
@@ -309,7 +324,11 @@ def test_deeply_nested_source_exits_2(workdir, capsys):
         "alpha-cov-zero-max-len", "topn-zero-max-len", "eval-zero-beam",
         "eval-negative-beam", "heatmap-negative-beam",
         "time-length-below-streams", "train-empty-dataset",
-        "train-nan-learning-rate", "train-inf-learning-rate"])
+        "train-nan-learning-rate", "train-inf-learning-rate",
+        "gen-data-negative-seed", "train-negative-seed",
+        "certify-negative-seed", "alpha-cov-negative-seed",
+        "heatmap-negative-seed", "time-negative-seed",
+        "heatmap-negative-aps", "heatmap-negative-lengths"])
 def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
     from streamformer.logic import task_vocabulary
     from streamformer.model import ModelConfig, Seq2SeqModel, save_model
@@ -323,16 +342,24 @@ def test_out_of_range_arguments_exit_2(workdir, capsys, argv):
                                                          "p.tsv"]
 
 
-@pytest.mark.parametrize("text", [
-    b"d_model=\xff\n", b"d_model=abc\n", b"dropout=x\n", b"cross_modes=1\n",
-    b"batch_size=2.5\n", b"heads=0\n", b"ffn_dim=0\n", b"enc_layers=-2\n",
-    b"dec_layers=0\n",
+CERTIFY = ("certify", "--trials", "1")
+TRAIN = ("--out", "s.ckpt", "train", "--data", "p.tsv", "--steps", "1")
+
+
+@pytest.mark.parametrize("text, argv", [
+    (b"d_model=\xff\n", CERTIFY), (b"d_model=abc\n", CERTIFY),
+    (b"dropout=x\n", CERTIFY), (b"cross_modes=1\n", CERTIFY),
+    (b"batch_size=2.5\n", CERTIFY), (b"heads=0\n", CERTIFY),
+    (b"ffn_dim=0\n", CERTIFY), (b"enc_layers=-2\n", CERTIFY),
+    (b"dec_layers=0\n", CERTIFY), (b"seed=-1\n", TRAIN),
 ], ids=["not-utf8", "int-field", "float-field", "modes-field", "int-not-float",
-        "no-heads", "no-ffn", "negative-enc-layers", "no-dec-layers"])
-def test_malformed_config_exits_2(workdir, capsys, text):
+        "no-heads", "no-ffn", "negative-enc-layers", "no-dec-layers",
+        "train-negative-seed"])
+def test_malformed_config_exits_2(workdir, capsys, text, argv):
     (workdir / "bad.cfg").write_bytes(text)
-    fails_with_one_line(capsys, "--config", "bad.cfg", "certify",
-                        "--trials", "1")
+    (workdir / "p.tsv").write_text("#task=prop aps=3\n!a\ta0\n")
+    fails_with_one_line(capsys, "--config", "bad.cfg", *argv)
+    assert not (workdir / "s.ckpt").exists()
 
 
 def test_config_parsing_and_model_mapping(workdir):

@@ -299,6 +299,11 @@ def test_heatmap_empty_spec_and_vocab_guard():
     assert empty.to_csv() == "ap,len,n,correct,exact\n"
     with pytest.raises(VocabularyError):
         E.heatmap(model, E.GridSpec("prop", (4,), (3,)))
+    # a negative count, length or seed would reach np.random as a traceback
+    for aps, lengths, seed in (((2, -2), (3,), 0), ((2,), (-3,), 0),
+                               ((2,), (3,), -1)):
+        with pytest.raises(ContractError):
+            E.GridSpec("prop", aps, lengths, seed=seed)
 
 
 def test_heatmap_reports_barren_cells(monkeypatch):

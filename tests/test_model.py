@@ -631,6 +631,31 @@ def test_score_ignores_disallowed_columns(monkeypatch):
     assert abs(g.score - want) <= 1e-12 and b.score == g.score
 
 
+def test_a_wide_beam_walk_stops_at_the_first_disallowed_column(monkeypatch):
+    # a symbol-free source can emit four columns that do not end (0, 1, 3
+    # and 4) but not its synthetic one, -1: a width-6 beam keeps exactly
+    # those four as live rows, ends one hypothesis, and never emits -1;
+    # a renaming leaves the source and its logits as they are
+    m = small_model()
+    fed, step = [], type(m).step_logits
+    monkeypatch.setattr(m, "step_logits", lambda state, tokens: fed.append(
+        list(tokens)) or step(m, state, tokens))
+    hyps = decode_beam(m, [AMP, BANG], width=6, max_len=1)
+    assert [(h.tokens, h.truncated) for h in hyps] == [
+        ([1], True), ([4], True), ([], False), ([0], True), ([3], True)]
+    fed.clear()
+    hyps = decode_beam(m, [AMP, BANG], width=6, max_len=3)
+    assert fed[1] == [1, 4, 0, 3]
+    assert [(h.tokens, h.truncated) for h in hyps] == [
+        ([], False), ([1], False), ([1, 1, 1], True), ([4, 4, 4], True),
+        ([1, 4, 4], True), ([1, 1, 4], True)]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        rep = check_invariance(m, [AMP, BANG],
+                               AlphaRenaming.random(VOCAB, rng), max_len=4)
+        assert rep.max_logit_discrepancy == 0.0 and rep.decode_match
+
+
 def test_unpadded_batches_and_decode_steps_carry_no_grid_index():
     # a batch whose rows all fill the grid is the cells reshaped: no index,
     # so a one-source encode and every cached decode step stay dense

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import streamformer.tensor as T
+import streamformer.training as TR
 from streamformer.errors import ContractError, VocabularyError
 from streamformer.logic import gen_prop, task_vocabulary
 from streamformer.model import ModelConfig, Seq2SeqModel, decode_greedy, load_model
@@ -185,6 +186,18 @@ def test_fit_deterministic_checkpoints(tmp_path):
     back = load_model(paths[0])
     assert back.adacos is not None
     assert 1.0 <= back.adacos.scale <= 64.0
+
+
+def test_fit_writes_the_final_checkpoint_once(tmp_path, monkeypatch):
+    # a periodic save that falls on the last step is the final save: 4
+    # steps saved every 2 write the checkpoint at steps 2 and 4, once each
+    saved = []
+    monkeypatch.setattr(TR, "save_model", lambda m, p: saved.append(p))
+    m = Seq2SeqModel(ModelConfig(**TINY), VOCAB, seed=0)
+    p = tmp_path / "m.ckpt"
+    fit(m, [([A], [A])], TrainConfig(steps=4, batch_size=1,
+                                     checkpoint_every=2), checkpoint_path=p)
+    assert saved == [p, p]
 
 
 def test_fit_logs_expected_line_shape():
