@@ -201,7 +201,7 @@ def _cmd_certify(args, cfg):
     for t in rep.per_task:
         lines.append(f"{t.task}: {t.trials} trials, {t.failures} failures, "
                      f"worst discrepancy {t.worst_discrepancy:.3e}, "
-                     f"{t.ties_flagged} ties flagged")
+                     f"{t.ties_flagged} ties flagged, {t.exact} exact")
     lines.append("certification PASSED" if rep.passed
                  else "certification FAILED")
     _emit("\n".join(lines) + "\n", args.out)

@@ -31,7 +31,7 @@ normalisation and the projections see only the cells, and attention
 alone lays them out on the padded grid, inside its nodes.
 
 Decoding runs on a DecodeState.  begin_decode encodes one or more
-sources of one length and one stream count as one batch, opens one cache
+sources, of any length and stream count, as one batch, opens one cache
 per decoder sublayer (a KVCache for self-attention, the cross-attention
 keys and values, projected once) and builds a lookup table from every
 token id to its embedding row in each stream of each source; every
@@ -41,14 +41,18 @@ pass, and writes its rotated DP and DA keys and values in place into the
 caches.  This matches the teacher-forced pass up to rounding because every
 decoder sublayer is position-wise or causal: the DA aggregate at position
 t reads only position t, and rotary encoding rotates each key by its own
-absolute position.  The sources' rows run as separate blocks of every
-product (streams.Runs), so a row's bits are the ones it gets decoded
-alone.  There is one search loop: beam search advances the live
-hypotheses of every source as rows of one state, held in arrays, and
-re-indexes the caches by parent; greedy decoding is the width-1 beam,
-whose rows keep their places, so its caches are re-indexed only when a
-source ends before the others.  check_invariance decodes a source and its
-renamed image as the two rows of one such search.
+absolute position.  Each row keeps its own source's streams, and
+cross-attention reads a shorter source's encoder keys under a key-padding
+mask.  When the sources share their length and stream count, their rows
+run as separate blocks of every product (streams.Runs), so a row's bits
+are the ones it gets decoded alone; other sources run plain products,
+within rounding of alone.  There is one search loop: beam search
+advances the live hypotheses of every source as rows of one state, held
+in arrays, and re-indexes the caches by parent; greedy decoding is the
+width-1 beam, whose rows keep their places, so its caches are re-indexed
+only when a source ends before the others.  check_trials decodes every
+trial's source and renamed image as the rows of one such search;
+check_invariance is its one-trial case.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
@@ -314,21 +318,28 @@ def _cross_mode(kind):
 class DecodeState:
     """Encoded sources and the decoder caches of the rows decoding them.
 
-    begin_decode builds it from one or more sources of one length and one
-    stream count: the encoder runs once over all of them, each decoder
-    layer's cross-attention keys and values are projected once, and so
-    are the output table (normalised for the cosine head) and the step
-    embedding's lookup table.  Each step_logits call then feeds one token
-    per row, embeds it with one index into that table, and writes that
-    position's rotated keys and values into every layer's cache.  Each row
-    decodes one source, src_of says which; the rows share the length and
-    the stream count, so none is padded, and while each source holds as
-    many rows as the others, grouped in source order, every product runs
-    source by source (the grid's runs), as it would for that source
-    alone.  The search keeps its live hypotheses as rows and calls
-    select() to re-index the caches by parent.
+    begin_decode builds it from one or more sources of any length and
+    stream count: the encoder runs once over all of them, as one batch
+    padded where they differ, each decoder layer's cross-attention keys
+    and values are projected once, and so are the output table
+    (normalised for the cosine head) and the step embedding's lookup
+    table.  Each step_logits call
+    then feeds one token per row, embeds it with one index into that
+    table, and writes that position's rotated keys and values into every
+    layer's cache.  Each row decodes one source, src_of says which, and
+    keeps that source's streams: a row holds one cache row per stream of
+    its source, so the rows are ragged when the stream counts differ, and
+    cross-attention reads a shorter source's encoder keys under a
+    key-padding mask.  When every source has one length and one stream
+    count, nothing is padded, and while each source holds as many rows as
+    the others, grouped in source order, every product runs source by
+    source (the grid's runs), as it would for that source alone; a state
+    of sources that differ runs plain products.  The search keeps its
+    live hypotheses as rows and calls select() to re-index the caches by
+    parent.
 
-    col_ids  (sources, columns) token id behind each logit column
+    col_ids  (sources, columns) token id behind each logit column, -1 past
+             a source's own streams (and for a synthetic stream)
     allowed  (rows, columns) columns each row's source can emit
     lookup   (sources, k, V) embedding row of every token id in each stream
     own      (sources, k, V) 1.0 where the token id is the stream's own
@@ -336,8 +347,12 @@ class DecodeState:
     layers   per decoder layer, its caches(): one entry per sublayer, a
              cache row per stream of each row
     src_of   (rows,) the source each row decodes
+    m_pad    (stream rows, 1, encoder length) the encoder positions each
+             stream row's source holds, None when every one holds all
     rows, stream_ids, lengths, grid  the StreamBatch fields of the
                                      current rows
+    k is the largest stream count; lookup, own and the encoder's stream
+    ids are padded to it, and only a source's own streams are read.
     """
 
     def __init__(self, enc, col_ids, table, layers, lookup, own):
@@ -351,22 +366,27 @@ class DecodeState:
 
     def _fit(self, src_of):
         """Row bookkeeping for rows decoding src_of, each row with its
-        source's streams and columns.  Rows grouped by source in source
-        order, the same number for each, are one run per source
-        (streams.Runs), so each source's rows get the bits they would get
-        decoded alone."""
-        n, k = len(src_of), self.lookup.shape[1]
+        source's streams and columns.  When the encoder ran its sources
+        as runs (they share their length and stream count), rows grouped
+        by source in source order, the same number for each, are one run
+        per source (streams.Runs), so each source's rows get the bits they
+        would get decoded alone; any other rows run plain products."""
+        n = len(src_of)
         ids = src_of.tolist()
         sources = sorted(set(ids))
         runs = len(sources)
-        if ids != [s for s in sources for _ in range(n // runs)]:
+        if self.enc.grid.blocks == 1 or ids != [s for s in sources
+                                                for _ in range(n // runs)]:
             runs = 1
         self.src_of = src_of
         self.allowed = self.col_ids[src_of] >= 0
-        self.rows = Rows(np.full(n, k))
+        self.rows = Rows(self.enc.rows.counts[src_of])
         self.stream_ids = self.enc.stream_ids[src_of]
         self.lengths = np.ones(n, dtype=np.int64)
-        self.grid = Grid((n * k, 1)).runs(runs)
+        self.grid = Grid((len(self.rows.seq), 1)).runs(runs)
+        lengths = self.enc.lengths[src_of][self.rows.seq]
+        self.m_pad = (None if (lengths == self.enc.length).all() else
+                      padding_mask(lengths, 1, self.enc.length))
 
     @property
     def length(self):
@@ -387,11 +407,11 @@ class DecodeState:
         if not (0 <= np.minimum.reduce(tokens)
                 and np.maximum.reduce(tokens) < self.lookup.shape[2]):
             raise VocabularyError("decode step fed an out-of-range token id")
-        ids = self.lookup[self.src_of, :, tokens].reshape(-1)
-        return StreamBatch(T.gather_rows(W, ids),
-                           self.own[self.src_of, :, tokens].reshape(-1),
-                           self.rows, self.stream_ids, self.lengths,
-                           self.grid)
+        pick = self.rows.pick
+        return StreamBatch(
+            T.gather_rows(W, pick(self.lookup[self.src_of, :, tokens])),
+            pick(self.own[self.src_of, :, tokens]), self.rows,
+            self.stream_ids, self.lengths, self.grid)
 
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated, and at
@@ -404,10 +424,10 @@ class DecodeState:
         if not rows or not all(0 <= r < n for r in rows):
             raise ContractError(f"select keeps one or more of the {n} "
                                 f"current rows, not {rows}")
-        k, src_of = self.lookup.shape[1], self.src_of[rows]
+        first, src_of = self.rows.first[rows], self.src_of[rows]
         if len(rows) != n or (src_of != self.src_of).any():
             self._fit(src_of)
-        rows = (np.asarray(rows)[:, None] * k + np.arange(k)).reshape(-1)
+        rows = first[self.rows.seq] + self.rows.slot
         for caches in self.layers:
             for i, c in enumerate(caches):
                 if isinstance(c, KVCache):
@@ -534,8 +554,9 @@ class Seq2SeqModel:
         With a DecodeState, each row of tgt_inputs is the one next token of
         a decoded row, embedded through the state's lookup table: the
         layers read the earlier positions from the state's caches and
-        append this one.  The new position may see every cached one and
-        the source is unpadded, so nothing is masked.  Every layer shares
+        append this one.  The new position may see every cached one, so
+        self-attention masks nothing, and cross-attention reads the
+        encoder under the state's key-padding mask.  Every layer shares
         the masks and one rotary phase table; rng is as for encode.
         """
         if state is None:
@@ -546,7 +567,7 @@ class Seq2SeqModel:
             pos = np.arange(H.length)
         else:
             H = state.embed(tgt_inputs, self.embedding.tensor)
-            m_la = m_pad = None
+            m_la, m_pad = None, state.m_pad
             caches = state.layers
             pos = np.arange(state.length, state.length + 1)
         phase = rotation(self.cfg.attention, pos)
@@ -590,20 +611,24 @@ class Seq2SeqModel:
     # ----------------------------------------------------------------- decode
 
     def begin_decode(self, *srcs):
-        """Encode one or more sources as one batch and open a DecodeState
-        with one row per source, no token fed yet.  The sources must share
-        their length and their stream count, so no row is padded."""
+        """Encode one or more sources, of any length and stream count, as
+        one batch and open a DecodeState with one row per source, no token
+        fed yet.  Sources of one length and one stream count are encoded
+        as one run each (see encode), so each gets the bits it gets
+        alone; any other batch is padded and runs plain products."""
+        if not srcs:
+            raise ContractError("a decode state takes one or more sources")
         srcs = [list(src) for src in srcs]
         col_ids = [self._col_ids(src) for src in srcs]
-        if len({(len(src), len(c)) for src, c in zip(srcs, col_ids)}) != 1:
-            raise ContractError("a decode state takes one or more sources "
-                                "of one length and one stream count")
+        width = max(map(len, col_ids))
+        shapes = len({(len(src), len(c)) for src, c in zip(srcs, col_ids)})
         with T.no_grad():
-            enc = self.encode(srcs, blocks=len(srcs))
+            enc = self.encode(srcs, blocks=len(srcs) if shapes == 1 else 1)
             table = self._output_table()
             layers = [layer.caches(enc) for layer in self.dec_layers]
-        return DecodeState(enc, np.array(col_ids), table, layers,
-                           *self._step_lookup(enc))
+        return DecodeState(enc, np.array([c + [-1] * (width - len(c))
+                                          for c in col_ids]),
+                           table, layers, *self._step_lookup(enc))
 
     def step_logits(self, state, tokens):
         """Feed one token per row; returns the next logits, (rows, columns).
@@ -638,7 +663,9 @@ def decode_beam(model, src, width, max_len=64):
 
 def _search(model, srcs, width, max_len):
     """decode_beam of every source in srcs at once, one list of hypotheses
-    per source; the sources must share their length and stream count.
+    per source; the sources may differ in length and stream count (see
+    DecodeState), and a source's columns past its own streams are never
+    emitted.
 
     The live hypotheses of every source are the rows of one decode state,
     grouped by source in source order, and one step_logits call advances
@@ -738,33 +765,48 @@ def _ranked(done, tokens, scores, tied, width):
 
 
 def check_invariance(model, src, f, max_len=64):
-    """Certify one source against one renaming.
+    """Certify one source against one renaming: check_trials of the one
+    trial (src, f)."""
+    return check_trials(model, [(src, f)], max_len)[0]
 
-    Decodes the source and its renamed image as the two rows of one
-    width-1 search, checks that un-renaming the second decode reproduces
-    the first token for token, and compares the teacher-forced logits of
-    both, from one two-sequence forward_batch, with the interchangeable
-    columns matched up through the renaming.
+
+def check_trials(model, trials, max_len=64):
+    """Certify each source against its renaming, trials a list of (src, f);
+    one InvarianceReport per trial, in order.
+
+    Decodes every trial's source and renamed image as the rows of one
+    width-1 search, checks that un-renaming each renamed decode
+    reproduces its source's decode token for token, and compares each
+    trial's teacher-forced logits, from that trial's own two-sequence
+    forward_batch, with the interchangeable columns matched up through
+    the renaming.  The sources may differ in length and stream count
+    (see DecodeState); a trial whose source and image are alone in the
+    search decodes each as it would alone, bit for bit.
     """
-    if model.cfg.dropout != 0.0:
-        raise ContractError("invariance checks require dropout 0")
-    src = [int(t) for t in src]
-    renamed_src = f(src)
-    (base,), (ren,) = _search(model, [src, renamed_src], 1, max_len)
-    round_trip = f.inverse()(ren.tokens)
-    decode_match = round_trip == base.tokens
-
-    y = base.tokens
-    with T.no_grad():
-        logits, _ = model.forward_batch([src, renamed_src],
-                                        [[SOS_ID] + y, [SOS_ID] + f(y)])
-    logits1, logits2 = logits.data
-    aligned = model.align_renamed_logits(logits2, src, renamed_src, f)
-    fin1, fin2 = np.isfinite(logits1), np.isfinite(aligned)
-    disc = float(np.max(np.abs(logits1[fin1] - aligned[fin2]), initial=0.0)
-                 if np.array_equal(fin1, fin2) else np.inf)
-    return InvarianceReport(disc, decode_match, base.tied or ren.tied,
-                            base.tokens, round_trip)
+    srcs = []
+    for src, f in trials:
+        src = [int(t) for t in src]
+        srcs += [src, f(src)]
+    hyps = _search(model, srcs, 1, max_len)
+    reports = []
+    for i, (_, f) in enumerate(trials):
+        src, renamed_src = srcs[2 * i:2 * i + 2]
+        (base,), (ren,) = hyps[2 * i:2 * i + 2]
+        round_trip = f.inverse()(ren.tokens)
+        y = base.tokens
+        with T.no_grad():
+            logits, _ = model.forward_batch([src, renamed_src],
+                                            [[SOS_ID] + y, [SOS_ID] + f(y)])
+        logits1, logits2 = logits.data
+        aligned = model.align_renamed_logits(logits2, src, renamed_src, f)
+        fin1, fin2 = np.isfinite(logits1), np.isfinite(aligned)
+        disc = float(np.max(np.abs(logits1[fin1] - aligned[fin2]),
+                            initial=0.0)
+                     if np.array_equal(fin1, fin2) else np.inf)
+        reports.append(InvarianceReport(disc, round_trip == y,
+                                        base.tied or ren.tied, y,
+                                        round_trip))
+    return reports
 
 
 class FlatVocabTransformer(Seq2SeqModel):

@@ -172,6 +172,7 @@ class Rows:
     kmax          the largest count
     seq     (N,)  sequence of each row, ascending
     slot    (N,)  stream slot of each row in its sequence
+    first   (B,)  each sequence's first row
     """
 
     def __init__(self, counts):
@@ -180,18 +181,29 @@ class Rows:
             raise ContractError("every sequence needs at least one stream")
         self.kmax = int(self.counts.max())
         self.seq = np.repeat(np.arange(len(self.counts)), self.counts)
-        first = np.cumsum(self.counts) - self.counts
-        self.slot = np.arange(len(self.seq)) - first[self.seq]
+        self.first = np.cumsum(self.counts) - self.counts
+        self.slot = np.arange(len(self.seq)) - self.first[self.seq]
+
+    def pick(self, x):
+        """The entries of x (B, kmax, ...) at each row's sequence and slot,
+        (N, ...): x reshaped when every sequence has kmax rows."""
+        if len(self.seq) == x.shape[0] * x.shape[1]:
+            return x.reshape((-1,) + x.shape[2:])
+        return x[self.seq, self.slot]
 
     def sum(self, x):
         """x (N, ...) summed over each sequence's rows, (B, ...), slot by
         slot: np.add.reduce along the slot axis of a dense (B, kmax, M)
         view (x reshaped when every sequence has kmax rows, else scattered
         into zeros) adds one slot after another in each column, so a
-        sequence's sum has the bits it has alone.  At M 1 numpy adds eight
-        or more slots pairwise; the model sums only 0/1 occupancies there.
+        sequence's sum has the bits it has alone.  One slot is x + 0.0,
+        the bits that reduce gives (-0.0 becomes +0.0), without it.  At
+        M 1 numpy adds eight or more slots pairwise; the model sums only
+        0/1 occupancies there.
         """
         B, k = len(self.counts), self.kmax
+        if k == 1:
+            return x + 0.0
         if len(self.seq) == B * k:
             dense = x.reshape(B, k, -1)
         else:

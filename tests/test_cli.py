@@ -1,5 +1,6 @@
 """Command-line plumbing: exit codes, file outputs, config overrides."""
 import os
+import re
 
 import pytest
 
@@ -113,6 +114,23 @@ def test_certify_fresh_models(workdir, capsys):
     out = capsys.readouterr().out
     assert "certification PASSED" in out
     assert out.count("trials") == 3
+
+
+def test_certify_a_checkpoint_trained_with_dropout(workdir, capsys):
+    # inference runs without dropout, so a dropout-0.1 checkpoint is
+    # certified like any other; each task line counts its exact trials
+    import streamformer.model as M
+    from streamformer.logic import task_vocabulary
+    M.save_model(M.Seq2SeqModel(M.ModelConfig(d_model=8, heads=2, ffn_dim=8,
+                                              enc_layers=1, dec_layers=1,
+                                              dropout=0.1),
+                                task_vocabulary("prop", 3)), "m.ckpt")
+    assert run("certify", "--model", "m.ckpt", "--task", "prop",
+               "--trials", "3", "--max-len", "6") == 0
+    task, verdict = capsys.readouterr().out.splitlines()
+    assert task.startswith("prop: 3 trials, 0 failures, ")
+    assert re.fullmatch(r".*, [0-3] exact", task)
+    assert verdict == "certification PASSED"
 
 
 def test_time_subcommand(workdir, capsys):

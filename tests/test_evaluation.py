@@ -9,7 +9,7 @@ import streamformer.evaluation as E
 from streamformer import logic as L
 from streamformer.errors import ContractError, ResourceError, VocabularyError
 from streamformer.model import (DecodeResult, FlatVocabTransformer,
-                                ModelConfig, Seq2SeqModel)
+                                ModelConfig, Seq2SeqModel, check_invariance)
 from streamformer.streams import AlphaRenaming
 from streamformer.training import TrainConfig, fit
 
@@ -354,22 +354,24 @@ def test_certify_flags_the_flat_baseline():
 
 
 def test_certification_matches_the_two_call_oracle(monkeypatch):
-    # certify_invariance decodes each trial's source and renamed image as
-    # two rows of one search and takes both teacher-forced passes from one
-    # batch; trial by trial it must give what two one-row decodes and two
-    # one-sequence passes give, on fresh models of the three tasks and on
-    # a supplied flat model that fails some trials.  The discrepancy may
-    # differ by rounding, at most 1e-15, and each difference is reported
+    # certify_invariance decodes a chunk of trials' sources and renamed
+    # images as the rows of one search and takes each trial's two
+    # teacher-forced passes from one batch; trial by trial it must give
+    # what two one-row decodes and two one-sequence passes give, on fresh
+    # models of the three tasks and on a supplied flat model that fails
+    # some trials.  The discrepancy may differ by rounding, at most 1e-15,
+    # and each difference is reported
     trials = []
-    real = E.check_invariance
+    real = E.check_trials
 
-    def both(model, src, f, max_len):
-        rep = real(model, src, f, max_len=max_len)
-        trials.append((rep, check_invariance_two_calls(model, src, f,
-                                                       max_len)))
-        return rep
+    def both(model, chunk, max_len):
+        reps = real(model, chunk, max_len)
+        for rep, (src, f) in zip(reps, chunk):
+            trials.append((rep, check_invariance_two_calls(model, src, f,
+                                                           max_len)))
+        return reps
 
-    monkeypatch.setattr(E, "check_invariance", both)
+    monkeypatch.setattr(E, "check_trials", both)
     flat = FlatVocabTransformer(ModelConfig(**TINY),
                                 L.task_vocabulary("prop", 3), seed=3)
     reports = [E.certify_invariance(n_trials=45, seed=0),
@@ -395,6 +397,26 @@ def test_certification_matches_the_two_call_oracle(monkeypatch):
     assert reports[1].failures >= 1
     print(f"{len(trials)} trials; discrepancy off the oracle's in "
           f"{len(gaps)}, by at most {max(gaps, default=0.0):.1e}")
+
+
+def test_certify_counts_the_exactly_equal_trials():
+    # a task's exact count is the number of its trials whose aligned
+    # logits agree bit for bit: the zero discrepancies that one
+    # check_invariance call per trial gives, drawn as certify draws them
+    vocab = L.task_vocabulary("prop", 4)
+    for cls in (Seq2SeqModel, FlatVocabTransformer):
+        model = cls(ModelConfig(**TINY), vocab, seed=5)
+        rep = E.certify_invariance(model, n_trials=40, seed=3, task="prop",
+                                   max_len=12)
+        rng = np.random.default_rng(E._cell_seed(3, 100))
+        zeros = 0
+        for _ in range(40):
+            src = E._random_task_input("prop", vocab, rng)
+            f = AlphaRenaming.random(vocab, rng)
+            rep1 = check_invariance(model, src, f, 12)
+            zeros += rep1.max_logit_discrepancy == 0.0
+        assert rep.per_task[0].exact == zeros
+        print(f"{cls.__name__}: {zeros} of 40 trials exact")
 
 
 # ----------------------------------------------------------------- timing

@@ -232,6 +232,11 @@ def test_rows_sum_adds_slot_by_slot_as_if_alone(width):
             alone = S.Rows([c]).sum(x[lo:lo + c])
             assert alone.tobytes() == want.tobytes()
             lo += c
+    # one slot per sequence: each row plus +0.0, so a -0.0 sums to +0.0
+    x = np.where(rng.random((3, width)) < 0.5, -0.0, rng.normal(size=(3, width)))
+    got = S.Rows([1, 1, 1]).sum(x)
+    assert got.tobytes() == (0.0 + x).tobytes()
+    assert np.signbit(got).sum() == np.signbit(x).sum() - (x == 0.0).sum()
 
 
 def test_aggregate_requires_active_stream():
