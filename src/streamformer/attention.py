@@ -19,8 +19,13 @@ the encoder positions that are its own input.
 An attention call is three graph nodes, each with a hand-written vjp: the
 k and v projections (product, rotation, head split), then one node for
 the query projection, scores, mask, softmax, value mixing, head merge
-and output projection.  Training, teacher-forced evaluation and cached
-decoding all run these nodes.
+and output projection.  Training and teacher-forced evaluation run these
+nodes, and so does a cached decode step's cross-attention.  A cached
+step's self-attention (DP, and DA after its aggregate) is one node
+without a vjp (MultiHeadAttention.step): each input is projected in one
+product over the sublayer's weights, stacked side by side once per
+decode state (MultiHeadAttention.stacked), and the scores onward are the
+same code as attend's (_mix).
 
 Queries, keys and masks come a row per real (sequence, stream), and a
 stream batch holds only each row's real positions, its cells (see
@@ -36,8 +41,8 @@ gradients back per sequence.  A cached decode step records no such
 gather: its KVCache copies the new position's keys to their rows as it
 writes them in place after the positions it already holds.
 
-The softmax weights stay inside MultiHeadAttention.attend; every function
-here returns only its output.
+The softmax weights stay inside the nodes; every function here returns
+only its output.
 """
 from __future__ import annotations
 
@@ -98,6 +103,7 @@ class MultiHeadAttention:
         self.wk = T.Parameter(f"{prefix}.wk", rng.uniform(-bound, bound, (d, d)))
         self.wv = T.Parameter(f"{prefix}.wv", rng.uniform(-bound, bound, (d, d)))
         self.wo = T.Parameter(f"{prefix}.wo", rng.uniform(-bound, bound, (d, d)))
+        self.scale = 1.0 / np.sqrt(cfg.head_dim)     # of the scores
 
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
@@ -138,26 +144,19 @@ class MultiHeadAttention:
         rowsum(dP * P)) * scale, and hands dQ to the query projection's
         own vjp.
         """
-        h, hd = self.cfg.heads, self.cfg.head_dim
-        scale = 1.0 / np.sqrt(hd)
         drop = None if mask is None else ~mask.reshape(
             mask.shape[:1] + (1,) * (len(grid.shape) - 1) + mask.shape[1:])
+        return self._attend(q_in, k, v, drop, phase, grid)
+
+    def _attend(self, q_in, k, v, drop, phase, grid):
+        """attend() under drop, True where a query may not see a key, in
+        the form the scores take: (rows, 1, ..., Lq, Lk), or None."""
+        h, hd, scale = self.cfg.heads, self.cfg.head_dim, self.scale
 
         def forward(xd, wq, kd, vd, wo):
             qd, q_back = _split_heads(xd, wq, h, hd, phase, grid)
-            p = np.matmul(qd, kd.swapaxes(-1, -2))
-            p *= scale
-            if drop is not None:
-                np.copyto(p, -np.inf, where=drop)
-            mx = np.maximum.reduce(p, axis=-1, keepdims=True)
-            if not np.logical_and.reduce(np.isfinite(mx), axis=None):
-                raise ContractError("attention: a query row has every key masked")
-            p -= mx
-            np.exp(p, out=p)
-            p /= np.add.reduce(p, axis=-1, keepdims=True)
-            ctx = np.matmul(p, vd)                           # (...,h,Lq,hd)
-            merged = grid.gather(ctx.swapaxes(-2, -3)).reshape(-1, h * hd)
-            out = grid.matmul(merged, wo).reshape(xd.shape)
+            out, p, merged = _mix(qd, kd, vd, wo, drop, scale, grid)
+            out = out.reshape(xd.shape)
 
             def vjp(g):
                 g2 = g.reshape(-1, wo.shape[1])
@@ -175,6 +174,86 @@ class MultiHeadAttention:
             return out, vjp
 
         return T.fused(forward, q_in, self.wq.tensor, k, v, self.wo.tensor)
+
+    def stacked(self, queries):
+        """The key and value weights side by side, (d, 2d), after the query
+        weights, (d, 3d), when queries: the weights of one product over an
+        input that feeds them all."""
+        ws = [self.wq, self.wk, self.wv] if queries else [self.wk, self.wv]
+        return np.concatenate([w.data for w in ws], axis=1)
+
+    def step(self, x, kv_in, cache, seq, phase, *, grid):
+        """A cached decode step of masked self-attention, one node with no
+        gradient: a backward pass through it raises ContractError.
+
+        x holds the new position's cells, one per row of grid (rows, 1).
+        Without kv_in (DP) the queries, keys and values of x are one
+        product over cache.w, (d, 3d); given kv_in, the (B, 1, d)
+        aggregate of each sequence (DA), the queries are x's own product
+        and the keys and values one product of kv_in over cache.w, (d, 2d),
+        copied to row r from sequence seq[r].  Queries and keys are
+        rotated by phase, the keys and values are written into cache, and
+        the queries attend over every cached position, as attend() does,
+        with no mask: the new position may see all of them.
+        """
+        h, hd, scale = self.cfg.heads, self.cfg.head_dim, self.scale
+        d, wd = h * hd, cache.w
+
+        def forward(xd, wo, *agg):
+            if agg:
+                q = grid.matmul(xd, self.wq.data)
+                kv = grid.matmul(agg[0].reshape(-1, d), wd)
+                _rotate(q, h, phase)
+                _rotate(kv[:, :d], h, phase)
+            else:
+                y = grid.matmul(xd, wd)
+                q, kv = y[:, :d], y[:, d:]
+                _rotate(y[:, :2 * d], 2 * h, phase)
+            k, v = cache.extend(kv[:, :d].reshape(-1, h, hd),
+                                kv[:, d:].reshape(-1, h, hd), seq)
+            qd = q.reshape(-1, 1, h, hd).swapaxes(-2, -3)
+            return _mix(qd, k, v, wo, None, scale, grid)[0], _no_gradient
+
+        extra = () if kv_in is None else (kv_in,)
+        return T.fused(forward, x, self.wo.tensor, *extra)
+
+
+def _no_gradient(g):
+    raise ContractError("a cached decode step records no gradient")
+
+
+def _rotate(y, heads, phase):
+    """Rotate y (rows, heads * hd), in place, by phase, a rotation() table
+    of one position: each head's hd/2 pairs times the table's row.  y may
+    be a column slice of a wider product: splitting its last axis is
+    still a view, so the rotation writes through."""
+    pairs = y.reshape(len(y), 1, heads, -1).view(np.complex128)
+    pairs *= phase
+
+
+def _mix(qd, kd, vd, wo, drop, scale, grid):
+    """Attention of heads qd (...,h,Lq,hd) over keys kd and values vd,
+    (...,h,Lk,hd), under drop (see _attend): scores times scale, mask,
+    softmax, value mixing, head merge and output projection.  Returns the
+    output, one row per cell of grid, with the softmax weights and the
+    merged heads that a vjp reads.  Only a mask can leave a query row no
+    key to see, so only then is it checked.
+    """
+    h, hd = qd.shape[-3], qd.shape[-1]
+    p = np.matmul(qd, kd.swapaxes(-1, -2))
+    p *= scale
+    if drop is not None:
+        np.copyto(p, -np.inf, where=drop)
+    mx = np.maximum.reduce(p, axis=-1, keepdims=True)
+    if drop is not None and not np.logical_and.reduce(np.isfinite(mx),
+                                                      axis=None):
+        raise ContractError("attention: a query row has every key masked")
+    p -= mx
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    ctx = np.matmul(p, vd)                                   # (...,h,Lq,hd)
+    merged = grid.gather(ctx.swapaxes(-2, -3)).reshape(-1, h * hd)
+    return grid.matmul(merged, wo), p, merged
 
 
 def rotation(cfg, positions):
@@ -225,39 +304,40 @@ def _split_heads(xd, wd, h, hd, phase, grid):
 
 class KVCache:
     """Rotated keys and values of one self-attention sublayer, kept across
-    decode steps.
+    decode steps, and w, the weights of the one product that makes them
+    (MultiHeadAttention.stacked), stacked once per decode state.
 
     k and v are (rows, h, capacity, hd) buffers, a row per decoded stream,
-    whose first `length` positions are filled.  A step writes its
-    positions in place with extend(), and a full buffer is replaced by one
-    of twice the capacity, so an L-step decode copies O(L) positions, not
-    O(L^2).  select() takes the kept rows of each whole buffer in one
-    copy, as beam search does when it keeps some hypotheses and drops
-    others; the positions past `length` are never read.
+    whose first `length` positions are filled.  A step writes its position
+    in place with extend(), and a full buffer is replaced by one of twice
+    the capacity, so an L-step decode copies O(L) positions, not O(L^2).
+    select() takes the kept rows of each whole buffer in one copy, as beam
+    search does when it keeps some hypotheses and drops others; the
+    positions past `length` are never read.
     """
 
-    def __init__(self):
+    def __init__(self, w):
+        self.w = w
         self.k = self.v = None
         self.length = 0
 
-    def extend(self, k, v, seq=None):
-        """Write the new positions' heads after the filled ones; returns
-        views of every filled position of k and v.  Given seq, k and v
-        have one entry per sequence, and row r reads entry seq[r]."""
-        k, v = k.data, v.data
+    def extend(self, k, v, seq):
+        """Write one new position's heads, k and v (entries, h, hd), after
+        the filled ones; returns views of every filled position of k and
+        v.  Row r reads entry r, or entry seq[r] when seq is given (one
+        entry per sequence)."""
         if seq is not None:
             k, v = k[seq], v[seq]
+        pos = self.length
         if self.k is None:
-            self.k, self.v = k[..., :0, :], v[..., :0, :]
-        start, end = self.length, self.length + k.shape[-2]
-        if end > self.k.shape[-2]:
-            cap = max(end, 2 * start, FIRST_CAPACITY)
-            self.k = _buffer(self.k[..., :start, :], cap)
-            self.v = _buffer(self.v[..., :start, :], cap)
-        self.k[..., start:end, :] = k
-        self.v[..., start:end, :] = v
-        self.length = end
-        return self.k[..., :end, :], self.v[..., :end, :]
+            shape = (len(k), k.shape[1], FIRST_CAPACITY, k.shape[2])
+            self.k, self.v = np.empty(shape), np.empty(shape)
+        elif pos == self.k.shape[2]:
+            self.k, self.v = _grown(self.k), _grown(self.v)
+        self.k[:, :, pos] = k
+        self.v[:, :, pos] = v
+        self.length = pos + 1
+        return self.k[:, :, :pos + 1], self.v[:, :, :pos + 1]
 
     def select(self, rows):
         if self.k is not None:     # no step written yet: nothing to re-index
@@ -267,21 +347,19 @@ class KVCache:
 FIRST_CAPACITY = 8   # positions a KVCache holds before it first grows
 
 
-def _buffer(filled, cap):
-    """A (..., cap, hd) buffer whose first positions hold `filled`."""
-    out = np.empty(filled.shape[:-2] + (cap, filled.shape[-1]))
-    out[..., :filled.shape[-2], :] = filled
+def _grown(buf):
+    """buf (..., cap, hd) copied into the front of a buffer of twice the
+    capacity."""
+    out = np.empty(buf.shape[:-2] + (2 * buf.shape[-2], buf.shape[-1]))
+    out[..., :buf.shape[-2], :] = buf
     return out
 
 
-def _kv(mha, kv_in, grid, phase, seq=None, cache=None):
+def _kv(mha, kv_in, grid, phase, seq=None):
     """Keys and values of kv_in, the cells of grid, keys rotated by phase;
     given seq, kv_in has one entry per sequence, gathered to row r from
-    sequence seq[r].  A cache appends them to the earlier decode steps'
-    and returns all of them."""
+    sequence seq[r]."""
     k, v = mha.project_kv(kv_in, kv_in, phase, grid=grid)
-    if cache is not None:
-        return cache.extend(k, v, seq)
     if seq is not None:
         k, v = T.gather_rows(k, seq), T.gather_rows(v, seq)
     return k, v
@@ -298,12 +376,15 @@ def per_stream_attention(mha, H, mask, phase, cache=None):
     """Self-attention run independently inside each stream.
 
     With k=1 this is plain self-attention.  With a KVCache, H holds only
-    the new positions and attends over every cached one as well.  phase
-    is the rotation() table of H's absolute positions, which rotates both
-    the queries and the keys.  Returns the StreamBatch of raw attention
-    outputs.
+    the new position and attends over every cached one as well, as one
+    node (MultiHeadAttention.step).  phase is the rotation() table of H's
+    absolute positions, which rotates both the queries and the keys.
+    Returns the StreamBatch of raw attention outputs.
     """
-    k, v = _kv(mha, H.hidden, H.grid, phase, cache=cache)
+    if cache is not None:
+        return H.with_hidden(mha.step(H.hidden, None, cache, None, phase,
+                                      grid=H.grid))
+    k, v = _kv(mha, H.hidden, H.grid, phase)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
@@ -312,10 +393,14 @@ def aggregated_attention(mha, H, mask, phase, cache=None):
 
     The aggregate is computed and projected once per sequence, so every
     stream of a sequence attends over identical keys.  It is
-    position-wise, so a cached decode step fuses only its new positions.
+    position-wise, so a cached decode step fuses only its new position,
+    and its keys and values reach their rows as the cache stores them.
     phase is as for per_stream_attention.
     """
-    k, v = _kv(mha, *_fused(H), phase, H.rows.seq, cache)
+    if cache is not None:
+        return H.with_hidden(mha.step(H.hidden, aggregate(H), cache,
+                                      H.rows.seq, phase, grid=H.grid))
+    k, v = _kv(mha, *_fused(H), phase, H.rows.seq)
     return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
 
 
@@ -342,15 +427,17 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, phase, kv=None):
     the encoder's stream ids.  phase is the rotation() table of H_dec's
     absolute positions, which rotates the queries; cross_kv rotates the
     keys by the encoder's.  Decoding passes the keys and values it holds
-    for its rows as kv; its rows' streams are the encoder's by
-    construction, so only a call without kv checks them.
+    for its rows as kv, and for mask the drop mask that attention reads
+    (DecodeState.drop), built once per row set; its rows' streams are the
+    encoder's by construction, so only a call without kv checks them.
     """
-    if kv is None:
-        if mode == "per" and (H_dec.k != H_enc.k or
-                              (H_dec.stream_ids != H_enc.stream_ids).any()):
-            raise ContractError(
-                "per-stream cross attention needs aligned streams")
-        kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
-    k, v = kv
+    if kv is not None:
+        k, v = kv
+        return H_dec.with_hidden(mha._attend(H_dec.hidden, k, v, mask, phase,
+                                             H_dec.grid))
+    if mode == "per" and (H_dec.k != H_enc.k or
+                          (H_dec.stream_ids != H_enc.stream_ids).any()):
+        raise ContractError("per-stream cross attention needs aligned streams")
+    k, v = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
     return H_dec.with_hidden(mha.attend(H_dec.hidden, k, v, mask, phase,
                                         grid=H_dec.grid))

@@ -21,26 +21,31 @@ decode_hidden build the masks and the rotation() table of the positions
 they feed and hand them to every layer, with the dropout generator (None
 outside training); each layer reads its dropout rate from the config it
 was built with.
-Every attention sublayer is three graph nodes (see attention.py); the
-residual sum and its norm are one node, and so are the feed-forward block
-and the cosine head's normalisation.  Every stream-wise piece runs on the
+Every attention sublayer is three graph nodes (see attention.py), but a
+cached decode step's DP and DA are one each; the residual sum and its
+norm are one node, and so are the feed-forward block and the cosine
+head's normalisation.  Every stream-wise piece runs on the
 stored cells, one per real (sequence, stream, position), so no work goes
 to stream slots a sequence lacks or to positions past its end: the
 embedding, the norms, the feed-forward block, dropout, the cosine
 normalisation and the projections see only the cells, and attention
 alone lays them out on the padded grid, inside its nodes.
 
-Decoding runs on a DecodeState.  begin_decode encodes one or more
-sources, of any length and stream count, as one batch, opens one cache
-per decoder sublayer (a KVCache for self-attention, the cross-attention
-keys and values, projected once) and builds a lookup table from every
-token id to its embedding row in each stream of each source; every
-step_logits call then embeds one token per row with one index into that
-table, feeds it through the same decoder layers as the teacher-forced
-pass, and writes its rotated DP and DA keys and values in place into the
-caches.  This matches the teacher-forced pass up to rounding because every
-decoder sublayer is position-wise or causal: the DA aggregate at position
-t reads only position t, and rotary encoding rotates each key by its own
+Decoding runs on a DecodeState, which holds every constant of a step.
+begin_decode encodes one or more sources, of any length and stream
+count, as one batch, opens one cache per decoder sublayer (a KVCache
+for self-attention, with its sublayer's weights stacked for one product
+per input; the cross-attention keys and values, projected once) and
+builds two step tables: the embedded cell and the aggregate weight of
+every token id in each stream of each source.  The state works out the
+rest once per row set: the step batch's layout, project's own-column
+places and cross-attention's drop mask.  Every step_logits call then
+reads one token per row off the tables with one index, feeds it through
+the same decoder layers as the teacher-forced pass, and writes its
+rotated DP and DA keys and values in place into the caches.  This
+matches the teacher-forced pass up to rounding because every decoder
+sublayer is position-wise or causal: the DA aggregate at position t
+reads only position t, and rotary encoding rotates each key by its own
 absolute position.  Each row keeps its own source's streams, and
 cross-attention reads a shorter source's encoder keys under a key-padding
 mask.  When the sources share their length and stream count, their rows
@@ -52,7 +57,9 @@ in arrays, and re-indexes the caches by parent; greedy decoding is the
 width-1 beam, whose rows keep their places, so its caches are re-indexed
 only when a source ends before the others.  check_trials decodes every
 trial's source and renamed image as the rows of one such search;
-check_invariance is its one-trial case.
+check_invariance is its one-trial case.  A step that would double the
+caches past CACHE_BYTES raises ResourceError instead, so a decode that
+never ends stops before it runs out of memory.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
@@ -75,10 +82,10 @@ from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         aggregated_attention, cross_attention, cross_kv,
                         look_ahead_mask, padding_mask, per_stream_attention,
                         rotation)
-from .errors import ContractError, VocabularyError
+from .errors import ContractError, ResourceError, VocabularyError
 from .streams import (EOS_ID, SOS_ID, Grid, Rows, StreamBatch, Vocabulary,
-                      _flat, _stream_rows, pack_sequences, project,
-                      sequence_stream_ids)
+                      _flat, _stream_rows, aggregate_weights, pack_sequences,
+                      project, sequence_stream_ids)
 
 # ablation code tokens, in code order: the sublayer switch each turns on,
 # then the cross-attention mode each adds
@@ -86,6 +93,7 @@ _SUBLAYER_CODES = {"EP": "use_ep", "DP": "use_dp", "EA": "use_ea",
                    "DA": "use_da"}
 _CROSS_CODES = {"CP": "per", "CA": "agg"}
 CROSS_MODES = tuple(_CROSS_CODES.values())
+CACHE_BYTES = 2 ** 28   # keys and values a decode state's caches may hold
 
 
 @dataclass(frozen=True)
@@ -303,9 +311,12 @@ class DecoderLayer(_Layer):
 
     def caches(self, enc):
         """Decode-time state, one entry per sublayer: a KVCache for masked
-        self-attention, the encoder keys and values, computed once, for
-        cross-attention.  Each holds a row per decoded stream."""
-        return [KVCache() if kind in ("self", "agg") else
+        self-attention, with the weights of its one product (queries, keys
+        and values for DP, keys and values for DA), the encoder keys and
+        values, computed once, for cross-attention.  Each holds a row per
+        decoded stream."""
+        return [KVCache(mha.stacked(kind == "self"))
+                if kind in ("self", "agg") else
                 tuple(x.data for x in cross_kv(mha, enc, _cross_mode(kind),
                                                enc.rows.seq))
                 for kind, mha, _ in self.subs]
@@ -316,61 +327,70 @@ def _cross_mode(kind):
 
 
 class DecodeState:
-    """Encoded sources and the decoder caches of the rows decoding them.
+    """Encoded sources and the decoder caches of the rows decoding them,
+    with every constant of a step worked out once.
 
     begin_decode builds it from one or more sources of any length and
     stream count: the encoder runs once over all of them, as one batch
     padded where they differ, each decoder layer's cross-attention keys
     and values are projected once, and so are the output table
-    (normalised for the cosine head) and the step embedding's lookup
-    table.  Each step_logits call
-    then feeds one token per row, embeds it with one index into that
-    table, and writes that position's rotated keys and values into every
-    layer's cache.  Each row decodes one source, src_of says which, and
-    keeps that source's streams: a row holds one cache row per stream of
-    its source, so the rows are ragged when the stream counts differ, and
-    cross-attention reads a shorter source's encoder keys under a
-    key-padding mask.  When every source has one length and one stream
-    count, nothing is padded, and while each source holds as many rows as
-    the others, grouped in source order, every product runs source by
-    source (the grid's runs), as it would for that source alone; a state
-    of sources that differ runs plain products.  The search keeps its
-    live hypotheses as rows and calls select() to re-index the caches by
-    parent.
+    (normalised for the cosine head) and two step tables: for every token
+    id in every stream of every source, its embedded cell and its weight
+    in the aggregate.  Each self-attention cache holds its sublayer's
+    projection weights side by side, so a step projects each input in one
+    product.  Each step_logits call then feeds one token per row, reads
+    its cells and weights off the tables with one index, and writes that
+    position's rotated keys and values into every layer's cache.  Each
+    row decodes one source, src_of says which, and keeps that source's
+    streams: a row holds one cache row per stream of its source, so the
+    rows are ragged when the stream counts differ, and cross-attention
+    reads a shorter source's encoder keys under a key-padding mask.  When
+    every source has one length and one stream count, nothing is padded,
+    and while each source holds as many rows as the others, grouped in
+    source order, every product runs source by source (the grid's runs),
+    as it would for that source alone; a state of sources that differ
+    runs plain products.  The search keeps its live hypotheses as rows
+    and calls select() to re-index the caches by parent.
 
-    col_ids  (sources, columns) token id behind each logit column, -1 past
-             a source's own streams (and for a synthetic stream)
-    allowed  (rows, columns) columns each row's source can emit
-    lookup   (sources, k, V) embedding row of every token id in each stream
-    own      (sources, k, V) 1.0 where the token id is the stream's own
-             symbol
-    layers   per decoder layer, its caches(): one entry per sublayer, a
-             cache row per stream of each row
-    src_of   (rows,) the source each row decodes
-    m_pad    (stream rows, 1, encoder length) the encoder positions each
-             stream row's source holds, None when every one holds all
+    col_ids   (sources, columns) token id behind each logit column, -1
+              past a source's own streams (and for a synthetic stream)
+    allowed   (rows, columns) columns each row's source can emit
+    embedded  (encoder rows, V, d) the embedding row of every token id in
+              each encoder row's stream: a step's cell
+    weights   (encoder rows, V) the aggregate weight of every token id in
+              each encoder row's stream (streams.aggregate_weights)
+    layers    per decoder layer, its caches(): one entry per sublayer, a
+              cache row per stream of each row
+    src_of    (rows,) the source each row decodes
+    m_pad     (stream rows, 1, encoder length) the encoder positions each
+              stream row's source holds, None when every one holds all
+    drop      m_pad inverted, in the shape of a step's attention scores:
+              the mask cross-attention reads, or None
     rows, stream_ids, lengths, grid  the StreamBatch fields of the
                                      current rows
-    k is the largest stream count; lookup, own and the encoder's stream
-    ids are padded to it, and only a source's own streams are read.
+    An encoder row is one stream of one source; V counts the token ids.
     """
 
-    def __init__(self, enc, col_ids, table, layers, lookup, own):
+    def __init__(self, enc, col_ids, table, layers, embedded, weights):
         self.enc = enc
         self.col_ids = col_ids
         self.table = table
         self.layers = layers
-        self.lookup = lookup
-        self.own = own
-        self._fit(np.arange(len(lookup)))
+        self.embedded = embedded
+        self.weights = weights
+        self._fit(np.arange(len(col_ids)))
 
     def _fit(self, src_of):
         """Row bookkeeping for rows decoding src_of, each row with its
-        source's streams and columns.  When the encoder ran its sources
-        as runs (they share their length and stream count), rows grouped
-        by source in source order, the same number for each, are one run
-        per source (streams.Runs), so each source's rows get the bits they
-        would get decoded alone; any other rows run plain products."""
+        source's streams and columns, and every step constant that
+        depends only on them: the batch a step's cells join (with
+        project's own-column places, see StreamBatch.own_columns), the
+        drop mask, and where each stream row's entries start in the step
+        tables.  When the encoder ran its sources as runs (they share
+        their length and stream count), rows grouped by source in source
+        order, the same number for each, are one run per source
+        (streams.Runs), so each source's rows get the bits they would get
+        decoded alone; any other rows run plain products."""
         n = len(src_of)
         ids = src_of.tolist()
         sources = sorted(set(ids))
@@ -380,13 +400,19 @@ class DecodeState:
             runs = 1
         self.src_of = src_of
         self.allowed = self.col_ids[src_of] >= 0
-        self.rows = Rows(self.enc.rows.counts[src_of])
+        self.rows = rows = Rows(self.enc.rows.counts[src_of])
         self.stream_ids = self.enc.stream_ids[src_of]
         self.lengths = np.ones(n, dtype=np.int64)
-        self.grid = Grid((len(self.rows.seq), 1)).runs(runs)
-        lengths = self.enc.lengths[src_of][self.rows.seq]
+        self.grid = Grid((len(rows.seq), 1)).runs(runs)
+        lengths = self.enc.lengths[src_of][rows.seq]
         self.m_pad = (None if (lengths == self.enc.length).all() else
                       padding_mask(lengths, 1, self.enc.length))
+        self.drop = None if self.m_pad is None else ~self.m_pad[:, None]
+        self._start = ((self.enc.rows.first[src_of][rows.seq] + rows.slot)
+                       * self.weights.shape[1])
+        self._batch = StreamBatch(None, None, rows, self.stream_ids,
+                                  self.lengths, self.grid)
+        self._batch.own_columns     # worked out here, once per row set
 
     @property
     def length(self):
@@ -394,10 +420,10 @@ class DecodeState:
         layer's first sublayer is self-attention, so its cache counts."""
         return self.layers[0][0].length
 
-    def embed(self, tgt_inputs, W):
+    def embed(self, tgt_inputs):
         """StreamBatch of the next token of every row, tgt_inputs (rows, 1):
-        each stream row reads its embedding row through its source's
-        lookup table."""
+        each stream row reads its cell and its aggregate weight off the
+        step tables, at its own stream's entry for the token."""
         tokens = np.asarray(tgt_inputs)
         if tokens.shape != (len(self.src_of), 1):
             raise ContractError(f"a cached decode step feeds one token to each "
@@ -405,13 +431,29 @@ class DecodeState:
                                 f"{tokens.shape}")
         tokens = tokens[:, 0]
         if not (0 <= np.minimum.reduce(tokens)
-                and np.maximum.reduce(tokens) < self.lookup.shape[2]):
+                and np.maximum.reduce(tokens) < self.weights.shape[1]):
             raise VocabularyError("decode step fed an out-of-range token id")
-        pick = self.rows.pick
-        return StreamBatch(
-            T.gather_rows(W, pick(self.lookup[self.src_of, :, tokens])),
-            pick(self.own[self.src_of, :, tokens]), self.rows,
-            self.stream_ids, self.lengths, self.grid)
+        first = self.layers[0][0]   # every KVCache of the state fills alike
+        if first.k is not None and first.length == first.k.shape[2]:
+            self._check_growth()
+        at = self._start + tokens[self.rows.seq]
+        H = self._batch.with_hidden(T.Tensor(
+            self.embedded.reshape(-1, self.embedded.shape[2])[at]))
+        H.weight = self.weights.reshape(-1, 1)[at]
+        return H
+
+    def _check_growth(self):
+        """Refuse the step that would double the self-attention caches
+        past CACHE_BYTES, before they grow: a decode that never ends
+        stops with ResourceError, not when memory runs out."""
+        caches = [c for layer in self.layers for c in layer
+                  if isinstance(c, KVCache)]
+        need = 2 * sum(c.k.nbytes + c.v.nbytes for c in caches)
+        if need > CACHE_BYTES:
+            raise ResourceError(
+                f"decoding past {self.length} positions needs {need >> 20} "
+                f"MiB of attention caches, over the {CACHE_BYTES >> 20} MiB "
+                f"budget")
 
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated, and at
@@ -515,7 +557,8 @@ class Seq2SeqModel:
     def _step_lookup(self, enc):
         """Embedding row and occupancy of every token id in each stream of
         each source enc holds, (sources, k, V) each: what _embed gives a
-        token at any position of a decoder row."""
+        token at any position of a decoder row, and what begin_decode
+        builds the step tables from."""
         own_id = enc.stream_ids
         shape = own_id.shape + (self.vocab.total_size,)
         ids = np.broadcast_to(np.arange(shape[-1]), (own_id.size, shape[-1]))
@@ -552,11 +595,11 @@ class Seq2SeqModel:
         """Run the decoder stack; streams are pinned to the encoder's.
 
         With a DecodeState, each row of tgt_inputs is the one next token of
-        a decoded row, embedded through the state's lookup table: the
+        a decoded row, embedded through the state's step tables: the
         layers read the earlier positions from the state's caches and
         append this one.  The new position may see every cached one, so
         self-attention masks nothing, and cross-attention reads the
-        encoder under the state's key-padding mask.  Every layer shares
+        encoder under the state's drop mask.  Every layer shares
         the masks and one rotary phase table; rng is as for encode.
         """
         if state is None:
@@ -566,8 +609,8 @@ class Seq2SeqModel:
             caches = [None] * len(self.dec_layers)
             pos = np.arange(H.length)
         else:
-            H = state.embed(tgt_inputs, self.embedding.tensor)
-            m_la, m_pad = None, state.m_pad
+            H = state.embed(tgt_inputs)
+            m_la, m_pad = None, state.drop
             caches = state.layers
             pos = np.arange(state.length, state.length + 1)
         phase = rotation(self.cfg.attention, pos)
@@ -615,7 +658,11 @@ class Seq2SeqModel:
         one batch and open a DecodeState with one row per source, no token
         fed yet.  Sources of one length and one stream count are encoded
         as one run each (see encode), so each gets the bits it gets
-        alone; any other batch is padded and runs plain products."""
+        alone; any other batch is padded and runs plain products.  The
+        step tables hold, for every token id in every encoder row's
+        stream, the embedding row _step_lookup names and the aggregate
+        weight of its occupancy, with the expression a packed batch uses
+        (streams.aggregate_weights)."""
         if not srcs:
             raise ContractError("a decode state takes one or more sources")
         srcs = [list(src) for src in srcs]
@@ -626,9 +673,11 @@ class Seq2SeqModel:
             enc = self.encode(srcs, blocks=len(srcs) if shapes == 1 else 1)
             table = self._output_table()
             layers = [layer.caches(enc) for layer in self.dec_layers]
+        lookup, own = map(enc.rows.pick, self._step_lookup(enc))
         return DecodeState(enc, np.array([c + [-1] * (width - len(c))
-                                          for c in col_ids]),
-                           table, layers, *self._step_lookup(enc))
+                                          for c in col_ids]), table, layers,
+                           self.embedding.data[lookup],
+                           aggregate_weights(enc.rows, own))
 
     def step_logits(self, state, tokens):
         """Feed one token per row; returns the next logits, (rows, columns).

@@ -198,8 +198,9 @@ class Rows:
         into zeros) adds one slot after another in each column, so a
         sequence's sum has the bits it has alone.  One slot is x + 0.0,
         the bits that reduce gives (-0.0 becomes +0.0), without it.  At
-        M 1 numpy adds eight or more slots pairwise; the model sums only
-        0/1 occupancies there.
+        M 1 the slot axis is numpy's innermost, where reduce adds eight or
+        more slots pairwise, so a running sum (accumulate) takes its last
+        slot instead.
         """
         B, k = len(self.counts), self.kmax
         if k == 1:
@@ -209,7 +210,11 @@ class Rows:
         else:
             dense = np.zeros((B, k, x[0].size))
             dense[self.seq, self.slot] = x.reshape(len(self.seq), -1)
-        return np.add.reduce(dense, axis=1).reshape((B,) + x.shape[1:])
+        if dense.shape[2] == 1:
+            total = np.add.accumulate(dense, axis=1)[:, -1]
+        else:
+            total = np.add.reduce(dense, axis=1)
+        return total.reshape((B,) + x.shape[1:])
 
 
 class Grid:
@@ -298,6 +303,12 @@ class StreamBatch:
     grid       Grid    where the cells sit among (rows, longest length)
     A row is one real (sequence, stream); k is the largest stream count,
     and slots past a sequence's own have no row.
+
+    weight and own_columns are constants of the batch's layout, worked out
+    on first use, and with_hidden hands them on, so each is computed once
+    per batch, not once per sublayer.  A decode step's batch (see
+    model.DecodeState) gets them from its state: the weight from a table,
+    the rest from the state's rows; it carries no occupancy.
     """
 
     hidden: T.Tensor
@@ -324,8 +335,30 @@ class StreamBatch:
         return out
 
     def with_hidden(self, hidden):
-        return StreamBatch(hidden, self.occupancy, self.rows,
-                           self.stream_ids, self.lengths, self.grid)
+        """This batch with other hidden states, and every constant it has
+        worked out so far."""
+        out = object.__new__(StreamBatch)
+        out.__dict__ = dict(self.__dict__, hidden=hidden)
+        return out
+
+    @cached_property
+    def weight(self):
+        """(P, 1) each cell's weight in its sequence's aggregate."""
+        occ = self.grid.scatter(self.occupancy)               # (N, L)
+        return self.grid.gather(aggregate_weights(self.rows, occ))[:, None]
+
+    @cached_property
+    def own_columns(self):
+        """Where project puts each cell's own score: a (B, L, k) array of
+        -inf to fill, the flat places in it of the cells whose stream
+        carries a symbol, and those cells (None when every cell's does)."""
+        rows, sids, (N, L) = self.rows, self.stream_ids, self.grid.shape
+        row, pos = self.grid.index or np.divmod(np.arange(N * L), L)
+        place = (rows.seq[row] * L + pos) * sids.shape[1] + rows.slot[row]
+        symbol = sids[rows.seq, rows.slot][row] >= 0
+        cells = None if symbol.all() else np.flatnonzero(symbol)
+        return (np.full((len(sids), L, sids.shape[1]), -np.inf),
+                place if cells is None else place[cells], cells)
 
 
 def sequence_stream_ids(seq, vocab):
@@ -341,8 +374,8 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     whole batch is built at once from one padded id matrix: each row reads
     its sequence's ids, with interchangeable ids sent to the placeholder
     row and the row's own id to the actual row (_stream_rows, the one
-    lookup rule, which the decode step's lookup table uses too).  Only the
-    real positions are embedded.
+    lookup rule, which the decode state's step tables are built by too).
+    Only the real positions are embedded.
     """
     if not seqs:
         raise ContractError("cannot pack an empty batch")
@@ -396,6 +429,14 @@ def _flat(lists, n):
     return np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=n)
 
 
+def aggregate_weights(rows, occ):
+    """Each row's weight in its sequence's aggregate at every position of
+    occ (rows, positions), 1.0 where the row's own token sits: the mean's
+    share, 1/count of what no stream owns, plus that occupancy."""
+    share = (1.0 - rows.sum(occ)) / rows.counts[:, None]
+    return share[rows.seq] + occ
+
+
 def aggregate(H):
     """Fuse each sequence's streams into one sequence (mean then restore).
 
@@ -403,13 +444,10 @@ def aggregate(H):
     a stream's own token are replaced by that stream's hidden row, so each
     symbol keeps its private view of itself while everything else is
     shared.  Returns a (B, L, d) tensor, zero past each sequence's end:
-    one node, a weighted sum of each sequence's rows, whose vjp hands every
-    cell its weighted share.
+    one node, a weighted sum of each sequence's rows (StreamBatch.weight),
+    whose vjp hands every cell its weighted share.
     """
-    rows, grid = H.rows, H.grid
-    occ = grid.scatter(H.occupancy)                       # (N, L)
-    share = (1.0 - rows.sum(occ)) / rows.counts[:, None]
-    weight = grid.gather(share[rows.seq] + occ)[:, None]  # (P, 1)
+    rows, grid, weight = H.rows, H.grid, H.weight
 
     def forward(h):
         return (rows.sum(grid.scatter(h * weight)),
@@ -435,18 +473,18 @@ def project(H, W):
     the cells would give a row different bits at a different place, so a
     renaming, which only moves rows, would move the own scores by an ulp.
     """
-    rows, sids, grid = H.rows, H.stream_ids, H.grid
+    rows, grid = H.rows, H.grid
     n = W.shape[0] - 2
     inv = (1.0 / rows.counts)[:, None, None]
     have = rows.seq, rows.slot       # the (B, k) stream slots with a row
+    blank, place, cells = H.own_columns
 
     def forward(h, w):
         mean = rows.sum(grid.scatter(h)) * inv     # (B, L, d)
-        own = np.full(sids.shape + grid.shape[1:], -np.inf)
-        own[have] = grid.scatter(T._einsum("pd,d->p", h, w[n]), -np.inf)
-        own[sids < 0] = -np.inf
-        out = np.concatenate([np.matmul(mean, w[:n].T),
-                              own.transpose(0, 2, 1)], axis=-1)
+        score = T._einsum("pd,d->p", h, w[n])
+        own = blank.copy()
+        own.reshape(-1)[place] = score if cells is None else score[cells]
+        out = np.concatenate([np.matmul(mean, w[:n].T), own], axis=-1)
 
         def vjp(g):
             g_base = g[..., :n]

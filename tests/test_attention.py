@@ -332,11 +332,12 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     prefix = T.Tensor(rng.normal(size=(2, 3, 4, 8)))
     x = T.Parameter("x", rng.normal(size=(2, 3, 1, 8)))
     up = rng.normal(size=(2, 3, 1, 8))
-    cache = A.KVCache()
-    cache.extend(*mha.project_kv(prefix, prefix, phases(mha, np.arange(4)),
-                                  grid=S.Grid(prefix.shape[:-1])))
-    k, v = cache.extend(*mha.project_kv(x.tensor, x.tensor, phases(mha, [4]),
-                                        grid=S.Grid((2, 3, 1))))
+    kp, vp = mha.project_kv(prefix, prefix, phases(mha, np.arange(4)),
+                            grid=S.Grid(prefix.shape[:-1]))
+    kx, vx = mha.project_kv(x.tensor, x.tensor, phases(mha, [4]),
+                            grid=S.Grid((2, 3, 1)))
+    k = np.concatenate([kp.data, kx.data], axis=-2)
+    v = np.concatenate([vp.data, vx.data], axis=-2)
     leaves = [x, mha.wq, mha.wo]
     zero_grads(leaves)
     out = mha.attend(x.tensor, T.Tensor(k), T.Tensor(v), None,
@@ -355,6 +356,44 @@ def test_fused_nodes_match_composition_on_a_cached_decode_step():
     assert np.max(np.abs(out.data - want.data)) <= 1e-12
     for p in leaves:
         assert np.max(np.abs(got[p.name] - p.grad)) <= 1e-12, p.name
+
+
+@pytest.mark.parametrize("aggregated", [False, True])
+def test_cached_step_node_matches_projections_and_attend_bit_for_bit(
+        aggregated):
+    # a cached decode step (DP, or DA over a per-sequence aggregate) is one
+    # node over the stacked weights; it gives the bits of project_kv's two
+    # products plus attend's over the cached keys, step after step, and
+    # refuses a backward pass
+    cfg = attention_config(d_model=8, heads=2)
+    rng = np.random.default_rng(43)
+    mha = A.MultiHeadAttention("t", cfg, rng)
+    seq = np.array([0, 0, 0, 1, 1]) if aggregated else None
+    cache = A.KVCache(mha.stacked(not aggregated))
+    grid = S.Grid((5, 1))
+    keys = []
+    for pos in range(A.FIRST_CAPACITY + 2):     # past the first growth
+        x = T.Tensor(rng.normal(size=(5, 8)))
+        kv_in = T.Tensor(rng.normal(size=(2, 1, 8))) if aggregated else None
+        phase = phases(mha, [pos])
+        with T.no_grad():
+            got = mha.step(x, kv_in, cache, seq, phase, grid=grid)
+            src = kv_in if aggregated else x
+            k, v = mha.project_kv(src, src, phase,
+                                  grid=S.Grid((len(src.data), 1)))
+            k, v = k.data, v.data
+            if aggregated:
+                k, v = k[seq], v[seq]
+            keys.append((k, v))
+            k, v = (np.concatenate(z, axis=-2) for z in zip(*keys))
+            want = mha.attend(x, k, v, None, phase, grid=grid)
+        assert got.data.tobytes() == want.data.tobytes()
+    assert cache.length == A.FIRST_CAPACITY + 2
+    x = T.Parameter("x", rng.normal(size=(5, 8)))
+    kv_in = T.Tensor(rng.normal(size=(2, 1, 8))) if aggregated else None
+    out = mha.step(x.tensor, kv_in, cache, seq, phases(mha, [10]), grid=grid)
+    with pytest.raises(ContractError):
+        T.backward(tsum(out))
 
 
 def test_gradient_check_tiny_multi_head_attention():

@@ -223,6 +223,19 @@ def test_decode_commands_take_a_huge_length_bound(workdir, monkeypatch,
     assert "certification PASSED" in capsys.readouterr().out
 
 
+def test_a_decode_past_the_cache_budget_exits_3_with_one_line(
+        workdir, monkeypatch, capsys):
+    # fresh models never emit </s>, so a huge --max-len decodes until the
+    # caches would double past their budget, cut here to 1 MiB, and stops
+    # there with one line instead of running out of memory
+    import streamformer.model as M
+    monkeypatch.setattr(M, "CACHE_BYTES", 2 ** 20)
+    assert run("certify", "--trials", "3", "--max-len", "100000000000") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "MiB budget" in err
+
+
 def fails_with_one_line(capsys, *argv):
     assert run(*argv) == 2
     err = capsys.readouterr().err

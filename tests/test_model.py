@@ -1,5 +1,6 @@
 """Model-level behavior: toggles, tying, decoding, renaming invariance."""
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -791,14 +792,16 @@ def test_unpadded_batches_and_decode_steps_carry_no_grid_index():
     assert state.enc.grid.index is None
     m.step_logits(state, [SOS_ID])
     state.select([0, 0])
-    step = state.embed(np.array([[A], [B]]), m.embedding.tensor)
+    step = state.embed(np.array([[A], [B]]))
     assert step.grid.index is None and step.hidden.shape == (2 * 3, 8)
 
 
 def test_cached_step_tensor_budget(monkeypatch):
     # default config, a 3-stream source: a cached step built 43 Tensors
     # before the query projection joined attend and the aggregated keys
-    # went into their caches without a gather node; it builds 33 now
+    # went into their caches without a gather node, and 33 before the
+    # state held the step's tables and DP and DA became one node each;
+    # it builds 25 now
     vocab = task_vocabulary("prop", 3)
     m = Seq2SeqModel(ModelConfig(), vocab, seed=0)
     state = m.begin_decode(vocab.encode("&a|b!c"))
@@ -812,7 +815,33 @@ def test_cached_step_tensor_budget(monkeypatch):
 
     monkeypatch.setattr(T.Tensor, "__init__", counting)
     m.step_logits(state, vocab.encode("a"))
-    assert len(built) <= 33
+    assert len(built) <= 25
+
+
+@pytest.mark.parametrize("cls, calls, c_calls", [
+    (Seq2SeqModel, 200, 170), (FlatVocabTransformer, 195, 150)])
+def test_cached_step_call_budget(cls, calls, c_calls):
+    # default config, a 3-stream source: before the state held the step's
+    # constants, a cached step made 266 Python and 198 C calls (stream
+    # model) and 258 and 168 (flat); it makes 195 and 165, and 190 and
+    # 145, now.  The budget adds a margin of 5, so the per-step work
+    # cannot quietly grow back
+    vocab = task_vocabulary("prop", 3)
+    m = cls(ModelConfig(), vocab, seed=0)
+    state = m.begin_decode(vocab.encode("&a|b!c"))
+    m.step_logits(state, [SOS_ID])
+    events = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    sys.setprofile(count)
+    try:
+        m.step_logits(state, vocab.encode("a"))
+    finally:
+        sys.setprofile(None)
+    assert events["call"] <= calls and events["c_call"] <= c_calls, events
 
 
 def ablation_configs():
@@ -933,7 +962,7 @@ def test_cached_steps_match_teacher_forcing_across_cache_growth(cls, width):
 
 
 def test_greedy_decode_packs_only_its_source(monkeypatch):
-    # each step embeds through the state's lookup table, not by packing
+    # each step reads its cells off the state's step tables, not by packing
     calls = []
     pack = M.pack_sequences
 

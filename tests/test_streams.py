@@ -215,9 +215,11 @@ def test_rows_sum_adds_slot_by_slot_as_if_alone(width):
     # mean, project's base columns): a sequence's sum is its rows added
     # one slot after another, bit for bit, in a batch of any counts as
     # when the sequence is summed alone.  The values span twelve decades,
-    # so another order of the adds shows in the bits
+    # so another order of the adds shows in the bits; at width 1, eight or
+    # more slots are where numpy's own reduction would add pairwise
     rng = np.random.default_rng(width)
-    for counts in ([1], [5], [3, 3, 3], [2, 5, 1, 4], [4, 1], [1, 2, 3, 4, 5]):
+    for counts in ([1], [5], [3, 3, 3], [2, 5, 1, 4], [4, 1], [1, 2, 3, 4, 5],
+                   [8], [9, 3, 8], [12, 8]):
         n = sum(counts)
         x = rng.normal(size=(n, width))
         x *= 10.0 ** rng.integers(-6, 7, (n, width))
