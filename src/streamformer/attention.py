@@ -144,14 +144,10 @@ class MultiHeadAttention:
         rowsum(dP * P)) * scale, and hands dQ to the query projection's
         own vjp.
         """
+        h, hd, scale = self.cfg.heads, self.cfg.head_dim, self.scale
+        # True where a query may not see a key, in the scores' form
         drop = None if mask is None else ~mask.reshape(
             mask.shape[:1] + (1,) * (len(grid.shape) - 1) + mask.shape[1:])
-        return self._attend(q_in, k, v, drop, phase, grid)
-
-    def _attend(self, q_in, k, v, drop, phase, grid):
-        """attend() under drop, True where a query may not see a key, in
-        the form the scores take: (rows, 1, ..., Lq, Lk), or None."""
-        h, hd, scale = self.cfg.heads, self.cfg.head_dim, self.scale
 
         def forward(xd, wq, kd, vd, wo):
             qd, q_back = _split_heads(xd, wq, h, hd, phase, grid)
@@ -233,11 +229,12 @@ def _rotate(y, heads, phase):
 
 def _mix(qd, kd, vd, wo, drop, scale, grid):
     """Attention of heads qd (...,h,Lq,hd) over keys kd and values vd,
-    (...,h,Lk,hd), under drop (see _attend): scores times scale, mask,
-    softmax, value mixing, head merge and output projection.  Returns the
-    output, one row per cell of grid, with the softmax weights and the
-    merged heads that a vjp reads.  Only a mask can leave a query row no
-    key to see, so only then is it checked.
+    (...,h,Lk,hd), under drop, True where a query may not see a key, in
+    the scores' form (rows, 1, ..., Lq, Lk), or None: scores times scale,
+    mask, softmax, value mixing, head merge and output projection.
+    Returns the output, one row per cell of grid, with the softmax weights
+    and the merged heads that a vjp reads.  Only a mask can leave a query
+    row no key to see, so only then is it checked.
     """
     h, hd = qd.shape[-3], qd.shape[-1]
     p = np.matmul(qd, kd.swapaxes(-1, -2))
@@ -339,6 +336,15 @@ class KVCache:
         self.length = pos + 1
         return self.k[:, :, :pos + 1], self.v[:, :, :pos + 1]
 
+    @property
+    def full(self):
+        """Whether the next extend() replaces the buffers by larger ones."""
+        return self.k is not None and self.length == self.k.shape[2]
+
+    def grown_row_bytes(self):
+        """Bytes that one row of k and v holds once the buffers have grown."""
+        return 2 * (self.k.nbytes + self.v.nbytes) // len(self.k)
+
     def select(self, rows):
         if self.k is not None:     # no step written yet: nothing to re-index
             self.k, self.v = self.k[rows], self.v[rows]
@@ -426,18 +432,16 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, phase, kv=None):
     "per" needs aligned streams, which holds because the decoder reuses
     the encoder's stream ids.  phase is the rotation() table of H_dec's
     absolute positions, which rotates the queries; cross_kv rotates the
-    keys by the encoder's.  Decoding passes the keys and values it holds
-    for its rows as kv, and for mask the drop mask that attention reads
-    (DecodeState.drop), built once per row set; its rows' streams are the
-    encoder's by construction, so only a call without kv checks them.
+    keys by the encoder's.  mask is attend()'s keep-mask.  Decoding passes
+    the keys and values it holds for its rows as kv; its rows' streams are
+    the encoder's by construction, so only a call without kv checks them.
     """
-    if kv is not None:
-        k, v = kv
-        return H_dec.with_hidden(mha._attend(H_dec.hidden, k, v, mask, phase,
-                                             H_dec.grid))
-    if mode == "per" and (H_dec.k != H_enc.k or
-                          (H_dec.stream_ids != H_enc.stream_ids).any()):
-        raise ContractError("per-stream cross attention needs aligned streams")
-    k, v = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
+    if kv is None:
+        if mode == "per" and (H_dec.k != H_enc.k or
+                              (H_dec.stream_ids != H_enc.stream_ids).any()):
+            raise ContractError("per-stream cross attention needs aligned "
+                                "streams")
+        kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
+    k, v = kv
     return H_dec.with_hidden(mha.attend(H_dec.hidden, k, v, mask, phase,
                                         grid=H_dec.grid))

@@ -39,7 +39,7 @@ per input; the cross-attention keys and values, projected once) and
 builds two step tables: the embedded cell and the aggregate weight of
 every token id in each stream of each source.  The state works out the
 rest once per row set: the step batch's layout, project's own-column
-places and cross-attention's drop mask.  Every step_logits call then
+places and cross-attention's padding mask.  Every step_logits call then
 reads one token per row off the tables with one index, feeds it through
 the same decoder layers as the teacher-forced pass, and writes its
 rotated DP and DA keys and values in place into the caches.  This
@@ -57,9 +57,10 @@ in arrays, and re-indexes the caches by parent; greedy decoding is the
 width-1 beam, whose rows keep their places, so its caches are re-indexed
 only when a source ends before the others.  check_trials decodes every
 trial's source and renamed image as the rows of one such search;
-check_invariance is its one-trial case.  A step that would double the
-caches past CACHE_BYTES raises ResourceError instead, so a decode that
-never ends stops before it runs out of memory.
+check_invariance is its one-trial case.  A step that would grow one
+decoded row's caches past CACHE_BYTES raises ResourceError instead, so a
+decode that never ends stops before it runs out of memory, at a length
+that does not depend on how many rows are decoded beside it.
 
 A conventional transformer with one stream and a full vocabulary table
 (FlatVocabTransformer) is included as the non-invariant baseline; it
@@ -84,8 +85,8 @@ from .attention import (AttentionConfig, KVCache, MultiHeadAttention,
                         rotation)
 from .errors import ContractError, ResourceError, VocabularyError
 from .streams import (EOS_ID, SOS_ID, Grid, Rows, StreamBatch, Vocabulary,
-                      _flat, _stream_rows, aggregate_weights, pack_sequences,
-                      project, sequence_stream_ids)
+                      _flat, _stream_rows, aggregate_weights, own_columns_of,
+                      pack_sequences, project, sequence_stream_ids)
 
 # ablation code tokens, in code order: the sublayer switch each turns on,
 # then the cross-attention mode each adds
@@ -93,7 +94,7 @@ _SUBLAYER_CODES = {"EP": "use_ep", "DP": "use_dp", "EA": "use_ea",
                    "DA": "use_da"}
 _CROSS_CODES = {"CP": "per", "CA": "agg"}
 CROSS_MODES = tuple(_CROSS_CODES.values())
-CACHE_BYTES = 2 ** 28   # keys and values a decode state's caches may hold
+CACHE_BYTES = 2 ** 26   # keys and values one decoded row's caches may hold
 
 
 @dataclass(frozen=True)
@@ -363,9 +364,8 @@ class DecodeState:
               cache row per stream of each row
     src_of    (rows,) the source each row decodes
     m_pad     (stream rows, 1, encoder length) the encoder positions each
-              stream row's source holds, None when every one holds all
-    drop      m_pad inverted, in the shape of a step's attention scores:
-              the mask cross-attention reads, or None
+              stream row's source holds, the keep-mask cross-attention
+              reads; None when every one holds all
     rows, stream_ids, lengths, grid  the StreamBatch fields of the
                                      current rows
     An encoder row is one stream of one source; V counts the token ids.
@@ -384,9 +384,9 @@ class DecodeState:
         """Row bookkeeping for rows decoding src_of, each row with its
         source's streams and columns, and every step constant that
         depends only on them: the batch a step's cells join (with
-        project's own-column places, see StreamBatch.own_columns), the
-        drop mask, and where each stream row's entries start in the step
-        tables.  When the encoder ran its sources as runs (they share
+        project's own-column places, see streams.own_columns_of), the
+        padding mask, and where each stream row's entries start in the
+        step tables.  When the encoder ran its sources as runs (they share
         their length and stream count), rows grouped by source in source
         order, the same number for each, are one run per source
         (streams.Runs), so each source's rows get the bits they would get
@@ -407,12 +407,9 @@ class DecodeState:
         lengths = self.enc.lengths[src_of][rows.seq]
         self.m_pad = (None if (lengths == self.enc.length).all() else
                       padding_mask(lengths, 1, self.enc.length))
-        self.drop = None if self.m_pad is None else ~self.m_pad[:, None]
         self._start = ((self.enc.rows.first[src_of][rows.seq] + rows.slot)
                        * self.weights.shape[1])
-        self._batch = StreamBatch(None, None, rows, self.stream_ids,
-                                  self.lengths, self.grid)
-        self._batch.own_columns     # worked out here, once per row set
+        self._own = own_columns_of(rows, self.stream_ids, self.grid)
 
     @property
     def length(self):
@@ -433,27 +430,29 @@ class DecodeState:
         if not (0 <= np.minimum.reduce(tokens)
                 and np.maximum.reduce(tokens) < self.weights.shape[1]):
             raise VocabularyError("decode step fed an out-of-range token id")
-        first = self.layers[0][0]   # every KVCache of the state fills alike
-        if first.k is not None and first.length == first.k.shape[2]:
+        if self.layers[0][0].full:   # every KVCache is extended each step
             self._check_growth()
         at = self._start + tokens[self.rows.seq]
-        H = self._batch.with_hidden(T.Tensor(
-            self.embedded.reshape(-1, self.embedded.shape[2])[at]))
-        H.weight = self.weights.reshape(-1, 1)[at]
-        return H
+        return StreamBatch(
+            T.Tensor(self.embedded.reshape(-1, self.embedded.shape[2])[at]),
+            None, self.rows, self.stream_ids, self.lengths, self.grid,
+            self.weights.reshape(-1, 1)[at], self._own)
 
     def _check_growth(self):
-        """Refuse the step that would double the self-attention caches
-        past CACHE_BYTES, before they grow: a decode that never ends
-        stops with ResourceError, not when memory runs out."""
-        caches = [c for layer in self.layers for c in layer
-                  if isinstance(c, KVCache)]
-        need = 2 * sum(c.k.nbytes + c.v.nbytes for c in caches)
+        """Refuse the step that would grow the self-attention caches past
+        CACHE_BYTES for one decoded row, before they grow: a decode that
+        never ends stops with ResourceError, not when memory runs out.
+        The row with the most streams is measured, so whether a decode is
+        refused depends on its own source, length and model, not on the
+        rows decoded beside it."""
+        per_stream = sum(c.grown_row_bytes() for layer in self.layers
+                         for c in layer if isinstance(c, KVCache))
+        need = per_stream * self.rows.kmax
         if need > CACHE_BYTES:
             raise ResourceError(
-                f"decoding past {self.length} positions needs {need >> 20} "
-                f"MiB of attention caches, over the {CACHE_BYTES >> 20} MiB "
-                f"budget")
+                f"decoding past {self.length} positions needs "
+                f"{need / 2 ** 20:.3g} MiB of attention caches per decoded "
+                f"row, over the {CACHE_BYTES / 2 ** 20:.3g} MiB budget")
 
     def select(self, rows):
         """Keep the given rows, in order; a row may be repeated, and at
@@ -599,7 +598,7 @@ class Seq2SeqModel:
         layers read the earlier positions from the state's caches and
         append this one.  The new position may see every cached one, so
         self-attention masks nothing, and cross-attention reads the
-        encoder under the state's drop mask.  Every layer shares
+        encoder under the state's padding mask.  Every layer shares
         the masks and one rotary phase table; rng is as for encode.
         """
         if state is None:
@@ -610,7 +609,7 @@ class Seq2SeqModel:
             pos = np.arange(H.length)
         else:
             H = state.embed(tgt_inputs)
-            m_la, m_pad = None, state.drop
+            m_la, m_pad = None, state.m_pad
             caches = state.layers
             pos = np.arange(state.length, state.length + 1)
         phase = rotation(self.cfg.attention, pos)

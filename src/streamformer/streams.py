@@ -301,14 +301,17 @@ class StreamBatch:
     stream_ids (B, k)  interchangeable id behind each stream slot, -1 if none
     lengths    (B,)    real positions per sequence
     grid       Grid    where the cells sit among (rows, longest length)
+    weight     (P, 1)  each cell's weight in its sequence's aggregate,
+                       worked out from occupancy when not given
+    own_columns        where project puts each cell's own score (see
+                       own_columns_of()), or None: project works it out
     A row is one real (sequence, stream); k is the largest stream count,
     and slots past a sequence's own have no row.
 
-    weight and own_columns are constants of the batch's layout, worked out
-    on first use, and with_hidden hands them on, so each is computed once
-    per batch, not once per sublayer.  A decode step's batch (see
-    model.DecodeState) gets them from its state: the weight from a table,
-    the rest from the state's rows; it carries no occupancy.
+    with_hidden hands weight and own_columns on, so a pass works out the
+    weight once per batch, not once per aggregate.  A decode step's batch
+    (see model.DecodeState) is given both by its state, the weight read
+    off a table; nothing reads its occupancy, which is None.
     """
 
     hidden: T.Tensor
@@ -317,6 +320,14 @@ class StreamBatch:
     stream_ids: np.ndarray
     lengths: np.ndarray
     grid: Grid
+    weight: np.ndarray = None
+    own_columns: tuple = None
+
+    def __post_init__(self):
+        if self.weight is None:
+            occ = self.grid.scatter(self.occupancy)               # (N, L)
+            self.weight = self.grid.gather(
+                aggregate_weights(self.rows, occ))[:, None]
 
     @property
     def k(self):
@@ -335,30 +346,23 @@ class StreamBatch:
         return out
 
     def with_hidden(self, hidden):
-        """This batch with other hidden states, and every constant it has
-        worked out so far."""
-        out = object.__new__(StreamBatch)
-        out.__dict__ = dict(self.__dict__, hidden=hidden)
-        return out
+        """This batch with other hidden states."""
+        return StreamBatch(hidden, self.occupancy, self.rows, self.stream_ids,
+                           self.lengths, self.grid, self.weight,
+                           self.own_columns)
 
-    @cached_property
-    def weight(self):
-        """(P, 1) each cell's weight in its sequence's aggregate."""
-        occ = self.grid.scatter(self.occupancy)               # (N, L)
-        return self.grid.gather(aggregate_weights(self.rows, occ))[:, None]
 
-    @cached_property
-    def own_columns(self):
-        """Where project puts each cell's own score: a (B, L, k) array of
-        -inf to fill, the flat places in it of the cells whose stream
-        carries a symbol, and those cells (None when every cell's does)."""
-        rows, sids, (N, L) = self.rows, self.stream_ids, self.grid.shape
-        row, pos = self.grid.index or np.divmod(np.arange(N * L), L)
-        place = (rows.seq[row] * L + pos) * sids.shape[1] + rows.slot[row]
-        symbol = sids[rows.seq, rows.slot][row] >= 0
-        cells = None if symbol.all() else np.flatnonzero(symbol)
-        return (np.full((len(sids), L, sids.shape[1]), -np.inf),
-                place if cells is None else place[cells], cells)
+def own_columns_of(rows, stream_ids, grid):
+    """Where project puts each cell of grid's own score: a (B, L, k) array
+    of -inf to fill, the flat places in it of the cells whose stream
+    carries a symbol, and those cells (None when every cell's does)."""
+    (N, L), k = grid.shape, stream_ids.shape[1]
+    row, pos = grid.index or np.divmod(np.arange(N * L), L)
+    place = (rows.seq[row] * L + pos) * k + rows.slot[row]
+    symbol = stream_ids[rows.seq, rows.slot][row] >= 0
+    cells = None if symbol.all() else np.flatnonzero(symbol)
+    return (np.full((len(stream_ids), L, k), -np.inf),
+            place if cells is None else place[cells], cells)
 
 
 def sequence_stream_ids(seq, vocab):
@@ -477,7 +481,8 @@ def project(H, W):
     n = W.shape[0] - 2
     inv = (1.0 / rows.counts)[:, None, None]
     have = rows.seq, rows.slot       # the (B, k) stream slots with a row
-    blank, place, cells = H.own_columns
+    blank, place, cells = (H.own_columns or
+                           own_columns_of(rows, H.stream_ids, grid))
 
     def forward(h, w):
         mean = rows.sum(grid.scatter(h)) * inv     # (B, L, d)

@@ -11,7 +11,7 @@ import streamformer.tensor as T
 from streamformer.attention import (FIRST_CAPACITY, KVCache,
                                     aggregated_attention, padding_mask,
                                     per_stream_attention)
-from streamformer.errors import ContractError
+from streamformer.errors import ContractError, ResourceError
 from streamformer.evaluation import _random_task_input, certify_invariance
 from streamformer.logic import gen_prop, task_vocabulary
 from streamformer.model import (DecodeResult, EncoderLayer, FlatVocabTransformer,
@@ -819,12 +819,12 @@ def test_cached_step_tensor_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("cls, calls, c_calls", [
-    (Seq2SeqModel, 200, 170), (FlatVocabTransformer, 195, 150)])
+    (Seq2SeqModel, 232, 154), (FlatVocabTransformer, 227, 134)])
 def test_cached_step_call_budget(cls, calls, c_calls):
     # default config, a 3-stream source: before the state held the step's
     # constants, a cached step made 266 Python and 198 C calls (stream
-    # model) and 258 and 168 (flat); it makes 195 and 165, and 190 and
-    # 145, now.  The budget adds a margin of 5, so the per-step work
+    # model) and 258 and 168 (flat); it makes 227 and 149, and 222 and
+    # 129, now.  The budget adds a margin of 5, so the per-step work
     # cannot quietly grow back
     vocab = task_vocabulary("prop", 3)
     m = cls(ModelConfig(), vocab, seed=0)
@@ -842,6 +842,33 @@ def test_cached_step_call_budget(cls, calls, c_calls):
     finally:
         sys.setprofile(None)
     assert events["call"] <= calls and events["c_call"] <= c_calls, events
+
+
+def test_cache_budget_refuses_a_chunk_of_trials_as_its_widest_trial_alone(
+        monkeypatch):
+    # the budget bounds what one decoded row's caches hold, so a chunk of
+    # trials certified in one search is refused exactly where its widest
+    # trial is refused alone, however many trials share the search.  A
+    # fresh model does not end these sources, so every row feeds all 12
+    # positions and its caches grow once, from 8 positions to 16: a row
+    # of k streams then holds k * 16 positions of one key and one value
+    # per self-attention sublayer
+    vocab = task_vocabulary("copying", 3)
+    cfg = ModelConfig(**TINY)
+    m = Seq2SeqModel(cfg, vocab, seed=0)
+    rng = np.random.default_rng(0)
+    trials = [(_random_task_input("copying", vocab, rng),
+               AlphaRenaming.random(vocab, rng)) for _ in range(16)]
+    widest = max(trials, key=lambda trial: len(set(trial[0])))
+    per_stream = (cfg.dec_layers * (cfg.use_dp + cfg.use_da)
+                  * 2 * 16 * cfg.d_model * 8)
+    budget = len(set(widest[0])) * per_stream
+    monkeypatch.setattr(M, "CACHE_BYTES", budget)
+    assert len(M.check_trials(m, trials, 12)) == 16
+    monkeypatch.setattr(M, "CACHE_BYTES", budget - 1)
+    for chunk in (trials, [widest]):
+        with pytest.raises(ResourceError, match="per decoded row"):
+            M.check_trials(m, chunk, 12)
 
 
 def ablation_configs():
