@@ -42,7 +42,7 @@ gather: its KVCache copies the new position's keys to their rows as it
 writes them in place after the positions it already holds.
 
 The softmax weights stay inside the nodes; every function here returns
-only its output.
+only its output, a sublayer's as a Tensor with a row per query cell.
 """
 from __future__ import annotations
 
@@ -385,13 +385,12 @@ def per_stream_attention(mha, H, mask, phase, cache=None):
     the new position and attends over every cached one as well, as one
     node (MultiHeadAttention.step).  phase is the rotation() table of H's
     absolute positions, which rotates both the queries and the keys.
-    Returns the StreamBatch of raw attention outputs.
+    Returns the raw attention output, one row per cell of H.
     """
     if cache is not None:
-        return H.with_hidden(mha.step(H.hidden, None, cache, None, phase,
-                                      grid=H.grid))
+        return mha.step(H.hidden, None, cache, None, phase, grid=H.grid)
     k, v = _kv(mha, H.hidden, H.grid, phase)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
+    return mha.attend(H.hidden, k, v, mask, phase, grid=H.grid)
 
 
 def aggregated_attention(mha, H, mask, phase, cache=None):
@@ -401,13 +400,13 @@ def aggregated_attention(mha, H, mask, phase, cache=None):
     stream of a sequence attends over identical keys.  It is
     position-wise, so a cached decode step fuses only its new position,
     and its keys and values reach their rows as the cache stores them.
-    phase is as for per_stream_attention.
+    phase and the output are as for per_stream_attention.
     """
     if cache is not None:
-        return H.with_hidden(mha.step(H.hidden, aggregate(H), cache,
-                                      H.rows.seq, phase, grid=H.grid))
+        return mha.step(H.hidden, aggregate(H), cache, H.rows.seq, phase,
+                        grid=H.grid)
     k, v = _kv(mha, *_fused(H), phase, H.rows.seq)
-    return H.with_hidden(mha.attend(H.hidden, k, v, mask, phase, grid=H.grid))
+    return mha.attend(H.hidden, k, v, mask, phase, grid=H.grid)
 
 
 def cross_kv(mha, H_enc, mode, seq):
@@ -435,6 +434,7 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, phase, kv=None):
     keys by the encoder's.  mask is attend()'s keep-mask.  Decoding passes
     the keys and values it holds for its rows as kv; its rows' streams are
     the encoder's by construction, so only a call without kv checks them.
+    Returns the output, one row per cell of H_dec.
     """
     if kv is None:
         if mode == "per" and (H_dec.k != H_enc.k or
@@ -443,5 +443,4 @@ def cross_attention(mha, H_dec, H_enc, mode, mask, phase, kv=None):
                                 "streams")
         kv = cross_kv(mha, H_enc, mode, H_dec.rows.seq)
     k, v = kv
-    return H_dec.with_hidden(mha.attend(H_dec.hidden, k, v, mask, phase,
-                                        grid=H_dec.grid))
+    return mha.attend(H_dec.hidden, k, v, mask, phase, grid=H_dec.grid)

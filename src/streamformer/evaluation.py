@@ -369,11 +369,12 @@ def certify_invariance(model=None, n_trials=500, seed=0, task=None,
     all trials.
     Pass requires every trial to decode token-identically under renaming
     with aligned teacher-forced logits within 1e-6.
-    Each task's inputs and renamings are drawn first, trial by trial from
-    the task's own generator, then certified CERTIFY_CHUNK trials at a
-    time by check_trials: one search decodes a chunk's sources and
-    renamed images together, and each trial keeps its own teacher-forced
-    pass, so its discrepancy has the bits it has alone.
+    Each task's inputs and renamings are drawn trial by trial from the
+    task's own generator, CERTIFY_CHUNK trials just before check_trials
+    certifies them, so memory holds one chunk: one search decodes a
+    chunk's sources and renamed images together, and each trial keeps
+    its own teacher-forced pass, so its discrepancy has the bits it has
+    alone.
     """
     if n_trials < 1:
         raise ContractError("n_trials must be positive")
@@ -400,18 +401,20 @@ def certify_invariance(model=None, n_trials=500, seed=0, task=None,
     certs = []
     for i, (t, m, count) in enumerate(jobs):
         rng = np.random.default_rng(_cell_seed(seed, 100 + i))
-        trials = []
-        for _ in range(count):
-            src = _random_task_input(t, m.vocab, rng)
-            trials.append((src, AlphaRenaming.random(m.vocab, rng)))
-        reps = []
+        failures = ties = exact = 0
+        worst = 0.0
         for lo in range(0, count, CERTIFY_CHUNK):
-            reps += check_trials(m, trials[lo:lo + CERTIFY_CHUNK], max_len)
-        discs = [rep.max_logit_discrepancy for rep in reps]
-        certs.append(TaskCertificate(
-            t, count, sum(not rep.passed for rep in reps), max(0.0, *discs),
-            sum(rep.ties_flagged for rep in reps),
-            sum(d == 0.0 for d in discs)))
+            trials = []
+            for _ in range(min(CERTIFY_CHUNK, count - lo)):
+                src = _random_task_input(t, m.vocab, rng)
+                trials.append((src, AlphaRenaming.random(m.vocab, rng)))
+            for rep in check_trials(m, trials, max_len):
+                disc = rep.max_logit_discrepancy
+                failures += not rep.passed
+                worst = max(worst, disc)
+                ties += rep.ties_flagged
+                exact += disc == 0.0
+        certs.append(TaskCertificate(t, count, failures, worst, ties, exact))
     return CertifyReport(tuple(certs))
 
 

@@ -8,7 +8,8 @@ own stream.  The embedding table is tied three ways (encoder input,
 decoder input, output projection share one buffer).
 
 Each layer runs an ordered list of attention sublayers, then the
-feed-forward block, each wrapped as norm(x + dropout(sub(x))):
+feed-forward block, each wrapped as norm(x + dropout(sub(x))), where
+sub(x) is the Tensor the sublayer returns, one row per cell of x:
 
   encoder: [EP per-stream self-attention] [EA aggregated attention] ffn
   decoder: [DP masked per-stream self-attention] [DA masked aggregated
@@ -35,14 +36,15 @@ Decoding runs on a DecodeState, which holds every constant of a step.
 begin_decode encodes one or more sources, of any length and stream
 count, as one batch, opens one cache per decoder sublayer (a KVCache
 for self-attention, with its sublayer's weights stacked for one product
-per input; the cross-attention keys and values, projected once) and
-builds two step tables: the embedded cell and the aggregate weight of
-every token id in each stream of each source.  The state works out the
-rest once per row set: the step batch's layout, project's own-column
-places and cross-attention's padding mask.  Every step_logits call then
-reads one token per row off the tables with one index, feeds it through
-the same decoder layers as the teacher-forced pass, and writes its
-rotated DP and DA keys and values in place into the caches.  This
+per input; the cross-attention keys and values, projected once, as
+Tensors) and builds two step tables: the embedded cell and the aggregate
+weight of every token id in each stream of each source.  The state works
+out the rest once per row set: the step batch's layout, project's
+own-column places and cross-attention's padding mask.  Every
+step_logits call then reads one token per row off the tables with one
+index, feeds it through the same decoder layers as the teacher-forced
+pass, and writes its rotated DP and DA keys and values in place into
+the caches.  This
 matches the teacher-forced pass up to rounding because every decoder
 sublayer is position-wise or causal: the DA aggregate at position t
 reads only position t, and rotary encoding rotates each key by its own
@@ -287,7 +289,7 @@ class _Layer:
             else:
                 sub = cross_attention(mha, H, enc, _cross_mode(kind), m_pad,
                                       phase, cache)
-            H = self._residual_norm(H, sub.hidden, norm, rng)
+            H = self._residual_norm(H, sub, norm, rng)
         return self._residual_norm(H, self.ffn(H.hidden, H.grid),
                                    self.ffn_norm, rng)
 
@@ -314,12 +316,11 @@ class DecoderLayer(_Layer):
         """Decode-time state, one entry per sublayer: a KVCache for masked
         self-attention, with the weights of its one product (queries, keys
         and values for DP, keys and values for DA), the encoder keys and
-        values, computed once, for cross-attention.  Each holds a row per
-        decoded stream."""
+        values, computed once, for cross-attention, as the Tensors cross_kv
+        gives.  Each holds a row per decoded stream."""
         return [KVCache(mha.stacked(kind == "self"))
                 if kind in ("self", "agg") else
-                tuple(x.data for x in cross_kv(mha, enc, _cross_mode(kind),
-                                               enc.rows.seq))
+                cross_kv(mha, enc, _cross_mode(kind), enc.rows.seq)
                 for kind, mha, _ in self.subs]
 
 
@@ -435,7 +436,7 @@ class DecodeState:
         at = self._start + tokens[self.rows.seq]
         return StreamBatch(
             T.Tensor(self.embedded.reshape(-1, self.embedded.shape[2])[at]),
-            None, self.rows, self.stream_ids, self.lengths, self.grid,
+            self.rows, self.stream_ids, self.lengths, self.grid,
             self.weights.reshape(-1, 1)[at], self._own)
 
     def _check_growth(self):
@@ -474,7 +475,7 @@ class DecodeState:
                 if isinstance(c, KVCache):
                     c.select(rows)
                 else:
-                    caches[i] = tuple(x[rows] for x in c)
+                    caches[i] = tuple(T.Tensor(x.data[rows]) for x in c)
 
 
 @dataclass
@@ -547,11 +548,8 @@ class Seq2SeqModel:
     def _embed(self, seqs, enc=None):
         """Stream batch of seqs; decoder inputs pass the encoder output, so
         their streams are pinned to the encoder's."""
-        sids = None
-        if enc is not None:
-            sids = [[int(s) for s in row if s >= 0] for row in enc.stream_ids]
         return pack_sequences(seqs, self.embedding.tensor, self.vocab,
-                              stream_id_lists=sids)
+                              like=enc)
 
     def _step_lookup(self, enc):
         """Embedding row and occupancy of every token id in each stream of
@@ -876,10 +874,11 @@ class FlatVocabTransformer(Seq2SeqModel):
         lengths = np.array([len(s) for s in seqs], dtype=np.int64)
         ids = _flat(seqs, lengths.sum())
         return StreamBatch(T.gather_rows(self.embedding.tensor, ids),
-                           np.zeros(len(ids)), Rows(np.ones(B)),
+                           Rows(np.ones(B)),
                            np.full((B, 1), -1, dtype=np.int64), lengths,
                            Grid.of(np.arange(lengths.max())
-                                   < lengths[:, None]))
+                                   < lengths[:, None]),
+                           np.ones((len(ids), 1)))
 
     def _step_lookup(self, enc):
         shape = (len(enc.lengths), 1, self.vocab.total_size)

@@ -12,8 +12,8 @@ read their own rows.  Renaming the interchangeable ids therefore only
 permutes the streams, which is what makes the downstream model invariant.
 
 Streams are ordered by ascending interchangeable id.  A sequence with no
-interchangeable tokens still gets one synthetic stream (its occupancy is
-all zero and its stream id is recorded as -1) so that shapes never
+interchangeable tokens still gets one synthetic stream (it owns no
+position, and its stream id is recorded as -1) so that shapes never
 degenerate.
 
 Sequences in a batch may differ in length and in stream count.  A
@@ -24,7 +24,8 @@ a sequence lacks or to positions past its end.  A Grid says where the
 cells sit in the (rows, longest length) grid; attention is the one piece
 that reads the grid, and everything position-wise runs on the cells.
 aggregate and project reduce each sequence's rows to values on the
-(sequences, longest length) grid.
+(sequences, longest length) grid.  A batch is built complete, each
+cell's weight in its sequence's aggregate included.
 """
 from __future__ import annotations
 
@@ -250,12 +251,12 @@ class Grid:
         (Runs); one run is the grid itself."""
         return self if blocks == 1 else Runs(self.shape, self.index, blocks)
 
-    def scatter(self, x, fill=0.0):
-        """Cells x (P, ...) in the grid, (N, L, ...)."""
+    def scatter(self, x):
+        """Cells x (P, ...) in the grid, (N, L, ...), zero where no cell
+        sits."""
         if self.index is None:
             return x.reshape(self.shape + x.shape[1:])
-        shape = self.shape + x.shape[1:]
-        out = np.zeros(shape) if fill == 0.0 else np.full(shape, fill)
+        out = np.zeros(self.shape + x.shape[1:])
         out[self.index] = x
         return out
 
@@ -296,38 +297,32 @@ class StreamBatch:
     """Hidden states of the parallel streams of a batch of sequences.
 
     hidden     (P, d)  activations, one cell per real (row, position)
-    occupancy  (P,)    1.0 where the row's own token sits
     rows       Rows    the sequence of every row
     stream_ids (B, k)  interchangeable id behind each stream slot, -1 if none
     lengths    (B,)    real positions per sequence
     grid       Grid    where the cells sit among (rows, longest length)
-    weight     (P, 1)  each cell's weight in its sequence's aggregate,
-                       worked out from occupancy when not given
+    weight     (P, 1)  each cell's weight in its sequence's aggregate
+                       (aggregate_weights)
     own_columns        where project puts each cell's own score (see
                        own_columns_of()), or None: project works it out
     A row is one real (sequence, stream); k is the largest stream count,
     and slots past a sequence's own have no row.
 
-    with_hidden hands weight and own_columns on, so a pass works out the
-    weight once per batch, not once per aggregate.  A decode step's batch
-    (see model.DecodeState) is given both by its state, the weight read
-    off a table; nothing reads its occupancy, which is None.
+    A batch is built complete, its weight worked out by whoever builds
+    it: pack_sequences from where each row's own token sits, a flat
+    model's one-stream batch as ones, a decode step's batch (see
+    model.DecodeState) off its state's table.  with_hidden hands weight
+    and own_columns on, so a pass works out the weight once per batch,
+    not once per aggregate.
     """
 
     hidden: T.Tensor
-    occupancy: np.ndarray
     rows: Rows
     stream_ids: np.ndarray
     lengths: np.ndarray
     grid: Grid
-    weight: np.ndarray = None
+    weight: np.ndarray
     own_columns: tuple = None
-
-    def __post_init__(self):
-        if self.weight is None:
-            occ = self.grid.scatter(self.occupancy)               # (N, L)
-            self.weight = self.grid.gather(
-                aggregate_weights(self.rows, occ))[:, None]
 
     @property
     def k(self):
@@ -347,9 +342,8 @@ class StreamBatch:
 
     def with_hidden(self, hidden):
         """This batch with other hidden states."""
-        return StreamBatch(hidden, self.occupancy, self.rows, self.stream_ids,
-                           self.lengths, self.grid, self.weight,
-                           self.own_columns)
+        return StreamBatch(hidden, self.rows, self.stream_ids, self.lengths,
+                           self.grid, self.weight, self.own_columns)
 
 
 def own_columns_of(rows, stream_ids, grid):
@@ -370,24 +364,27 @@ def sequence_stream_ids(seq, vocab):
     return sorted({int(t) for t in seq if vocab.is_inter(int(t))})
 
 
-def pack_sequences(seqs, W, vocab, stream_id_lists=None):
+def pack_sequences(seqs, W, vocab, like=None):
     """Embed a list of sequences into one StreamBatch, a row per stream.
 
-    stream_id_lists pins each sequence's streams (the decoder reuses the
-    encoder's); by default they come from the sequences themselves.  The
-    whole batch is built at once from one padded id matrix: each row reads
-    its sequence's ids, with interchangeable ids sent to the placeholder
-    row and the row's own id to the actual row (_stream_rows, the one
-    lookup rule, which the decode state's step tables are built by too).
-    Only the real positions are embedded.
+    like, a StreamBatch of as many sequences (the encoder's, for decoder
+    inputs), pins each sequence's streams to its counterpart's there: its
+    rows and stream ids are taken as they are.  By default the streams
+    come from the sequences themselves.  The whole batch is built at once
+    from one padded id matrix: each row reads its sequence's ids, with
+    interchangeable ids sent to the placeholder row and the row's own id
+    to the actual row (_stream_rows, the one lookup rule, which the
+    decode state's step tables are built by too).  Only the real
+    positions are embedded, and each cell's aggregate weight is worked
+    out from where the row's own token sits.
     """
     if not seqs:
         raise ContractError("cannot pack an empty batch")
     if W.shape[0] != vocab.table_rows:
         raise VocabularyError(
             f"embedding table has {W.shape[0]} rows, vocabulary needs {vocab.table_rows}")
-    if stream_id_lists is not None and len(stream_id_lists) != len(seqs):
-        raise ContractError("one stream id list per sequence required")
+    if like is not None and len(like.lengths) != len(seqs):
+        raise ContractError("like must hold one sequence per sequence")
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     if not lengths.all():
         raise ContractError("cannot embed an empty sequence")
@@ -396,25 +393,25 @@ def pack_sequences(seqs, W, vocab, stream_id_lists=None):
     ids[valid] = _flat(seqs, lengths.sum())
     if ids.min() < 0 or ids.max() >= vocab.total_size:
         raise VocabularyError("sequence contains out-of-range token ids")
-    if stream_id_lists is None:
+    if like is None:
         # distinct interchangeable ids of each sequence, ascending
         inter = ids >= vocab.base_size     # padding holds PAD_ID, a base id
         present = np.zeros((len(seqs), vocab.inter_size), dtype=bool)
         present[np.nonzero(inter)[0], ids[inter] - vocab.base_size] = True
         counts = present.sum(axis=1)
-        sids = np.nonzero(present)[1] + vocab.base_size
+        rows = Rows(np.maximum(counts, 1))
+        stream_ids = np.full((len(seqs), rows.kmax), -1, dtype=np.int64)
+        stream_ids[np.arange(rows.kmax) < counts[:, None]] = (
+            np.nonzero(present)[1] + vocab.base_size)
     else:
-        counts = np.array([len(s) for s in stream_id_lists], dtype=np.int64)
-        sids = _flat(stream_id_lists, counts.sum())
-    rows = Rows(np.maximum(counts, 1))
-    stream_ids = np.full((len(seqs), rows.kmax), -1, dtype=np.int64)
-    stream_ids[np.arange(stream_ids.shape[1]) < counts[:, None]] = sids
-    own_id = stream_ids[rows.seq, rows.slot]
-    lookup, own = _stream_rows(ids[rows.seq], own_id, vocab)
+        rows, stream_ids = like.rows, like.stream_ids
+    lookup, own = _stream_rows(ids[rows.seq], stream_ids[rows.seq, rows.slot],
+                               vocab)
     grid = Grid.of(valid[rows.seq])
-    return StreamBatch(T.gather_rows(W, grid.gather(lookup)),
-                       grid.gather(own).astype(np.float64), rows, stream_ids,
-                       lengths, grid)
+    # own is False past a row's end, where the ids are PAD_ID
+    weight = aggregate_weights(rows, own.astype(np.float64))
+    return StreamBatch(T.gather_rows(W, grid.gather(lookup)), rows,
+                       stream_ids, lengths, grid, grid.gather(weight)[:, None])
 
 
 def _stream_rows(ids, own_id, vocab):

@@ -3,11 +3,9 @@
 Every operation builds a node in an implicit computation graph: the output
 tensor remembers its parent tensors and a vector-Jacobian closure.  Calling
 ``backward`` on a scalar walks the graph once in reverse topological order
-and sums the gradients reaching each node into its ``.grad``.  While a
-graph is recorded every operand of a node is a Tensor; a node's constants
-(masks, phase tables) live inside its forward function instead.  Under
-``no_grad`` an operand may also be a plain array, such as a decode step's
-cached keys and values.
+and sums the gradients reaching each node into its ``.grad``.  Every
+operand of a node is a Tensor, with or without a graph recorded; a node's
+constants (masks, phase tables) live inside its forward function instead.
 
 Every node is built by ``fused``, from a forward function that returns
 its output and a hand-written vjp.  The model's nodes are few and large:
@@ -287,18 +285,14 @@ def fused(forward, *operands):
 
     forward(*arrays) receives the operands' data and returns (output, vjp),
     where vjp(g) gives a gradient for every operand at once, so they can
-    share intermediate results.  While a graph is recorded every operand
-    must be a Tensor, or ContractError is raised; under no_grad an operand
-    may be a constant array.
+    share intermediate results.  Every operand must be a Tensor, under
+    no_grad too, or ContractError is raised; a node's constants live
+    inside forward.
     """
     try:
         arrays = tuple(map(_tensor_data, operands))
-    except TypeError:   # a constant among them
-        if _GRAD_ENABLED:
-            raise ContractError("fused: a constant operand while a graph "
-                                "is recorded") from None
-        arrays = [o.data if type(o) is Tensor
-                  else np.asarray(o, dtype=np.float64) for o in operands]
+    except TypeError:
+        raise ContractError("fused: every operand must be a Tensor") from None
     out, vjp = forward(*arrays)
     return Tensor(out, operands, vjp)
 

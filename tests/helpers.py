@@ -7,7 +7,7 @@ from streamformer.errors import ContractError, DimensionError, VocabularyError
 from streamformer.model import (_CROSS_CODES, _SUBLAYER_CODES,
                                 InvarianceReport, ModelConfig, decode_greedy)
 from streamformer.streams import (SOS_ID, AlphaRenaming, Grid, Rows,
-                                  StreamBatch)
+                                  StreamBatch, aggregate_weights)
 
 
 def identity_renaming(vocab):
@@ -267,10 +267,12 @@ def stream_lookup_ids(seq, vocab, stream_ids):
 
 def rows_batch(hidden, occupancy, active, stream_ids, lengths):
     """A StreamBatch from the dense layout: hidden (B, k, L, d), an array
-    or a Tensor, occupancy (B, k, L) and active (B, k).  Each sequence's
-    active slots must come first; only they become rows, and only a row's
-    first lengths[b] positions become cells.  A Tensor keeps its gradient
-    path through the conversion."""
+    or a Tensor, occupancy (B, k, L), 1.0 where a row's own token sits,
+    and active (B, k).  Each sequence's active slots must come first; only
+    they become rows, and only a row's first lengths[b] positions become
+    cells, each weighted in the aggregate by aggregate_weights of the
+    occupancy.  A Tensor keeps its gradient path through the
+    conversion."""
     active = np.asarray(active) > 0
     lengths = np.asarray(lengths)
     B, k, L = np.shape(occupancy)
@@ -282,9 +284,10 @@ def rows_batch(hidden, occupancy, active, stream_ids, lengths):
     h = T.reshape(hidden, (B * k * L, hidden.shape[-1]))
     if len(keep) < B * k * L:
         h = T.gather_rows(h, keep)
-    occ = np.asarray(occupancy).reshape(-1)[keep]
-    return StreamBatch(h, occ, rows, np.asarray(stream_ids), lengths,
-                       Grid.of(np.arange(L) < lengths[rows.seq][:, None]))
+    grid = Grid.of(np.arange(L) < lengths[rows.seq][:, None])
+    occ = grid.scatter(np.asarray(occupancy).reshape(-1)[keep])
+    return StreamBatch(h, rows, np.asarray(stream_ids), lengths, grid,
+                       grid.gather(aggregate_weights(rows, occ))[:, None])
 
 
 def dense(H, x=None):
@@ -308,8 +311,9 @@ def permuted(H, order):
     def reorder(x):
         return grid.gather(grid.scatter(x)[idx])
 
-    return StreamBatch(T.Tensor(reorder(H.hidden.data)), reorder(H.occupancy),
-                       H.rows, H.stream_ids[:, order], H.lengths, grid)
+    return StreamBatch(T.Tensor(reorder(H.hidden.data)), H.rows,
+                       H.stream_ids[:, order], H.lengths, grid,
+                       reorder(H.weight))
 
 
 def shared_by_streams(x, streams):

@@ -248,7 +248,8 @@ def test_criterion_6_stream_permutation_equivariance():
 
         out = A.per_stream_attention(mha, H, mask, phase)
         out_p = A.per_stream_attention(mha, permuted(H, perm), mask, phase)
-        assert dense(out)[:, perm].tobytes() == dense(out_p).tobytes()
+        assert dense(H, out.data)[:, perm].tobytes() == \
+            dense(H, out_p.data).tobytes()
 
         fused = S.aggregate(H).data
         fused_p = S.aggregate(permuted(H, perm)).data
@@ -264,7 +265,7 @@ def test_criterion_6_stream_permutation_equivariance():
         out = A.aggregated_attention(mha, H, mask, phase)
         out_p = A.aggregated_attention(mha, permuted(H, perm), mask, phase)
         worst_agg = max(worst_agg, float(np.max(np.abs(
-            dense(out)[:, perm] - dense(out_p)))))
+            dense(H, out.data)[:, perm] - dense(H, out_p.data)))))
 
         out = enc_layer(H, mask, phase, None)
         out_p = enc_layer(permuted(H, perm), mask, phase, None)

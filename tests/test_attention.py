@@ -115,10 +115,11 @@ def test_per_stream_attention_k1_equals_plain_and_batches_agree():
     phase = phases(mha, np.arange(5))
     out = A.per_stream_attention(mha, H, None, phase)
     for i in range(3):
-        solo = rows_batch(dense(H)[:, i:i + 1], dense(H, H.occupancy)[:, i:i + 1],
+        solo = rows_batch(dense(H)[:, i:i + 1], np.zeros((1, 1, 5)),
                           np.ones((1, 1)), H.stream_ids[:, i:i + 1], H.lengths)
         alone = A.per_stream_attention(mha, solo, None, phase)
-        assert np.max(np.abs(dense(alone)[0, 0] - dense(out)[0, i])) == 0.0
+        assert np.max(np.abs(dense(solo, alone.data)[0, 0]
+                             - dense(H, out.data)[0, i])) == 0.0
 
 
 def test_per_stream_attention_is_permutation_equivariant_bitwise():
@@ -129,7 +130,8 @@ def test_per_stream_attention_is_permutation_equivariant_bitwise():
     out = A.per_stream_attention(mha, H, None, phase)
     perm = [3, 1, 0, 2]
     out_p = A.per_stream_attention(mha, permuted(H, perm), None, phase)
-    assert dense(out)[:, perm].tobytes() == dense(out_p).tobytes()
+    assert dense(H, out.data)[:, perm].tobytes() == \
+        dense(H, out_p.data).tobytes()
 
 
 def test_duplicated_stream_gets_identical_output():
@@ -139,9 +141,9 @@ def test_duplicated_stream_gets_identical_output():
     cells = H.hidden.data.reshape(2, 5, 8)    # (rows, positions, d)
     cells[1] = cells[0]
     phase = phases(mha, np.arange(5))
-    out = dense(A.per_stream_attention(mha, H, None, phase))
+    out = dense(H, A.per_stream_attention(mha, H, None, phase).data)
     assert np.max(np.abs(out[0, 0] - out[0, 1])) <= 1e-12
-    out_a = dense(A.aggregated_attention(mha, H, None, phase))
+    out_a = dense(H, A.aggregated_attention(mha, H, None, phase).data)
     assert np.max(np.abs(out_a[0, 0] - out_a[0, 1])) <= 1e-12
 
 
@@ -161,7 +163,7 @@ def test_aggregated_attention_uses_shared_key_buffer():
                               grid=S.Grid((1, 1, 5)))
         out2 = mha.attend(T.Tensor(dense(H)), k, v, None,
                           phases(mha, np.arange(5)), grid=S.Grid((1, 3, 5)))
-    assert dense(out).tobytes() == out2.data.tobytes()
+    assert dense(H, out.data).tobytes() == out2.data.tobytes()
 
 
 def test_aggregated_attention_permutation_within_1e9():
@@ -172,7 +174,8 @@ def test_aggregated_attention_permutation_within_1e9():
     out = A.aggregated_attention(mha, H, None, phase)
     perm = [2, 3, 1, 0]
     out_p = A.aggregated_attention(mha, permuted(H, perm), None, phase)
-    assert np.max(np.abs(dense(out)[:, perm] - dense(out_p))) <= 1e-9
+    assert np.max(np.abs(dense(H, out.data)[:, perm]
+                         - dense(H, out_p.data))) <= 1e-9
 
 
 def test_cross_attention_per_requires_alignment():
@@ -186,7 +189,7 @@ def test_cross_attention_per_requires_alignment():
     with pytest.raises(ContractError):
         A.cross_attention(mha, Hd, He, "sideways", None, phase)
     out = A.cross_attention(mha, Hd, He, "agg", None, phase)
-    assert dense(out).shape == (1, 2, 4, 8)
+    assert dense(Hd, out.data).shape == (1, 2, 4, 8)
 
 
 def test_cross_attention_per_stream_pairs_streams():
@@ -197,12 +200,13 @@ def test_cross_attention_per_stream_pairs_streams():
     phase = phases(mha, np.arange(4))
     out = A.cross_attention(mha, Hd, He, "per", None, phase)
     for i in range(3):
-        qd = rows_batch(dense(Hd)[:, i:i + 1], dense(Hd, Hd.occupancy)[:, i:i + 1],
+        qd = rows_batch(dense(Hd)[:, i:i + 1], np.zeros((1, 1, 4)),
                         np.ones((1, 1)), Hd.stream_ids[:, i:i + 1], Hd.lengths)
-        ke = rows_batch(dense(He)[:, i:i + 1], dense(He, He.occupancy)[:, i:i + 1],
+        ke = rows_batch(dense(He)[:, i:i + 1], np.zeros((1, 1, 6)),
                         np.ones((1, 1)), He.stream_ids[:, i:i + 1], He.lengths)
         alone = A.cross_attention(mha, qd, ke, "per", None, phase)
-        assert np.array_equal(dense(alone)[0, 0], dense(out)[0, i])
+        assert np.array_equal(dense(qd, alone.data)[0, 0],
+                              dense(Hd, out.data)[0, i])
 
 
 def test_causal_mask_blocks_future_bitwise():
@@ -216,7 +220,8 @@ def test_causal_mask_blocks_future_bitwise():
     bumped.reshape(2, 6, 8)[:, 4] += 10.0  # perturb position 4
     H2 = H.with_hidden(T.Tensor(bumped))
     out2 = A.per_stream_attention(mha, H2, mask, phase)
-    assert dense(out)[:, :, :4].tobytes() == dense(out2)[:, :, :4].tobytes()
+    assert dense(H, out.data)[:, :, :4].tobytes() == \
+        dense(H, out2.data)[:, :, :4].tobytes()
 
 
 def test_rope_shift_moves_into_scores():
@@ -250,11 +255,11 @@ def test_gradient_check_through_all_attention_variants():
     phase = phases(mha, np.arange(3))
 
     def loss_fn():
-        a = A.per_stream_attention(mha, Hd, mask, phase)
-        b = A.aggregated_attention(mha, a, mask, phase)
-        c = A.cross_attention(mha, b, He, "per", None, phase)
+        a = Hd.with_hidden(A.per_stream_attention(mha, Hd, mask, phase))
+        b = a.with_hidden(A.aggregated_attention(mha, a, mask, phase))
+        c = b.with_hidden(A.cross_attention(mha, b, He, "per", None, phase))
         d = A.cross_attention(mha, c, He, "agg", None, phase)
-        return tsum(mul(d.hidden, weight))
+        return tsum(mul(d, weight))
 
     report = gradient_check(mha.parameters(), loss_fn)
     assert max(report.values()) <= 1e-4
@@ -386,7 +391,8 @@ def test_cached_step_node_matches_projections_and_attend_bit_for_bit(
                 k, v = k[seq], v[seq]
             keys.append((k, v))
             k, v = (np.concatenate(z, axis=-2) for z in zip(*keys))
-            want = mha.attend(x, k, v, None, phase, grid=grid)
+            want = mha.attend(x, T.Tensor(k), T.Tensor(v), None, phase,
+                              grid=grid)
         assert got.data.tobytes() == want.data.tobytes()
     assert cache.length == A.FIRST_CAPACITY + 2
     x = T.Parameter("x", rng.normal(size=(5, 8)))
@@ -421,8 +427,7 @@ def test_attention_sublayer_is_three_graph_nodes():
     mha = A.MultiHeadAttention("t", cfg, RNG)
     H = make_H(B=2, k=3, L=5)
     mask = A.look_ahead_mask(np.repeat([5, 4], 3), 5)
-    out = A.per_stream_attention(mha, H, mask,
-                                 phases(mha, np.arange(5))).hidden
+    out = A.per_stream_attention(mha, H, mask, phases(mha, np.arange(5)))
     inputs = {id(H.hidden)} | {id(p.tensor) for p in mha.parameters()}
     nodes, todo = set(), [out]
     while todo:
@@ -445,9 +450,9 @@ def test_fused_attention_forward_backward_deterministic_bitwise():
                        np.tile(np.arange(3, 6), (2, 1)), np.full(2, 5))
         mask = A.look_ahead_mask(np.repeat([5, 3], 3), 5)
         phase = phases(mha, np.arange(5))
-        a = A.per_stream_attention(mha, H, mask, phase)
+        a = H.with_hidden(A.per_stream_attention(mha, H, mask, phase))
         b = A.aggregated_attention(mha, a, mask, phase)
-        loss = tsum(mul(b.hidden, b.hidden))
+        loss = tsum(mul(b, b))
         T.backward(loss)
         return [loss.data.tobytes(), x.grad.tobytes()] + \
             [p.grad.tobytes() for p in mha.parameters()]

@@ -344,6 +344,30 @@ def test_certify_single_task_and_argument_checks():
         E.certify_invariance(model, n_trials=2)    # task not named
 
 
+def test_certification_holds_one_chunk_of_trials_at_a_time(monkeypatch):
+    # each chunk's trials are drawn just before check_trials certifies
+    # them, so however many trials are asked for, memory holds one chunk
+    draws, chunks = [0], []
+    draw, certify = E._random_task_input, E.check_trials
+
+    def counting_draw(*args):
+        draws[0] += 1
+        return draw(*args)
+
+    def counting_certify(model, trials, max_len):
+        chunks.append((draws[0], len(trials)))
+        draws[0] = 0
+        return certify(model, trials, max_len)
+
+    monkeypatch.setattr(E, "_random_task_input", counting_draw)
+    monkeypatch.setattr(E, "check_trials", counting_certify)
+    n = 2 * E.CERTIFY_CHUNK + 3
+    rep = E.certify_invariance(n_trials=n, seed=0, task="copying",
+                               config=ModelConfig(**TINY), max_len=4)
+    assert rep.trials == n and draws == [0]
+    assert chunks == [(E.CERTIFY_CHUNK, E.CERTIFY_CHUNK)] * 2 + [(3, 3)]
+
+
 def test_certify_flags_the_flat_baseline():
     vocab = L.task_vocabulary("prop", 3)
     flat = FlatVocabTransformer(ModelConfig(**TINY), vocab, seed=3)

@@ -57,7 +57,7 @@ def test_embed_streams_synthetic_single_stream():
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
     H = S.pack_sequences([[0, 1, 2]], W, v)
     assert H.k == 1
-    assert H.occupancy.sum() == 0.0
+    assert H.weight.tolist() == [[1.0]] * 3     # no stream owns a position
     assert H.stream_ids.tolist() == [[-1]]
     assert np.array_equal(dense(H)[0, 0], W.data[[0, 1, 2]])
 
@@ -70,7 +70,10 @@ def test_embed_streams_rows():
     got = dense(H)[0]
     assert np.array_equal(got[0], W.data[[1, 3, 4, 3]])   # stream of id 3
     assert np.array_equal(got[1], W.data[[1, 4, 3, 4]])   # stream of id 5
-    assert dense(H, H.occupancy)[0].tolist() == [[0, 1, 0, 1], [0, 0, 1, 0]]
+    # a row's own token weighs 1 in the aggregate, and a position no
+    # stream owns weighs 1/2 in each
+    assert dense(H, H.weight)[0, :, :, 0].tolist() == [[0.5, 1, 0, 1],
+                                                       [0.5, 0, 1, 0]]
 
 
 def test_embed_rejects_empty_and_bad_ids():
@@ -86,25 +89,26 @@ def test_embed_rejects_empty_and_bad_ids():
 
 def _pack_one_at_a_time(seqs, W, v, stream_id_lists):
     """The batch pack_sequences builds, one stream_lookup_ids per sequence:
-    each row's real positions, row after row."""
-    lookups, occs, sids = [], [], []
+    each row's real positions, row after row, and each cell's aggregate
+    weight, 1/k of what no stream owns plus its own occupancy."""
+    lookups, weights, sids = [], [], []
     for seq, ids in zip(seqs, stream_id_lists):
         lk, occ = stream_lookup_ids(seq, v, ids)
         lookups.append(lk.reshape(-1))
-        occs.append(occ.reshape(-1))
+        weights.append(((1.0 - occ.sum(axis=0)) / len(occ) + occ).reshape(-1))
         sids.append(list(ids))
     k = max(1, max(len(i) for i in sids))
     stream_ids = [i + [-1] * (k - len(i)) for i in sids]
     seq_of_row = np.repeat(np.arange(len(seqs)),
                            [len(x) // len(s) for x, s in zip(lookups, seqs)])
-    return (W.data[np.concatenate(lookups)], np.concatenate(occs),
+    return (W.data[np.concatenate(lookups)], np.concatenate(weights)[:, None],
             stream_ids, seq_of_row)
 
 
 @pytest.mark.parametrize("pinned", [False, True])
 def test_pack_matches_per_sequence_lookup(pinned):
-    # a prop-4 corpus with a symbol-free source; pinned stream id lists
-    # are what the decoder passes: the sources' own, for its inputs
+    # a prop-4 corpus with a symbol-free source; pinned batches are what
+    # the decoder passes: the sources' packed batch, for its inputs
     from streamformer.logic import gen_prop, task_vocabulary
     v = task_vocabulary("prop", 4)
     srcs = [v.encode(s) for s, _ in gen_prop(3, 4, (3, 12), 96).pairs]
@@ -116,11 +120,12 @@ def test_pack_matches_per_sequence_lookup(pinned):
         ids = own[b:b + 16]
         if pinned:
             seqs = [[S.SOS_ID] + s[::-1] for s in seqs]
-        H = S.pack_sequences(seqs, W, v, ids if pinned else None)
-        hidden, occ, stream_ids, seq_of_row = _pack_one_at_a_time(
+        like = S.pack_sequences(srcs[b:b + 16], W, v) if pinned else None
+        H = S.pack_sequences(seqs, W, v, like=like)
+        hidden, weight, stream_ids, seq_of_row = _pack_one_at_a_time(
             seqs, W, v, ids)
         assert H.hidden.data.tobytes() == hidden.tobytes()
-        assert np.array_equal(H.occupancy, occ)
+        assert H.weight.tobytes() == weight.tobytes()
         assert H.stream_ids.tolist() == stream_ids
         assert H.lengths.tolist() == [len(s) for s in seqs]
         assert np.array_equal(H.rows.seq, seq_of_row)
@@ -141,7 +146,7 @@ def test_pack_stores_one_cell_per_real_stream_position():
     W = T.Tensor(RNG.normal(size=(v.table_rows, 4)))
     H = S.pack_sequences(seqs, W, v)
     cells = sum(k * len(s) for k, s in zip(streams, seqs))
-    assert H.hidden.shape == (cells, 4) and H.occupancy.shape == (cells,)
+    assert H.hidden.shape == (cells, 4) and H.weight.shape == (cells, 1)
     assert H.length == 10 and H.grid.shape == (sum(streams), 10)
     assert len(H.grid.index[0]) == cells
 
@@ -156,7 +161,8 @@ def test_pack_rejects_bad_ids_and_empty_sequences_in_a_batch():
         with pytest.raises(ContractError):
             S.pack_sequences(seqs, W, v)
     with pytest.raises(ContractError):
-        S.pack_sequences([[1, 3]], W, v, [[3], [4]])
+        S.pack_sequences([[1, 3]], W, v,
+                         like=S.pack_sequences([[1, 3], [1, 4]], W, v))
 
 
 def test_embedding_permutation_equivariance_exact():
@@ -171,8 +177,8 @@ def test_embedding_permutation_equivariance_exact():
     for i, sid in enumerate(H.stream_ids[0]):
         j = list(Hf.stream_ids[0]).index(f[int(sid)])
         assert dense(H)[0, i].tobytes() == dense(Hf)[0, j].tobytes()
-        assert np.array_equal(dense(H, H.occupancy)[0, i],
-                              dense(Hf, Hf.occupancy)[0, j])
+        assert dense(H, H.weight)[0, i].tobytes() == \
+            dense(Hf, Hf.weight)[0, j].tobytes()
 
 
 def test_aggregate_single_stream_is_identity():

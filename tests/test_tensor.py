@@ -399,31 +399,20 @@ def test_add_and_sub_reduce_equal_and_trailing_shapes_only():
         T.backward(loss)
 
 
-def test_fused_takes_a_constant_operand_only_under_no_grad():
-    # a cached decode step's keys and values are arrays: attending over
-    # them is refused while a graph is recorded, and under no_grad gives
-    # what attending over them as Tensors gives
-    rng = np.random.default_rng(21)
-    mha = A.MultiHeadAttention("t", attention_config(d_model=8, heads=2), rng)
-    prefix = T.Tensor(rng.normal(size=(1, 2, 4, 8)))
-    x = T.Tensor(rng.normal(size=(1, 2, 1, 8)))
+def test_fused_takes_only_tensor_operands():
+    # every operand of a node is a Tensor: an array or a number among them
+    # is refused whether or not a graph is recorded, and under no_grad the
+    # node keeps no parents
+    x = T.Tensor(np.random.default_rng(21).normal(size=(2, 3)))
+    for operand in (x.data.copy(), x.data.tolist(), 1.0):
+        with pytest.raises(ContractError, match="Tensor"):
+            T.add(x, operand)
+        with T.no_grad(), pytest.raises(ContractError, match="Tensor"):
+            T.add(x, operand)
     with T.no_grad():
-        kp, vp = mha.project_kv(prefix, prefix, phases(mha, np.arange(4)),
-                                grid=Grid(prefix.shape[:-1]))
-        kx, vx = mha.project_kv(x, x, phases(mha, [4]),
-                                grid=Grid(x.shape[:-1]))
-    k = np.concatenate([kp.data, kx.data], axis=-2)
-    v = np.concatenate([vp.data, vx.data], axis=-2)
-
-    def step(k, v):
-        return mha.attend(x, k, v, None, phases(mha, [4]), grid=Grid((1, 2, 1)))
-
-    with pytest.raises(ContractError):
-        step(k, v)
-    with T.no_grad():
-        got = step(k, v)
+        got = T.add(x, x)
     assert got.parents == () and got.vjp is None
-    assert got.data.tobytes() == step(T.Tensor(k), T.Tensor(v)).data.tobytes()
+    assert got.data.tobytes() == (x.data + x.data).tobytes()
 
 
 def test_no_grad_suppresses_graph():
